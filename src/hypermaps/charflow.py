@@ -1,7 +1,8 @@
 """Characteristic and flow polynomials, colorings and flows over GF(q).
 
-All sums run over the refinement order with the Moebius function from
-``nclattice``; nothing here re-derives Moebius values.
+All sums run over the refinement order through ``nclattice``: the
+polynomials are ``refinement_sum`` passes, and every Moebius value is read
+off cycle lengths by ``mobius_of_cycles``.
 
 The characteristic polynomial of (sigma, alpha) is
 
@@ -27,21 +28,17 @@ from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
-from .nclattice import interval, is_refinement, mobius, refinements
+from .nclattice import interval, is_refinement, mobius_of_cycles, refinement_sum
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
 
 
 def characteristic_polynomial(h: Hypermap) -> UniPoly:
-    identity = Permutation.identity(h.n)
-    if h.n:
-        mobius(identity, h.alpha)  # one pass warms every mu(id, beta) below
-    terms: Dict[int, int] = {}
-    for beta in refinements(h.alpha):
-        e = orbit_count(h.sigma, beta) - h.kappa
-        terms[e] = terms.get(e, 0) + mobius(identity, beta)
-    return UniPoly(terms)
+    def term(beta: Permutation):
+        return orbit_count(h.sigma, beta) - h.kappa, mobius_of_cycles(beta)
+
+    return UniPoly(refinement_sum(h.alpha, term))
 
 
 def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
@@ -50,21 +47,22 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
         raise ValueError("alpha2 must refine the collection's alpha")
     if not is_refinement(alpha1, alpha2):
         raise ValueError("alpha1 must refine alpha2")
-    mobius(alpha1, alpha2)
+    a1inv = alpha1.inverse()
     terms: Dict[int, int] = {}
     for beta in interval(alpha1, alpha2):
         e = orbit_count(h.sigma, beta)
-        terms[e] = terms.get(e, 0) + mobius(alpha1, beta)
+        terms[e] = terms.get(e, 0) + mobius_of_cycles(a1inv * beta)
     return UniPoly(terms)
 
 
 def flow_polynomial(h: Hypermap) -> UniPoly:
-    terms: Dict[int, int] = {}
     zs = h.sigma.cycle_count
-    for beta in refinements(h.alpha):
+
+    def term(beta: Permutation):
         e = h.n + orbit_count(h.sigma, beta) - beta.cycle_count - zs
-        terms[e] = terms.get(e, 0) + mobius(beta, h.alpha)
-    return UniPoly(terms)
+        return e, mobius_of_cycles(beta.inverse() * h.alpha)
+
+    return UniPoly(refinement_sum(h.alpha, term))
 
 
 def proper_coloring_count(h: Hypermap, colors: int) -> int:
@@ -161,8 +159,35 @@ class FlowSpace:
             yield tuple(vec)
 
 
+# Miller-Rabin with these bases is exact for every q < 2^64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(q: int) -> bool:
+    for p in _PRIME_BASES:
+        if q % p == 0:
+            return q == p
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_prime(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+    if q >= 1 << 64:
+        raise ValueError(f"q must be below 2^64, got a {q.bit_length()}-bit q")
+    if q < 2 or not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
 
 

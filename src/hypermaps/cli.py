@@ -420,7 +420,7 @@ def _cmd_circuit_partition(args) -> int:
     payload = {
         "input_echo": doc.echo(),
         "result": poly.to_string("x"),
-        "method": "states+refinements",
+        "method": "states",
         "stats": {},
     }
     _emit(args, payload, poly.to_string("x"))
@@ -678,10 +678,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    global _parser
     sys.setrecursionlimit(10000)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:  # built once per process; parse_args keeps no state
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, InstanceTooLarge) as exc:

@@ -13,11 +13,15 @@ cycle C of length m with restriction b, it is equivalent to
 
     (#cycles of b on C) + (#cycles of b^-1 * C on C) == m + 1.
 
-The Moebius function is computed from its recursive definition (mu(x, x) = 1
-and intervals sum to zero) and memoized on the isomorphism class of the
-interval, never from a closed form.  For the record, the recursion yields
-mu of the full lattice NC(m) equal to (-1)^(m-1) times the (m-1)st Catalan
-number (Catalan numbers indexed from Cat(0) = 1).
+The Moebius function is the closed form
+
+    mu(beta, gamma) = prod over cycles c of beta^-1 gamma of (-1)^(|c|-1) Cat(|c|-1)
+
+because an interval [beta, gamma] factors into full lattices NC(|c|), one per
+cycle c of beta^-1 gamma (Kreweras 1972; Nica and Speicher, Lectures on the
+Combinatorics of Free Probability, Lectures 9-10), and NC(m) itself has
+mu = (-1)^(m-1) Cat(m-1), Catalan numbers indexed from Cat(0) = 1.  The tests
+and the selftest check it against the defining recursion.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Tuple
 
-from .hypermap import Hypermap
 from .perm import Permutation, cycle_count_on
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -110,6 +113,17 @@ def refinements(alpha: Permutation) -> Iterator[Permutation]:
         yield Permutation.from_cycles(n, cycles)
 
 
+def refinement_sum(
+    alpha: Permutation, term: Callable[[Permutation], Tuple[Hashable, int]]
+) -> Dict[Hashable, int]:
+    """Sum term(beta) = (exponent key, coefficient) over beta <= alpha, by key."""
+    totals: Dict[Hashable, int] = {}
+    for beta in refinements(alpha):
+        key, coeff = term(beta)
+        totals[key] = totals.get(key, 0) + coeff
+    return totals
+
+
 def is_refinement(beta: Permutation, alpha: Permutation) -> bool:
     if beta.n != alpha.n:
         raise ValueError("size mismatch")
@@ -137,38 +151,21 @@ def interval(beta: Permutation, alpha: Permutation) -> List[Permutation]:
     return [g for g in refinements(alpha) if is_refinement(beta, g)]
 
 
-_MOBIUS_MEMO: Dict[tuple, int] = {}
+def mobius_of_cycles(delta: Permutation) -> int:
+    """prod over cycles c of delta of (-1)^(|c|-1) Cat(|c|-1).
 
-
-def _pair_key(beta: Permutation, alpha: Permutation):
-    return Hypermap(beta, alpha).canonical_key()
+    This is mu(beta, gamma) for delta = beta^-1 gamma whenever beta <= gamma;
+    in particular mu(id, beta) comes from beta's own cycles.
+    """
+    value = 1
+    for c in delta.cycles():
+        k = len(c) - 1
+        value *= -catalan(k) if k % 2 else catalan(k)
+    return value
 
 
 def mobius(beta: Permutation, alpha: Permutation) -> int:
-    """Moebius function of the interval [beta, alpha] in refinement order.
-
-    One bottom-up pass computes mu(beta, gamma) for every gamma in the
-    interval; each value is memoized under the canonical key of the pair
-    (beta, gamma), which is invariant under relabeling and hence shared by
-    isomorphic intervals.  Reads and writes of the shared table are plain
-    dict operations, so concurrent use from threads is safe.
-    """
-    key = _pair_key(beta, alpha)
-    got = _MOBIUS_MEMO.get(key)
-    if got is not None:
-        return got
-    elems = interval(beta, alpha)
-    elems.sort(key=lambda g: -g.cycle_count)
-    values: List[int] = []
-    for idx, gamma in enumerate(elems):
-        if gamma == beta:
-            v = 1
-        else:
-            v = -sum(
-                values[j]
-                for j in range(idx)
-                if is_refinement(elems[j], gamma)
-            )
-        values.append(v)
-        _MOBIUS_MEMO.setdefault(_pair_key(beta, gamma), v)
-    return values[-1]
+    """Moebius function of the interval [beta, alpha] in refinement order."""
+    if not is_refinement(beta, alpha):
+        raise ValueError("beta does not refine alpha")
+    return mobius_of_cycles(beta.inverse() * alpha)

@@ -13,12 +13,7 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .hypermap import Hypermap
-from .nclattice import noncrossing_partitions
 from .poly import BiPoly, UniPoly
-
-
-def catalan(m: int) -> int:
-    return math.comb(2 * m, m) // (m + 1)
 
 
 def narayana(n: int, k: int) -> int:
@@ -138,12 +133,3 @@ def map_euler_genus(h: Hypermap) -> int:
         assert (2 - euler) % 2 == 0
         total += (2 - euler) // 2
     return total
-
-
-def nc_rank_generating(n: int) -> UniPoly:
-    """Rank generating function of NC(n): sum of s^(n - #blocks)."""
-    terms: Dict[int, int] = {}
-    for part in noncrossing_partitions(n):
-        e = n - len(part)
-        terms[e] = terms.get(e, 0) + 1
-    return UniPoly(terms)

@@ -12,7 +12,7 @@ here once:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 
 class Permutation:
@@ -181,7 +181,3 @@ def cycle_count_on(points: Iterable[int], func) -> int:
             j = func(j)
         count += 1
     return count
-
-
-def iter_points(n: int) -> Iterator[int]:
-    return iter(range(1, n + 1))

@@ -204,15 +204,6 @@ class BiPoly:
             out[eu] = out.get(eu, 0) + t
         return UniPoly(out)
 
-    def substitute(self, u_image: "UniPoly", v_image: "UniPoly") -> "UniPoly":
-        """Raw substitution of univariate images for u and v."""
-        total = UniPoly.zero()
-        for (eu, ev), c in self.terms.items():
-            if eu < 0 or ev < 0:
-                raise ValueError("negative exponent in substitution")
-            total = total + (u_image ** eu) * (v_image ** ev) * UniPoly.const(c)
-        return total
-
     def hyperbola_section(self) -> "UniPoly":
         """The Laurent polynomial obtained by setting u = v^-1."""
         out: Dict[int, int] = {}

@@ -17,7 +17,6 @@ from . import charflow, medial, oracles
 from .hypermap import Hypermap, dual, merge_components, orbit_count
 from .nclattice import (
     catalan,
-    interval,
     is_refinement,
     mobius,
     noncrossing_partitions,
@@ -172,9 +171,20 @@ def _check_mobius(rng: random.Random, n_max: int) -> str:
         value = mobius(ident, alpha)
         sign = 1 if (m - 1) % 2 == 0 else -1
         assert value == sign * catalan(m - 1)
-        if m >= 2:
-            total = sum(mobius(ident, g) for g in interval(ident, alpha))
-            assert total == 0
+    # The defining recursion, which pins mu: sum of mu(beta, gamma) over
+    # gamma in [beta, delta] is 1 when beta = delta and 0 otherwise.
+    intervals = 0
+    for _ in range(20):
+        h = random_collection(rng, min(n_max, 6), max_cycle=5)
+        elems = list(refinements(h.alpha))
+        leq = [[is_refinement(b, d) for d in elems] for b in elems]
+        for i, beta in enumerate(elems):
+            mu = [mobius(beta, g) if leq[i][k] else 0 for k, g in enumerate(elems)]
+            for j in range(len(elems)):
+                if leq[i][j]:
+                    total = sum(mu[k] for k in range(len(elems)) if leq[k][j])
+                    assert total == (1 if i == j else 0), "mu breaks its recursion"
+                    intervals += 1
     trials = 20
     for _ in range(trials):
         h = random_collection(rng, min(n_max, 7), max_cycle=4)
@@ -187,7 +197,7 @@ def _check_mobius(rng: random.Random, n_max: int) -> str:
             sub_beta = Permutation.from_cycles(h.n, sub_beta_cycles)
             prod *= mobius(sub_beta, sub_alpha)
         assert prod == mobius(beta, h.alpha)
-    return f"closed form m<=7, zero sums, multiplicativity x{trials}"
+    return f"Catalans m<=7, recursion on {intervals} intervals, products x{trials}"
 
 
 def _check_poly_roundtrip(rng: random.Random, n_max: int) -> str:
@@ -313,8 +323,9 @@ def _check_wet_dry(rng: random.Random, n_max: int) -> str:
     trials = 30
     for _ in range(trials):
         h = random_planar_connected(rng, n_max)
-        wet_dry_polynomial(h)  # asserts the identity internally
-    return f"{trials} genus zero instances"
+        expected = BiPoly.monomial(1, h.kappa, 0) * whitney_phi(h).polynomial
+        assert wet_dry_polynomial(h) == expected, "wet/dry disagrees with u^kappa R"
+    return f"{trials} genus zero instances, wet/dry == u^kappa R(u, v)"
 
 
 def _check_medial_shape(rng: random.Random, n_max: int) -> str:
@@ -335,12 +346,14 @@ def _check_matching_bijection(rng: random.Random, n_max: int) -> str:
         h = random_collection(rng, min(n_max, 7), max_cycle=4)
         m = medial.medial_map(h)
         betas = sorted(b.image for b in refinements(h.alpha))
-        matched = sorted(
-            medial.matching_refinement(m, mu).image
-            for mu in medial.coherent_matchings(m)
-        )
-        assert betas == matched
-    return f"{trials} collections, matchings == refinements"
+        matched = []
+        for mu in medial.coherent_matchings(m):
+            beta = medial.matching_refinement(m, mu)
+            circuits = medial.circuits_of_state(m, mu)
+            assert len(circuits) == (beta.inverse() * h.sigma).cycle_count
+            matched.append(beta.image)
+        assert betas == sorted(matched)
+    return f"{trials} collections, matchings == refinements, circuit counts"
 
 
 def _check_circuit_polynomial(rng: random.Random, n_max: int) -> str:
@@ -374,9 +387,11 @@ def _check_coloring_sum(rng: random.Random, n_max: int) -> str:
     trials = 10
     for _ in range(trials):
         h = random_planar_connected(rng, min(n_max, 6))
+        r = whitney_phi(h).polynomial
         for colors in (1, 2, 3):
-            medial.eulerian_coloring_sum(h, colors)  # asserts internally
-    return f"{trials} genus zero instances, m = 1, 2, 3"
+            total = medial.eulerian_coloring_sum(h, colors)
+            assert total == colors ** h.kappa * r.evaluate(colors, colors)
+    return f"{trials} genus zero instances, m = 1, 2, 3 against m^kappa R(m, m)"
 
 
 def _check_chromatic_identities(rng: random.Random, n_max: int) -> str:

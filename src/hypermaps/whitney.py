@@ -32,7 +32,7 @@ The branch weight is u^(kappa(phi_k) - kappa) * v^[k != 1 and c1, ck share a
 sigma-cycle]; every weight is one of 1, u, v, u*v, which is asserted.  The
 recursion bottoms out at collections whose hyperedges are all fixed points,
 where the polynomial is 1.  Results are memoized under the exact canonical
-key of the collection, with an optional bound on the cache size.
+key of the collection.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from multiprocessing import get_context
 from typing import Iterator, List, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
-from .nclattice import refinement_count, refinements
+from .nclattice import refinement_count, refinement_sum, refinements
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -151,9 +151,7 @@ def psi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
     return branch(h, cycle, k, keep_connected=True)[0]
 
 
-def _whitney_recursive(
-    h: Hypermap, keep_connected: bool, max_cache: Optional[int]
-) -> WhitneyResult:
+def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     memo: dict = {}
     stats = WhitneyStats()
 
@@ -173,8 +171,7 @@ def _whitney_recursive(
             if keep_connected:
                 assert child.kappa == g.kappa
             total = total + rec(child) * BiPoly.monomial(1, eu, ev)
-        if max_cache is None or len(memo) < max_cache:
-            memo[key] = total
+        memo[key] = total
         return total
 
     poly = rec(h)
@@ -182,17 +179,17 @@ def _whitney_recursive(
     return WhitneyResult(poly, "psi" if keep_connected else "phi", stats)
 
 
-def whitney_phi(h: Hypermap, max_cache: Optional[int] = None) -> WhitneyResult:
-    return _whitney_recursive(h, keep_connected=False, max_cache=max_cache)
+def whitney_phi(h: Hypermap) -> WhitneyResult:
+    return _whitney_recursive(h, keep_connected=False)
 
 
-def whitney_psi(h: Hypermap, max_cache: Optional[int] = None) -> WhitneyResult:
+def whitney_psi(h: Hypermap) -> WhitneyResult:
     """Same polynomial as whitney_phi, via the connectivity-preserving rule.
 
     On connected input every node of the recursion tree stays connected,
     which is asserted.
     """
-    return _whitney_recursive(h, keep_connected=True, max_cache=max_cache)
+    return _whitney_recursive(h, keep_connected=True)
 
 
 def _beta_term(h: Hypermap, beta: Permutation) -> Tuple[int, int]:
@@ -229,9 +226,9 @@ def whitney_bruteforce(
         raise InstanceTooLarge(
             f"{total_count} refinements exceed the cap of {max_refinements}"
         )
-    stats = WhitneyStats()
-    terms: dict = {}
+    stats = WhitneyStats(nodes=total_count)
     if processes and processes > 1 and total_count > 256:
+        terms: dict = {}
         chunks = []
         buf: List[Tuple[int, ...]] = []
         for beta in refinements(h.alpha):
@@ -245,12 +242,8 @@ def whitney_bruteforce(
             for part in pool.imap_unordered(_brute_chunk, chunks):
                 for key, mult in part.items():
                     terms[key] = terms.get(key, 0) + mult
-        stats.nodes = total_count
     else:
-        for beta in refinements(h.alpha):
-            key = _beta_term(h, beta)
-            terms[key] = terms.get(key, 0) + 1
-            stats.nodes += 1
+        terms = refinement_sum(h.alpha, lambda beta: (_beta_term(h, beta), 1))
     poly = BiPoly(terms)
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "brute", stats)
@@ -317,23 +310,18 @@ def wet_dry_polynomial(h: Hypermap) -> BiPoly:
         = 2 g(sigma, beta) + z(beta^-1 sigma) - kappa(sigma, beta)
     with g(sigma, beta) = 0, so taking wet(beta) = kappa(sigma, beta) parts
     of the surface and dry(beta) = z(beta^-1 sigma) - kappa(sigma, beta)
-    gives sum u^wet v^dry = u^kappa(sigma, alpha) * R(u, v), which is
-    asserted before returning.
+    gives sum u^wet v^dry = u^kappa(sigma, alpha) * R(u, v).  The selftest
+    and the tests compare the two sides.
     """
     if h.genus != 0:
         raise ValueError("wet/dry weights are only defined at genus zero")
-    terms: dict = {}
     sig = h.sigma
-    for beta in refinements(h.alpha):
+
+    def term(beta: Permutation):
         kb = orbit_count(sig, beta)
-        wet = kb
-        dry = (beta.inverse() * sig).cycle_count - kb
-        assert dry >= 0
-        terms[(wet, dry)] = terms.get((wet, dry), 0) + 1
-    poly = BiPoly(terms)
-    expected = BiPoly.monomial(1, h.kappa, 0) * whitney_bruteforce(h).polynomial
-    assert poly == expected, "wet/dry sum disagrees with u^kappa * R"
-    return poly
+        return (kb, (beta.inverse() * sig).cycle_count - kb), 1
+
+    return BiPoly(refinement_sum(h.alpha, term))
 
 
 def refinement_terms(h: Hypermap) -> Iterator[Tuple[Permutation, int, int]]:

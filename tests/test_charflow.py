@@ -135,6 +135,22 @@ def test_flow_space_rejects_composite_modulus():
         flow_space(h, 4)
     with pytest.raises(ValueError):
         flow_space(h, 1)
+    for q in range(-3, 2000):
+        prime = q >= 2 and all(q % d for d in range(2, int(q ** 0.5) + 1))
+        if prime:
+            assert flow_space(h, q).q == q
+        else:
+            with pytest.raises(ValueError):
+                flow_space(h, q)
+    # strong pseudoprimes to the first bases, Carmichael numbers, and a
+    # product of two primes just below 2^32
+    for q in (2047, 1373653, 3215031751, 561, 41041, 4294967291 * 4294967279):
+        with pytest.raises(ValueError, match="prime"):
+            flow_space(h, q)
+    for q in (10 ** 18 + 3, 2 ** 61 - 1, 18446744073709551557):  # primes < 2^64
+        assert flow_space(h, q).q == q
+    with pytest.raises(ValueError, match="2\\^64"):
+        flow_space(h, 2 ** 64 + 13)
 
 
 def test_buds_exempt_from_nowhere_zero():

@@ -1,17 +1,20 @@
+import io
 import json
 import subprocess
 import sys
 
+from hypermaps import cli
+
 RUNNING = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", python_flags=(), timeout=300):
     return subprocess.run(
-        [sys.executable, "-m", "hypermaps", *args],
+        [sys.executable, *python_flags, "-m", "hypermaps", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -94,6 +97,8 @@ def test_circuit_partition():
     r = run_cli(["circuit-partition"], RUNNING)
     assert r.returncode == 0
     assert r.stdout.strip() == "2*x^3 + 5*x^2 + 3*x"
+    r = run_cli(["circuit-partition", "--json"], RUNNING)
+    assert json.loads(r.stdout)["method"] == "states"
 
 
 def test_wet_dry():
@@ -117,6 +122,21 @@ def test_flows_counts():
     r = run_cli(["flows", "--q=3", "--json"], doc)
     payload = json.loads(r.stdout)
     assert payload["result"] == {"count": 9, "dimension": 2, "q": 3}
+
+
+def test_flows_modulus_checks():
+    doc = "sigma: (1 2)\nalpha: (1 2)\n"
+    r = run_cli(["flows", f"--q={10 ** 400}"], doc)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+    r = run_cli(["flows", f"--q={10 ** 18 + 3}"], doc, timeout=30)
+    assert r.returncode == 0
+    assert r.stdout.strip() == str(10 ** 18 + 3)
+    for q in ("4", "1", "0", "-7", str(4294967291 * 4294967279)):
+        r = run_cli(["flows", f"--q={q}"], doc)
+        assert r.returncode == 2, q
+        assert r.stderr.startswith("error: q must be prime"), q
 
 
 def test_colorings():
@@ -155,6 +175,51 @@ def test_determinism_byte_identical():
         b = run_cli(args, RUNNING)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+
+def test_answers_do_not_depend_on_assert():
+    for args in (
+        ["wet-dry"],
+        ["circuit-partition"],
+        ["colorings", "--eulerian", "--m=2"],
+        ["charpoly"],
+        ["flowpoly"],
+    ):
+        normal = run_cli(args, RUNNING)
+        optimized = run_cli(args, RUNNING, python_flags=["-O"])
+        assert normal.returncode == optimized.returncode == 0, args
+        assert optimized.stdout == normal.stdout, args
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
+    calls = [
+        (["whitney", "--json"], RUNNING),
+        (["genus"], RUNNING),
+        (["whitney", "--method=magic"], RUNNING),
+        (["flows", "--q=3", "--json"], doc),
+        (["circuit-partition"], RUNNING),
+        (["charpoly"], RUNNING),
+    ]
+    for argv, text in calls:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(argv, text)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(built) == 1
 
 
 def test_malformed_inputs_diagnose_cleanly():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from hypermaps.nclattice import (
     refinements,
 )
 from hypermaps.perm import Permutation
+from hypermaps.selftest import random_collection
 
 
 def test_catalan_values():
@@ -110,6 +112,26 @@ def test_mobius_sum_over_interval_is_zero():
     bottom = Permutation.identity(4)
     total = sum(mobius(bottom, gamma) for gamma in interval(bottom, alpha))
     assert total == 0
+
+
+def test_mobius_satisfies_defining_recursion():
+    """Sum of mu(beta, gamma) over gamma in [beta, delta] is [beta == delta].
+
+    mu(beta, beta) = 1 and these zero sums determine mu, so this checks the
+    closed form against the definition on every interval below alpha.
+    """
+    rng = random.Random(31)
+    alphas = [Permutation.from_cycles(6, [[1, 2, 3, 4, 5, 6]])]
+    alphas += [random_collection(rng, n_max=6, max_cycle=6).alpha for _ in range(12)]
+    for alpha in alphas:
+        elems = list(refinements(alpha))
+        leq = [[is_refinement(b, d) for d in elems] for b in elems]
+        for i, beta in enumerate(elems):
+            mu = [mobius(beta, g) if leq[i][k] else 0 for k, g in enumerate(elems)]
+            for j in range(len(elems)):
+                if leq[i][j]:
+                    total = sum(mu[k] for k in range(len(elems)) if leq[k][j])
+                    assert total == (1 if i == j else 0)
 
 
 def test_mobius_multiplicative_over_cycles():

@@ -166,6 +166,14 @@ def test_specializations_of_golden():
 def test_wet_dry_equals_kappa_shifted_polynomial():
     poly = wet_dry_polynomial(RUNNING)
     assert poly == GOLDEN * BiPoly.monomial(1, RUNNING.kappa, 0)
+    rng = random.Random(12)
+    checked = 0
+    while checked < 25:
+        h = random_collection(rng, n_max=7)
+        if h.genus == 0:
+            shifted = whitney_phi(h).polynomial * BiPoly.monomial(1, h.kappa, 0)
+            assert wet_dry_polynomial(h) == shifted
+            checked += 1
 
 
 def test_wet_dry_rejects_positive_genus():

@@ -492,6 +492,8 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_colorings(args) -> int:
+    if args.m < 0:
+        raise InputError(f"--m must be nonnegative, got {args.m}")
     text, fname = _read_input(args.input)
     doc = load_document(text, fname)
     h = doc.hypermap

@@ -21,24 +21,26 @@ from .perm import Permutation
 
 
 def orbit_count(p: Permutation, q: Permutation) -> int:
-    """Number of orbits of the group generated by p and q (union-find)."""
+    """Number of orbits of the group generated by p and q."""
     n = p.n
     if q.n != n:
         raise ValueError("size mismatch")
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in (p(i), q(i)):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(1, n + 1) if find(i) == i)
+    pimg, qimg = p._image, q._image
+    seen = [False] * (n + 1)
+    count = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in (pimg[x], qimg[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+    return count
 
 
 class Hypermap:
@@ -48,7 +50,7 @@ class Hypermap:
     Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("sigma", "alpha", "n", "kappa", "genus", "_key")
+    __slots__ = ("sigma", "alpha", "n", "kappa", "genus", "_faces", "_key")
 
     def __init__(self, sigma: Permutation, alpha: Permutation):
         if sigma.n != alpha.n:
@@ -57,12 +59,13 @@ class Hypermap:
         self.alpha = alpha
         self.n = sigma.n
         self.kappa = orbit_count(sigma, alpha)
+        self._faces = alpha.inverse() * sigma
         euler = (
             self.n
             + 2 * self.kappa
             - sigma.cycle_count
             - alpha.cycle_count
-            - (alpha.inverse() * sigma).cycle_count
+            - self._faces.cycle_count
         )
         assert euler >= 0 and euler % 2 == 0, f"genus parity violated: {euler}"
         self.genus = euler // 2
@@ -73,7 +76,8 @@ class Hypermap:
         return self.kappa <= 1
 
     def faces(self) -> Permutation:
-        return self.alpha.inverse() * self.sigma
+        """alpha^-1 * sigma, whose cycles are the faces."""
+        return self._faces
 
     @property
     def is_map(self) -> bool:
@@ -83,7 +87,9 @@ class Hypermap:
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Orbits of the generated group, each sorted, ordered by minimum."""
         n = self.n
-        sig, alf = self.sigma, self.alpha
+        if self.kappa == 1:
+            return (tuple(range(1, n + 1)),)
+        sig, alf = self.sigma._image, self.alpha._image
         seen = [False] * (n + 1)
         comps: List[Tuple[int, ...]] = []
         for start in range(1, n + 1):
@@ -95,45 +101,77 @@ class Hypermap:
             while stack:
                 p = stack.pop()
                 comp.append(p)
-                for q in (sig(p), alf(p)):
+                for q in (sig[p], alf[p]):
                     if not seen[q]:
                         seen[q] = True
                         stack.append(q)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
+    def restrict(self, points: Tuple[int, ...]) -> "Hypermap":
+        """The pair on a sorted union of components, relabeled onto 1..m.
+
+        Points keep their relative order: the i-th smallest becomes i.
+        """
+        if len(points) == self.n:
+            return self
+        label = [0] * (self.n + 1)
+        for i, p in enumerate(points, 1):
+            label[p] = i
+        sig, alf = self.sigma._image, self.alpha._image
+        return Hypermap(
+            Permutation([label[sig[p]] for p in points]),
+            Permutation([label[alf[p]] for p in points]),
+        )
+
     def canonical_key(self):
         """Exact isomorphism invariant of the pair.
 
         Two collections get equal keys if and only if some relabeling of
-        1..n carries one (sigma, alpha) pair to the other.  Per component the
-        key is the lexicographic minimum, over all choices of root, of the
-        pair of image words after relabeling points in first-visit order
-        (following sigma then alpha from each visited point).  Component keys
-        are sorted, which handles collections.
+        1..n carries one (sigma, alpha) pair to the other.  The type of a
+        point is the triple of lengths of its sigma-cycle, alpha-cycle and
+        face; relabelings preserve it.  In each component the root class is
+        the type held by the fewest points, ties going to the smaller type.
+        The component's key is its size, that type, and the lexicographic
+        minimum, over the roots of that class, of the pair of image words
+        after relabeling points in first-visit order (following sigma then
+        alpha from each visited point).  Component keys are sorted, which
+        handles collections.
         """
         if self._key is None:
             sig, alf = self.sigma._image, self.alpha._image
+            lengths = []
+            for perm in (self.sigma, self.alpha, self._faces):
+                length = [0] * (self.n + 1)
+                for c in perm.cycles():
+                    for p in c:
+                        length[p] = len(c)
+                lengths.append(length)
+            ls, la, lf = lengths
             keys = []
             for comp in self.components():
+                classes: dict = {}
+                for p in comp:
+                    classes.setdefault((ls[p], la[p], lf[p]), []).append(p)
+                root_type, roots = min(
+                    classes.items(), key=lambda item: (len(item[1]), item[0])
+                )
                 best = None
-                for root in comp:
-                    label = {root: 1}
+                for root in roots:
+                    label = [0] * (self.n + 1)
+                    label[root] = 1
                     order = [root]
-                    i = 0
-                    while i < len(order):
-                        p = order[i]
-                        i += 1
+                    for p in order:
                         for q in (sig[p], alf[p]):
-                            if q not in label:
-                                label[q] = len(order) + 1
+                            if not label[q]:
                                 order.append(q)
+                                label[q] = len(order)
                     cand = tuple(label[sig[p]] for p in order) + tuple(
                         label[alf[p]] for p in order
                     )
                     if best is None or cand < best:
                         best = cand
-                keys.append((len(comp), best))
+                keys.append((len(comp), root_type, best))
             keys.sort()
             self._key = tuple(keys)
         return self._key

@@ -29,10 +29,17 @@ smallest point, and 1 <= k <= m:
   by (c1)(c2 ... c(k-1))(ck ... cm) otherwise.
 
 The branch weight is u^(kappa(phi_k) - kappa) * v^[k != 1 and c1, ck share a
-sigma-cycle]; every weight is one of 1, u, v, u*v, which is asserted.  The
-recursion bottoms out at collections whose hyperedges are all fixed points,
-where the polynomial is 1.  Results are memoized under the exact canonical
-key of the collection.
+sigma-cycle]; every weight is one of 1, u, v, u*v, which is asserted.
+
+The polynomial is multiplicative over disjoint unions, so phi and psi work
+one connected component at a time.  The input and every branch collection
+are split into components; a component whose hyperedges are all fixed
+points contributes 1, and every other one is relabeled onto 1..m in
+increasing point order, expanded, and multiplied in.  Each component's
+polynomial is memoized under its exact canonical key
+(``Hypermap.canonical_key``), so a branch that differs from a solved one
+only in an already solved component costs one lookup.  ``WhitneyStats``
+counts component visits as nodes, memo hits included.
 """
 
 from __future__ import annotations
@@ -155,26 +162,37 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     memo: dict = {}
     stats = WhitneyStats()
 
-    def rec(g: Hypermap) -> BiPoly:
+    def product(g: Hypermap) -> BiPoly:
+        # R is multiplicative over components, and a component whose
+        # hyperedges are all fixed points contributes 1.
+        alf = g.alpha._image
+        pieces = []
+        for comp in g.components():
+            if any(alf[p] != p for p in comp):
+                piece = g.restrict(comp)
+                pieces.append((piece.canonical_key(), piece))
+        # Solving in key order keeps the work independent of the labels.
+        pieces.sort(key=lambda kp: kp[0])
+        total = BiPoly.const(1)
+        for key, piece in pieces:
+            total = total * component(key, piece)
+        return total
+
+    def component(key, g: Hypermap) -> BiPoly:
         stats.nodes += 1
-        pivot = pivot_cycle(g.alpha)
-        if pivot is None:
-            return BiPoly.const(1)
-        key = g.canonical_key()
         cached = memo.get(key)
         if cached is not None:
             stats.memo_hits += 1
             return cached
+        pivot = pivot_cycle(g.alpha)
         total = BiPoly.zero()
         for k in range(1, len(pivot) + 1):
             child, eu, ev = branch(g, pivot, k, keep_connected)
-            if keep_connected:
-                assert child.kappa == g.kappa
-            total = total + rec(child) * BiPoly.monomial(1, eu, ev)
+            total = total + product(child) * BiPoly.monomial(1, eu, ev)
         memo[key] = total
         return total
 
-    poly = rec(h)
+    poly = product(h)
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "psi" if keep_connected else "phi", stats)
 
@@ -186,8 +204,8 @@ def whitney_phi(h: Hypermap) -> WhitneyResult:
 def whitney_psi(h: Hypermap) -> WhitneyResult:
     """Same polynomial as whitney_phi, via the connectivity-preserving rule.
 
-    On connected input every node of the recursion tree stays connected,
-    which is asserted.
+    Every branch keeps its parent's orbit count, which is asserted, so a
+    component never splits on the way down.
     """
     return _whitney_recursive(h, keep_connected=True)
 

@@ -144,6 +144,16 @@ def test_colorings():
     assert r.stdout.strip() == "0"
     r = run_cli(["colorings", "--m=2", "--eulerian"], RUNNING)
     assert r.stdout.strip() == "42"
+    for argv in (["colorings", "--m=0"], ["colorings", "--eulerian", "--m=0"]):
+        r = run_cli(argv, RUNNING)
+        assert r.returncode == 0, argv
+        assert r.stdout.strip() == "0", argv
+    for argv in (["colorings", "--m=-1"], ["colorings", "--eulerian", "--m=-2"]):
+        r = run_cli(argv, RUNNING)
+        assert r.returncode == 2, argv
+        assert r.stdout == "", argv
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, argv
+        assert "--m" in r.stderr, argv
 
 
 def test_from_digraph():

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from hypermaps.hypermap import Hypermap, dual, merge_components, orbit_count
 from hypermaps.perm import Permutation
+from hypermaps.selftest import random_permutation
 
 
 def make(n, sigma_cycles, alpha_cycles):
@@ -86,20 +88,45 @@ def test_canonical_key_separates_lookalike_pair():
 
 
 def test_canonical_key_exact_on_small_instances():
-    """Exhaustive n <= 3: keys match exactly when some relabeling works."""
-    perms = {
-        n: [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
-        for n in range(4)
-    }
-    for n in range(4):
-        maps = [Hypermap(s, a) for s in perms[n] for a in perms[n]]
-        for h in maps:
-            for g in maps:
-                isomorphic = any(
-                    g.sigma.relabel(r) == h.sigma and g.alpha.relabel(r) == h.alpha
-                    for r in perms[n]
-                )
-                assert isomorphic == (h.canonical_key() == g.canonical_key())
+    """Exhaustive n <= 4: the key is constant on each conjugacy orbit of
+    pairs and differs between orbits, so keys match exactly when some
+    relabeling carries one pair to the other."""
+    for n in range(5):
+        perms = [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        unseen = {(s, a) for s in perms for a in perms}
+        orbit_keys = []
+        while unseen:
+            s, a = unseen.pop()
+            key = Hypermap(s, a).canonical_key()
+            for r in perms:
+                pair = (s.relabel(r), a.relabel(r))
+                assert Hypermap(*pair).canonical_key() == key
+                unseen.discard(pair)
+            orbit_keys.append(key)
+        assert len(set(orbit_keys)) == len(orbit_keys)
+
+
+def test_canonical_key_invariant_on_collections():
+    """Seeded collections of up to 9 points with several components: random
+    relabelings keep the key.  Pieces of 5 or 6 random points often hold
+    points of one type that no automorphism exchanges, where a key that
+    depended on the root chosen inside the root class would change."""
+    rng = random.Random(2024)
+
+    def piece(n):
+        return Hypermap(random_permutation(rng, n), random_permutation(rng, n))
+
+    checked = 0
+    while checked < 150:
+        h = piece(rng.randint(2, 6))
+        while h.n < 9 and (h.kappa < 2 or rng.random() < 0.5):
+            h = h.disjoint_union(piece(rng.randint(1, 9 - h.n)))
+        if h.kappa < 2:
+            continue
+        key = h.canonical_key()
+        for _ in range(10):
+            assert h.relabel(random_permutation(rng, h.n)).canonical_key() == key
+        checked += 1
 
 
 def test_dual_of_running_example():

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
-from .nclattice import interval, is_refinement, mobius_of_cycles, refinement_sum
+from .nclattice import is_refinement, mobius_of_cycles, refinement_sum
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
@@ -42,17 +42,20 @@ def characteristic_polynomial(h: Hypermap) -> UniPoly:
 
 
 def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
-    """X([alpha1, alpha2]; t) with exponents kappa(sigma, beta)."""
+    """X([alpha1, alpha2]; t) with exponents kappa(sigma, beta).
+
+    beta = alpha1 delta maps the refinements delta of alpha1^-1 alpha2 onto
+    [alpha1, alpha2], and mu(alpha1, beta) = mu(id, delta) (Biane 1997).
+    """
     if not is_refinement(alpha2, h.alpha):
         raise ValueError("alpha2 must refine the collection's alpha")
     if not is_refinement(alpha1, alpha2):
         raise ValueError("alpha1 must refine alpha2")
-    a1inv = alpha1.inverse()
-    terms: Dict[int, int] = {}
-    for beta in interval(alpha1, alpha2):
-        e = orbit_count(h.sigma, beta)
-        terms[e] = terms.get(e, 0) + mobius_of_cycles(a1inv * beta)
-    return UniPoly(terms)
+
+    def term(delta: Permutation):
+        return orbit_count(h.sigma, alpha1 * delta), mobius_of_cycles(delta)
+
+    return UniPoly(refinement_sum(alpha1.inverse() * alpha2, term))
 
 
 def flow_polynomial(h: Hypermap) -> UniPoly:

@@ -16,11 +16,18 @@ be 1..n: without an explicit ``n`` they are compacted order-preservingly and
 all output is rendered through the original labels.  Duplicate or
 out-of-range points are rejected with the offending line and value named.
 
-Every subcommand reads the document from a file argument (``-`` or nothing
+Every subcommand reads its input from a file argument (``-`` or nothing
 means stdin), prints deterministic canonical text, and with ``--json`` emits
 an object with the keys input_echo, result, method, stats.  Domain errors
 exit with status 2 and a one line message; ``--check`` mismatches and
 selftest failures exit with status 1.
+
+The subcommands are the rows of one table, ``COMMANDS``.  A row holds the
+help text, the input kind (a hypermap document, a digraph edge list, or
+none), the flags beyond the input argument, and a compute function that
+returns (result, plain text, method, stats).  ``build_parser`` makes one
+subparser per row, and ``_run`` reads and loads the input, calls the
+compute function, and prints the plain text or the JSON payload.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .charflow import (
@@ -51,11 +58,7 @@ from .medial import (
 from .nclattice import refinement_count
 from .perm import Permutation
 from .selftest import run_selftest
-from .whitney import (
-    InstanceTooLarge,
-    wet_dry_polynomial,
-    whitney,
-)
+from .whitney import METHODS, InstanceTooLarge, wet_dry_polynomial, whitney
 
 DEFAULT_REFINEMENT_CAP = 10 ** 6
 DEFAULT_FLOW_CAP = 10 ** 6
@@ -263,7 +266,9 @@ def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
         try:
             t, h = int(parts[0]), int(parts[1])
         except ValueError:
-            raise InputError(f"{filename}:{lineno}: vertices must be integers") from None
+            raise InputError(
+                f"{filename}:{lineno}: vertices must be integers"
+            ) from None
         edges.append((t, h))
     if not edges:
         raise InputError(f"{filename}: no edges")
@@ -287,22 +292,17 @@ def _emit(args, payload: Dict, plain: str) -> None:
         print(plain)
 
 
-def _whitney_payload(doc, result):
-    return {
-        "input_echo": doc.echo(),
-        "result": str(result.polynomial),
-        "method": result.method,
-        "stats": {
-            "nodes": result.stats.nodes,
-            "memo_hits": result.stats.memo_hits,
-            "terms": result.stats.terms,
-        },
-    }
+class CheckFailed(Exception):
+    """The routes of ``whitney --check`` disagree; main exits with status 1."""
 
 
-def _cmd_whitney(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
+def _pair_output(doc: HypermapDocument, g: Hypermap) -> Tuple[Dict, str]:
+    result = {"sigma": doc.cycles_json(g.sigma), "alpha": doc.cycles_json(g.alpha)}
+    plain = f"sigma: {doc.render_perm(g.sigma)}\nalpha: {doc.render_perm(g.alpha)}"
+    return result, plain
+
+
+def _whitney(args, doc: HypermapDocument):
     h = doc.hypermap
     cap = None if args.no_size_guard else args.max_refinements
     if cap is not None and refinement_count(h.alpha) > cap:
@@ -310,168 +310,68 @@ def _cmd_whitney(args) -> int:
             f"{refinement_count(h.alpha)} refinements exceed the cap of {cap}"
             " (raise with --max-refinements or --no-size-guard)"
         )
-    processes = None
-    if args.parallel:
-        import os
-
-        processes = os.cpu_count() or 1
-    methods = ("brute", "phi", "psi") if args.method == "all" else (args.method,)
-    results = {m: whitney(h, m, processes=processes) for m in methods}
-    if args.check:
-        check_methods = {"brute", "phi", "psi"}
-        check = {m: whitney(h, m, processes=processes) for m in check_methods - set(methods)}
-        check.update(results)
-        polys = {m: r.polynomial for m, r in check.items()}
-        distinct = {str(p) for p in polys.values()}
-        if len(distinct) != 1:
-            for m in sorted(polys):
-                print(f"{m}: {polys[m]}", file=sys.stderr)
-            print("error: whitney methods disagree", file=sys.stderr)
-            return 1
-    if args.method == "all":
-        payload = {
-            "input_echo": doc.echo(),
-            "result": {m: str(results[m].polynomial) for m in methods},
-            "method": "all",
-            "stats": {
-                m: {
-                    "nodes": results[m].stats.nodes,
-                    "memo_hits": results[m].stats.memo_hits,
-                }
-                for m in methods
-            },
-        }
-        _emit(args, payload, "\n".join(str(results[m].polynomial) for m in methods))
-    else:
-        result = results[args.method]
-        _emit(args, _whitney_payload(doc, result), str(result.polynomial))
-    return 0
+    methods = METHODS if args.method == "all" else (args.method,)
+    runs = {m: whitney(h, m) for m in (METHODS if args.check else methods)}
+    polys = {m: str(r.polynomial) for m, r in runs.items()}
+    if args.check and len(set(polys.values())) != 1:
+        for m in sorted(polys):
+            print(f"{m}: {polys[m]}", file=sys.stderr)
+        raise CheckFailed("whitney methods disagree")
+    if args.method != "all":
+        s = runs[args.method].stats
+        stats = {"nodes": s.nodes, "memo_hits": s.memo_hits, "terms": s.terms}
+        return polys[args.method], polys[args.method], args.method, stats
+    stats = {
+        m: {"nodes": runs[m].stats.nodes, "memo_hits": runs[m].stats.memo_hits}
+        for m in methods
+    }
+    result = {m: polys[m] for m in methods}
+    return result, "\n".join(result.values()), "all", stats
 
 
-def _cmd_genus(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
+def _genus(args, doc: HypermapDocument):
     h = doc.hypermap
-    payload = {
-        "input_echo": doc.echo(),
-        "result": {"genus": h.genus, "kappa": h.kappa},
-        "method": "euler",
-        "stats": {},
-    }
-    _emit(args, payload, str(h.genus))
-    return 0
+    return {"genus": h.genus, "kappa": h.kappa}, str(h.genus), "euler", {}
 
 
-def _cmd_dual(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
-    d = dual(doc.hypermap)
-    payload = {
-        "input_echo": doc.echo(),
-        "result": {
-            "sigma": doc.cycles_json(d.sigma),
-            "alpha": doc.cycles_json(d.alpha),
-        },
-        "method": "dual",
-        "stats": {},
-    }
-    plain = f"sigma: {doc.render_perm(d.sigma)}\nalpha: {doc.render_perm(d.alpha)}"
-    _emit(args, payload, plain)
-    return 0
+def _dual(args, doc: HypermapDocument):
+    return (*_pair_output(doc, dual(doc.hypermap)), "dual", {})
 
 
-def _signed_render(perm: Permutation) -> str:
-    return "".join(
-        "(" + " ".join(signed_name(p) for p in c) + ")" for c in perm.cycles()
-    )
-
-
-def _cmd_medial(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
+def _medial(args, doc: HypermapDocument):
     m = medial_map(doc.hypermap)
-    payload = {
-        "input_echo": doc.echo(),
-        "result": {
-            "sigma_prime": [
-                [signed_name(p) for p in c] for c in m.sigma_prime.cycles()
-            ],
-            "alpha_prime": [
-                [signed_name(p) for p in c] for c in m.alpha_prime.cycles()
-            ],
-            "genus": m.genus,
-        },
-        "method": "medial",
-        "stats": {},
-    }
-    plain = (
-        f"sigma': {_signed_render(m.sigma_prime)}\n"
-        f"alpha': {_signed_render(m.alpha_prime)}"
-    )
-    _emit(args, payload, plain)
-    return 0
+    sig = [[signed_name(p) for p in c] for c in m.sigma_prime.cycles()]
+    alf = [[signed_name(p) for p in c] for c in m.alpha_prime.cycles()]
+
+    def render(cycles):
+        return "".join("(" + " ".join(c) + ")" for c in cycles)
+
+    result = {"sigma_prime": sig, "alpha_prime": alf, "genus": m.genus}
+    return result, f"sigma': {render(sig)}\nalpha': {render(alf)}", "medial", {}
 
 
-def _cmd_circuit_partition(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
+def _circuit_partition(args, doc: HypermapDocument):
     cap = None if args.no_size_guard else args.max_refinements
     poly = circuit_partition_polynomial(medial_map(doc.hypermap), max_states=cap)
-    payload = {
-        "input_echo": doc.echo(),
-        "result": poly.to_string("x"),
-        "method": "states",
-        "stats": {},
-    }
-    _emit(args, payload, poly.to_string("x"))
-    return 0
+    return poly.to_string("x"), poly.to_string("x"), "states", {}
 
 
-def _cmd_wet_dry(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
-    poly = wet_dry_polynomial(doc.hypermap)
-    payload = {
-        "input_echo": doc.echo(),
-        "result": str(poly),
-        "method": "refinements",
-        "stats": {},
-    }
-    _emit(args, payload, str(poly))
-    return 0
+def _wet_dry(args, doc: HypermapDocument):
+    poly = str(wet_dry_polynomial(doc.hypermap))
+    return poly, poly, "refinements", {}
 
 
-def _cmd_charpoly(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
-    poly = characteristic_polynomial(doc.hypermap)
-    payload = {
-        "input_echo": doc.echo(),
-        "result": poly.to_string("t"),
-        "method": "mobius-sum",
-        "stats": {},
-    }
-    _emit(args, payload, poly.to_string("t"))
-    return 0
+def _charpoly(args, doc: HypermapDocument):
+    poly = characteristic_polynomial(doc.hypermap).to_string("t")
+    return poly, poly, "mobius-sum", {}
 
 
-def _cmd_flowpoly(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
-    poly = flow_polynomial(doc.hypermap)
-    payload = {
-        "input_echo": doc.echo(),
-        "result": poly.to_string("t"),
-        "method": "mobius-sum",
-        "stats": {},
-    }
-    _emit(args, payload, poly.to_string("t"))
-    return 0
+def _flowpoly(args, doc: HypermapDocument):
+    poly = flow_polynomial(doc.hypermap).to_string("t")
+    return poly, poly, "mobius-sum", {}
 
 
-def _cmd_flows(args) -> int:
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
+def _flows(args, doc: HypermapDocument):
     h = doc.hypermap
     space = flow_space(h, args.q)
     if args.nowhere_zero:
@@ -481,80 +381,164 @@ def _cmd_flows(args) -> int:
     else:
         count = space.count()
         method = "nullspace"
-    payload = {
-        "input_echo": doc.echo(),
-        "result": {"count": count, "dimension": space.dimension, "q": args.q},
-        "method": method,
-        "stats": {},
-    }
-    _emit(args, payload, str(count))
-    return 0
+    result = {"count": count, "dimension": space.dimension, "q": args.q}
+    return result, str(count), method, {}
 
 
-def _cmd_colorings(args) -> int:
-    if args.m < 0:
-        raise InputError(f"--m must be nonnegative, got {args.m}")
-    text, fname = _read_input(args.input)
-    doc = load_document(text, fname)
-    h = doc.hypermap
+def _colorings(args, doc: HypermapDocument):
     if args.eulerian:
-        count = eulerian_coloring_sum(h, args.m)
+        count = eulerian_coloring_sum(doc.hypermap, args.m)
         method = "eulerian-valence-sum"
     else:
-        count = proper_coloring_count(h, args.m)
+        count = proper_coloring_count(doc.hypermap, args.m)
         method = "proper-enumeration"
-    payload = {
-        "input_echo": doc.echo(),
-        "result": {"count": count, "m": args.m},
-        "method": method,
-        "stats": {},
-    }
-    _emit(args, payload, str(count))
-    return 0
+    return {"count": count, "m": args.m}, str(count), method, {}
 
 
-def _cmd_from_digraph(args) -> int:
-    text, fname = _read_input(args.input)
-    d = parse_digraph(text, fname)
+def _from_digraph(args, d: EulerianDigraph):
     h = from_eulerian_digraph(d)
-    doc = HypermapDocument(h, tuple(range(1, h.n + 1)))
-    payload = {
-        "input_echo": {"edges": [list(e) for e in d.edges]},
-        "result": {
-            "n": h.n,
-            "sigma": doc.cycles_json(h.sigma),
-            "alpha": doc.cycles_json(h.alpha),
-        },
-        "method": "greedy-interleave",
-        "stats": {},
-    }
-    plain = f"sigma: {doc.render_perm(h.sigma)}\nalpha: {doc.render_perm(h.alpha)}"
-    _emit(args, payload, plain)
-    return 0
+    result, plain = _pair_output(HypermapDocument(h, tuple(range(1, h.n + 1))), h)
+    return {"n": h.n, **result}, plain, "greedy-interleave", {}
 
 
-def _cmd_selftest(args) -> int:
+def _selftest(args, _):
     results = run_selftest(n_max=args.n_max, seed=args.seed)
-    failed = [r for r in results if not r.ok]
-    if args.json:
-        payload = {
-            "input_echo": {"n_max": args.n_max, "seed": args.seed},
-            "result": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-            ],
-            "method": "selftest",
-            "stats": {"passed": len(results) - len(failed), "failed": len(failed)},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    failed = sum(not r.ok for r in results)
+    passed = len(results) - failed
+    lines = [f"{'ok  ' if r.ok else 'FAIL'} {r.name} ({r.detail})" for r in results]
+    lines.append(
+        f"selftest: {passed}/{len(results)} checks passed"
+        f" (seed={args.seed}, n-max={args.n_max})"
+    )
+    result = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+    return result, "\n".join(lines), "selftest", {"passed": passed, "failed": failed}
+
+
+class Command(NamedTuple):
+    help: str
+    kind: Optional[str]  # "hypermap", "digraph", or None: no input is read
+    flags: Tuple[Tuple[str, Dict], ...]  # (flag, argparse options) in help order
+    compute: Callable
+
+
+def _switch(flag: str, help: str) -> Tuple[str, Dict]:
+    return flag, {"action": "store_true", "help": help}
+
+
+def _integer(flag: str, help: str, default: Optional[int] = None) -> Tuple[str, Dict]:
+    """An int flag; it is required when it has no default."""
+    return flag, {
+        "type": int, "default": default, "required": default is None, "help": help
+    }
+
+
+_JSON = _switch("--json", "structured output")
+_GUARDS = (
+    _integer(
+        "--max-refinements", "refinement stream size guard", DEFAULT_REFINEMENT_CAP
+    ),
+    _switch("--no-size-guard", "disable instance size guards"),
+)
+
+COMMANDS: Dict[str, Command] = {
+    "whitney": Command(
+        "Whitney polynomial R(u, v)",
+        "hypermap",
+        (
+            _JSON,
+            *_GUARDS,
+            (
+                "--method",
+                {
+                    "choices": (*METHODS, "all"),
+                    "default": "phi",
+                    "help": "evaluation route (default phi)",
+                },
+            ),
+            _switch("--check", "run every route and fail on any mismatch"),
+        ),
+        _whitney,
+    ),
+    "genus": Command("genus of the collection", "hypermap", (_JSON,), _genus),
+    "dual": Command(
+        "the dual pair (alpha^-1 sigma, alpha^-1)", "hypermap", (_JSON,), _dual
+    ),
+    "medial": Command("medial map on signed points", "hypermap", (_JSON,), _medial),
+    "circuit-partition": Command(
+        "circuit partition polynomial of the medial map",
+        "hypermap",
+        (_JSON, *_GUARDS),
+        _circuit_partition,
+    ),
+    "wet-dry": Command(
+        "wet/dry polynomial (genus zero)", "hypermap", (_JSON,), _wet_dry
+    ),
+    "charpoly": Command(
+        "characteristic polynomial chi(t)", "hypermap", (_JSON,), _charpoly
+    ),
+    "flowpoly": Command("flow polynomial C(t)", "hypermap", (_JSON,), _flowpoly),
+    "flows": Command(
+        "count flows over GF(q)",
+        "hypermap",
+        (
+            _JSON,
+            _integer("--q", "prime field size"),
+            _switch("--nowhere-zero", "count only flows vanishing nowhere off buds"),
+            _integer("--max-vectors", "flow enumeration size guard", DEFAULT_FLOW_CAP),
+            _switch("--no-size-guard", "disable the size guard"),
+        ),
+        _flows,
+    ),
+    "colorings": Command(
+        "count vertex colorings",
+        "hypermap",
+        (
+            _JSON,
+            _integer("--m", "number of colors"),
+            _switch(
+                "--eulerian",
+                "Eulerian edge-coloring valence sum instead of proper colorings",
+            ),
+        ),
+        _colorings,
+    ),
+    "from-digraph": Command(
+        "build a collection from an Eulerian digraph edge list",
+        "digraph",
+        (_JSON,),
+        _from_digraph,
+    ),
+    "selftest": Command(
+        "run the identity check suite",
+        None,
+        (
+            _integer("--n-max", "point count bound", 7),
+            _integer("--seed", "corpus seed", 0),
+            _JSON,
+        ),
+        _selftest,
+    ),
+}
+
+
+def _run(args) -> int:
+    command = COMMANDS[args.command]
+    if getattr(args, "m", 0) < 0:  # checked before any input is read
+        raise InputError(f"--m must be nonnegative, got {args.m}")
+    if command.kind is None:
+        data, echo = None, {"n_max": args.n_max, "seed": args.seed}
     else:
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            print(f"{mark} {r.name} ({r.detail})")
-        print(
-            f"selftest: {len(results) - len(failed)}/{len(results)} checks passed"
-            f" (seed={args.seed}, n-max={args.n_max})"
-        )
-    return 1 if failed else 0
+        text, fname = _read_input(args.input)
+        if command.kind == "digraph":
+            data = parse_digraph(text, fname)
+            echo = {"edges": [list(e) for e in data.edges]}
+        else:
+            data = load_document(text, fname)
+            echo = data.echo()
+    result, plain, method, stats = command.compute(args, data)
+    payload = {"input_echo": echo, "result": result, "method": method, "stats": stats}
+    _emit(args, payload, plain)
+    return 1 if stats.get("failed") else 0  # failed selftest checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,119 +548,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_guards=False):
-        p.add_argument(
-            "input",
-            nargs="?",
-            default=None,
-            help="input file ('-' or omitted reads stdin)",
-        )
-        p.add_argument("--json", action="store_true", help="structured output")
-        if with_guards:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.kind is not None:
             p.add_argument(
-                "--max-refinements",
-                type=int,
-                default=DEFAULT_REFINEMENT_CAP,
-                help="refinement stream size guard",
+                "input",
+                nargs="?",
+                default=None,
+                help="input file ('-' or omitted reads stdin)",
             )
-            p.add_argument(
-                "--no-size-guard",
-                action="store_true",
-                help="disable instance size guards",
-            )
-
-    p = sub.add_parser("whitney", help="Whitney polynomial R(u, v)")
-    add_common(p, with_guards=True)
-    p.add_argument(
-        "--method",
-        choices=("brute", "phi", "psi", "all"),
-        default="phi",
-        help="evaluation route (default phi)",
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="run every route and fail on any mismatch",
-    )
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="split the brute-force refinement sum over worker processes",
-    )
-    p.set_defaults(func=_cmd_whitney)
-
-    p = sub.add_parser("genus", help="genus of the collection")
-    add_common(p)
-    p.set_defaults(func=_cmd_genus)
-
-    p = sub.add_parser("dual", help="the dual pair (alpha^-1 sigma, alpha^-1)")
-    add_common(p)
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("medial", help="medial map on signed points")
-    add_common(p)
-    p.set_defaults(func=_cmd_medial)
-
-    p = sub.add_parser(
-        "circuit-partition", help="circuit partition polynomial of the medial map"
-    )
-    add_common(p, with_guards=True)
-    p.set_defaults(func=_cmd_circuit_partition)
-
-    p = sub.add_parser("wet-dry", help="wet/dry polynomial (genus zero)")
-    add_common(p)
-    p.set_defaults(func=_cmd_wet_dry)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial chi(t)")
-    add_common(p)
-    p.set_defaults(func=_cmd_charpoly)
-
-    p = sub.add_parser("flowpoly", help="flow polynomial C(t)")
-    add_common(p)
-    p.set_defaults(func=_cmd_flowpoly)
-
-    p = sub.add_parser("flows", help="count flows over GF(q)")
-    add_common(p)
-    p.add_argument("--q", type=int, required=True, help="prime field size")
-    p.add_argument(
-        "--nowhere-zero",
-        action="store_true",
-        help="count only flows vanishing nowhere off buds",
-    )
-    p.add_argument(
-        "--max-vectors",
-        type=int,
-        default=DEFAULT_FLOW_CAP,
-        help="flow enumeration size guard",
-    )
-    p.add_argument(
-        "--no-size-guard", action="store_true", help="disable the size guard"
-    )
-    p.set_defaults(func=_cmd_flows)
-
-    p = sub.add_parser("colorings", help="count vertex colorings")
-    add_common(p)
-    p.add_argument("--m", type=int, required=True, help="number of colors")
-    p.add_argument(
-        "--eulerian",
-        action="store_true",
-        help="Eulerian edge-coloring valence sum instead of proper colorings",
-    )
-    p.set_defaults(func=_cmd_colorings)
-
-    p = sub.add_parser(
-        "from-digraph", help="build a collection from an Eulerian digraph edge list"
-    )
-    add_common(p)
-    p.set_defaults(func=_cmd_from_digraph)
-
-    p = sub.add_parser("selftest", help="run the identity check suite")
-    p.add_argument("--n-max", type=int, default=7, help="point count bound")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=_cmd_selftest)
-
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -690,11 +572,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, InstanceTooLarge) as exc:
+        return _run(args)
+    except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+        return 1
+    except (ValueError, ZeroDivisionError) as exc:  # InputError, InstanceTooLarge
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

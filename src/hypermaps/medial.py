@@ -401,11 +401,3 @@ def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:
                 break
         total += prod
     return total
-
-
-def monochromatic_vertex_count(m: EulerianMap, coloring: Dict[int, int]) -> int:
-    count = 0
-    for vc in m.vertices():
-        if len({coloring[p] for p in vc}) <= 1:
-            count += 1
-    return count

@@ -101,18 +101,6 @@ def graph_flow_polynomial(nv: int, edges: Sequence[Tuple[int, int]]) -> UniPoly:
     return UniPoly(terms)
 
 
-def graph_proper_colorings(
-    nv: int, edges: Sequence[Tuple[int, int]], colors: int
-) -> int:
-    from itertools import product
-
-    count = 0
-    for coloring in product(range(colors), repeat=nv):
-        if all(coloring[a] != coloring[b] for a, b in edges):
-            count += 1
-    return count
-
-
 def map_euler_genus(h: Hypermap) -> int:
     """Map genus from V - E + F per component, no orbit-count formula.
 

@@ -40,6 +40,12 @@ class CheckResult:
     detail: str
 
 
+def _require(condition: bool, message: str = "") -> None:
+    """Fail the running check; unlike ``assert``, this also runs under -O."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def random_permutation(rng: random.Random, n: int) -> Permutation:
     images = list(range(1, n + 1))
     rng.shuffle(images)
@@ -88,7 +94,7 @@ def random_planar_connected(rng: random.Random, n_max: int = 8) -> Hypermap:
         n, [tuple(parent[p] for p in block) for block in pattern]
     )
     h = Hypermap(sigma, alpha)
-    assert h.genus == 0 and h.is_connected
+    _require(h.genus == 0 and h.is_connected)
     return h
 
 
@@ -115,10 +121,10 @@ def _check_genus_arithmetic(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_collection(rng, n_max)
         # construction already asserts parity and nonnegativity
-        assert h.genus >= 0
+        _require(h.genus >= 0)
         ident = Permutation.identity(h.n)
-        assert orbit_count(h.sigma, ident) == h.sigma.cycle_count
-        assert orbit_count(ident, h.alpha) == h.alpha.cycle_count
+        _require(orbit_count(h.sigma, ident) == h.sigma.cycle_count)
+        _require(orbit_count(ident, h.alpha) == h.alpha.cycle_count)
     return f"{trials} random collections"
 
 
@@ -126,7 +132,7 @@ def _check_map_euler_genus(rng: random.Random, n_max: int) -> str:
     trials = 60
     for _ in range(trials):
         h = random_map(rng, n_max)
-        assert h.genus == oracles.map_euler_genus(h)
+        _require(h.genus == oracles.map_euler_genus(h))
     return f"{trials} random maps"
 
 
@@ -135,15 +141,15 @@ def _check_canonical_form(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_collection(rng, n_max)
         r = random_permutation(rng, h.n)
-        assert h.canonical_key() == h.relabel(r).canonical_key()
+        _require(h.canonical_key() == h.relabel(r).canonical_key())
     return f"{trials} relabelings"
 
 
 def _check_refinement_counts(rng: random.Random, n_max: int) -> str:
     for m in range(1, 9):
-        assert len(noncrossing_partitions(m)) == catalan(m)
+        _require(len(noncrossing_partitions(m)) == catalan(m))
         alpha = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-        assert sum(1 for _ in refinements(alpha)) == catalan(m)
+        _require(sum(1 for _ in refinements(alpha)) == catalan(m))
     return "cycle lengths 1..8 against Catalan numbers"
 
 
@@ -159,7 +165,7 @@ def _check_refinement_membership(rng: random.Random, n_max: int) -> str:
         listed = {p.image for p in refinements(alpha)}
         for images in all_perms(range(1, alpha.n + 1)):
             beta = Permutation(images)
-            assert (beta.image in listed) == is_refinement(beta, alpha)
+            _require((beta.image in listed) == is_refinement(beta, alpha))
             checked += 1
     return f"{checked} candidate permutations, exhaustive"
 
@@ -170,7 +176,7 @@ def _check_mobius(rng: random.Random, n_max: int) -> str:
         ident = Permutation.identity(m)
         value = mobius(ident, alpha)
         sign = 1 if (m - 1) % 2 == 0 else -1
-        assert value == sign * catalan(m - 1)
+        _require(value == sign * catalan(m - 1))
     # The defining recursion, which pins mu: sum of mu(beta, gamma) over
     # gamma in [beta, delta] is 1 when beta = delta and 0 otherwise.
     intervals = 0
@@ -183,7 +189,7 @@ def _check_mobius(rng: random.Random, n_max: int) -> str:
             for j in range(len(elems)):
                 if leq[i][j]:
                     total = sum(mu[k] for k in range(len(elems)) if leq[k][j])
-                    assert total == (1 if i == j else 0), "mu breaks its recursion"
+                    _require(total == (1 if i == j else 0), "mu breaks its recursion")
                     intervals += 1
     trials = 20
     for _ in range(trials):
@@ -196,7 +202,7 @@ def _check_mobius(rng: random.Random, n_max: int) -> str:
             sub_beta_cycles = [bc for bc in beta.cycles() if bc[0] in set(c)]
             sub_beta = Permutation.from_cycles(h.n, sub_beta_cycles)
             prod *= mobius(sub_beta, sub_alpha)
-        assert prod == mobius(beta, h.alpha)
+        _require(prod == mobius(beta, h.alpha))
     return f"Catalans m<=7, recursion on {intervals} intervals, products x{trials}"
 
 
@@ -207,9 +213,9 @@ def _check_poly_roundtrip(rng: random.Random, n_max: int) -> str:
         for _ in range(rng.randint(0, 6)):
             terms[(rng.randint(0, 4), rng.randint(-2, 4))] = rng.randint(-9, 9)
         p = BiPoly(terms)
-        assert BiPoly.parse(str(p)) == p
+        _require(BiPoly.parse(str(p)) == p)
         q = UniPoly({rng.randint(-3, 5): rng.randint(-9, 9) for _ in range(4)})
-        assert UniPoly.parse(q.to_string("t"), "t") == q
+        _require(UniPoly.parse(q.to_string("t"), "t") == q)
     return f"{trials} random polynomials, print/parse/print"
 
 
@@ -226,10 +232,10 @@ def _check_poly_ring(rng: random.Random, n_max: int) -> str:
 
     for _ in range(trials):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert (a * b).evaluate(2, -3) == a.evaluate(2, -3) * b.evaluate(2, -3)
+        _require(a + b == b + a)
+        _require(a * b == b * a)
+        _require(a * (b + c) == a * b + a * c)
+        _require((a * b).evaluate(2, -3) == a.evaluate(2, -3) * b.evaluate(2, -3))
     return f"{trials} random triples"
 
 
@@ -238,8 +244,8 @@ def _check_whitney_routes(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_collection(rng, n_max)
         brute = whitney_bruteforce(h).polynomial
-        assert whitney_phi(h).polynomial == brute
-        assert whitney_psi(h).polynomial == brute
+        _require(whitney_phi(h).polynomial == brute)
+        _require(whitney_psi(h).polynomial == brute)
     return f"{trials} collections, brute == phi == psi"
 
 
@@ -251,11 +257,11 @@ def _check_whitney_product(rng: random.Random, n_max: int) -> str:
         un = a.disjoint_union(b)
         lhs = whitney_phi(un).polynomial
         rhs = whitney_phi(a).polynomial * whitney_phi(b).polynomial
-        assert lhs == rhs
+        _require(lhs == rhs)
         if un.kappa > 1:
             comps = un.components()
             merged = merge_components(un, comps[0][0], comps[1][0])
-            assert whitney_phi(merged).polynomial == lhs
+            _require(whitney_phi(merged).polynomial == lhs)
     return f"{trials} disjoint unions and merges"
 
 
@@ -264,8 +270,9 @@ def _check_planar_duality(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_planar_connected(rng, n_max)
         d = dual(h)
-        assert d.genus == 0
-        assert whitney_phi(d).polynomial == whitney_phi(h).polynomial.swap_variables()
+        _require(d.genus == 0)
+        swapped = whitney_phi(h).polynomial.swap_variables()
+        _require(whitney_phi(d).polynomial == swapped)
     return f"{trials} genus zero duals"
 
 
@@ -274,9 +281,8 @@ def _check_map_subset_expansion(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_map(rng, n_max)
         nv, edges = oracles.underlying_graph(h)
-        assert whitney_bruteforce(h).polynomial == oracles.graph_whitney_rank(
-            nv, edges
-        )
+        expected = oracles.graph_whitney_rank(nv, edges)
+        _require(whitney_bruteforce(h).polynomial == expected)
     return f"{trials} maps against graph subset expansion"
 
 
@@ -287,12 +293,12 @@ def _check_narayana(rng: random.Random, n_max: int) -> str:
             Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
         )
         poly = whitney_phi(h).polynomial
-        assert all(ev == 0 for (_, ev) in poly.terms)
+        _require(all(ev == 0 for (_, ev) in poly.terms))
         for k in range(1, n + 1):
-            assert poly.coefficient(k - 1, 0) == oracles.narayana(n, k)
+            _require(poly.coefficient(k - 1, 0) == oracles.narayana(n, k))
         d = dual(h)
         dpoly = whitney_phi(d).polynomial
-        assert dpoly == poly.swap_variables()
+        _require(dpoly == poly.swap_variables())
     return "identity sigma with full cycle, n = 2..7"
 
 
@@ -313,9 +319,9 @@ def _check_specializations(rng: random.Random, n_max: int) -> str:
                     forests += 1
             e = h.n + h.kappa - beta.cycle_count - h.sigma.cycle_count
             hyper[e] = hyper.get(e, 0) + 1
-        assert counts.spanning_hyperforests == forests
-        assert counts.spanning_collections == spanning
-        assert counts.hyperbola == UniPoly(hyper)
+        _require(counts.spanning_hyperforests == forests)
+        _require(counts.spanning_collections == spanning)
+        _require(counts.hyperbola == UniPoly(hyper))
     return f"{trials} collections: R(0,0), R(0,1), R(v^-1, v)"
 
 
@@ -324,7 +330,7 @@ def _check_wet_dry(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_planar_connected(rng, n_max)
         expected = BiPoly.monomial(1, h.kappa, 0) * whitney_phi(h).polynomial
-        assert wet_dry_polynomial(h) == expected, "wet/dry disagrees with u^kappa R"
+        _require(wet_dry_polynomial(h) == expected, "wet/dry disagrees with u^kappa R")
     return f"{trials} genus zero instances, wet/dry == u^kappa R(u, v)"
 
 
@@ -333,10 +339,10 @@ def _check_medial_shape(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_collection(rng, n_max)
         m = medial.medial_map(h)
-        assert m.genus == h.genus
-        assert m.sigma_prime.cycle_count == h.alpha.cycle_count
-        assert m.alpha_prime.cycle_count == h.n
-        assert medial.source_hypermap(m) == h
+        _require(m.genus == h.genus)
+        _require(m.sigma_prime.cycle_count == h.alpha.cycle_count)
+        _require(m.alpha_prime.cycle_count == h.n)
+        _require(medial.source_hypermap(m) == h)
     return f"{trials} collections, shape and genus preserved"
 
 
@@ -350,9 +356,9 @@ def _check_matching_bijection(rng: random.Random, n_max: int) -> str:
         for mu in medial.coherent_matchings(m):
             beta = medial.matching_refinement(m, mu)
             circuits = medial.circuits_of_state(m, mu)
-            assert len(circuits) == (beta.inverse() * h.sigma).cycle_count
+            _require(len(circuits) == (beta.inverse() * h.sigma).cycle_count)
             matched.append(beta.image)
-        assert betas == sorted(matched)
+        _require(betas == sorted(matched))
     return f"{trials} collections, matchings == refinements, circuit counts"
 
 
@@ -368,7 +374,7 @@ def _check_circuit_polynomial(rng: random.Random, n_max: int) -> str:
             # x^kappa R(x, x) collects exponents kappa + eu + ev
             e = h.kappa + eu + ev
             expected = expected + UniPoly.monomial(c, e)
-        assert j == expected
+        _require(j == expected)
     return f"{trials} genus zero instances, j(x) == x^kappa R(x, x)"
 
 
@@ -377,9 +383,8 @@ def _check_map_states(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_map(rng, n_max)
         m = medial.medial_map(h)
-        assert medial.matching_count(m) == 2 ** sum(
-            1 for c in h.alpha.cycles() if len(c) == 2
-        )
+        edges = sum(1 for c in h.alpha.cycles() if len(c) == 2)
+        _require(medial.matching_count(m) == 2 ** edges)
     return f"{trials} maps, 2^edges coherent states"
 
 
@@ -390,7 +395,7 @@ def _check_coloring_sum(rng: random.Random, n_max: int) -> str:
         r = whitney_phi(h).polynomial
         for colors in (1, 2, 3):
             total = medial.eulerian_coloring_sum(h, colors)
-            assert total == colors ** h.kappa * r.evaluate(colors, colors)
+            _require(total == colors ** h.kappa * r.evaluate(colors, colors))
     return f"{trials} genus zero instances, m = 1, 2, 3 against m^kappa R(m, m)"
 
 
@@ -401,14 +406,13 @@ def _check_chromatic_identities(rng: random.Random, n_max: int) -> str:
         total = UniPoly.zero()
         for beta in refinements(h.alpha):
             total = total + charflow.x_interval(h, beta, h.alpha)
-        assert total == UniPoly.monomial(1, h.sigma.cycle_count)
+        _require(total == UniPoly.monomial(1, h.sigma.cycle_count))
         chi = charflow.characteristic_polynomial(h)
         shifted = UniPoly(
             {e + h.kappa: c for e, c in chi.terms.items()}
         )
-        assert shifted == charflow.x_interval(
-            h, Permutation.identity(h.n), h.alpha
-        )
+        ident = Permutation.identity(h.n)
+        _require(shifted == charflow.x_interval(h, ident, h.alpha))
     return f"{trials} collections, interval sums collapse"
 
 
@@ -420,7 +424,7 @@ def _check_flow_identities(rng: random.Random, n_max: int) -> str:
         for beta in refinements(h.alpha):
             total = total + charflow.flow_polynomial(Hypermap(h.sigma, beta))
         e = h.n + h.kappa - h.alpha.cycle_count - h.sigma.cycle_count
-        assert total == UniPoly.monomial(1, e)
+        _require(total == UniPoly.monomial(1, e))
     return f"{trials} collections, flow sum collapses"
 
 
@@ -432,7 +436,7 @@ def _check_flow_planar(rng: random.Random, n_max: int) -> str:
         x = UniPoly.variable()
         for beta in refinements(h.alpha):
             total = total + x * charflow.flow_polynomial(Hypermap(h.sigma, beta))
-        assert total == UniPoly.monomial(1, h.faces().cycle_count)
+        _require(total == UniPoly.monomial(1, h.faces().cycle_count))
     return f"{trials} genus zero instances"
 
 
@@ -441,14 +445,14 @@ def _check_map_charflow_oracles(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         h = random_map(rng, n_max)
         nv, edges = oracles.underlying_graph(h)
-        assert charflow.characteristic_polynomial(h) == oracles.graph_characteristic(
-            nv, edges
-        )
-        assert charflow.flow_polynomial(h) == oracles.graph_flow_polynomial(nv, edges)
+        chi = charflow.characteristic_polynomial(h)
+        _require(chi == oracles.graph_characteristic(nv, edges))
+        flow = charflow.flow_polynomial(h)
+        _require(flow == oracles.graph_flow_polynomial(nv, edges))
         r = whitney_bruteforce(h).polynomial
         sign = -1 if (h.sigma.cycle_count - h.kappa) % 2 else 1
         via_r = r.substitute_v(-1).flip_variable().scalar_multiply(sign)
-        assert via_r == charflow.characteristic_polynomial(h)
+        _require(via_r == chi)
     return f"{trials} maps against graph oracles and the R(-t, -1) route"
 
 
@@ -460,10 +464,9 @@ def _check_small_edge_theorems(rng: random.Random, n_max: int) -> str:
         flow = charflow.flow_polynomial(h)
         for colors in (2, 3):
             lhs = colors ** h.kappa * chi.evaluate(colors)
-            assert lhs == charflow.proper_coloring_count(h, colors)
-            assert flow.evaluate(colors) == charflow.nowhere_zero_flow_count(
-                h, colors
-            )
+            _require(lhs == charflow.proper_coloring_count(h, colors))
+            nz = charflow.nowhere_zero_flow_count(h, colors)
+            _require(flow.evaluate(colors) == nz)
     return f"{trials} collections with hyperedges <= 3, m = q = 2, 3"
 
 
@@ -476,11 +479,11 @@ def _check_flow_space(rng: random.Random, n_max: int) -> str:
             expected = (
                 h.n + h.kappa - h.sigma.cycle_count - h.alpha.cycle_count
             )
-            assert space.dimension == expected
+            _require(space.dimension == expected)
             vecs = list(space.vectors())
-            assert len(set(vecs)) == q ** space.dimension
+            _require(len(set(vecs)) == q ** space.dimension)
             for vec in vecs[:8]:
-                assert charflow.is_flow(h, vec, q)
+                _require(charflow.is_flow(h, vec, q))
     return f"{trials} collections, q = 2, 3, 5"
 
 
@@ -490,8 +493,8 @@ def _check_digraph_roundtrip(rng: random.Random, n_max: int) -> str:
         d = random_eulerian_digraph(rng)
         h = medial.from_eulerian_digraph(d)
         back = medial.medial_digraph(h)
-        assert medial.digraph_isomorphic(d, back)
-        assert h.n == len(d.edges)
+        _require(medial.digraph_isomorphic(d, back))
+        _require(h.n == len(d.edges))
     return f"{trials} Eulerian digraphs, medial round-trip"
 
 
@@ -509,7 +512,7 @@ def _check_valence_legality(rng: random.Random, n_max: int) -> str:
                 all(coloring[p] == coloring[mu[p]] for p in mu)
                 for mu in medial.coherent_matchings(m)
             )
-            assert per_vertex == exists
+            _require(per_vertex == exists)
         done += 1
     return f"{trials} instances, per-vertex valence vs global state"
 

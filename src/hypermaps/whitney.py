@@ -45,11 +45,10 @@ counts component visits as nodes, memo hits included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
-from .nclattice import refinement_count, refinement_sum, refinements
+from .nclattice import refinement_count, refinement_sum
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -114,26 +113,6 @@ def phi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
     return Hypermap(sig, _replace_cycle(h.alpha, cycle, k))
 
 
-def phi_k_composed(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
-    """phi_k written purely with transposition products.
-
-    The sigma part is (c1, ck) sigma when that does not raise the cycle
-    count, and sigma otherwise; the alpha part is (c1, ck) alpha (c1, c(k-1))
-    with index k - 1 read mod m (k = 1 uses cm) and (c1, c1) read as the
-    identity.  Kept as an independently coded route for unit tests against
-    the direct construction.
-    """
-    m = len(cycle)
-    n = h.n
-    c1, ck = cycle[0], cycle[k - 1]
-    ckm1 = cycle[(k - 2) % m]
-    t_front = Permutation.transposition(n, c1, ck)
-    t_back = Permutation.transposition(n, c1, ckm1)
-    sig_candidate = t_front * h.sigma
-    sig = sig_candidate if sig_candidate.cycle_count <= h.sigma.cycle_count else h.sigma
-    return Hypermap(sig, t_front * h.alpha * t_back)
-
-
 def branch(
     h: Hypermap, cycle: Tuple[int, ...], k: int, keep_connected: bool
 ) -> Tuple[Hypermap, int, int]:
@@ -152,10 +131,6 @@ def branch(
         assert glued.kappa == h.kappa, "gluing failed to restore the orbit count"
         child = glued
     return child, eu, ev
-
-
-def psi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
-    return branch(h, cycle, k, keep_connected=True)[0]
 
 
 def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
@@ -217,27 +192,12 @@ def _beta_term(h: Hypermap, beta: Permutation) -> Tuple[int, int]:
     return eu, ev
 
 
-def _brute_chunk(args) -> dict:
-    sigma_img, alpha_img, betas = args
-    sig = Permutation(sigma_img)
-    h = Hypermap(sig, Permutation(alpha_img))
-    out: dict = {}
-    for img in betas:
-        key = _beta_term(h, Permutation(img))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def whitney_bruteforce(
-    h: Hypermap,
-    max_refinements: Optional[int] = None,
-    processes: Optional[int] = None,
+    h: Hypermap, max_refinements: Optional[int] = None
 ) -> WhitneyResult:
     """Direct sum over the refinement stream.
 
-    ``max_refinements`` guards against huge lattices; ``processes`` splits
-    the stream over a process pool (the terms are independent, summation is
-    the only reduction).
+    ``max_refinements`` guards against huge lattices.
     """
     total_count = refinement_count(h.alpha)
     if max_refinements is not None and total_count > max_refinements:
@@ -245,36 +205,16 @@ def whitney_bruteforce(
             f"{total_count} refinements exceed the cap of {max_refinements}"
         )
     stats = WhitneyStats(nodes=total_count)
-    if processes and processes > 1 and total_count > 256:
-        terms: dict = {}
-        chunks = []
-        buf: List[Tuple[int, ...]] = []
-        for beta in refinements(h.alpha):
-            buf.append(beta.image)
-            if len(buf) >= 1024:
-                chunks.append((h.sigma.image, h.alpha.image, buf))
-                buf = []
-        if buf:
-            chunks.append((h.sigma.image, h.alpha.image, buf))
-        with get_context("fork").Pool(processes) as pool:
-            for part in pool.imap_unordered(_brute_chunk, chunks):
-                for key, mult in part.items():
-                    terms[key] = terms.get(key, 0) + mult
-    else:
-        terms = refinement_sum(h.alpha, lambda beta: (_beta_term(h, beta), 1))
-    poly = BiPoly(terms)
+    poly = BiPoly(refinement_sum(h.alpha, lambda beta: (_beta_term(h, beta), 1)))
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "brute", stats)
 
 
 def whitney(
-    h: Hypermap,
-    method: str = "phi",
-    max_refinements: Optional[int] = None,
-    processes: Optional[int] = None,
+    h: Hypermap, method: str = "phi", max_refinements: Optional[int] = None
 ) -> WhitneyResult:
     if method == "brute":
-        return whitney_bruteforce(h, max_refinements, processes)
+        return whitney_bruteforce(h, max_refinements)
     if method == "phi":
         return whitney_phi(h)
     if method == "psi":
@@ -340,10 +280,3 @@ def wet_dry_polynomial(h: Hypermap) -> BiPoly:
         return (kb, (beta.inverse() * sig).cycle_count - kb), 1
 
     return BiPoly(refinement_sum(h.alpha, term))
-
-
-def refinement_terms(h: Hypermap) -> Iterator[Tuple[Permutation, int, int]]:
-    """The refinement stream with each beta's (u, v) exponent pair."""
-    for beta in refinements(h.alpha):
-        eu, ev = _beta_term(h, beta)
-        yield beta, eu, ev

@@ -26,7 +26,7 @@ from hypermaps.charflow import (
     unique_nz_refinement,
     x_interval,
 )
-from hypermaps.hypermap import Hypermap, dual, merge_components
+from hypermaps.hypermap import Hypermap, dual, merge_components, orbit_count
 from hypermaps.medial import (
     circuit_partition_polynomial,
     circuits_of_state,
@@ -63,7 +63,6 @@ from hypermaps.whitney import (
     branch,
     phi_expansion,
     pivot_cycle,
-    refinement_terms,
     specializations,
     whitney_bruteforce,
     whitney_phi,
@@ -72,6 +71,13 @@ from hypermaps.whitney import (
 
 CORPUS_SIZE = 520
 REFINEMENT_CAP = 10 ** 5
+
+
+def refinement_terms(h):
+    """The refinement stream with each beta's (u, v) exponent pair."""
+    for beta in refinements(h.alpha):
+        kb = orbit_count(h.sigma, beta)
+        yield beta, kb - h.kappa, kb + h.n - beta.cycle_count - h.sigma.cycle_count
 
 
 def make(n, sigma_cycles, alpha_cycles):

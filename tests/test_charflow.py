@@ -14,7 +14,7 @@ from hypermaps.charflow import (
     x_interval,
 )
 from hypermaps.hypermap import Hypermap
-from hypermaps.nclattice import is_refinement, refinements
+from hypermaps.nclattice import interval, is_refinement, mobius, refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
 from hypermaps.selftest import random_collection
@@ -231,3 +231,17 @@ def test_compatible_colorings_validates_refinement():
     bad = Permutation.from_cycles(5, [[1, 4]])
     with pytest.raises(ValueError):
         compatible_coloring_count(h, bad, 3)
+
+
+def test_x_interval_matches_direct_interval_sum():
+    rng = random.Random(808)
+    for _ in range(120):
+        h = random_collection(rng, n_max=7, max_cycle=5)
+        betas = list(refinements(h.alpha))
+        alpha2 = rng.choice(betas)
+        alpha1 = rng.choice([b for b in betas if is_refinement(b, alpha2)])
+        direct = {}
+        for beta in interval(alpha1, alpha2):
+            e = Hypermap(h.sigma, beta).kappa
+            direct[e] = direct.get(e, 0) + mobius(alpha1, beta)
+        assert x_interval(h, alpha1, alpha2) == UniPoly(direct)

@@ -3,9 +3,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hypermaps import cli
+from hypermaps.poly import BiPoly
 
 RUNNING = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
+RUNNING_ECHO = {"n": 5, "sigma": [[1, 4], [2, 5], [3]], "alpha": [[1, 2, 3], [4, 5]]}
+R_TEXT = "u^2 + u*v + 4*u + v + 3"
+DIGRAPH = "1 2\n2 1\n"
 
 
 def run_cli(args, stdin="", python_flags=(), timeout=300):
@@ -201,6 +207,26 @@ def test_answers_do_not_depend_on_assert():
         assert optimized.stdout == normal.stdout, args
 
 
+def test_selftest_reports_failures_under_optimize():
+    script = (
+        "from hypermaps import selftest\n"
+        "from hypermaps.poly import BiPoly\n"
+        "real = selftest.whitney_psi\n"
+        "def broken(h):\n"
+        "    result = real(h)\n"
+        "    result.polynomial = result.polynomial + BiPoly.const(1)\n"
+        "    return result\n"
+        "selftest.whitney_psi = broken\n"
+        "print([r.name for r in selftest.run_selftest(4, 0) if not r.ok])\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "['whitney-three-routes']"
+
+
 def test_main_reuses_one_parser(monkeypatch, capsys):
     built = []
     build_parser = cli.build_parser
@@ -264,13 +290,140 @@ def test_size_guard_reports_cleanly():
     assert r.returncode == 0
 
 
-def test_parallel_brute_matches():
-    r = run_cli(["whitney", "--method=brute", "--parallel"], RUNNING)
-    assert r.returncode == 0
-    assert r.stdout.strip() == "u^2 + u*v + 4*u + v + 3"
-
-
 def test_version_flag():
     r = run_cli(["--version"])
     assert r.returncode == 0
     assert r.stdout.strip()
+
+
+def run_in_process(argv, stdin, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# (argv, stdin, plain text, --json result, --json method, --json stats)
+PINNED = [
+    (["whitney"], RUNNING, R_TEXT, R_TEXT, "phi",
+     {"memo_hits": 1, "nodes": 8, "terms": 5}),
+    (["whitney", "--method=brute"], RUNNING, R_TEXT, R_TEXT, "brute",
+     {"memo_hits": 0, "nodes": 10, "terms": 5}),
+    (["whitney", "--method=psi"], RUNNING, R_TEXT, R_TEXT, "psi",
+     {"memo_hits": 3, "nodes": 8, "terms": 5}),
+    (["whitney", "--method=all"], RUNNING, "\n".join([R_TEXT] * 3),
+     {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT}, "all",
+     {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 1, "nodes": 8},
+      "psi": {"memo_hits": 3, "nodes": 8}}),
+    (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "phi",
+     {"memo_hits": 1, "nodes": 8, "terms": 5}),
+    (["genus"], RUNNING, "0", {"genus": 0, "kappa": 1}, "euler", {}),
+    (["dual"], RUNNING, "sigma: (1 5)(2 4 3)\nalpha: (1 3 2)(4 5)",
+     {"sigma": [[1, 5], [2, 4, 3]], "alpha": [[1, 3, 2], [4, 5]]}, "dual", {}),
+    (["medial"], RUNNING,
+     "sigma': (1- 1+ 2- 2+ 3- 3+)(4- 4+ 5- 5+)\n"
+     "alpha': (1- 4+)(1+ 4-)(2- 5+)(2+ 5-)(3- 3+)",
+     {"sigma_prime": [["1-", "1+", "2-", "2+", "3-", "3+"], ["4-", "4+", "5-", "5+"]],
+      "alpha_prime": [["1-", "4+"], ["1+", "4-"], ["2-", "5+"], ["2+", "5-"],
+                      ["3-", "3+"]],
+      "genus": 0}, "medial", {}),
+    (["circuit-partition"], RUNNING, "2*x^3 + 5*x^2 + 3*x", "2*x^3 + 5*x^2 + 3*x",
+     "states", {}),
+    (["wet-dry"], RUNNING, "u^3 + u^2*v + 4*u^2 + u*v + 3*u",
+     "u^3 + u^2*v + 4*u^2 + u*v + 3*u", "refinements", {}),
+    (["charpoly"], RUNNING, "t^2 - 3*t + 2", "t^2 - 3*t + 2", "mobius-sum", {}),
+    (["flowpoly"], RUNNING, "0", "0", "mobius-sum", {}),
+    (["flows", "--q=3"], RUNNING, "3", {"count": 3, "dimension": 1, "q": 3},
+     "nullspace", {}),
+    (["flows", "--q=3", "--nowhere-zero"], RUNNING, "0",
+     {"count": 0, "dimension": 1, "q": 3}, "nowhere-zero-enumeration", {}),
+    (["colorings", "--m=2"], RUNNING, "0", {"count": 0, "m": 2},
+     "proper-enumeration", {}),
+    (["colorings", "--m=2", "--eulerian"], RUNNING, "42", {"count": 42, "m": 2},
+     "eulerian-valence-sum", {}),
+    (["from-digraph"], DIGRAPH, "sigma: (1 2)\nalpha: (1)(2)",
+     {"n": 2, "sigma": [[1, 2]], "alpha": [[1], [2]]}, "greedy-interleave", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, plain, result, method, stats",
+    PINNED,
+    ids=[" ".join(case[0]) for case in PINNED],
+)
+def test_pinned_outputs(argv, stdin, plain, result, method, stats, monkeypatch, capsys):
+    assert run_in_process(argv, stdin, monkeypatch, capsys) == (0, plain + "\n", "")
+    echo = {"edges": [[1, 2], [2, 1]]} if stdin == DIGRAPH else RUNNING_ECHO
+    payload = {"input_echo": echo, "result": result, "method": method, "stats": stats}
+    rc, out, err = run_in_process(argv + ["--json"], stdin, monkeypatch, capsys)
+    assert (rc, out, err) == (0, json_text(payload), "")
+
+
+SELFTEST_TEXT = """\
+ok   genus-arithmetic (80 random collections)
+ok   map-euler-genus (60 random maps)
+ok   canonical-form-invariance (40 relabelings)
+ok   refinement-catalan-counts (cycle lengths 1..8 against Catalan numbers)
+ok   refinement-membership (264 candidate permutations, exhaustive)
+ok   mobius-recursion (Catalans m<=7, recursion on 91 intervals, products x20)
+ok   poly-print-parse (40 random polynomials, print/parse/print)
+ok   poly-ring-axioms (30 random triples)
+ok   whitney-three-routes (60 collections, brute == phi == psi)
+ok   whitney-multiplicative (25 disjoint unions and merges)
+ok   planar-duality (40 genus zero duals)
+ok   map-subset-expansion (40 maps against graph subset expansion)
+ok   narayana-coefficients (identity sigma with full cycle, n = 2..7)
+ok   specializations (40 collections: R(0,0), R(0,1), R(v^-1, v))
+ok   wet-dry (30 genus zero instances, wet/dry == u^kappa R(u, v))
+ok   medial-shape (40 collections, shape and genus preserved)
+ok   matching-bijection (25 collections, matchings == refinements, circuit counts)
+ok   circuit-partition-polynomial (25 genus zero instances, j(x) == x^kappa R(x, x))
+ok   map-state-count (25 maps, 2^edges coherent states)
+ok   eulerian-coloring-sum (10 genus zero instances, m = 1, 2, 3 against m^kappa R(m, m))
+ok   chromatic-identities (25 collections, interval sums collapse)
+ok   flow-identity (25 collections, flow sum collapses)
+ok   flow-planar-identity (20 genus zero instances)
+ok   map-charflow-oracles (30 maps against graph oracles and the R(-t, -1) route)
+ok   small-edge-theorems (20 collections with hyperedges <= 3, m = q = 2, 3)
+ok   flow-space-dimension (30 collections, q = 2, 3, 5)
+ok   digraph-roundtrip (50 Eulerian digraphs, medial round-trip)
+ok   valence-legality (10 instances, per-vertex valence vs global state)
+selftest: 28/28 checks passed (seed=0, n-max=4)
+"""
+
+
+def test_pinned_selftest_outputs(monkeypatch, capsys):
+    argv = ["selftest", "--n-max=4", "--seed=0"]
+    assert run_in_process(argv, "", monkeypatch, capsys) == (0, SELFTEST_TEXT, "")
+    checks = [line[5:-1].split(" (", 1) for line in SELFTEST_TEXT.splitlines()[:-1]]
+    payload = {
+        "input_echo": {"n_max": 4, "seed": 0},
+        "result": [{"name": n, "ok": True, "detail": d} for n, d in checks],
+        "method": "selftest",
+        "stats": {"passed": 28, "failed": 0},
+    }
+    rc, out, err = run_in_process(argv + ["--json"], "", monkeypatch, capsys)
+    assert (rc, out, err) == (0, json_text(payload), "")
+
+
+def test_whitney_check_reports_disagreement(monkeypatch, capsys):
+    real = cli.whitney
+
+    def skewed(h, method="phi", **kwargs):
+        result = real(h, method, **kwargs)
+        if method == "psi":
+            result.polynomial = result.polynomial + BiPoly.const(1)
+        return result
+
+    monkeypatch.setattr(cli, "whitney", skewed)
+    expected = (
+        f"brute: {R_TEXT}\nphi: {R_TEXT}\npsi: u^2 + u*v + 4*u + v + 4\n"
+        "error: whitney methods disagree\n"
+    )
+    for argv in (["whitney", "--check"], ["whitney", "--method=psi", "--check"],
+                 ["whitney", "--method=all", "--check", "--json"]):
+        assert run_in_process(argv, RUNNING, monkeypatch, capsys) == (1, "", expected)

@@ -18,7 +18,6 @@ from hypermaps.medial import (
     medial_digraph,
     medial_map,
     minus,
-    monochromatic_vertex_count,
     plus,
     signed_name,
     source_hypermap,
@@ -218,6 +217,10 @@ def test_coloring_sum_golden():
     assert eulerian_coloring_sum(RUNNING, 2) == 42
     # one color: every state survives, so the sum counts refinements
     assert eulerian_coloring_sum(RUNNING, 1) == 10
+
+
+def monochromatic_vertex_count(m, coloring):
+    return sum(1 for vc in m.vertices() if len({coloring[p] for p in vc}) <= 1)
 
 
 def test_map_collapse_to_monochromatic_count():

@@ -208,12 +208,13 @@ def merge_components(h: Hypermap, i: int, j: int) -> Hypermap:
 
     This keeps the Whitney polynomial unchanged while lowering kappa by one.
     """
+    for p in (i, j):
+        if not 1 <= p <= h.n:
+            raise ValueError(f"point {p} out of range 1..{h.n}")
     for comp in h.components():
         if i in comp and j in comp:
             raise ValueError(f"points {i} and {j} lie in the same component")
-    merged = Hypermap(h.sigma.swap_values(i, j), h.alpha)
-    assert merged.kappa == h.kappa - 1
-    return merged
+    return Hypermap(h.sigma.swap_values(i, j), h.alpha)
 
 
 def dual(h: Hypermap) -> Hypermap:

@@ -122,9 +122,7 @@ def medial_map(h: Hypermap) -> EulerianMap:
         Permutation.from_cycles(2 * n, sig_cycles),
         Permutation.from_cycles(2 * n, alf_cycles),
     )
-    medial = EulerianMap(pair)
-    assert medial.genus == h.genus, "medial construction must preserve genus"
-    return medial
+    return EulerianMap(pair)
 
 
 def source_hypermap(m: EulerianMap) -> Hypermap:
@@ -270,11 +268,8 @@ def medial_digraph(h: Hypermap) -> EulerianDigraph:
     Vertices are the alpha-cycles, numbered 1.. in canonical cycle order;
     point i contributes the edge from i's hyperedge to sigma(i)'s.
     """
-    owner = [0] * (h.n + 1)
-    for idx, c in enumerate(h.alpha.cycles(), start=1):
-        for p in c:
-            owner[p] = idx
-    edges = tuple((owner[i], owner[h.sigma(i)]) for i in range(1, h.n + 1))
+    owner = h.alpha.cycle_labels()
+    edges = tuple((owner[i] + 1, owner[h.sigma(i)] + 1) for i in range(1, h.n + 1))
     return EulerianDigraph(edges)
 
 
@@ -365,10 +360,7 @@ def eulerian_edge_colorings(m: EulerianMap, colors: int) -> Iterator[Dict[int, i
     color must cover as many minus as plus points there.
     """
     edge_list = m.edges()
-    vertex_of: Dict[int, int] = {}
-    for idx, vc in enumerate(m.vertices()):
-        for p in vc:
-            vertex_of[p] = idx
+    vertex_of = m.sigma_prime.cycle_labels()
     for assignment in product(range(colors), repeat=len(edge_list)):
         point_color: Dict[int, int] = {}
         balance: Dict[Tuple[int, int], int] = {}

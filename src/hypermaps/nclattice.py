@@ -45,39 +45,24 @@ def noncrossing_partitions(m: int) -> Tuple[Partition, ...]:
     """All noncrossing partitions of positions 0..m-1, sorted.
 
     Noncrossing on the circle equals noncrossing in the linear order obtained
-    by cutting the circle at position 0, so a linear enumeration suffices:
-    the block of the first position is chosen, and the remaining positions
-    split into independent gaps between consecutive block elements.
+    by cutting the circle at position 0.  Read left to right, the blocks
+    still open form a stack (Kreweras 1972): each position either opens a
+    new block on top, or joins an open block, which closes every block above
+    it, since a later point of those would cross the joined block.
     """
+    result: List[Partition] = []
 
-    def linear(seg: Tuple[int, ...]) -> List[Partition]:
-        if not seg:
-            return [()]
-        first, rest = seg[0], seg[1:]
-        out: List[Partition] = []
-        for mask in range(1 << len(rest)):
-            block = [first] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            gaps: List[Tuple[int, ...]] = []
-            gi = 0
-            gap: List[int] = []
-            for x in rest:
-                if gi < len(block) - 1 and x == block[gi + 1]:
-                    gaps.append(tuple(gap))
-                    gap = []
-                    gi += 1
-                else:
-                    gap.append(x)
-            gaps.append(tuple(gap))
-            for combo in product(*(linear(g) for g in gaps)):
-                parts: List[Tuple[int, ...]] = [tuple(block)]
-                for sub in combo:
-                    parts.extend(sub)
-                out.append(tuple(parts))
-        return out
+    def extend(pos: int, closed: Partition, stack: Partition) -> None:
+        if pos == m:
+            result.append(tuple(sorted(closed + stack)))
+            return
+        extend(pos + 1, closed, stack + ((pos,),))
+        for depth, block in enumerate(stack):
+            joined = stack[:depth] + (block + (pos,),)
+            extend(pos + 1, closed + stack[depth + 1 :], joined)
 
-    result = [tuple(sorted(p)) for p in linear(tuple(range(m)))]
+    extend(0, (), ())
     result.sort()
-    assert len(result) == catalan(m)
     return tuple(result)
 
 
@@ -127,10 +112,7 @@ def refinement_sum(
 def is_refinement(beta: Permutation, alpha: Permutation) -> bool:
     if beta.n != alpha.n:
         raise ValueError("size mismatch")
-    owner = [0] * (alpha.n + 1)
-    for idx, c in enumerate(alpha.cycles(), start=1):
-        for p in c:
-            owner[p] = idx
+    owner = alpha.cycle_labels()
     for c in beta.cycles():
         if any(owner[p] != owner[c[0]] for p in c):
             return False

@@ -12,7 +12,7 @@ here once:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class Permutation:
@@ -102,6 +102,14 @@ class Permutation:
                     out.append(tuple(cyc))
             self._cycles = tuple(out)
         return self._cycles
+
+    def cycle_labels(self) -> List[int]:
+        """labels[p] is the position in ``cycles()`` of p's cycle; labels[0] = 0."""
+        labels = [0] * len(self._image)
+        for idx, c in enumerate(self.cycles()):
+            for p in c:
+                labels[p] = idx
+        return labels
 
     @property
     def cycle_count(self) -> int:

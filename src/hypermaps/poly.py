@@ -128,19 +128,63 @@ def _format_terms(
     return out
 
 
-class BiPoly:
-    """Bivariate polynomial in u and v with integer coefficients."""
+class _SparsePoly:
+    """Arithmetic shared by both classes: ``terms`` maps keys to nonzero ints.
+
+    Subclasses fix the key shape and supply ``const``, ``monomial``,
+    ``parse``, ``*`` and ``evaluate``.  Polynomials of different classes are
+    never equal.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Tuple[int, int], int] | None = None):
-        self.terms: Dict[Tuple[int, int], int] = {
-            k: v for k, v in (terms or {}).items() if v != 0
-        }
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: Dict = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @classmethod
-    def zero(cls) -> "BiPoly":
+    def zero(cls):
         return cls()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scalar_multiply(-1)
+
+    def scalar_multiply(self, c: int):
+        return type(self)({k: c * v for k, v in self.terms.items()})
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self.const(1)
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.parse({str(self)!r})"
+
+
+class BiPoly(_SparsePoly):
+    """Bivariate polynomial in u and v with integer coefficients."""
+
+    __slots__ = ()
 
     @classmethod
     def const(cls, c: int) -> "BiPoly":
@@ -154,21 +198,6 @@ class BiPoly:
     def parse(cls, text: str) -> "BiPoly":
         return cls(_parse_terms(text, ("u", "v")))
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BiPoly(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: Dict[Tuple[int, int], int] = {}
         for (a, b), c in self.terms.items():
@@ -176,17 +205,6 @@ class BiPoly:
                 k = (a + d, b + e)
                 out[k] = out.get(k, 0) + c * f
         return BiPoly(out)
-
-    def scalar_multiply(self, c: int) -> "BiPoly":
-        return BiPoly({k: c * v for k, v in self.terms.items()})
-
-    def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.const(1)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def evaluate(self, u: Scalar, v: Scalar) -> Scalar:
         total: Scalar = Fraction(0)
@@ -222,9 +240,6 @@ class BiPoly:
     def constant_term(self) -> int:
         return self.terms.get((0, 0), 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self):
         return sorted(
             self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])
@@ -233,30 +248,14 @@ class BiPoly:
     def __str__(self) -> str:
         return _format_terms(self.sorted_terms(), ("u", "v"))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"BiPoly.parse({str(self)!r})"
-
-
-class UniPoly:
+class UniPoly(_SparsePoly):
     """Univariate Laurent polynomial with integer coefficients.
 
     The variable is anonymous; pick its display name at print time.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        self.terms: Dict[int, int] = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def const(cls, c: int) -> "UniPoly":
@@ -275,38 +274,12 @@ class UniPoly:
         raw = _parse_terms(text, (var,))
         return cls({k[0]: v for k, v in raw.items()})
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return UniPoly(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({k: -v for k, v in self.terms.items()})
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         out: Dict[int, int] = {}
         for a, c in self.terms.items():
             for b, f in other.terms.items():
                 out[a + b] = out.get(a + b, 0) + c * f
         return UniPoly(out)
-
-    def scalar_multiply(self, c: int) -> "UniPoly":
-        return UniPoly({k: c * v for k, v in self.terms.items()})
-
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def evaluate(self, x: Scalar) -> Scalar:
         total: Scalar = Fraction(0)
@@ -324,14 +297,6 @@ class UniPoly:
     def coefficient(self, e: int) -> int:
         return self.terms.get(e, 0)
 
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("degree of zero polynomial")
-        return max(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: -kv[0])
 
@@ -342,12 +307,3 @@ class UniPoly:
 
     def __str__(self) -> str:
         return self.to_string()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UniPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"UniPoly.parse({str(self)!r})"

@@ -45,7 +45,7 @@ counts component visits as nodes, memo hits included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
 from .nclattice import refinement_count, refinement_sum
@@ -192,49 +192,26 @@ def _beta_term(h: Hypermap, beta: Permutation) -> Tuple[int, int]:
     return eu, ev
 
 
-def whitney_bruteforce(
-    h: Hypermap, max_refinements: Optional[int] = None
-) -> WhitneyResult:
-    """Direct sum over the refinement stream.
+def whitney_bruteforce(h: Hypermap) -> WhitneyResult:
+    """Direct sum over the refinement stream, with no size guard of its own.
 
-    ``max_refinements`` guards against huge lattices.
+    The ``whitney`` subcommand checks ``refinement_count`` against its cap
+    before it calls any route.
     """
-    total_count = refinement_count(h.alpha)
-    if max_refinements is not None and total_count > max_refinements:
-        raise InstanceTooLarge(
-            f"{total_count} refinements exceed the cap of {max_refinements}"
-        )
-    stats = WhitneyStats(nodes=total_count)
+    stats = WhitneyStats(nodes=refinement_count(h.alpha))
     poly = BiPoly(refinement_sum(h.alpha, lambda beta: (_beta_term(h, beta), 1)))
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "brute", stats)
 
 
-def whitney(
-    h: Hypermap, method: str = "phi", max_refinements: Optional[int] = None
-) -> WhitneyResult:
+def whitney(h: Hypermap, method: str = "phi") -> WhitneyResult:
     if method == "brute":
-        return whitney_bruteforce(h, max_refinements)
+        return whitney_bruteforce(h)
     if method == "phi":
         return whitney_phi(h)
     if method == "psi":
         return whitney_psi(h)
     raise ValueError(f"unknown method {method!r}")
-
-
-def phi_expansion(h: Hypermap) -> List[Tuple[Hypermap, int, int, BiPoly]]:
-    """Top level branches: (child, eu, ev, child polynomial) per k.
-
-    Empty when alpha has no cycle of length >= 2.
-    """
-    pivot = pivot_cycle(h.alpha)
-    if pivot is None:
-        return []
-    out = []
-    for k in range(1, len(pivot) + 1):
-        child, eu, ev = branch(h, pivot, k, keep_connected=False)
-        out.append((child, eu, ev, whitney_phi(child).polynomial))
-    return out
 
 
 @dataclass

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from acceptance_report import criterion
+from test_whitney import phi_expansion
 from hypermaps.charflow import (
     characteristic_polynomial,
     flow_polynomial,
@@ -61,7 +62,6 @@ from hypermaps.poly import BiPoly, UniPoly
 from hypermaps.selftest import random_collection, random_eulerian_digraph
 from hypermaps.whitney import (
     branch,
-    phi_expansion,
     pivot_cycle,
     specializations,
     whitney_bruteforce,

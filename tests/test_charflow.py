@@ -176,6 +176,24 @@ def test_unique_refinement_for_short_hyperedges():
     assert unique_nz_refinement(h, nz, 3) == h.alpha
 
 
+def test_unique_refinement_of_every_flow():
+    """For hyperedges of length <= 3 and every flow f over GF(2) and GF(3),
+    the returned beta refines alpha, keeps f a flow on (sigma, beta) and
+    fixes every point where f vanishes."""
+    rng = random.Random(41)
+    flows = 0
+    for _ in range(120):
+        h = random_collection(rng, n_max=8, max_cycle=3)
+        for q in (2, 3):
+            for f in flow_space(h, q).vectors():
+                beta = unique_nz_refinement(h, f, q)
+                assert is_refinement(beta, h.alpha)
+                assert is_flow(Hypermap(h.sigma, beta), f, q)
+                assert all(beta(i) == i for i in range(1, h.n + 1) if f[i - 1] == 0)
+                flows += 1
+    assert flows > 1000
+
+
 def test_unique_refinement_rejects_long_hyperedges():
     h = make(4, [], [[1, 2, 3, 4]])
     with pytest.raises(ValueError):

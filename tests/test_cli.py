@@ -200,6 +200,8 @@ def test_answers_do_not_depend_on_assert():
         ["colorings", "--eulerian", "--m=2"],
         ["charpoly"],
         ["flowpoly"],
+        ["medial"],
+        ["flows", "--q=3", "--nowhere-zero"],
     ):
         normal = run_cli(args, RUNNING)
         optimized = run_cli(args, RUNNING, python_flags=["-O"])

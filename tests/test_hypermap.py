@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +160,37 @@ def test_merge_same_component_rejected():
     h = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
     with pytest.raises(ValueError):
         merge_components(h, 1, 2)
+
+
+MERGE_OUT_OF_RANGE = """
+from hypermaps.hypermap import Hypermap, merge_components
+from hypermaps.perm import Permutation
+h = Hypermap(Permutation.from_cycles(4, [[1, 2]]), Permutation.from_cycles(4, [[3, 4]]))
+for i, j in ((7, 9), (1, 9), (0, 3)):
+    try:
+        merge_components(h, i, j)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_merge_rejects_points_out_of_range():
+    h = make(4, [[1, 2]], [[3, 4]])
+    assert h.kappa == 2
+    for i, j, bad in ((7, 9, 7), (1, 9, 9), (0, 3, 0)):
+        with pytest.raises(ValueError, match=f"^point {bad} out of range 1..4$"):
+            merge_components(h, i, j)
+    # The same answers when asserts are stripped.
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", MERGE_OUT_OF_RANGE],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "point 7 out of range 1..4",
+        "point 9 out of range 1..4",
+        "point 0 out of range 1..4",
+    ]
 
 
 def test_hypermap_equality_and_hash():

@@ -25,6 +25,30 @@ def test_noncrossing_partition_counts():
         assert len(noncrossing_partitions(m)) == catalan(m)
 
 
+def reference_noncrossing_partitions(m):
+    """Restricted growth strings with no crossing, blocks sorted, all sorted.
+
+    A string s assigns position p to block s[p]; it crosses when some
+    a < b < c < d has s[a] == s[c] != s[b] == s[d].
+    """
+    strings = [[]]
+    for _ in range(m):
+        strings = [s + [b] for s in strings for b in range(max(s, default=-1) + 2)]
+    out = []
+    for s in strings:
+        quads = itertools.combinations(range(m), 4)
+        if any(s[a] == s[c] != s[b] == s[d] for a, b, c, d in quads):
+            continue
+        blocks = [tuple(p for p in range(m) if s[p] == b) for b in set(s)]
+        out.append(tuple(sorted(blocks)))
+    return tuple(sorted(out))
+
+
+def test_noncrossing_partitions_match_reference():
+    for m in range(10):
+        assert noncrossing_partitions(m) == reference_noncrossing_partitions(m)
+
+
 def test_noncrossing_partitions_of_three():
     # partitions of positions 0..m-1
     parts = set(noncrossing_partitions(3))

@@ -59,6 +59,15 @@ def test_cycles_canonical_order():
     assert p.cycles() == ((1, 2, 3), (4,), (5, 6))
 
 
+def test_cycle_labels_with_fixed_points():
+    p = Permutation.from_cycles(7, [[2, 5], [3, 7, 4]])
+    assert p.cycles() == ((1,), (2, 5), (3, 7, 4), (6,))
+    # labels[p] is the index in cycles() of p's cycle; index 0 is no point
+    assert p.cycle_labels() == [0, 0, 1, 2, 2, 1, 3, 2]
+    assert Permutation.identity(3).cycle_labels() == [0, 0, 1, 2]
+    assert Permutation.identity(0).cycle_labels() == [0]
+
+
 def test_cycle_containing_and_same_cycle():
     p = Permutation.from_cycles(5, [[1, 3, 5]])
     assert p.cycle_containing(3) == (1, 3, 5)

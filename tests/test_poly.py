@@ -115,6 +115,34 @@ def test_zero_to_negative_power_rejected():
         p.evaluate(0)
 
 
+@pytest.mark.parametrize(
+    "cls, text",
+    [(BiPoly, "u^2 - 3*u*v + 2"), (UniPoly, "x^3 - 2*x + x^-1")],
+)
+def test_shared_operations(cls, text):
+    p = cls.parse(text)
+    assert -p == cls({k: -c for k, c in p.terms.items()})
+    assert p - p == cls.zero()
+    assert (p - p).is_zero() and not p.is_zero()
+    assert p ** 0 == cls.const(1)
+    assert p ** 2 == p * p
+    with pytest.raises(ValueError):
+        p ** -1
+    assert p.scalar_multiply(3) == p + p + p
+    assert p.scalar_multiply(0) == cls.zero()
+    q = cls.parse(text)
+    assert q is not p and q == p and hash(q) == hash(p)
+    assert repr(p) == f"{cls.__name__}.parse({text!r})"
+    assert eval(repr(p)) == p
+    assert not hasattr(p, "__dict__")
+
+
+def test_bivariate_and_univariate_never_equal():
+    assert BiPoly.const(1) != UniPoly.const(1)
+    assert UniPoly.const(1) != BiPoly.const(1)
+    assert BiPoly.zero() != UniPoly.zero()
+
+
 @given(bipolys, bipolys, bipolys)
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):

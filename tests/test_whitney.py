@@ -3,14 +3,11 @@ import random
 import pytest
 
 from hypermaps.hypermap import Hypermap, dual, merge_components
-from hypermaps.nclattice import refinement_count
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
 from hypermaps.selftest import random_collection
 from hypermaps.whitney import (
-    InstanceTooLarge,
     branch,
-    phi_expansion,
     phi_k,
     pivot_cycle,
     specializations,
@@ -36,6 +33,21 @@ GOLDEN = BiPoly.parse("u^2 + u*v + 4*u + v + 3")
 def test_golden_value_three_routes():
     for method in ("brute", "phi", "psi"):
         assert whitney(RUNNING, method).polynomial == GOLDEN
+
+
+def phi_expansion(h):
+    """Top level branches: (child, eu, ev, child polynomial) per k.
+
+    Empty when alpha has no cycle of length >= 2.
+    """
+    pivot = pivot_cycle(h.alpha)
+    if pivot is None:
+        return []
+    out = []
+    for k in range(1, len(pivot) + 1):
+        child, eu, ev = branch(h, pivot, k, keep_connected=False)
+        out.append((child, eu, ev, whitney_phi(child).polynomial))
+    return out
 
 
 def test_golden_branches():
@@ -214,14 +226,6 @@ def test_wet_dry_rejects_positive_genus():
     assert torus.genus == 1
     with pytest.raises(ValueError):
         wet_dry_polynomial(torus)
-
-
-def test_brute_force_size_guard():
-    h = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
-    assert refinement_count(h.alpha) == 10
-    with pytest.raises(InstanceTooLarge):
-        whitney_bruteforce(h, max_refinements=9)
-    assert whitney_bruteforce(h, max_refinements=10).polynomial == GOLDEN
 
 
 def test_unknown_method_rejected():

@@ -51,6 +51,7 @@ from .whitney import (
     wet_dry_polynomial,
     whitney,
     whitney_bruteforce,
+    whitney_dp,
     whitney_phi,
     whitney_psi,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "wet_dry_polynomial",
     "whitney",
     "whitney_bruteforce",
+    "whitney_dp",
     "whitney_phi",
     "whitney_psi",
     "x_interval",

@@ -1,8 +1,12 @@
 """Characteristic and flow polynomials, colorings and flows over GF(q).
 
-All sums run over the refinement order through ``nclattice``: the
-polynomials are ``refinement_sum`` passes, and every Moebius value is read
-off cycle lengths by ``mobius_of_cycles``.
+All sums run over the refinement order through ``nclattice``, and every
+Moebius value is read off cycle lengths.  chi(t) weights beta by
+mu(id, beta), a product of ``mobius_nc`` over beta's blocks, so it is one
+``refinement_profile`` pass, which never lists the refinements.  C(t)
+weights beta by mu(beta, alpha), a product over the cycles of the
+Kreweras complement beta^-1 alpha, which the stack of open blocks does not
+see one block at a time; C(t) and X stay ``refinement_sum`` passes.
 
 The characteristic polynomial of (sigma, alpha) is
 
@@ -25,20 +29,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
-from .nclattice import is_refinement, mobius_of_cycles, refinement_sum
+from .nclattice import (
+    is_refinement,
+    mobius_nc,
+    mobius_of_cycles,
+    refinement_profile,
+    refinement_sum,
+)
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
 
 
 def characteristic_polynomial(h: Hypermap) -> UniPoly:
-    def term(beta: Permutation):
-        return orbit_count(h.sigma, beta) - h.kappa, mobius_of_cycles(beta)
-
-    return UniPoly(refinement_sum(h.alpha, term))
+    counts, _ = refinement_profile(h, block_weight=mobius_nc)
+    terms: Dict[int, int] = {}
+    for (kb, _), c in counts.items():
+        terms[kb - h.kappa] = terms.get(kb - h.kappa, 0) + c
+    return UniPoly(terms)
 
 
 def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:

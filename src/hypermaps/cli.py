@@ -52,6 +52,7 @@ from .medial import (
     circuit_partition_polynomial,
     eulerian_coloring_sum,
     from_eulerian_digraph,
+    genus_zero_circuit_partition,
     medial_map,
     signed_name,
 )
@@ -351,19 +352,24 @@ def _medial(args, doc: HypermapDocument):
 
 
 def _circuit_partition(args, doc: HypermapDocument):
+    h = doc.hypermap
     cap = None if args.no_size_guard else args.max_refinements
-    poly = circuit_partition_polynomial(medial_map(doc.hypermap), max_states=cap)
-    return poly.to_string("x"), poly.to_string("x"), "states", {}
+    if h.genus == 0:
+        poly, method = genus_zero_circuit_partition(h, max_states=cap), "dp"
+    else:
+        poly = circuit_partition_polynomial(medial_map(h), max_states=cap)
+        method = "states"
+    return poly.to_string("x"), poly.to_string("x"), method, {}
 
 
 def _wet_dry(args, doc: HypermapDocument):
     poly = str(wet_dry_polynomial(doc.hypermap))
-    return poly, poly, "refinements", {}
+    return poly, poly, "dp", {}
 
 
 def _charpoly(args, doc: HypermapDocument):
     poly = characteristic_polynomial(doc.hypermap).to_string("t")
-    return poly, poly, "mobius-sum", {}
+    return poly, poly, "dp", {}
 
 
 def _flowpoly(args, doc: HypermapDocument):

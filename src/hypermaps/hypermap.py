@@ -67,7 +67,8 @@ class Hypermap:
             - alpha.cycle_count
             - self._faces.cycle_count
         )
-        assert euler >= 0 and euler % 2 == 0, f"genus parity violated: {euler}"
+        if euler < 0 or euler % 2:
+            raise ValueError(f"genus parity violated: {euler}")
         self.genus = euler // 2
         self._key = None
 

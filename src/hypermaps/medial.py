@@ -28,6 +28,7 @@ from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .hypermap import Hypermap
+from .nclattice import refinement_count, refinement_profile
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
@@ -216,6 +217,11 @@ def circuits_of_state(
     return tuple(circuits)
 
 
+def _check_state_count(count: int, max_states: Optional[int]) -> None:
+    if max_states is not None and count > max_states:
+        raise InstanceTooLarge(f"{count} matchings exceed the cap of {max_states}")
+
+
 def circuit_partition_polynomial(
     m: EulerianMap, max_states: Optional[int] = 10 ** 6
 ) -> UniPoly:
@@ -225,14 +231,33 @@ def circuit_partition_polynomial(
     hypermap, and x^kappa R(x, x) at genus zero; the selftest and the tests
     check both.
     """
-    if max_states is not None and matching_count(m) > max_states:
-        raise InstanceTooLarge(
-            f"{matching_count(m)} matchings exceed the cap of {max_states}"
-        )
+    _check_state_count(matching_count(m), max_states)
     terms: Dict[int, int] = {}
     for matching in coherent_matchings(m):
         k = len(circuits_of_state(m, matching))
         terms[k] = terms.get(k, 0) + 1
+    return UniPoly(terms)
+
+
+def genus_zero_circuit_partition(
+    h: Hypermap, max_states: Optional[int] = 10 ** 6
+) -> UniPoly:
+    """The circuit partition polynomial of medial_map(h), h of genus zero.
+
+    A state's circuit count is z(beta^-1 sigma) for its refinement beta,
+    which at genus zero is n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so
+    j(x) is read off ``refinement_profile`` without listing the states.
+    States and refinements correspond one to one, so the cap is the one of
+    ``circuit_partition_polynomial``.
+    """
+    if h.genus != 0:
+        raise ValueError("the refinement route needs genus zero")
+    _check_state_count(refinement_count(h.alpha), max_states)
+    counts, _ = refinement_profile(h)
+    base = h.n - h.sigma.cycle_count
+    terms: Dict[int, int] = {}
+    for (kb, zb), c in counts.items():
+        terms[base + 2 * kb - zb] = terms.get(base + 2 * kb - zb, 0) + c
     return UniPoly(terms)
 
 

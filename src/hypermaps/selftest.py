@@ -2,7 +2,7 @@
 
 Every identity promised by the library is exercised here on a reproducible
 random corpus: genus arithmetic, refinement/Moebius structure, polynomial
-round-trips, the three Whitney routes, duality and specializations, medial
+round-trips, the four Whitney routes, duality and specializations, medial
 state sums, coloring and flow identities.  All randomness flows through one
 ``random.Random(seed)`` instance, so output is byte for byte reproducible.
 """
@@ -28,6 +28,7 @@ from .whitney import (
     specializations,
     wet_dry_polynomial,
     whitney_bruteforce,
+    whitney_dp,
     whitney_phi,
     whitney_psi,
 )
@@ -249,6 +250,16 @@ def _check_whitney_routes(rng: random.Random, n_max: int) -> str:
     return f"{trials} collections, brute == phi == psi"
 
 
+def _check_whitney_dp(rng: random.Random, n_max: int) -> str:
+    trials = 60
+    for _ in range(trials):
+        h = random_collection(rng, n_max, max_cycle=min(n_max, 7))
+        if rng.random() < 0.3:
+            h = h.disjoint_union(random_collection(rng, max(1, n_max // 2)))
+        _require(whitney_dp(h).polynomial == whitney_bruteforce(h).polynomial)
+    return f"{trials} collections and unions, dp == brute"
+
+
 def _check_whitney_product(rng: random.Random, n_max: int) -> str:
     trials = 25
     for _ in range(trials):
@@ -329,8 +340,17 @@ def _check_wet_dry(rng: random.Random, n_max: int) -> str:
     trials = 30
     for _ in range(trials):
         h = random_planar_connected(rng, n_max)
+        wet_dry = wet_dry_polynomial(h)
         expected = BiPoly.monomial(1, h.kappa, 0) * whitney_phi(h).polynomial
-        _require(wet_dry_polynomial(h) == expected, "wet/dry disagrees with u^kappa R")
+        _require(wet_dry == expected, "wet/dry disagrees with u^kappa R")
+        # The definition, summed over the refinements:
+        # u^kappa(sigma, beta) v^(z(beta^-1 sigma) - kappa(sigma, beta)).
+        terms: dict = {}
+        for beta in refinements(h.alpha):
+            kb = orbit_count(h.sigma, beta)
+            e = (kb, (beta.inverse() * h.sigma).cycle_count - kb)
+            terms[e] = terms.get(e, 0) + 1
+        _require(wet_dry == BiPoly(terms), "wet/dry disagrees with its definition")
     return f"{trials} genus zero instances, wet/dry == u^kappa R(u, v)"
 
 
@@ -527,6 +547,7 @@ CHECKS: List[Check] = [
     ("poly-print-parse", _check_poly_roundtrip),
     ("poly-ring-axioms", _check_poly_ring),
     ("whitney-three-routes", _check_whitney_routes),
+    ("whitney-frontier-dp", _check_whitney_dp),
     ("whitney-multiplicative", _check_whitney_product),
     ("planar-duality", _check_planar_duality),
     ("map-subset-expansion", _check_map_subset_expansion),

@@ -6,10 +6,13 @@ all refinements beta <= alpha of
     u^(kappa(sigma, beta) - kappa(sigma, alpha))
     * v^(kappa(sigma, beta) + n - z(beta) - z(sigma)),
 
-an exact bivariate polynomial with nonnegative integer coefficients.  Three
+an exact bivariate polynomial with nonnegative integer coefficients.  Four
 evaluation routes are provided and must agree:
 
 * ``whitney_bruteforce`` sums over the refinement stream directly;
+* ``whitney_dp`` reads the same sum off ``nclattice.refinement_profile``,
+  a frontier dynamic program over the stack of open blocks that needs
+  only kappa(sigma, beta) and z(beta) of each refinement;
 * ``whitney_phi`` applies the deletion/contraction style recursion that picks
   a hyperedge cycle (c1, ..., cm) of length m >= 2 and expands into m branch
   collections phi_k, one per point of the cycle, each weighted by 1, u, v or
@@ -29,7 +32,7 @@ smallest point, and 1 <= k <= m:
   by (c1)(c2 ... c(k-1))(ck ... cm) otherwise.
 
 The branch weight is u^(kappa(phi_k) - kappa) * v^[k != 1 and c1, ck share a
-sigma-cycle]; every weight is one of 1, u, v, u*v, which is asserted.
+sigma-cycle]; every weight is one of 1, u, v, u*v, which is checked.
 
 The polynomial is multiplicative over disjoint unions, so phi and psi work
 one connected component at a time.  The input and every branch collection
@@ -48,11 +51,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
-from .nclattice import refinement_count, refinement_sum
+from .nclattice import refinement_count, refinement_profile, refinement_sum
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
-METHODS = ("brute", "phi", "psi")
+METHODS = ("brute", "phi", "psi", "dp")
 
 
 @dataclass
@@ -124,11 +127,13 @@ def branch(
     """
     child = phi_k(h, cycle, k)
     eu = child.kappa - h.kappa
-    assert eu in (0, 1), f"branch weight out of range: u^{eu}"
+    if eu not in (0, 1):
+        raise ValueError(f"branch weight out of range: u^{eu}")
     ev = 1 if k != 1 and h.sigma.same_cycle(cycle[0], cycle[k - 1]) else 0
     if keep_connected and eu == 1:
         glued = Hypermap(child.sigma.swap_values(cycle[0], cycle[1]), child.alpha)
-        assert glued.kappa == h.kappa, "gluing failed to restore the orbit count"
+        if glued.kappa != h.kappa:
+            raise ValueError("gluing failed to restore the orbit count")
         child = glued
     return child, eu, ev
 
@@ -179,7 +184,7 @@ def whitney_phi(h: Hypermap) -> WhitneyResult:
 def whitney_psi(h: Hypermap) -> WhitneyResult:
     """Same polynomial as whitney_phi, via the connectivity-preserving rule.
 
-    Every branch keeps its parent's orbit count, which is asserted, so a
+    Every branch keeps its parent's orbit count, which is checked, so a
     component never splits on the way down.
     """
     return _whitney_recursive(h, keep_connected=True)
@@ -204,6 +209,19 @@ def whitney_bruteforce(h: Hypermap) -> WhitneyResult:
     return WhitneyResult(poly, "brute", stats)
 
 
+def whitney_dp(h: Hypermap) -> WhitneyResult:
+    """The refinement sum from (kappa(sigma, beta), z(beta)) counts alone.
+
+    ``stats.nodes`` counts the DP states visited; there is no memo.
+    """
+    counts, states = refinement_profile(h)
+    zs = h.sigma.cycle_count
+    poly = BiPoly(
+        {(kb - h.kappa, kb + h.n - zb - zs): c for (kb, zb), c in counts.items()}
+    )
+    return WhitneyResult(poly, "dp", WhitneyStats(states, 0, len(poly.terms)))
+
+
 def whitney(h: Hypermap, method: str = "phi") -> WhitneyResult:
     if method == "brute":
         return whitney_bruteforce(h)
@@ -211,6 +229,8 @@ def whitney(h: Hypermap, method: str = "phi") -> WhitneyResult:
         return whitney_phi(h)
     if method == "psi":
         return whitney_psi(h)
+    if method == "dp":
+        return whitney_dp(h)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -245,15 +265,13 @@ def wet_dry_polynomial(h: Hypermap) -> BiPoly:
         = 2 g(sigma, beta) + z(beta^-1 sigma) - kappa(sigma, beta)
     with g(sigma, beta) = 0, so taking wet(beta) = kappa(sigma, beta) parts
     of the surface and dry(beta) = z(beta^-1 sigma) - kappa(sigma, beta)
-    gives sum u^wet v^dry = u^kappa(sigma, alpha) * R(u, v).  The selftest
-    and the tests compare the two sides.
+    gives sum u^wet v^dry = u^kappa(sigma, alpha) * R(u, v).  Genus zero
+    also gives z(beta^-1 sigma) = n + 2 kappa(sigma, beta) - z(sigma) - z(beta),
+    so the sum is read off ``refinement_profile``.  The selftest and the
+    tests compare it with the definitional sum and with u^kappa R.
     """
     if h.genus != 0:
         raise ValueError("wet/dry weights are only defined at genus zero")
-    sig = h.sigma
-
-    def term(beta: Permutation):
-        kb = orbit_count(sig, beta)
-        return (kb, (beta.inverse() * sig).cycle_count - kb), 1
-
-    return BiPoly(refinement_sum(h.alpha, term))
+    counts, _ = refinement_profile(h)
+    zs = h.sigma.cycle_count
+    return BiPoly({(kb, h.n + kb - zs - zb): c for (kb, zb), c in counts.items()})

@@ -65,6 +65,7 @@ from hypermaps.whitney import (
     pivot_cycle,
     specializations,
     whitney_bruteforce,
+    whitney_dp,
     whitney_phi,
     whitney_psi,
 )
@@ -211,7 +212,7 @@ def test_criterion_3_narayana():
     assert whitney_phi(three).polynomial == BiPoly.parse("u^2 + 3*u + 1")
 
 
-@criterion(4, "brute, phi and psi agree on the 520-member corpus")
+@criterion(4, "brute, phi, psi and dp agree on the 520-member corpus")
 def test_criterion_4_oracle_triangle(corpus):
     started = time.perf_counter()
     assert len(corpus) >= 500
@@ -223,6 +224,7 @@ def test_criterion_4_oracle_triangle(corpus):
         b = whitney_bruteforce(h).polynomial
         assert whitney_phi(h).polynomial == b
         assert whitney_psi(h).polynomial == b
+        assert whitney_dp(h).polynomial == b
         for _, _, eu, ev in walk_branches(h, keep_connected=False):
             assert (eu, ev) in allowed
         if h.is_connected:
@@ -422,7 +424,7 @@ def test_criterion_12_cli():
     first = run_cli(["selftest", "--seed=0"])
     second = run_cli(["selftest", "--seed=0"])
     assert first.returncode == 0
-    assert "28/28 checks passed" in first.stdout
+    assert "29/29 checks passed" in first.stdout
     assert first.stdout == second.stdout
     doc = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
     a = run_cli(["whitney", "--method=all", "--json"], doc)

@@ -35,7 +35,7 @@ def test_whitney_all_methods_agree():
     r = run_cli(["whitney", "--method=all"], RUNNING)
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert len(set(lines)) == 1
 
 
@@ -104,6 +104,10 @@ def test_circuit_partition():
     assert r.returncode == 0
     assert r.stdout.strip() == "2*x^3 + 5*x^2 + 3*x"
     r = run_cli(["circuit-partition", "--json"], RUNNING)
+    assert json.loads(r.stdout)["method"] == "dp"
+    torus = "sigma: (1 2 3 4)\nalpha: (1 3)(2 4)\n"
+    r = run_cli(["circuit-partition", "--json"], torus)
+    assert r.returncode == 0
     assert json.loads(r.stdout)["method"] == "states"
 
 
@@ -177,7 +181,7 @@ def test_from_digraph_rejects_unbalanced():
 def test_selftest_passes():
     r = run_cli(["selftest", "--n-max=4", "--seed=0"])
     assert r.returncode == 0
-    assert "28/28 checks passed" in r.stdout
+    assert "29/29 checks passed" in r.stdout
 
 
 def test_determinism_byte_identical():
@@ -195,6 +199,7 @@ def test_determinism_byte_identical():
 
 def test_answers_do_not_depend_on_assert():
     for args in (
+        ["whitney", "--method=dp"],
         ["wet-dry"],
         ["circuit-partition"],
         ["colorings", "--eulerian", "--m=2"],
@@ -317,10 +322,12 @@ PINNED = [
      {"memo_hits": 0, "nodes": 10, "terms": 5}),
     (["whitney", "--method=psi"], RUNNING, R_TEXT, R_TEXT, "psi",
      {"memo_hits": 3, "nodes": 8, "terms": 5}),
-    (["whitney", "--method=all"], RUNNING, "\n".join([R_TEXT] * 3),
-     {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT}, "all",
+    (["whitney", "--method=dp"], RUNNING, R_TEXT, R_TEXT, "dp",
+     {"memo_hits": 0, "nodes": 9, "terms": 5}),
+    (["whitney", "--method=all"], RUNNING, "\n".join([R_TEXT] * 4),
+     {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT, "dp": R_TEXT}, "all",
      {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 1, "nodes": 8},
-      "psi": {"memo_hits": 3, "nodes": 8}}),
+      "psi": {"memo_hits": 3, "nodes": 8}, "dp": {"memo_hits": 0, "nodes": 9}}),
     (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "phi",
      {"memo_hits": 1, "nodes": 8, "terms": 5}),
     (["genus"], RUNNING, "0", {"genus": 0, "kappa": 1}, "euler", {}),
@@ -334,10 +341,10 @@ PINNED = [
                       ["3-", "3+"]],
       "genus": 0}, "medial", {}),
     (["circuit-partition"], RUNNING, "2*x^3 + 5*x^2 + 3*x", "2*x^3 + 5*x^2 + 3*x",
-     "states", {}),
+     "dp", {}),
     (["wet-dry"], RUNNING, "u^3 + u^2*v + 4*u^2 + u*v + 3*u",
-     "u^3 + u^2*v + 4*u^2 + u*v + 3*u", "refinements", {}),
-    (["charpoly"], RUNNING, "t^2 - 3*t + 2", "t^2 - 3*t + 2", "mobius-sum", {}),
+     "u^3 + u^2*v + 4*u^2 + u*v + 3*u", "dp", {}),
+    (["charpoly"], RUNNING, "t^2 - 3*t + 2", "t^2 - 3*t + 2", "dp", {}),
     (["flowpoly"], RUNNING, "0", "0", "mobius-sum", {}),
     (["flows", "--q=3"], RUNNING, "3", {"count": 3, "dimension": 1, "q": 3},
      "nullspace", {}),
@@ -375,6 +382,7 @@ ok   mobius-recursion (Catalans m<=7, recursion on 91 intervals, products x20)
 ok   poly-print-parse (40 random polynomials, print/parse/print)
 ok   poly-ring-axioms (30 random triples)
 ok   whitney-three-routes (60 collections, brute == phi == psi)
+ok   whitney-frontier-dp (60 collections and unions, dp == brute)
 ok   whitney-multiplicative (25 disjoint unions and merges)
 ok   planar-duality (40 genus zero duals)
 ok   map-subset-expansion (40 maps against graph subset expansion)
@@ -394,7 +402,7 @@ ok   small-edge-theorems (20 collections with hyperedges <= 3, m = q = 2, 3)
 ok   flow-space-dimension (30 collections, q = 2, 3, 5)
 ok   digraph-roundtrip (50 Eulerian digraphs, medial round-trip)
 ok   valence-legality (10 instances, per-vertex valence vs global state)
-selftest: 28/28 checks passed (seed=0, n-max=4)
+selftest: 29/29 checks passed (seed=0, n-max=4)
 """
 
 
@@ -406,7 +414,7 @@ def test_pinned_selftest_outputs(monkeypatch, capsys):
         "input_echo": {"n_max": 4, "seed": 0},
         "result": [{"name": n, "ok": True, "detail": d} for n, d in checks],
         "method": "selftest",
-        "stats": {"passed": 28, "failed": 0},
+        "stats": {"passed": 29, "failed": 0},
     }
     rc, out, err = run_in_process(argv + ["--json"], "", monkeypatch, capsys)
     assert (rc, out, err) == (0, json_text(payload), "")
@@ -423,8 +431,8 @@ def test_whitney_check_reports_disagreement(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "whitney", skewed)
     expected = (
-        f"brute: {R_TEXT}\nphi: {R_TEXT}\npsi: u^2 + u*v + 4*u + v + 4\n"
-        "error: whitney methods disagree\n"
+        f"brute: {R_TEXT}\ndp: {R_TEXT}\nphi: {R_TEXT}\n"
+        "psi: u^2 + u*v + 4*u + v + 4\nerror: whitney methods disagree\n"
     )
     for argv in (["whitney", "--check"], ["whitney", "--method=psi", "--check"],
                  ["whitney", "--method=all", "--check", "--json"]):

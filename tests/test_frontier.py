@@ -1,0 +1,196 @@
+"""The frontier DP over the noncrossing stack (``refinement_profile``).
+
+Every invariant it serves is checked against its definition as a sum over
+the refinement stream: R against brute force, chi against the Moebius sum,
+the genus zero circuit partition polynomial against the medial state sum.
+"""
+
+import json
+import random
+import subprocess
+import sys
+
+import pytest
+
+from hypermaps.charflow import characteristic_polynomial
+from hypermaps.hypermap import Hypermap, orbit_count
+from hypermaps.medial import (
+    circuit_partition_polynomial,
+    genus_zero_circuit_partition,
+    medial_map,
+)
+from hypermaps.nclattice import (
+    catalan,
+    mobius_of_cycles,
+    refinement_profile,
+    refinement_sum,
+)
+from hypermaps.oracles import narayana
+from hypermaps.perm import Permutation
+from hypermaps.poly import BiPoly, UniPoly
+from hypermaps.selftest import (
+    random_collection,
+    random_permutation,
+    random_planar_connected,
+)
+from hypermaps.whitney import (
+    InstanceTooLarge,
+    wet_dry_polynomial,
+    whitney_bruteforce,
+    whitney_dp,
+)
+from test_whitney import wet_dry_definition
+
+
+def make(n, sigma_cycles, alpha_cycles):
+    return Hypermap(
+        Permutation.from_cycles(n, sigma_cycles),
+        Permutation.from_cycles(n, alpha_cycles),
+    )
+
+
+def seeded_collections(seed, count):
+    """Random collections with n <= 8, some of them disjoint unions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        h = random_collection(rng, n_max=8, max_cycle=rng.choice((2, 4, 8)))
+        if rng.random() < 0.25:
+            h = random_collection(rng, n_max=4).disjoint_union(
+                random_collection(rng, n_max=4)
+            )
+        out.append(h)
+    return out
+
+
+def chi_definition(h):
+    def term(beta):
+        return orbit_count(h.sigma, beta) - h.kappa, mobius_of_cycles(beta)
+
+    return UniPoly(refinement_sum(h.alpha, term))
+
+
+SPECIAL = [
+    make(0, [], []),
+    make(1, [], []),
+    make(5, [[1, 2, 3, 4, 5]], []),  # alpha all fixed points
+    make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]]),  # genus one
+    make(6, [[1, 4], [2, 5], [3, 6]], [[1, 2, 3, 4, 5, 6]]),
+    make(8, [], [[1, 2, 3, 4, 5, 6, 7, 8]]),
+]
+
+
+def test_dp_equals_brute_force():
+    corpus = SPECIAL + seeded_collections(71, 320)
+    assert any(h.genus > 0 for h in corpus)
+    assert sum(h.kappa > 1 for h in corpus) > 50
+    for h in corpus:
+        assert whitney_dp(h).polynomial == whitney_bruteforce(h).polynomial, h
+
+
+def test_chi_equals_moebius_sum():
+    for h in SPECIAL + seeded_collections(73, 150):
+        assert characteristic_polynomial(h) == chi_definition(h), h
+
+
+def test_block_weight_reaches_every_block():
+    # A distinct prime per block size tells the sizes apart.
+    primes = [0, 2, 3, 5, 7, 11, 13, 17, 19]
+    for h in seeded_collections(74, 60):
+        def term(beta):
+            value = 1
+            for c in beta.cycles():
+                value *= primes[len(c)]
+            return (orbit_count(h.sigma, beta), beta.cycle_count), value
+
+        counts, _ = refinement_profile(h, block_weight=primes.__getitem__)
+        assert counts == refinement_sum(h.alpha, term), h
+
+
+def test_wet_dry_equals_definition():
+    rng = random.Random(75)
+    for _ in range(60):
+        h = random_planar_connected(rng, n_max=8)
+        assert wet_dry_polynomial(h) == wet_dry_definition(h), h
+
+
+def test_genus_zero_circuit_partition_equals_state_sum():
+    rng = random.Random(76)
+    checked = 0
+    while checked < 60:
+        h = random_collection(rng, n_max=7, max_cycle=rng.choice((2, 4, 7)))
+        if h.genus != 0:
+            continue
+        j = circuit_partition_polynomial(medial_map(h))
+        assert genus_zero_circuit_partition(h) == j, h
+        checked += 1
+    torus = make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]])
+    with pytest.raises(ValueError):
+        genus_zero_circuit_partition(torus)
+
+
+def test_genus_zero_circuit_partition_keeps_the_state_cap():
+    h = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
+    for cap in (9, 10):
+        try:
+            expected = circuit_partition_polynomial(medial_map(h), max_states=cap)
+        except InstanceTooLarge as exc:
+            with pytest.raises(InstanceTooLarge, match=str(exc)):
+                genus_zero_circuit_partition(h, max_states=cap)
+        else:
+            assert genus_zero_circuit_partition(h, max_states=cap) == expected
+
+
+def test_answers_do_not_depend_on_labels():
+    rng = random.Random(77)
+    for _ in range(12):
+        h = random_planar_connected(rng, n_max=8)
+        h = h.disjoint_union(random_collection(rng, n_max=4))
+        answers = None
+        for _ in range(11):
+            g = h.relabel(random_permutation(rng, h.n))
+            got = (
+                whitney_dp(g).polynomial,
+                characteristic_polynomial(g),
+                wet_dry_polynomial(g) if g.genus == 0 else None,
+                genus_zero_circuit_partition(g) if g.genus == 0 else None,
+            )
+            answers = answers or got
+            assert got == answers, g
+
+
+def test_dp_states_on_identity_cycle():
+    """alpha = (1 2 ... 12) with sigma the identity has 208,012 refinements.
+
+    Every open block is its own class, so a state is just a stack depth and
+    the DP visits 68 states; a frontier that kept partial partitions apart
+    would grow with the Catalan numbers instead.
+    """
+    h = make(12, [], [list(range(1, 13))])
+    result = whitney_dp(h)
+    for k in range(1, 13):
+        assert result.polynomial.coefficient(k - 1, 0) == narayana(12, k)
+    assert result.stats.memo_hits == 0
+    assert result.stats.terms == 12
+    assert result.stats.nodes <= 80
+
+
+def test_cli_answers_twenty_point_cycle():
+    rng = random.Random(78)
+    n = 20
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    sigma = random_permutation(rng, n)
+    doc = (
+        "sigma: " + sigma.cycle_string() + "\n"
+        "alpha: (" + " ".join(map(str, points)) + ")\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-m", "hypermaps", "whitney", "--method=dp",
+         "--no-size-guard", "--json"],
+        input=doc, capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["method"] == "dp"
+    assert BiPoly.parse(payload["result"]).evaluate(1, 1) == catalan(n)

@@ -1,8 +1,11 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
-from hypermaps.hypermap import Hypermap, dual, merge_components
+from hypermaps.hypermap import Hypermap, dual, merge_components, orbit_count
+from hypermaps.nclattice import refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
 from hypermaps.selftest import random_collection
@@ -33,6 +36,10 @@ GOLDEN = BiPoly.parse("u^2 + u*v + 4*u + v + 3")
 def test_golden_value_three_routes():
     for method in ("brute", "phi", "psi"):
         assert whitney(RUNNING, method).polynomial == GOLDEN
+
+
+def test_golden_value_frontier_dp():
+    assert whitney(RUNNING, "dp").polynomial == GOLDEN
 
 
 def phi_expansion(h):
@@ -208,9 +215,23 @@ def test_specializations_of_golden():
     assert s.hyperbola == GOLDEN.hyperbola_section()
 
 
+def wet_dry_definition(h):
+    """The definitional wet/dry sum, over every refinement beta <= alpha, of
+
+        u^kappa(sigma, beta) v^(z(beta^-1 sigma) - kappa(sigma, beta)).
+    """
+    terms = {}
+    for beta in refinements(h.alpha):
+        kb = orbit_count(h.sigma, beta)
+        e = (kb, (beta.inverse() * h.sigma).cycle_count - kb)
+        terms[e] = terms.get(e, 0) + 1
+    return BiPoly(terms)
+
+
 def test_wet_dry_equals_kappa_shifted_polynomial():
     poly = wet_dry_polynomial(RUNNING)
     assert poly == GOLDEN * BiPoly.monomial(1, RUNNING.kappa, 0)
+    assert poly == wet_dry_definition(RUNNING)
     rng = random.Random(12)
     checked = 0
     while checked < 25:
@@ -218,6 +239,7 @@ def test_wet_dry_equals_kappa_shifted_polynomial():
         if h.genus == 0:
             shifted = whitney_phi(h).polynomial * BiPoly.monomial(1, h.kappa, 0)
             assert wet_dry_polynomial(h) == shifted
+            assert wet_dry_polynomial(h) == wet_dry_definition(h)
             checked += 1
 
 
@@ -238,3 +260,34 @@ def test_stats_populated():
     assert r.method == "phi"
     assert r.stats.nodes > 0
     assert r.stats.terms == len(GOLDEN.terms)
+
+
+def test_invariant_checks_raise_under_optimize():
+    """The branch weight and genus parity checks are not bare asserts."""
+    script = (
+        "import importlib\n"
+        "from hypermaps.hypermap import Hypermap\n"
+        "from hypermaps.perm import Permutation\n"
+        "h = Hypermap(Permutation.from_cycles(5, [[1, 4], [2, 5]]),\n"
+        "             Permutation.from_cycles(5, [[1, 2, 3], [4, 5]]))\n"
+        "ident = Permutation.identity(5)\n"
+        "hypermap = importlib.import_module('hypermaps.hypermap')\n"
+        "whitney = importlib.import_module('hypermaps.whitney')\n"
+        "whitney.phi_k = lambda g, cycle, k: Hypermap(ident, ident)\n"
+        "try:\n"
+        "    whitney.whitney_phi(h)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "hypermap.orbit_count = lambda p, q: 0\n"
+        "try:\n"
+        "    Hypermap(ident, ident)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    expected = "branch weight out of range: u^4\ngenus parity violated: -10\n"
+    for flags in ([], ["-O"]):
+        r = subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (0, expected, ""), flags

@@ -394,7 +394,7 @@ def _flows(args, doc: HypermapDocument):
 def _colorings(args, doc: HypermapDocument):
     if args.eulerian:
         count = eulerian_coloring_sum(doc.hypermap, args.m)
-        method = "eulerian-valence-sum"
+        method = "dp"
     else:
         count = proper_coloring_count(doc.hypermap, args.m)
         method = "proper-enumeration"

@@ -18,17 +18,21 @@ order.  Reading beta(i) = j off the matched pairs (i+, j-) gives a bijection
 with refinements beta <= alpha.  The circuits of a matching traverse i+ to
 sigma(i)- (an edge) and j- to its matched partner; the number of circuits is
 z(beta^-1 sigma), which the selftest and the tests check.
+
+The circuit partition polynomial j(x) = sum of x^(circuits) lists the
+states at positive genus; at genus zero it is read off the frontier DP, and
+so is the Eulerian edge-coloring sum j(colors).  The definitional coloring
+sum and the digraph isomorphism check are references in ``oracles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .hypermap import Hypermap
-from .nclattice import refinement_count, refinement_profile
+from .nclattice import catalan, refinement_count, refinement_profile
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
@@ -183,9 +187,10 @@ def coherent_matchings(m: EulerianMap) -> Iterator[Dict[int, int]]:
 
 
 def matching_count(m: EulerianMap) -> int:
+    """Cat(k) per vertex of 2k points: noncrossing chords join opposite signs."""
     total = 1
     for vc in m.vertices():
-        total *= len(vertex_matchings(vc))
+        total *= catalan(len(vc) // 2)
     return total
 
 
@@ -259,6 +264,20 @@ def genus_zero_circuit_partition(
     for (kb, zb), c in counts.items():
         terms[base + 2 * kb - zb] = terms.get(base + 2 * kb - zb, 0) + c
     return UniPoly(terms)
+
+
+def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:
+    """Sum over Eulerian edge colorings of the product of vertex valences.
+
+    Genus zero only.  A state with c circuits is compatible with exactly
+    colors^c colorings (color each circuit), so the sum is j(colors)
+    (Ellis-Monaghan 1998), read off the frontier DP.  The selftest and the
+    tests compare it and colors^kappa R(colors, colors) with the
+    definitional sum ``oracles.eulerian_valence_sum``.
+    """
+    if h.genus != 0:
+        raise ValueError("the coloring sum is only defined at genus zero")
+    return int(genus_zero_circuit_partition(h, max_states=None).evaluate(colors))
 
 
 @dataclass(frozen=True)
@@ -336,85 +355,3 @@ def from_eulerian_digraph(d: EulerianDigraph) -> Hypermap:
     return Hypermap(
         Permutation(sigma_img[1:]), Permutation.from_cycles(n, alpha_cycles)
     )
-
-
-def digraph_isomorphic(a: EulerianDigraph, b: EulerianDigraph) -> bool:
-    """Brute force directed multigraph isomorphism (small inputs only)."""
-    va, vb = a.vertices, b.vertices
-    if len(va) != len(vb) or len(a.edges) != len(b.edges):
-        return False
-
-    def profile(d: EulerianDigraph):
-        prof: Dict[int, List[int]] = {v: [0, 0, 0] for v in d.vertices}
-        for t, h in d.edges:
-            if t == h:
-                prof[t][2] += 1
-            else:
-                prof[t][0] += 1
-                prof[h][1] += 1
-        return prof
-
-    pa, pb = profile(a), profile(b)
-    if sorted(map(tuple, pa.values())) != sorted(map(tuple, pb.values())):
-        return False
-    edges_b = sorted(b.edges)
-    for perm in iter_permutations(vb):
-        mapping = dict(zip(va, perm))
-        if any(tuple(pa[v]) != tuple(pb[mapping[v]]) for v in va):
-            continue
-        mapped = sorted((mapping[t], mapping[h]) for t, h in a.edges)
-        if mapped == edges_b:
-            return True
-    return False
-
-
-def valence(cycle: Sequence[int], coloring: Dict[int, int]) -> int:
-    """Number of noncrossing matchings of one vertex joining equal colors."""
-    count = 0
-    for matching in vertex_matchings(cycle):
-        if all(coloring[p] == coloring[q] for p, q in matching):
-            count += 1
-    return count
-
-
-def eulerian_edge_colorings(m: EulerianMap, colors: int) -> Iterator[Dict[int, int]]:
-    """Colorings of the medial edges whose color classes are all Eulerian.
-
-    A coloring is emitted as a signed-point coloring (both ends of an edge
-    share its color).  The Eulerian condition is checked per vertex: every
-    color must cover as many minus as plus points there.
-    """
-    edge_list = m.edges()
-    vertex_of = m.sigma_prime.cycle_labels()
-    for assignment in product(range(colors), repeat=len(edge_list)):
-        point_color: Dict[int, int] = {}
-        balance: Dict[Tuple[int, int], int] = {}
-        for (p_plus, p_minus), c in zip(edge_list, assignment):
-            point_color[p_plus] = c
-            point_color[p_minus] = c
-            balance[(vertex_of[p_plus], c)] = balance.get((vertex_of[p_plus], c), 0) + 1
-            balance[(vertex_of[p_minus], c)] = (
-                balance.get((vertex_of[p_minus], c), 0) - 1
-            )
-        if all(b == 0 for b in balance.values()):
-            yield point_color
-
-
-def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:
-    """Sum over Eulerian edge colorings of the product of vertex valences.
-
-    Genus zero only.  Equals colors^kappa times the Whitney polynomial
-    evaluated at u = v = colors, which the selftest and the tests check.
-    """
-    if h.genus != 0:
-        raise ValueError("the coloring sum is only defined at genus zero")
-    m = medial_map(h)
-    total = 0
-    for coloring in eulerian_edge_colorings(m, colors):
-        prod = 1
-        for vc in m.vertices():
-            prod *= valence(vc, coloring)
-            if prod == 0:
-                break
-        total += prod
-    return total

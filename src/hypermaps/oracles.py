@@ -9,10 +9,12 @@ compare the fast routes against these.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from itertools import combinations, permutations, product
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .hypermap import Hypermap
+from .medial import EulerianDigraph, EulerianMap, medial_map, vertex_matchings
 from .poly import BiPoly, UniPoly
 
 
@@ -82,7 +84,8 @@ def graph_characteristic(nv: int, edges: Sequence[Tuple[int, int]]) -> UniPoly:
             sign = -1 if r % 2 else 1
             terms[c] = terms.get(c, 0) + sign
     poly = UniPoly(terms).shift_exponents(-c_full)
-    assert all(e >= 0 for e in poly.terms), "characteristic shift went negative"
+    if any(e < 0 for e in poly.terms):
+        raise ValueError("characteristic shift went negative")
     return poly
 
 
@@ -118,6 +121,78 @@ def map_euler_genus(h: Hypermap) -> int:
             raise ValueError("not a map")
         f = sum(1 for c in faces.cycles() if c[0] in pts)
         euler = v - e + f
-        assert (2 - euler) % 2 == 0
+        if euler % 2:
+            raise ValueError(f"odd Euler characteristic {euler} on a component")
         total += (2 - euler) // 2
     return total
+
+
+def valence(cycle: Sequence[int], coloring: Dict[int, int]) -> int:
+    """Number of noncrossing matchings of one vertex joining equal colors."""
+    return sum(
+        all(coloring[p] == coloring[q] for p, q in matching)
+        for matching in vertex_matchings(cycle)
+    )
+
+
+def eulerian_edge_colorings(m: EulerianMap, colors: int) -> Iterator[Dict[int, int]]:
+    """Colorings of the medial edges whose color classes are all Eulerian.
+
+    A coloring is emitted as a signed-point coloring (both ends of an edge
+    share its color).  The Eulerian condition is checked per vertex: every
+    color must cover as many minus as plus points there.
+    """
+    edge_list = m.edges()
+    vertex_of = m.sigma_prime.cycle_labels()
+    for assignment in product(range(colors), repeat=len(edge_list)):
+        point_color: Dict[int, int] = {}
+        balance: Counter = Counter()
+        for (p_plus, p_minus), c in zip(edge_list, assignment):
+            point_color[p_plus] = point_color[p_minus] = c
+            balance[vertex_of[p_plus], c] += 1
+            balance[vertex_of[p_minus], c] -= 1
+        if not any(balance.values()):
+            yield point_color
+
+
+def eulerian_valence_sum(h: Hypermap, colors: int) -> int:
+    """Sum over Eulerian edge colorings of the product of vertex valences.
+
+    The definition, enumerated: colors^n colorings of the medial edges, and
+    every noncrossing matching of every vertex for each of them.
+    """
+    m = medial_map(h)
+    return sum(
+        math.prod(valence(vc, coloring) for vc in m.vertices())
+        for coloring in eulerian_edge_colorings(m, colors)
+    )
+
+
+def digraph_isomorphic(a: EulerianDigraph, b: EulerianDigraph) -> bool:
+    """Brute force directed multigraph isomorphism (small inputs only)."""
+    va, vb = a.vertices, b.vertices
+    if len(va) != len(vb) or len(a.edges) != len(b.edges):
+        return False
+
+    def profile(d: EulerianDigraph):
+        prof: Dict[int, List[int]] = {v: [0, 0, 0] for v in d.vertices}
+        for t, h in d.edges:
+            if t == h:
+                prof[t][2] += 1
+            else:
+                prof[t][0] += 1
+                prof[h][1] += 1
+        return prof
+
+    pa, pb = profile(a), profile(b)
+    if sorted(map(tuple, pa.values())) != sorted(map(tuple, pb.values())):
+        return False
+    edges_b = sorted(b.edges)
+    for perm in permutations(vb):
+        mapping = dict(zip(va, perm))
+        if any(tuple(pa[v]) != tuple(pb[mapping[v]]) for v in va):
+            continue
+        mapped = sorted((mapping[t], mapping[h]) for t, h in a.edges)
+        if mapped == edges_b:
+            return True
+    return False

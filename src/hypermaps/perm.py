@@ -115,16 +115,6 @@ class Permutation:
     def cycle_count(self) -> int:
         return len(self.cycles())
 
-    def cycle_containing(self, i: int) -> Tuple[int, ...]:
-        img = self._image
-        cyc = [i]
-        j = img[i]
-        while j != i:
-            cyc.append(j)
-            j = img[j]
-        k = cyc.index(min(cyc))
-        return tuple(cyc[k:] + cyc[:k])
-
     def same_cycle(self, i: int, j: int) -> bool:
         if i == j:
             return True
@@ -135,9 +125,6 @@ class Permutation:
                 return True
             k = img[k]
         return False
-
-    def is_identity(self) -> bool:
-        return all(self._image[i] == i for i in range(1, len(self._image)))
 
     def relabel(self, r: "Permutation") -> "Permutation":
         """Conjugate by r: the result maps r(i) to r(self(i))."""

@@ -236,10 +236,6 @@ class BiPoly(_SparsePoly):
     def coefficient(self, eu: int, ev: int) -> int:
         return self.terms.get((eu, ev), 0)
 
-    @property
-    def constant_term(self) -> int:
-        return self.terms.get((0, 0), 0)
-
     def sorted_terms(self):
         return sorted(
             self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0])

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from hypermaps import cli
+from hypermaps import cli, medial
 from hypermaps.poly import BiPoly
+from hypermaps.whitney import whitney_phi
 
 RUNNING = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
 RUNNING_ECHO = {"n": 5, "sigma": [[1, 4], [2, 5], [3]], "alpha": [[1, 2, 3], [4, 5]]}
@@ -164,6 +165,30 @@ def test_colorings():
         assert r.stdout == "", argv
         assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, argv
         assert "--m" in r.stderr, argv
+
+
+def test_eulerian_coloring_sum_of_a_ten_cycle(monkeypatch, capsys):
+    # identity sigma on alpha = (1 ... 10): 2^10 colorings, each of which
+    # the definitional sum pairs with all 16,796 matchings of one vertex
+    doc = "sigma: (1)\nalpha: (" + " ".join(map(str, range(1, 11))) + ")\n"
+    h = cli.load_document(doc, "<stdin>").hypermap
+    want = 2 ** h.kappa * whitney_phi(h).polynomial.evaluate(2, 2)
+    argv = ["colorings", "--eulerian", "--m=2"]
+    assert run_in_process(argv, doc, monkeypatch, capsys) == (0, f"{want}\n", "")
+
+
+def test_positive_genus_state_cap_lists_no_matching(monkeypatch, capsys):
+    # a 14-cycle has Cat(14) = 2,674,440 states; the refusal counts them
+    # from Catalan numbers, without listing a single vertex matching
+    def refuse(cycle):
+        raise AssertionError("vertex matchings listed")
+
+    monkeypatch.setattr(medial, "vertex_matchings", refuse)
+    doc = "sigma: (1 3)(2 4)\nalpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
+    assert cli.load_document(doc, "<stdin>").hypermap.genus > 0
+    rc, out, err = run_in_process(["circuit-partition"], doc, monkeypatch, capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: 2674440 matchings exceed the cap of 1000000\n"
 
 
 def test_from_digraph():
@@ -353,7 +378,7 @@ PINNED = [
     (["colorings", "--m=2"], RUNNING, "0", {"count": 0, "m": 2},
      "proper-enumeration", {}),
     (["colorings", "--m=2", "--eulerian"], RUNNING, "42", {"count": 42, "m": 2},
-     "eulerian-valence-sum", {}),
+     "dp", {}),
     (["from-digraph"], DIGRAPH, "sigma: (1 2)\nalpha: (1)(2)",
      {"n": 2, "sigma": [[1, 2]], "alpha": [[1], [2]]}, "greedy-interleave", {}),
 ]

@@ -9,9 +9,7 @@ from hypermaps.medial import (
     circuit_partition_polynomial,
     circuits_of_state,
     coherent_matchings,
-    digraph_isomorphic,
     eulerian_coloring_sum,
-    eulerian_edge_colorings,
     from_eulerian_digraph,
     matching_count,
     matching_refinement,
@@ -21,10 +19,15 @@ from hypermaps.medial import (
     plus,
     signed_name,
     source_hypermap,
-    valence,
     vertex_matchings,
 )
 from hypermaps.nclattice import refinement_count, refinements
+from hypermaps.oracles import (
+    digraph_isomorphic,
+    eulerian_edge_colorings,
+    eulerian_valence_sum,
+    valence,
+)
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
 from hypermaps.selftest import random_collection, random_eulerian_digraph
@@ -90,7 +93,8 @@ def test_matching_count_equals_refinement_count():
     for _ in range(20):
         h = random_collection(rng, n_max=7)
         m = medial_map(h)
-        assert matching_count(m) == refinement_count(h.alpha)
+        states = sum(1 for _ in coherent_matchings(m))
+        assert matching_count(m) == states == refinement_count(h.alpha)
 
 
 def test_matching_refinement_bijection():
@@ -163,7 +167,8 @@ def test_map_state_count():
     h = make(4, [[1, 2], [3, 4]], [[1, 3], [2, 4]])
     m = medial_map(h)
     long_edges = sum(1 for c in h.alpha.cycles() if len(c) == 2)
-    assert matching_count(m) == 2 ** long_edges
+    states = sum(1 for _ in coherent_matchings(m))
+    assert matching_count(m) == states == 2 ** long_edges
 
 
 def test_eulerian_digraph_validation():
@@ -230,10 +235,30 @@ def test_map_collapse_to_monochromatic_count():
     total = 0
     for lam in eulerian_edge_colorings(m, 2):
         total += 2 ** monochromatic_vertex_count(m, lam)
-    assert total == eulerian_coloring_sum(h, 2)
+    assert total == eulerian_valence_sum(h, 2) == eulerian_coloring_sum(h, 2)
 
 
 def test_coloring_sum_rejects_positive_genus():
     torus = make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]])
     with pytest.raises(ValueError):
         eulerian_coloring_sum(torus, 2)
+
+
+def test_coloring_sum_equals_valence_reference():
+    # production reads j(m) off the frontier DP; the reference enumerates
+    # m^n colorings and the matchings of every vertex for each of them
+    rng = random.Random(33)
+    cases = [make(0, [], []), make(3, [[1, 2]], []), make(4, [[1, 2]], [[2, 3]])]
+    while len(cases) < 160:
+        h = random_collection(rng, n_max=5, max_cycle=rng.choice((1, 2, 4)))
+        if rng.random() < 0.3:
+            h = random_collection(rng, n_max=3).disjoint_union(
+                random_collection(rng, n_max=3)
+            )
+        if h.genus == 0:
+            cases.append(h)
+    assert sum(1 for h in cases if h.kappa > 1 and h.n > 3) >= 20
+    assert sum(1 for h in cases if 1 in map(len, h.alpha.cycles())) >= 50
+    for h in cases:
+        for colors in (0, 1, 2, 3, 5):
+            assert eulerian_coloring_sum(h, colors) == eulerian_valence_sum(h, colors)

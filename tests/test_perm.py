@@ -7,7 +7,7 @@ def test_identity():
     p = Permutation.identity(4)
     assert p.n == 4
     assert all(p(i) == i for i in range(1, 5))
-    assert p.is_identity()
+    assert p == Permutation([1, 2, 3, 4])
     assert p.cycle_count == 4
 
 
@@ -49,8 +49,8 @@ def test_dual_face_convention():
 
 def test_inverse():
     p = Permutation.from_cycles(6, [[1, 2, 3, 4], [5, 6]])
-    assert (p * p.inverse()).is_identity()
-    assert (p.inverse() * p).is_identity()
+    assert p * p.inverse() == Permutation.identity(6)
+    assert p.inverse() * p == Permutation.identity(6)
 
 
 def test_cycles_canonical_order():
@@ -70,7 +70,7 @@ def test_cycle_labels_with_fixed_points():
 
 def test_cycle_containing_and_same_cycle():
     p = Permutation.from_cycles(5, [[1, 3, 5]])
-    assert p.cycle_containing(3) == (1, 3, 5)
+    assert next(c for c in p.cycles() if 3 in c) == (1, 3, 5)
     assert p.same_cycle(1, 5)
     assert not p.same_cycle(1, 2)
 
@@ -105,7 +105,7 @@ def test_empty_permutation():
     p = Permutation.identity(0)
     assert p.n == 0
     assert p.cycle_count == 0
-    assert p.is_identity()
+    assert p == Permutation([])
 
 
 def test_hash_and_equality():

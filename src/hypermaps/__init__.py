@@ -15,7 +15,6 @@ from .medial import (
     EulerianDigraph,
     EulerianMap,
     circuit_partition_polynomial,
-    coherent_matchings,
     eulerian_coloring_sum,
     from_eulerian_digraph,
     medial_digraph,
@@ -41,6 +40,7 @@ from .charflow import (
     unique_nz_refinement,
     x_interval,
 )
+from .oracles import coherent_matchings
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 from .selftest import run_selftest

@@ -52,7 +52,6 @@ from .medial import (
     circuit_partition_polynomial,
     eulerian_coloring_sum,
     from_eulerian_digraph,
-    genus_zero_circuit_partition,
     medial_map,
     signed_name,
 )
@@ -354,11 +353,8 @@ def _medial(args, doc: HypermapDocument):
 def _circuit_partition(args, doc: HypermapDocument):
     h = doc.hypermap
     cap = None if args.no_size_guard else args.max_refinements
-    if h.genus == 0:
-        poly, method = genus_zero_circuit_partition(h, max_states=cap), "dp"
-    else:
-        poly = circuit_partition_polynomial(medial_map(h), max_states=cap)
-        method = "states"
+    poly = circuit_partition_polynomial(h, max_states=cap)
+    method = "dp" if h.genus == 0 else "states"
     return poly.to_string("x"), poly.to_string("x"), method, {}
 
 

@@ -121,8 +121,8 @@ class Hypermap:
             label[p] = i
         sig, alf = self.sigma._image, self.alpha._image
         return Hypermap(
-            Permutation([label[sig[p]] for p in points]),
-            Permutation([label[alf[p]] for p in points]),
+            Permutation._unchecked(tuple([0] + [label[sig[p]] for p in points])),
+            Permutation._unchecked(tuple([0] + [label[alf[p]] for p in points])),
         )
 
     def canonical_key(self):

@@ -12,27 +12,29 @@ the sigma'-cycle (i1-, i1+, i2-, i2+, ..., ik-, ik+).  Edges are the 2-cycles
 (i+, sigma(i)-).  This preserves genus, and z(sigma') = z(alpha),
 z(alpha') = n.
 
-A coherent matching pairs, inside every vertex independently, positive with
-negative points so that matched chords do not cross in the vertex's cyclic
-order.  Reading beta(i) = j off the matched pairs (i+, j-) gives a bijection
-with refinements beta <= alpha.  The circuits of a matching traverse i+ to
-sigma(i)- (an edge) and j- to its matched partner; the number of circuits is
-z(beta^-1 sigma), which the selftest and the tests check.
+A state (coherent matching) pairs, inside every vertex independently,
+positive with negative points so that matched chords do not cross in the
+vertex's cyclic order.  Reading beta(i) = j off the matched pairs (i+, j-)
+gives a bijection with refinements beta <= alpha.  The circuits of a state
+traverse i+ to sigma(i)- (an edge) and j- to its matched partner; their
+number is z(beta^-1 sigma).
 
-The circuit partition polynomial j(x) = sum of x^(circuits) lists the
-states at positive genus; at genus zero it is read off the frontier DP, and
-so is the Eulerian edge-coloring sum j(colors).  The definitional coloring
-sum and the digraph isomorphism check are references in ``oracles``.
+This module lists no states.  The circuit partition polynomial
+j(x) = sum of x^(circuits) is a sum over refinements: read off the frontier
+DP at genus zero, one refinement sum otherwise.  At genus zero the Eulerian
+edge-coloring sum is j(colors).  The listed state sum
+``oracles.circuit_state_sum``, the definitional coloring sum and the
+digraph isomorphism check are references in ``oracles``, which the
+selftest and the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .hypermap import Hypermap
-from .nclattice import catalan, refinement_count, refinement_profile
+from .nclattice import refinement_count, refinement_profile, refinement_sum
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
@@ -144,125 +146,32 @@ def source_hypermap(m: EulerianMap) -> Hypermap:
     )
 
 
-def vertex_matchings(cycle: Sequence[int]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """All noncrossing sign-alternating perfect matchings of one vertex.
-
-    The cycle is the sigma'-cycle of the vertex.  Matchings are tuples of
-    (plus point, minus point) pairs; chords may not cross in the cyclic
-    order and must join opposite signs.  Enumerated directly on positions
-    (match the first position, recurse inside and outside), independent of
-    the refinement machinery it is later compared against.
-    """
-
-    def rec(points: Tuple[int, ...]) -> List[Tuple[Tuple[int, int], ...]]:
-        if not points:
-            return [()]
-        head = points[0]
-        out: List[Tuple[Tuple[int, int], ...]] = []
-        for j in range(1, len(points), 2):
-            partner = points[j]
-            if is_plus(partner) == is_plus(head):
-                continue
-            pair = (head, partner) if is_plus(head) else (partner, head)
-            inside = rec(points[1:j])
-            outside = rec(points[j + 1 :])
-            for a in inside:
-                for b in outside:
-                    out.append((pair,) + a + b)
-        return out
-
-    return tuple(rec(tuple(cycle)))
-
-
-def coherent_matchings(m: EulerianMap) -> Iterator[Dict[int, int]]:
-    """All coherent matchings, as symmetric point-to-partner dicts."""
-    per_vertex = [vertex_matchings(vc) for vc in m.vertices()]
-    for combo in product(*per_vertex):
-        state: Dict[int, int] = {}
-        for group in combo:
-            for p_plus, p_minus in group:
-                state[p_plus] = p_minus
-                state[p_minus] = p_plus
-        yield state
-
-
-def matching_count(m: EulerianMap) -> int:
-    """Cat(k) per vertex of 2k points: noncrossing chords join opposite signs."""
-    total = 1
-    for vc in m.vertices():
-        total *= catalan(len(vc) // 2)
-    return total
-
-
-def matching_refinement(m: EulerianMap, matching: Dict[int, int]) -> Permutation:
-    """The refinement beta with beta(i) = j for each matched pair (i+, j-)."""
-    img = [0] * (m.n_base + 1)
-    for p in range(2, m.pair.n + 1, 2):
-        img[base(p)] = base(matching[p])
-    return Permutation(img[1:])
-
-
-def circuits_of_state(
-    m: EulerianMap, matching: Dict[int, int]
-) -> Tuple[Tuple[int, ...], ...]:
-    """Closed circuits: i+ goes to its edge partner sigma(i)-, j- to its partner."""
-    edge = m.alpha_prime
-    seen = set()
-    circuits: List[Tuple[int, ...]] = []
-    for start in range(1, m.pair.n + 1):
-        if start in seen:
-            continue
-        walk = []
-        p = start
-        while p not in seen:
-            seen.add(p)
-            walk.append(p)
-            p = edge(p) if is_plus(p) else matching[p]
-        circuits.append(tuple(walk))
-    return tuple(circuits)
-
-
-def _check_state_count(count: int, max_states: Optional[int]) -> None:
-    if max_states is not None and count > max_states:
-        raise InstanceTooLarge(f"{count} matchings exceed the cap of {max_states}")
-
-
 def circuit_partition_polynomial(
-    m: EulerianMap, max_states: Optional[int] = 10 ** 6
-) -> UniPoly:
-    """Sum of x^(number of circuits) over all coherent matchings.
-
-    Equals the refinement sum of x^(z(beta^-1 sigma)) over the source
-    hypermap, and x^kappa R(x, x) at genus zero; the selftest and the tests
-    check both.
-    """
-    _check_state_count(matching_count(m), max_states)
-    terms: Dict[int, int] = {}
-    for matching in coherent_matchings(m):
-        k = len(circuits_of_state(m, matching))
-        terms[k] = terms.get(k, 0) + 1
-    return UniPoly(terms)
-
-
-def genus_zero_circuit_partition(
     h: Hypermap, max_states: Optional[int] = 10 ** 6
 ) -> UniPoly:
-    """The circuit partition polynomial of medial_map(h), h of genus zero.
+    """Sum of x^(number of circuits) over the states of medial_map(h).
 
-    A state's circuit count is z(beta^-1 sigma) for its refinement beta,
-    which at genus zero is n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so
-    j(x) is read off ``refinement_profile`` without listing the states.
-    States and refinements correspond one to one, so the cap is the one of
-    ``circuit_partition_polynomial``.
+    States and refinements beta <= alpha correspond one to one, and the
+    state of beta has z(beta^-1 sigma) circuits, the cycle count of its
+    inverse sigma^-1 beta.  At genus zero that is
+    n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so j(x) is read off
+    ``refinement_profile``; otherwise it is one ``refinement_sum`` pass.
+    The cap counts the states from Catalan numbers before anything runs.
     """
+    if max_states is not None:
+        count = refinement_count(h.alpha)
+        if count > max_states:
+            raise InstanceTooLarge(f"{count} matchings exceed the cap of {max_states}")
     if h.genus != 0:
-        raise ValueError("the refinement route needs genus zero")
-    _check_state_count(refinement_count(h.alpha), max_states)
+        sinv = h.sigma.inverse()
+        return UniPoly(
+            refinement_sum(h.alpha, lambda beta: ((sinv * beta).cycle_count, 1))
+        )
     counts, _ = refinement_profile(h)
-    base = h.n - h.sigma.cycle_count
+    offset = h.n - h.sigma.cycle_count
     terms: Dict[int, int] = {}
     for (kb, zb), c in counts.items():
-        terms[base + 2 * kb - zb] = terms.get(base + 2 * kb - zb, 0) + c
+        terms[offset + 2 * kb - zb] = terms.get(offset + 2 * kb - zb, 0) + c
     return UniPoly(terms)
 
 
@@ -277,7 +186,7 @@ def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:
     """
     if h.genus != 0:
         raise ValueError("the coloring sum is only defined at genus zero")
-    return int(genus_zero_circuit_partition(h, max_states=None).evaluate(colors))
+    return int(circuit_partition_polynomial(h, max_states=None).evaluate(colors))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .hypermap import Hypermap
-from .medial import EulerianDigraph, EulerianMap, medial_map, vertex_matchings
+from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
+from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
 
@@ -125,6 +126,85 @@ def map_euler_genus(h: Hypermap) -> int:
             raise ValueError(f"odd Euler characteristic {euler} on a component")
         total += (2 - euler) // 2
     return total
+
+
+def vertex_matchings(cycle: Sequence[int]) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """All noncrossing sign-alternating perfect matchings of one vertex.
+
+    The cycle is the sigma'-cycle of the vertex.  Matchings are tuples of
+    (plus point, minus point) pairs; chords may not cross in the cyclic
+    order and must join opposite signs.  Enumerated directly on positions
+    (match the first position, recurse inside and outside), independent of
+    the refinement machinery it is compared against.
+    """
+
+    def rec(points: Tuple[int, ...]) -> List[Tuple[Tuple[int, int], ...]]:
+        if not points:
+            return [()]
+        head = points[0]
+        out: List[Tuple[Tuple[int, int], ...]] = []
+        for j in range(1, len(points), 2):
+            partner = points[j]
+            if is_plus(partner) == is_plus(head):
+                continue
+            pair = (head, partner) if is_plus(head) else (partner, head)
+            inside = rec(points[1:j])
+            outside = rec(points[j + 1 :])
+            for a in inside:
+                for b in outside:
+                    out.append((pair,) + a + b)
+        return out
+
+    return tuple(rec(tuple(cycle)))
+
+
+def coherent_matchings(m: EulerianMap) -> Iterator[Dict[int, int]]:
+    """All coherent matchings, as symmetric point-to-partner dicts."""
+    per_vertex = [vertex_matchings(vc) for vc in m.vertices()]
+    for combo in product(*per_vertex):
+        state: Dict[int, int] = {}
+        for group in combo:
+            for p_plus, p_minus in group:
+                state[p_plus] = p_minus
+                state[p_minus] = p_plus
+        yield state
+
+
+def matching_refinement(m: EulerianMap, matching: Dict[int, int]) -> Permutation:
+    """The refinement beta with beta(i) = j for each matched pair (i+, j-)."""
+    img = [0] * (m.n_base + 1)
+    for p in range(2, m.pair.n + 1, 2):
+        img[base(p)] = base(matching[p])
+    return Permutation(img[1:])
+
+
+def circuits_of_state(
+    m: EulerianMap, matching: Dict[int, int]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Closed circuits: i+ goes to its edge partner sigma(i)-, j- to its partner."""
+    edge = m.alpha_prime
+    seen = set()
+    circuits: List[Tuple[int, ...]] = []
+    for start in range(1, m.pair.n + 1):
+        if start in seen:
+            continue
+        walk = []
+        p = start
+        while p not in seen:
+            seen.add(p)
+            walk.append(p)
+            p = edge(p) if is_plus(p) else matching[p]
+        circuits.append(tuple(walk))
+    return tuple(circuits)
+
+
+def circuit_state_sum(m: EulerianMap) -> UniPoly:
+    """Sum of x^(number of circuits) over every coherent matching, listed."""
+    terms: Dict[int, int] = {}
+    for matching in coherent_matchings(m):
+        k = len(circuits_of_state(m, matching))
+        terms[k] = terms.get(k, 0) + 1
+    return UniPoly(terms)
 
 
 def valence(cycle: Sequence[int], coloring: Dict[int, int]) -> int:

@@ -33,6 +33,14 @@ class Permutation:
         self._cycles: Tuple[Tuple[int, ...], ...] | None = None
 
     @classmethod
+    def _unchecked(cls, img: Tuple[int, ...]) -> "Permutation":
+        """Wrap an image table (dummy 0 first) that is a permutation by construction."""
+        p = cls.__new__(cls)
+        p._image = img
+        p._cycles = None
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
@@ -50,7 +58,7 @@ class Permutation:
                 touched[a] = True
             for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
                 img[a] = b
-        return cls(img[1:])
+        return cls._unchecked(tuple(img))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
@@ -75,14 +83,14 @@ class Permutation:
         p, q = self._image, other._image
         if len(p) != len(q):
             raise ValueError("size mismatch")
-        return Permutation([p[q[i]] for i in range(1, len(p))])
+        return Permutation._unchecked(tuple([p[i] for i in q]))
 
     def inverse(self) -> "Permutation":
         img = self._image
         inv = [0] * len(img)
         for i in range(1, len(img)):
             inv[img[i]] = i
-        return Permutation(inv[1:])
+        return Permutation._unchecked(tuple(inv))
 
     def cycles(self) -> Tuple[Tuple[int, ...], ...]:
         """Canonical cycles: each starts at its minimum, sorted by minimum."""
@@ -130,20 +138,24 @@ class Permutation:
         """Conjugate by r: the result maps r(i) to r(self(i))."""
         img = self._image
         rimg = r._image
+        if len(rimg) != len(img):
+            raise ValueError("size mismatch")
         out = [0] * len(img)
         for i in range(1, len(img)):
             out[rimg[i]] = rimg[img[i]]
-        return Permutation(out[1:])
+        return Permutation._unchecked(tuple(out))
 
     def swap_values(self, i: int, j: int) -> "Permutation":
         """(i, j) * self, computed without building the transposition."""
         img = list(self._image)
+        if not (1 <= i < len(img) and 1 <= j < len(img)):
+            raise ValueError(f"point out of range 1..{self.n}")
         for k in range(1, len(img)):
             if img[k] == i:
                 img[k] = j
             elif img[k] == j:
                 img[k] = i
-        return Permutation(img[1:])
+        return Permutation._unchecked(tuple(img))
 
     def cycle_string(self) -> str:
         if self.n == 0:

@@ -20,6 +20,7 @@ from .nclattice import (
     is_refinement,
     mobius,
     noncrossing_partitions,
+    refinement_count,
     refinements,
 )
 from .perm import Permutation
@@ -373,9 +374,9 @@ def _check_matching_bijection(rng: random.Random, n_max: int) -> str:
         m = medial.medial_map(h)
         betas = sorted(b.image for b in refinements(h.alpha))
         matched = []
-        for mu in medial.coherent_matchings(m):
-            beta = medial.matching_refinement(m, mu)
-            circuits = medial.circuits_of_state(m, mu)
+        for mu in oracles.coherent_matchings(m):
+            beta = oracles.matching_refinement(m, mu)
+            circuits = oracles.circuits_of_state(m, mu)
             _require(len(circuits) == (beta.inverse() * h.sigma).cycle_count)
             matched.append(beta.image)
         _require(betas == sorted(matched))
@@ -386,8 +387,7 @@ def _check_circuit_polynomial(rng: random.Random, n_max: int) -> str:
     trials = 25
     for _ in range(trials):
         h = random_planar_connected(rng, min(n_max, 7))
-        m = medial.medial_map(h)
-        j = medial.circuit_partition_polynomial(m)
+        j = medial.circuit_partition_polynomial(h)
         r = whitney_bruteforce(h).polynomial
         expected = UniPoly.zero()
         for (eu, ev), c in r.terms.items():
@@ -395,6 +395,7 @@ def _check_circuit_polynomial(rng: random.Random, n_max: int) -> str:
             e = h.kappa + eu + ev
             expected = expected + UniPoly.monomial(c, e)
         _require(j == expected)
+        _require(oracles.circuit_state_sum(medial.medial_map(h)) == expected)
     return f"{trials} genus zero instances, j(x) == x^kappa R(x, x)"
 
 
@@ -404,8 +405,8 @@ def _check_map_states(rng: random.Random, n_max: int) -> str:
         h = random_map(rng, n_max)
         m = medial.medial_map(h)
         edges = sum(1 for c in h.alpha.cycles() if len(c) == 2)
-        states = sum(1 for _ in medial.coherent_matchings(m))
-        _require(medial.matching_count(m) == states == 2 ** edges)
+        states = sum(1 for _ in oracles.coherent_matchings(m))
+        _require(refinement_count(h.alpha) == states == 2 ** edges)
     return f"{trials} maps, 2^edges coherent states"
 
 
@@ -532,7 +533,7 @@ def _check_valence_legality(rng: random.Random, n_max: int) -> str:
             )
             exists = any(
                 all(coloring[p] == coloring[mu[p]] for p in mu)
-                for mu in medial.coherent_matchings(m)
+                for mu in oracles.coherent_matchings(m)
             )
             _require(per_vertex == exists)
         done += 1

@@ -100,7 +100,7 @@ def _replace_cycle(alpha: Permutation, cycle: Tuple[int, ...], k: int) -> Permut
     for piece in pieces:
         for a, b in zip(piece, piece[1:] + piece[:1]):
             img[a] = b
-    return Permutation(img[1:])
+    return Permutation._unchecked(tuple(img))
 
 
 def phi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hypermaps import cli, medial
+from hypermaps import cli, medial, nclattice
 from hypermaps.poly import BiPoly
 from hypermaps.whitney import whitney_phi
 
@@ -177,18 +177,34 @@ def test_eulerian_coloring_sum_of_a_ten_cycle(monkeypatch, capsys):
     assert run_in_process(argv, doc, monkeypatch, capsys) == (0, f"{want}\n", "")
 
 
-def test_positive_genus_state_cap_lists_no_matching(monkeypatch, capsys):
+def refused_without_listing(doc, monkeypatch, capsys):
     # a 14-cycle has Cat(14) = 2,674,440 states; the refusal counts them
-    # from Catalan numbers, without listing a single vertex matching
-    def refuse(cycle):
-        raise AssertionError("vertex matchings listed")
+    # from Catalan numbers, without listing a refinement or running the DP
+    def refuse(*args, **kwargs):
+        raise AssertionError("states listed")
 
-    monkeypatch.setattr(medial, "vertex_matchings", refuse)
-    doc = "sigma: (1 3)(2 4)\nalpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
-    assert cli.load_document(doc, "<stdin>").hypermap.genus > 0
+    monkeypatch.setattr(nclattice, "refinements", refuse)
+    monkeypatch.setattr(medial, "refinement_profile", refuse)
     rc, out, err = run_in_process(["circuit-partition"], doc, monkeypatch, capsys)
     assert (rc, out) == (2, "")
     assert err == "error: 2674440 matchings exceed the cap of 1000000\n"
+
+
+FOURTEEN_CYCLE = "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
+
+
+def test_positive_genus_state_cap_lists_no_matching(monkeypatch, capsys):
+    doc = "sigma: (1 3)(2 4)\n" + FOURTEEN_CYCLE
+    assert cli.load_document(doc, "<stdin>").hypermap.genus > 0
+    refused_without_listing(doc, monkeypatch, capsys)
+
+
+def test_genus_zero_state_cap_lists_no_refinement(monkeypatch, capsys):
+    # nested pairs (1 14)(2 13)...(7 8) keep the DP from collapsing states
+    doc = "sigma: " + "".join(f"({i} {15 - i})" for i in range(1, 8)) + "\n"
+    doc += FOURTEEN_CYCLE
+    assert cli.load_document(doc, "<stdin>").hypermap.genus == 0
+    refused_without_listing(doc, monkeypatch, capsys)
 
 
 def test_from_digraph():
@@ -237,6 +253,11 @@ def test_answers_do_not_depend_on_assert():
         optimized = run_cli(args, RUNNING, python_flags=["-O"])
         assert normal.returncode == optimized.returncode == 0, args
         assert optimized.stdout == normal.stdout, args
+    torus = "sigma: (1 2 3 4)\nalpha: (1 3)(2 4)\n"
+    normal = run_cli(["circuit-partition"], torus)
+    optimized = run_cli(["circuit-partition"], torus, python_flags=["-O"])
+    assert normal.returncode == optimized.returncode == 0
+    assert optimized.stdout == normal.stdout
 
 
 def test_selftest_reports_failures_under_optimize():

@@ -2,7 +2,7 @@
 
 Every invariant it serves is checked against its definition as a sum over
 the refinement stream: R against brute force, chi against the Moebius sum,
-the genus zero circuit partition polynomial against the medial state sum.
+the circuit partition polynomial against the listed medial state sum.
 """
 
 import json
@@ -14,18 +14,14 @@ import pytest
 
 from hypermaps.charflow import characteristic_polynomial
 from hypermaps.hypermap import Hypermap, orbit_count
-from hypermaps.medial import (
-    circuit_partition_polynomial,
-    genus_zero_circuit_partition,
-    medial_map,
-)
+from hypermaps.medial import circuit_partition_polynomial, medial_map
 from hypermaps.nclattice import (
     catalan,
     mobius_of_cycles,
     refinement_profile,
     refinement_sum,
 )
-from hypermaps.oracles import narayana
+from hypermaps.oracles import circuit_state_sum, narayana
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
 from hypermaps.selftest import (
@@ -114,31 +110,39 @@ def test_wet_dry_equals_definition():
         assert wet_dry_polynomial(h) == wet_dry_definition(h), h
 
 
-def test_genus_zero_circuit_partition_equals_state_sum():
-    rng = random.Random(76)
+def circuit_partitions_against_state_sum(seed, genus_zero):
+    rng = random.Random(seed)
     checked = 0
     while checked < 60:
         h = random_collection(rng, n_max=7, max_cycle=rng.choice((2, 4, 7)))
-        if h.genus != 0:
+        if (h.genus == 0) != genus_zero:
             continue
-        j = circuit_partition_polynomial(medial_map(h))
-        assert genus_zero_circuit_partition(h) == j, h
+        assert circuit_partition_polynomial(h) == circuit_state_sum(medial_map(h)), h
         checked += 1
+
+
+def test_genus_zero_circuit_partition_equals_state_sum():
+    circuit_partitions_against_state_sum(76, genus_zero=True)
+
+
+def test_positive_genus_circuit_partition_equals_state_sum():
+    circuit_partitions_against_state_sum(79, genus_zero=False)
     torus = make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]])
-    with pytest.raises(ValueError):
-        genus_zero_circuit_partition(torus)
+    assert circuit_partition_polynomial(torus) == circuit_state_sum(medial_map(torus))
 
 
 def test_genus_zero_circuit_partition_keeps_the_state_cap():
-    h = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
-    for cap in (9, 10):
-        try:
-            expected = circuit_partition_polynomial(medial_map(h), max_states=cap)
-        except InstanceTooLarge as exc:
-            with pytest.raises(InstanceTooLarge, match=str(exc)):
-                genus_zero_circuit_partition(h, max_states=cap)
-        else:
-            assert genus_zero_circuit_partition(h, max_states=cap) == expected
+    # the refinements are counted from Catalan numbers at every genus
+    running = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
+    torus = make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]])
+    assert (running.genus, torus.genus) == (0, 1)
+    for h, states in ((running, 10), (torus, 4)):
+        message = f"^{states} matchings exceed the cap of {states - 1}$"
+        with pytest.raises(InstanceTooLarge, match=message):
+            circuit_partition_polynomial(h, max_states=states - 1)
+        expected = circuit_state_sum(medial_map(h))
+        assert circuit_partition_polynomial(h, max_states=states) == expected
+        assert circuit_partition_polynomial(h, max_states=None) == expected
 
 
 def test_answers_do_not_depend_on_labels():
@@ -153,7 +157,7 @@ def test_answers_do_not_depend_on_labels():
                 whitney_dp(g).polynomial,
                 characteristic_polynomial(g),
                 wet_dry_polynomial(g) if g.genus == 0 else None,
-                genus_zero_circuit_partition(g) if g.genus == 0 else None,
+                circuit_partition_polynomial(g),
             )
             answers = answers or got
             assert got == answers, g

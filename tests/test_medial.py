@@ -7,30 +7,30 @@ from hypermaps.medial import (
     EulerianDigraph,
     base,
     circuit_partition_polynomial,
-    circuits_of_state,
-    coherent_matchings,
     eulerian_coloring_sum,
     from_eulerian_digraph,
-    matching_count,
-    matching_refinement,
     medial_digraph,
     medial_map,
     minus,
     plus,
     signed_name,
     source_hypermap,
-    vertex_matchings,
 )
 from hypermaps.nclattice import refinement_count, refinements
 from hypermaps.oracles import (
+    circuit_state_sum,
+    circuits_of_state,
+    coherent_matchings,
     digraph_isomorphic,
     eulerian_edge_colorings,
     eulerian_valence_sum,
+    matching_refinement,
     valence,
+    vertex_matchings,
 )
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
-from hypermaps.selftest import random_collection, random_eulerian_digraph
+from hypermaps.selftest import random_collection, random_eulerian_digraph, random_map
 from hypermaps.whitney import whitney_phi
 
 
@@ -94,14 +94,14 @@ def test_matching_count_equals_refinement_count():
         h = random_collection(rng, n_max=7)
         m = medial_map(h)
         states = sum(1 for _ in coherent_matchings(m))
-        assert matching_count(m) == states == refinement_count(h.alpha)
+        assert states == refinement_count(h.alpha)
 
 
 def test_matching_refinement_bijection():
     m = medial_map(LOOKALIKE)
     seen = {matching_refinement(m, mu) for mu in coherent_matchings(m)}
     assert seen == set(refinements(LOOKALIKE.alpha))
-    assert len(seen) == matching_count(m)
+    assert len(seen) == refinement_count(LOOKALIKE.alpha)
 
 
 def test_worked_matching_two_circuits():
@@ -140,7 +140,7 @@ def test_circuit_count_matches_face_formula():
 
 
 def test_circuit_partition_polynomial_golden():
-    poly = circuit_partition_polynomial(medial_map(RUNNING))
+    poly = circuit_partition_polynomial(RUNNING)
     assert poly == UniPoly.parse("2*x^3 + 5*x^2 + 3*x", var="x")
 
 
@@ -150,7 +150,7 @@ def test_circuit_partition_theorem_on_genus_zero():
         h = random_collection(rng, n_max=6)
         if h.genus != 0 or h.n == 0:
             continue
-        j = circuit_partition_polynomial(medial_map(h))
+        j = circuit_partition_polynomial(h)
         r = whitney_phi(h).polynomial
         # j(x) = x^kappa R(x, x): compare by evaluation
         for x in (1, 2, 3, 5):
@@ -159,7 +159,7 @@ def test_circuit_partition_theorem_on_genus_zero():
 
 def test_single_fixed_point_polynomial():
     h = make(1, [], [])
-    assert circuit_partition_polynomial(medial_map(h)) == UniPoly({1: 1})
+    assert circuit_partition_polynomial(h) == UniPoly({1: 1})
 
 
 def test_map_state_count():
@@ -168,7 +168,61 @@ def test_map_state_count():
     m = medial_map(h)
     long_edges = sum(1 for c in h.alpha.cycles() if len(c) == 2)
     states = sum(1 for _ in coherent_matchings(m))
-    assert matching_count(m) == states == 2 ** long_edges
+    assert refinement_count(h.alpha) == states == 2 ** long_edges
+
+
+def bareiss_determinant(matrix):
+    """Exact integer determinant by fraction-free Gaussian elimination."""
+    a = [list(row) for row in matrix]
+    size, sign, pivot = len(a), 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivot
+        pivot = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
+def euler_circuit_count(d):
+    """BEST theorem: t_w times the product of (outdeg - 1)! over vertices.
+
+    t_w, the number of spanning arborescences oriented towards w, is the
+    minor of L = D_out - A without w's row and column (loops cancel out of
+    L).  Every medial vertex of a map has out-degree at most 2, so each
+    factorial is 1.
+    """
+    index = {v: k for k, v in enumerate(d.vertices)}
+    size = len(index)
+    lap = [[0] * size for _ in range(size)]
+    for t, head in d.edges:
+        lap[index[t]][index[t]] += 1
+        lap[index[t]][index[head]] -= 1
+    return bareiss_determinant([row[1:] for row in lap[1:]])
+
+
+def test_single_circuits_of_maps_are_euler_circuits():
+    # j's coefficient of x counts the states with one circuit, which are the
+    # Euler circuits of the directed medial graph
+    disconnected = make(4, [[1, 2], [3, 4]], [[1, 2], [3, 4]])
+    assert disconnected.kappa == 2
+    assert circuit_partition_polynomial(disconnected).coefficient(1) == 0
+    assert euler_circuit_count(medial_digraph(disconnected)) == 0
+    rng = random.Random(41)
+    positive = 0
+    while positive < 60:
+        h = random_map(rng, 9)
+        assert h.is_map
+        positive += h.genus > 0
+        d = medial_digraph(h)
+        assert max(sum(t == v for t, _ in d.edges) for v in d.vertices) <= 2
+        single = circuit_partition_polynomial(h).coefficient(1)
+        assert single == euler_circuit_count(d), h
 
 
 def test_eulerian_digraph_validation():

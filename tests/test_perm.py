@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from hypermaps.perm import Permutation, cycle_count_on
+from hypermaps.selftest import random_collection, random_permutation
+from hypermaps.whitney import _replace_cycle
 
 
 def test_identity():
@@ -22,6 +26,47 @@ def test_from_cycles_fixed_points_implicit():
     p = Permutation.from_cycles(4, [[2, 3]])
     assert p(1) == 1 and p(4) == 4
     assert p.cycles() == ((1,), (2, 3), (4,))
+
+
+def test_builders_equal_checked_permutations():
+    # these builders skip the image check of Permutation(images), since
+    # their results are permutations by construction
+    rng = random.Random(17)
+    for _ in range(200):
+        h = random_collection(rng, n_max=9)
+        n = h.n
+        p, q, r = h.sigma, h.alpha, random_permutation(rng, n)
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        built = [
+            p.inverse(),
+            p * q,
+            p.swap_values(i, j),
+            p.relabel(r),
+            Permutation.from_cycles(n, rng.sample(p.cycles(), p.cycle_count)),
+        ]
+        cycle = max(q.cycles(), key=len)
+        if len(cycle) >= 2:
+            built.append(_replace_cycle(q, cycle, rng.randint(1, len(cycle))))
+        for comp in h.components():
+            part = h.restrict(comp)
+            built += [part.sigma, part.alpha]
+        for b in built:
+            checked = Permutation(b.image)
+            assert b == checked and hash(b) == hash(checked)
+            assert b.cycles() == checked.cycles()
+
+
+def test_checked_construction_still_raises():
+    for images in ([1, 1], [0, 1], [2, 3], [1, 2.0]):
+        with pytest.raises(ValueError):
+            Permutation(images)
+    with pytest.raises(ValueError):
+        Permutation.from_cycles(3, [[1, 2, 1]])
+    p = Permutation.identity(3)
+    with pytest.raises(ValueError):
+        p.swap_values(1, 4)
+    with pytest.raises(ValueError):
+        p.relabel(Permutation.identity(4))
 
 
 def test_from_cycles_rejects_duplicates():

@@ -145,6 +145,8 @@ def _build_document(
     for key, cycles in (("sigma", sigma_cycles), ("alpha", alpha_cycles)):
         seen = set()
         for cyc in cycles:
+            if not cyc:
+                raise InputError(f"{where[key]}: empty cycle")
             for p in cyc:
                 if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                     raise InputError(f"{where[key]}: bad point {p!r}")
@@ -224,6 +226,8 @@ def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocumen
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{filename}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{filename}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise InputError(f"{filename}: top level must be an object")
     unknown = set(obj) - {"n", "sigma", "alpha", "name"}

@@ -109,20 +109,25 @@ class Hypermap:
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
-    def restrict(self, points: Tuple[int, ...]) -> "Hypermap":
-        """The pair on a sorted union of components, relabeled onto 1..m.
+    def component_images(
+        self, points: Tuple[int, ...]
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Image tables of sigma and alpha on a sorted union of components.
 
-        Points keep their relative order: the i-th smallest becomes i.
+        The points are relabeled onto 1..m, keeping their relative order:
+        the i-th smallest becomes i.  Each table has the dummy 0 first, as
+        in ``Permutation._image``; on the whole point set they are sigma's
+        and alpha's own.
         """
+        sig, alf = self.sigma._image, self.alpha._image
         if len(points) == self.n:
-            return self
+            return sig, alf
         label = [0] * (self.n + 1)
         for i, p in enumerate(points, 1):
             label[p] = i
-        sig, alf = self.sigma._image, self.alpha._image
-        return Hypermap(
-            Permutation._unchecked(tuple([0] + [label[sig[p]] for p in points])),
-            Permutation._unchecked(tuple([0] + [label[alf[p]] for p in points])),
+        return (
+            tuple([0] + [label[sig[p]] for p in points]),
+            tuple([0] + [label[alf[p]] for p in points]),
         )
 
     def canonical_key(self):

@@ -71,18 +71,22 @@ def noncrossing_partitions(m: int) -> Tuple[Partition, ...]:
     return tuple(result)
 
 
-def cycle_refinements(cycle: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Refinements of one cycle, each given as a tuple of cycles.
+def cycle_refinement_images(cycle: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Refinements of one cycle, each given as the images of its points.
 
-    A block {p1 < p2 < ...} of positions becomes the cycle visiting the
-    corresponding points in the order they appear along the parent cycle,
-    starting from the block's point that shows up first after the parent
-    cycle's starting point.  That orientation is the unique genus zero one.
+    The i-th entry of a refinement's tuple is the image of ``cycle[i]``.  A
+    block {p1 < p2 < ...} of positions becomes the cycle visiting the
+    corresponding points in the order they appear along the parent cycle.
+    That orientation is the unique genus zero one.
     """
     out = []
     for part in noncrossing_partitions(len(cycle)):
-        out.append(tuple(tuple(cycle[p] for p in block) for block in part))
-    return tuple(out)
+        img = [0] * len(cycle)
+        for block in part:
+            for p, q in zip(block, block[1:] + block[:1]):
+                img[p] = cycle[q]
+        out.append(tuple(img))
+    return out
 
 
 def refinement_count(alpha: Permutation) -> int:
@@ -94,13 +98,16 @@ def refinement_count(alpha: Permutation) -> int:
 
 def refinements(alpha: Permutation) -> Iterator[Permutation]:
     """All beta with beta <= alpha, deterministically ordered."""
-    n = alpha.n
-    per_cycle = [cycle_refinements(c) for c in alpha.cycles()]
+    cycles = alpha.cycles()
+    per_cycle = [cycle_refinement_images(c) for c in cycles]
+    size = alpha.n + 1
     for choice in product(*per_cycle):
-        cycles: List[Tuple[int, ...]] = []
-        for group in choice:
-            cycles.extend(group)
-        yield Permutation.from_cycles(n, cycles)
+        # the cycles cover every point once, fixed points included
+        img = [0] * size
+        for c, images in zip(cycles, choice):
+            for p, q in zip(c, images):
+                img[p] = q
+        yield Permutation._unchecked(tuple(img))
 
 
 def refinement_sum(

@@ -38,16 +38,23 @@ The polynomial is multiplicative over disjoint unions, so phi and psi work
 one connected component at a time.  The input and every branch collection
 are split into components; a component whose hyperedges are all fixed
 points contributes 1, and every other one is relabeled onto 1..m in
-increasing point order, expanded, and multiplied in.  Each component's
-polynomial is memoized under its exact canonical key
-(``Hypermap.canonical_key``), so a branch that differs from a solved one
-only in an already solved component costs one lookup.  ``WhitneyStats``
-counts component visits as nodes, memo hits included.
+increasing point order, expanded, and multiplied in.  Two lookups, both
+living for one call, spare the expansion.  First the component's image
+tables on 1..m (``Hypermap.component_images``) are looked up in an exact
+index of the components already solved; a hit builds no ``Hypermap`` and
+computes no key.  Otherwise the component is built and its polynomial is
+memoized under its exact canonical key (``Hypermap.canonical_key``), so an
+isomorphic copy under other labels is solved once too; the result is then
+indexed under its images.  ``WhitneyStats`` counts component visits as
+nodes, and visits answered by either lookup as memo hits.  A branch's
+weight u^eu v^ev is added in as a shift of its terms' exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 from typing import Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
@@ -140,23 +147,40 @@ def branch(
 
 def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     memo: dict = {}
+    exact: dict = {}
     stats = WhitneyStats()
 
     def product(g: Hypermap) -> BiPoly:
         # R is multiplicative over components, and a component whose
         # hyperedges are all fixed points contributes 1.
         alf = g.alpha._image
-        pieces = []
+        factors = []
+        misses: dict = {}  # images not indexed yet -> number of copies
         for comp in g.components():
             if any(alf[p] != p for p in comp):
-                piece = g.restrict(comp)
-                pieces.append((piece.canonical_key(), piece))
+                images = g.component_images(comp)
+                if images in exact:
+                    stats.nodes += 1
+                    stats.memo_hits += 1
+                    factors.append(exact[images])
+                else:
+                    misses[images] = misses.get(images, 0) + 1
+        pieces = []
+        for images, copies in misses.items():
+            if g.kappa == 1:
+                piece = g
+            else:
+                piece = Hypermap(*map(Permutation._unchecked, images))
+            pieces.append((piece.canonical_key(), images, piece, copies))
         # Solving in key order keeps the work independent of the labels.
-        pieces.sort(key=lambda kp: kp[0])
-        total = BiPoly.const(1)
-        for key, piece in pieces:
-            total = total * component(key, piece)
-        return total
+        pieces.sort(key=lambda piece: piece[0])
+        for key, images, piece, copies in pieces:
+            exact[images] = poly = component(key, piece)
+            # further copies of one labelled component are memo hits too
+            stats.nodes += copies - 1
+            stats.memo_hits += copies - 1
+            factors += [poly] * copies
+        return reduce(mul, factors) if factors else BiPoly.const(1)
 
     def component(key, g: Hypermap) -> BiPoly:
         stats.nodes += 1
@@ -165,14 +189,21 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
             stats.memo_hits += 1
             return cached
         pivot = pivot_cycle(g.alpha)
-        total = BiPoly.zero()
+        terms: dict = {}
         for k in range(1, len(pivot) + 1):
             child, eu, ev = branch(g, pivot, k, keep_connected)
-            total = total + product(child) * BiPoly.monomial(1, eu, ev)
+            for (a, b), c in product(child).terms.items():
+                t = (a + eu, b + ev)
+                terms[t] = terms.get(t, 0) + c
+        total = BiPoly(terms)
         memo[key] = total
         return total
 
     poly = product(h)
+    # product and component refer to each other, a reference cycle that
+    # only the cyclic collector would free, so release the caches now
+    memo.clear()
+    exact.clear()
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "psi" if keep_connected else "phi", stats)
 

@@ -320,6 +320,8 @@ def test_malformed_inputs_diagnose_cleanly():
         "sigma: (1 2)\nalpha: (1 3)\nn: 2\n",    # out of range
         '{"sigma": [[1, 2]]}',                   # missing alpha key
         '{"sigma": [[1, 2]], "alpha": "x"}',     # wrong type
+        '{"sigma": [], "alpha": [[]]}',          # empty cycle
+        '{"sigma": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",  # nested too deeply
         "{not json",                             # invalid json
     ]
     for doc in cases:

@@ -1,7 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
 
+from hypermaps.nclattice import refinements
 from hypermaps.perm import Permutation, cycle_count_on
 from hypermaps.selftest import random_collection, random_permutation
 from hypermaps.whitney import _replace_cycle
@@ -48,8 +50,8 @@ def test_builders_equal_checked_permutations():
         if len(cycle) >= 2:
             built.append(_replace_cycle(q, cycle, rng.randint(1, len(cycle))))
         for comp in h.components():
-            part = h.restrict(comp)
-            built += [part.sigma, part.alpha]
+            built += [Permutation._unchecked(t) for t in h.component_images(comp)]
+        built += islice(refinements(q), 20)
         for b in built:
             checked = Permutation(b.image)
             assert b == checked and hash(b) == hash(checked)

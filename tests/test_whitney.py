@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -192,6 +193,75 @@ def test_phi_factors_by_component():
     result = whitney_phi(h)
     assert result.polynomial == whitney_psi(h).polynomial
     assert result.stats.nodes <= 600
+
+
+UNION_8_7 = make(
+    15,
+    [[1, 3, 5, 7], [2, 4, 6, 8], [9, 11, 13, 15], [10, 12, 14]],
+    [list(range(1, 9)), list(range(9, 16))],
+)
+UNION_8_7_RELABELLED = UNION_8_7.relabel(
+    Permutation([7, 12, 1, 15, 4, 9, 2, 14, 6, 11, 3, 13, 8, 10, 5])
+)
+
+SIX_CYCLE = make(6, [[1, 3], [2, 5]], [list(range(1, 7))])
+TWO_EQUAL_PIECES = SIX_CYCLE.disjoint_union(SIX_CYCLE)
+
+
+@pytest.mark.parametrize(
+    "h, phi_counts, psi_counts",
+    [
+        (make(12, [], [list(range(1, 13))]), (441, 375), (517, 373)),
+        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (517, 373), (517, 373)),
+        (UNION_8_7, (301, 199), (301, 199)),
+        (UNION_8_7_RELABELLED, (411, 272), (401, 269)),
+        (TWO_EQUAL_PIECES, (62, 35), (57, 36)),
+    ],
+)
+def test_recursion_counts_pinned(h, phi_counts, psi_counts):
+    """Nodes and memo hits of phi and psi: every component lookup counts as
+    a node, and a lookup answered without expanding as a memo hit, whether
+    it is answered by the component's exact images or by its canonical key.
+    The counts equal those of the canonical memo alone, since the exact
+    index only finds the same hits sooner."""
+    for route, counts in ((whitney_phi, phi_counts), (whitney_psi, psi_counts)):
+        stats = route(h).stats
+        assert (stats.nodes, stats.memo_hits) == counts
+
+
+@pytest.mark.parametrize(
+    "h", [make(11, [], [list(range(1, 12))]), UNION_8_7_RELABELLED, TWO_EQUAL_PIECES]
+)
+def test_each_labelled_component_keyed_once(h, monkeypatch):
+    keyed = []
+    original = Hypermap.canonical_key
+
+    def counting(self):
+        keyed.append((self.sigma, self.alpha))
+        return original(self)
+
+    monkeypatch.setattr(Hypermap, "canonical_key", counting)
+    for route in (whitney_phi, whitney_psi):
+        keyed.clear()
+        stats = route(h).stats
+        assert len(keyed) == len(set(keyed))
+        assert len(keyed) < stats.nodes
+
+
+def test_recursion_leaves_no_cached_garbage():
+    """The nested functions of the recursion form a reference cycle, so
+    caches they keep would live until the cyclic collector runs; a
+    long-lived process would then hold many calls' memos at once."""
+    h = make(9, [], [list(range(1, 10))])
+    for route in (whitney_phi, whitney_psi):
+        gc.collect()
+        gc.disable()
+        try:
+            route(h)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable < 50
 
 
 def test_merge_leaves_polynomial_unchanged():

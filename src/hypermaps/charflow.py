@@ -2,11 +2,11 @@
 
 All sums run over the refinement order through ``nclattice``, and every
 Moebius value is read off cycle lengths.  chi(t) weights beta by
-mu(id, beta), a product of ``mobius_nc`` over beta's blocks, so it is one
-``refinement_profile`` pass, which never lists the refinements.  C(t)
-weights beta by mu(beta, alpha), a product over the cycles of the
-Kreweras complement beta^-1 alpha, which the stack of open blocks does not
-see one block at a time; C(t) and X stay ``refinement_sum`` passes.
+mu(id, beta), a product of ``mobius_nc`` over beta's blocks, and C(t) by
+mu(beta, alpha), a product over the cycles of the Kreweras complement
+beta^-1 alpha.  The stack of open blocks closes the blocks of either side
+whole at a height it knows, so each is one ``refinement_profile`` pass,
+which never lists the refinements.  X stays a ``refinement_sum`` pass.
 
 The characteristic polynomial of (sigma, alpha) is
 
@@ -70,13 +70,12 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
 
 
 def flow_polynomial(h: Hypermap) -> UniPoly:
-    zs = h.sigma.cycle_count
-
-    def term(beta: Permutation):
-        e = h.n + orbit_count(h.sigma, beta) - beta.cycle_count - zs
-        return e, mobius_of_cycles(beta.inverse() * h.alpha)
-
-    return UniPoly(refinement_sum(h.alpha, term))
+    counts, _ = refinement_profile(h, complement_weight=mobius_nc)
+    base = h.n - h.sigma.cycle_count
+    terms: Dict[int, int] = {}
+    for (kb, zb), c in counts.items():
+        terms[base + kb - zb] = terms.get(base + kb - zb, 0) + c
+    return UniPoly(terms)
 
 
 def proper_coloring_count(h: Hypermap, colors: int) -> int:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -97,7 +98,8 @@ class HypermapDocument:
         return doc
 
 
-def _parse_cycle_text(line: str, where: str) -> List[List[int]]:
+def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
+    """Cycles such as ``(1 2)(3)``; first_col is the column of line[0]."""
     cycles: List[List[int]] = []
     current: Optional[List[int]] = None
     token = ""
@@ -110,7 +112,7 @@ def _parse_cycle_text(line: str, where: str) -> List[List[int]]:
             current.append(int(token))
             token = ""
 
-    for col, ch in enumerate(line, start=1):
+    for col, ch in enumerate(line, start=first_col):
         if ch == "(":
             if current is not None:
                 raise InputError(f"{where}:{col}: nested '('")
@@ -123,7 +125,7 @@ def _parse_cycle_text(line: str, where: str) -> List[List[int]]:
                 raise InputError(f"{where}:{col}: empty cycle")
             cycles.append(current)
             current = None
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             token += ch
         elif ch in " \t,":
             flush_token()
@@ -192,23 +194,21 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
         key = key.strip().lower()
         value = value.strip()
         loc = f"{filename}:{lineno}"
+        first_col = raw.find(value, raw.index(":")) + 1
         if key == "sigma":
             if sigma_cycles is not None:
                 raise InputError(f"{loc}: sigma given twice")
-            sigma_cycles = _parse_cycle_text(value, loc)
+            sigma_cycles = _parse_cycle_text(value, loc, first_col)
             where["sigma"] = loc
         elif key == "alpha":
             if alpha_cycles is not None:
                 raise InputError(f"{loc}: alpha given twice")
-            alpha_cycles = _parse_cycle_text(value, loc)
+            alpha_cycles = _parse_cycle_text(value, loc, first_col)
             where["alpha"] = loc
         elif key == "n":
-            try:
-                n = int(value)
-            except ValueError:
-                raise InputError(f"{loc}: n must be an integer") from None
-            if n < 0:
-                raise InputError(f"{loc}: n must be nonnegative")
+            if not re.fullmatch("[0-9]+", value):
+                raise InputError(f"{loc}: n must be a nonnegative integer")
+            n = int(value)
             where["n"] = loc
         elif key == "name":
             name = value
@@ -267,13 +267,9 @@ def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
             raise InputError(
                 f"{filename}:{lineno}: expected 'tail head', got {line!r}"
             )
-        try:
-            t, h = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(
-                f"{filename}:{lineno}: vertices must be integers"
-            ) from None
-        edges.append((t, h))
+        if not all(re.fullmatch("-?[0-9]+", x) for x in parts):
+            raise InputError(f"{filename}:{lineno}: vertices must be integers")
+        edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise InputError(f"{filename}: no edges")
     return EulerianDigraph(tuple(edges))
@@ -374,7 +370,7 @@ def _charpoly(args, doc: HypermapDocument):
 
 def _flowpoly(args, doc: HypermapDocument):
     poly = flow_polynomial(doc.hypermap).to_string("t")
-    return poly, poly, "mobius-sum", {}
+    return poly, poly, "dp", {}
 
 
 def _flows(args, doc: HypermapDocument):

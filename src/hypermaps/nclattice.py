@@ -10,7 +10,12 @@ are counted by the Catalan number Cat(m) = binom(2m, m) / (m + 1).
 ``refinement_sum`` visits them one by one; ``refinement_profile`` sums
 over them without listing them, by a frontier dynamic program over the
 stack of open blocks, when a term needs only kappa(sigma, beta), z(beta)
-and a weight per block.
+and a weight per block of beta or of its Kreweras complement beta^-1 alpha.
+Reading a cycle point by point, one complement block lies open between two
+stack levels and one above the top, so with H blocks open, joining the
+block at depth d closes a complement block of H - d points, and the end of
+the cycle closes one of H points (Kreweras 1972).  The Moebius weights
+below are read off these heights.
 
 Genus zero of the restricted pair is checked without relabeling: for a parent
 cycle C of length m with restriction b, it is equivalent to
@@ -116,9 +121,9 @@ def refinement_sum(
     """Sum term(beta) = (exponent key, coefficient) over beta <= alpha, by key.
 
     This visits every refinement, Catalan-many per cycle.  Use it when the
-    term needs more of beta than ``refinement_profile`` keeps, for example
-    mu(beta, alpha), which is read off the cycles of the Kreweras
-    complement beta^-1 alpha rather than off beta's blocks one at a time.
+    term needs more of beta than ``refinement_profile`` keeps: more than
+    kappa(sigma, beta), z(beta) and a weight per block of beta or of
+    beta^-1 alpha, for example the whole permutation beta^-1 sigma.
     """
     totals: Dict[Hashable, int] = {}
     for beta in refinements(alpha):
@@ -128,43 +133,54 @@ def refinement_sum(
 
 
 def refinement_profile(
-    h: Hypermap, block_weight: Optional[Callable[[int], int]] = None
+    h: Hypermap,
+    block_weight: Optional[Callable[[int], int]] = None,
+    complement_weight: Optional[Callable[[int], int]] = None,
 ) -> Tuple[Dict[Tuple[int, int], int], int]:
     """Weighted refinement counts by (kappa(sigma, beta), z(beta)), and states.
 
     The count of a pair (k, z) is the sum, over the refinements beta <= alpha
     with kappa(sigma, beta) = k and z(beta) = z, of the product of
-    block_weight(|b|) over the cycles b of beta (1 without a weight).  The
-    second value is the number of DP states visited.
+    block_weight(|b|) over the cycles b of beta, or of complement_weight(|c|)
+    over the cycles c of beta^-1 alpha (1 without a weight; give at most
+    one).  The second value is the number of DP states visited.
 
-    A frontier dynamic program (the frontier method of Sekine, Imai and
-    Tani 1995 for Tutte polynomials) over the stack of open blocks of a
-    noncrossing partition (Kreweras 1972; see ``noncrossing_partitions``).
-    alpha's cycles are read point by point.  A class is a set of
-    sigma-cycles already joined by blocks, so kappa(sigma, beta) counts the
-    classes at the end.  The state holds one class label per active
-    sigma-cycle (touched, with points still to come), in order of entry,
-    then the class label of each open block, bottom of the stack first,
-    relabeled by first occurrence; with a weight it also holds the open
-    blocks' sizes.  Each point opens a block, which adds 1 to z, or joins
-    the open block at some depth, which merges the two classes and closes
-    every block above it.  The end of an alpha-cycle closes every open
-    block.  A closed block of size k multiplies by block_weight(k), and a
-    class that no label refers to any more is finished: it adds 1 to kappa.
-    Values are polynomials in kappa and z, kept as {kappa * (n + 1) + z:
-    coefficient}.
+    A frontier dynamic program (Sekine, Imai and Tani 1995, for Tutte
+    polynomials) over the stack of open blocks (``noncrossing_partitions``).
+    alpha's cycles are read point by point: a point opens a block or joins
+    the open block at some depth, closing every block above it, and the end
+    of a cycle closes them all.  A class is a set of sigma-cycles joined so
+    far; one that no label refers to any more is finished and adds 1 to
+    kappa.  The state is one tuple of class labels, relabeled by first
+    occurrence: one per active sigma-cycle (touched, with points to come),
+    then one per stack level, bottom first.  Weights follow the height rule
+    of the module docstring, so no block sizes are kept.  Values are
+    polynomials in kappa and z, kept as {kappa * (n + 1) + z: coefficient}.
+
+    Block form (no weight, or complement_weight): the stack lists beta, a
+    level carries its block's class, a join merges the point's class into
+    it and an open adds 1 to z.  Level form (block_weight): the stack lists
+    gamma, and beta = gamma^-1 alpha runs over the refinements too (Nica and
+    Speicher, Lecture 9), its blocks being the complement blocks the stack
+    closes whole.  A level carries the class of the point that set it; a
+    join at depth d merges levels d..top into one block and sets level d,
+    the end of a cycle merges all levels, and each close adds 1 to z.  It
+    merges several labels per step and visits more states than the block
+    form, so only block_weight runs it.
     """
+    if block_weight is not None and complement_weight is not None:
+        raise ValueError("give block_weight or complement_weight, not both")
+    levels = block_weight is not None
+    weight = block_weight or complement_weight
     radix = h.n + 1
+    # w[k] for a closed block of k points; none is empty or longer than n.
+    w = [0] + [weight(k) for k in range(1, radix)] if weight else [1] * radix
     vertex = h.sigma.cycle_labels()
     points = [p for c in h.alpha.cycles() for p in c]
     cycle_ends = set(accumulate(len(c) for c in h.alpha.cycles()))
     last = {vertex[p]: t for t, p in enumerate(points)}
-    weighted = block_weight is not None
-    # weights[k] for a closed block of k points; no block is empty, and
-    # without a weight no sizes are kept, so nothing is looked up.
-    weights = [0] + [block_weight(k) for k in range(1, radix)] if weighted else []
     active: List[int] = []  # sigma-cycles with a label in the state, by entry
-    states = {((), ()): {0: 1}}
+    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
     visited = 1
     for t, p in enumerate(points):
         v = vertex[p]
@@ -172,62 +188,47 @@ def refinement_profile(
         keep = last[v] > t
         ends = t + 1 in cycle_ends
         nact = len(active)
-        new_states: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Dict[int, int]] = {}
-        for (labels, sizes), value in states.items():
+        pos = prev if prev >= 0 else nact  # v's slot; its label stays while keep
+        new_states: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        for labels, value in states.items():
             act, stack = labels[:nact], labels[nact:]
             fresh = max(labels, default=-1) + 1
             lv = act[prev] if prev >= 0 else fresh
+            base = act[:pos] + (lv,) * keep + act[pos + 1 :]
             # Classes before merging: those in use, and v's own when v is new.
             classes = fresh + (prev < 0)
             for depth in range(-1, len(stack)):
-                # depth -1 opens a block; otherwise join the block there.
-                b = lv if depth < 0 else stack[depth]
-                # Merge b's class into lv's, then update v's slot.
-                a = [lv if x == b else x for x in act]
-                if prev < 0:
-                    if keep:
-                        a.append(lv)
-                elif keep:
-                    a[prev] = lv
-                else:
-                    del a[prev]
-                new_sizes: Tuple[int, ...] = ()
-                closed: Tuple[int, ...] = ()
+                # depth -1 opens; a join maps the labels in group to r: the
+                # joined block's in the block form, levels depth..top else.
                 if depth < 0:
-                    st = list(stack)
-                    if weighted:
-                        new_sizes = sizes + (1,)
+                    group, r, st, factor = (), lv, stack + (lv,), 1
                 else:
-                    st = [lv if x == b else x for x in stack[:depth]]
-                    if weighted:
-                        new_sizes = sizes[:depth] + (sizes[depth] + 1,)
-                        closed = sizes[depth + 1 :]
-                st.append(lv)
+                    group = set(stack[depth:]) if levels else (stack[depth],)
+                    r = stack[depth] if levels else lv
+                    st, factor = stack[:depth] + (lv,), w[len(stack) - depth]
+                new = [r if x in group else x for x in base + st]
+                merged = len(group) - (r in group)
+                z = depth >= 0 if levels else depth < 0
                 if ends:
-                    st = []
-                    closed += new_sizes
-                    new_sizes = ()
+                    factor *= w[len(st)]
+                    top, new = new[len(base) :], new[: len(base)]
+                    if levels:
+                        group, r = set(top), top[-1]
+                        new = [r if x in group else x for x in new]
+                        merged += len(group) - 1
+                        z += 1
                 relabel: Dict[int, int] = {}
-                key = tuple([relabel.setdefault(x, len(relabel)) for x in a + st])
+                key = tuple([relabel.setdefault(x, len(relabel)) for x in new])
                 # A class that no label refers to any more is finished.
-                finished = classes - (b != lv) - len(relabel)
-                shift = finished * radix + (depth < 0)
-                factor = 1
-                for k in closed:
-                    factor *= weights[k]
-                target = new_states.setdefault((key, new_sizes), {})
+                finished = classes - merged - len(relabel)
+                shift = finished * radix + z
+                target = new_states.setdefault(key, {})
                 for e, c in value.items():
                     target[e + shift] = target.get(e + shift, 0) + c * factor
         states = new_states
         visited += len(states)
-        if prev >= 0 and not keep:
-            del active[prev]
-        elif prev < 0 and keep:
-            active.append(v)
-    counts = {}
-    for e, c in states[((), ())].items():
-        if c:
-            counts[divmod(e, radix)] = c
+        active[pos : pos + 1] = [v] * keep
+    counts = {divmod(e, radix): c for e, c in states[()].items() if c}
     return counts, visited
 
 

@@ -463,6 +463,19 @@ def _check_flow_planar(rng: random.Random, n_max: int) -> str:
     return f"{trials} genus zero instances"
 
 
+def _check_flow_chi_duality(rng: random.Random, n_max: int) -> str:
+    # The block and the level form of the frontier DP, against each other.
+    trials = 25
+    for _ in range(trials):
+        h = random_planar_connected(rng, n_max)
+        if rng.random() < 0.5:
+            h = h.disjoint_union(random_planar_connected(rng, min(n_max, 4)))
+        flow = charflow.flow_polynomial(h)
+        chi = charflow.characteristic_polynomial(dual(h))
+        _require(flow == chi, "C(h) differs from chi(dual h)")
+    return f"{trials} genus zero collections, C(h) == chi(dual h)"
+
+
 def _check_map_charflow_oracles(rng: random.Random, n_max: int) -> str:
     trials = 30
     for _ in range(trials):
@@ -565,6 +578,7 @@ CHECKS: List[Check] = [
     ("chromatic-identities", _check_chromatic_identities),
     ("flow-identity", _check_flow_identities),
     ("flow-planar-identity", _check_flow_planar),
+    ("flow-chi-duality", _check_flow_chi_duality),
     ("map-charflow-oracles", _check_map_charflow_oracles),
     ("small-edge-theorems", _check_small_edge_theorems),
     ("flow-space-dimension", _check_flow_space),

@@ -429,7 +429,7 @@ def test_criterion_12_cli():
     first = run_cli(["selftest", "--seed=0"])
     second = run_cli(["selftest", "--seed=0"])
     assert first.returncode == 0
-    assert "29/29 checks passed" in first.stdout
+    assert "30/30 checks passed" in first.stdout
     assert first.stdout == second.stdout
     doc = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
     a = run_cli(["whitney", "--method=all", "--json"], doc)

@@ -222,7 +222,7 @@ def test_from_digraph_rejects_unbalanced():
 def test_selftest_passes():
     r = run_cli(["selftest", "--n-max=4", "--seed=0"])
     assert r.returncode == 0
-    assert "29/29 checks passed" in r.stdout
+    assert "30/30 checks passed" in r.stdout
 
 
 def test_determinism_byte_identical():
@@ -331,6 +331,40 @@ def test_malformed_inputs_diagnose_cleanly():
         assert "Traceback" not in r.stderr, doc
 
 
+ALPHA_LINE = "alpha: (1 2 3)\n"
+
+
+# Points, n and digraph vertices are ASCII digits only: str.isdigit and int()
+# also take superscripts, other scripts' digits, underscores and signs.
+@pytest.mark.parametrize(
+    "argv, stdin, error",
+    [
+        (["genus"], "sigma: (1 ²)\n" + ALPHA_LINE,
+         "<stdin>:1:11: unexpected character '²'"),
+        (["genus"], "sigma: (1 ٣)\n" + ALPHA_LINE,
+         "<stdin>:1:11: unexpected character '٣'"),
+        (["genus"], "n: 1_0\nsigma: (1 2)\n" + ALPHA_LINE,
+         "<stdin>:1: n must be a nonnegative integer"),
+        (["genus"], "sigma: (1 2)\n" + ALPHA_LINE + "n: +5\n",
+         "<stdin>:3: n must be a nonnegative integer"),
+        (["from-digraph"], "1 2\n1 ٣\n", "<stdin>:2: vertices must be integers"),
+        (["from-digraph"], "1_0 2\n", "<stdin>:1: vertices must be integers"),
+        (["from-digraph"], "+1 2\n", "<stdin>:1: vertices must be integers"),
+    ],
+    ids=["superscript-point", "arabic-indic-point", "n-underscore", "n-plus",
+         "arabic-indic-vertex", "vertex-underscore", "vertex-plus"],
+)
+def test_only_ascii_digits_are_numbers(argv, stdin, error):
+    r = run_cli(argv, stdin)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {error}\n")
+
+
+def test_negative_digraph_vertices_still_parse():
+    r = run_cli(["from-digraph"], "-1 2\n2 -1\n")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("sigma:")
+
+
 def test_unknown_method_is_argparse_error():
     r = run_cli(["whitney", "--method=magic"], RUNNING)
     assert r.returncode == 2
@@ -393,7 +427,7 @@ PINNED = [
     (["wet-dry"], RUNNING, "u^3 + u^2*v + 4*u^2 + u*v + 3*u",
      "u^3 + u^2*v + 4*u^2 + u*v + 3*u", "dp", {}),
     (["charpoly"], RUNNING, "t^2 - 3*t + 2", "t^2 - 3*t + 2", "dp", {}),
-    (["flowpoly"], RUNNING, "0", "0", "mobius-sum", {}),
+    (["flowpoly"], RUNNING, "0", "0", "dp", {}),
     (["flows", "--q=3"], RUNNING, "3", {"count": 3, "dimension": 1, "q": 3},
      "nullspace", {}),
     (["flows", "--q=3", "--nowhere-zero"], RUNNING, "0",
@@ -445,12 +479,13 @@ ok   eulerian-coloring-sum (10 genus zero instances, m = 1, 2, 3 against m^kappa
 ok   chromatic-identities (25 collections, interval sums collapse)
 ok   flow-identity (25 collections, flow sum collapses)
 ok   flow-planar-identity (20 genus zero instances)
+ok   flow-chi-duality (25 genus zero collections, C(h) == chi(dual h))
 ok   map-charflow-oracles (30 maps against graph oracles and the R(-t, -1) route)
 ok   small-edge-theorems (20 collections with hyperedges <= 3, m = q = 2, 3)
 ok   flow-space-dimension (30 collections, q = 2, 3, 5)
 ok   digraph-roundtrip (50 Eulerian digraphs, medial round-trip)
 ok   valence-legality (10 instances, per-vertex valence vs global state)
-selftest: 29/29 checks passed (seed=0, n-max=4)
+selftest: 30/30 checks passed (seed=0, n-max=4)
 """
 
 
@@ -462,7 +497,7 @@ def test_pinned_selftest_outputs(monkeypatch, capsys):
         "input_echo": {"n_max": 4, "seed": 0},
         "result": [{"name": n, "ok": True, "detail": d} for n, d in checks],
         "method": "selftest",
-        "stats": {"passed": 29, "failed": 0},
+        "stats": {"passed": 30, "failed": 0},
     }
     rc, out, err = run_in_process(argv + ["--json"], "", monkeypatch, capsys)
     assert (rc, out, err) == (0, json_text(payload), "")

@@ -1,8 +1,10 @@
 """The frontier DP over the noncrossing stack (``refinement_profile``).
 
 Every invariant it serves is checked against its definition as a sum over
-the refinement stream: R against brute force, chi against the Moebius sum,
-the circuit partition polynomial against the listed medial state sum.
+the refinement stream: R against brute force, chi and the flow polynomial
+C(t) against their Moebius sums, the circuit partition polynomial against
+the listed medial state sum.  At genus zero, C(h) = chi(dual h) checks the
+two weighted forms of the DP against each other.
 """
 
 import json
@@ -12,8 +14,8 @@ import sys
 
 import pytest
 
-from hypermaps.charflow import characteristic_polynomial
-from hypermaps.hypermap import Hypermap, orbit_count
+from hypermaps.charflow import characteristic_polynomial, flow_polynomial
+from hypermaps.hypermap import Hypermap, dual, orbit_count
 from hypermaps.medial import circuit_partition_polynomial, medial_map
 from hypermaps.nclattice import (
     catalan,
@@ -66,6 +68,14 @@ def chi_definition(h):
     return UniPoly(refinement_sum(h.alpha, term))
 
 
+def flow_definition(h):
+    def term(beta):
+        e = h.n + orbit_count(h.sigma, beta) - beta.cycle_count - h.sigma.cycle_count
+        return e, mobius_of_cycles(beta.inverse() * h.alpha)
+
+    return UniPoly(refinement_sum(h.alpha, term))
+
+
 SPECIAL = [
     make(0, [], []),
     make(1, [], []),
@@ -89,18 +99,80 @@ def test_chi_equals_moebius_sum():
         assert characteristic_polynomial(h) == chi_definition(h), h
 
 
-def test_block_weight_reaches_every_block():
-    # A distinct prime per block size tells the sizes apart.
-    primes = [0, 2, 3, 5, 7, 11, 13, 17, 19]
-    for h in seeded_collections(74, 60):
-        def term(beta):
-            value = 1
-            for c in beta.cycles():
-                value *= primes[len(c)]
-            return (orbit_count(h.sigma, beta), beta.cycle_count), value
+def test_flow_polynomial_equals_moebius_sum():
+    for h in SPECIAL + seeded_collections(80, 150):
+        assert flow_polynomial(h) == flow_definition(h), h
 
-        counts, _ = refinement_profile(h, block_weight=primes.__getitem__)
-        assert counts == refinement_sum(h.alpha, term), h
+
+# A distinct prime per block size tells the sizes apart.
+PRIMES = [0, 2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def prime_weighted_sum(h, blocks_of):
+    def term(beta):
+        value = 1
+        for c in blocks_of(beta).cycles():
+            value *= PRIMES[len(c)]
+        return (orbit_count(h.sigma, beta), beta.cycle_count), value
+
+    return refinement_sum(h.alpha, term)
+
+
+def test_block_weight_reaches_every_block():
+    for h in seeded_collections(74, 60):
+        counts, _ = refinement_profile(h, block_weight=PRIMES.__getitem__)
+        assert counts == prime_weighted_sum(h, lambda beta: beta), h
+
+
+def test_complement_weight_reaches_every_block():
+    # and it visits the states of R: the weight needs no state of its own
+    for h in SPECIAL + seeded_collections(81, 60):
+        counts, states = refinement_profile(h, complement_weight=PRIMES.__getitem__)
+        expected = prime_weighted_sum(h, lambda beta: beta.inverse() * h.alpha)
+        assert counts == expected, h
+        assert states == refinement_profile(h)[1], h
+
+
+def test_one_weight_at_a_time():
+    h = SPECIAL[4]
+    with pytest.raises(ValueError):
+        refinement_profile(h, block_weight=PRIMES.__getitem__,
+                           complement_weight=PRIMES.__getitem__)
+
+
+def test_flow_polynomial_is_dual_characteristic_polynomial_at_genus_zero():
+    rng = random.Random(83)
+    checked = 0
+    while checked < 150:
+        h = random_collection(rng, n_max=8, max_cycle=rng.choice((2, 4, 8)))
+        if h.genus > 0:
+            continue
+        assert flow_polynomial(h) == characteristic_polynomial(dual(h)), h
+        checked += 1
+
+
+def test_duality_fails_on_the_torus():
+    torus = make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]])
+    assert torus.genus == 1
+    assert flow_polynomial(torus) == UniPoly({2: 1, 1: -2, 0: 1})
+    assert characteristic_polynomial(dual(torus)) == UniPoly()
+
+
+def run_hypermap(args, doc):
+    r = subprocess.run(
+        [sys.executable, "-m", "hypermaps", *args],
+        input=doc, capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_cli_flowpoly_is_dual_charpoly_on_nested_fourteen_cycle():
+    # 2,674,440 refinements; the DP visits the states of R instead
+    doc = "sigma: " + "".join(f"({i} {15 - i})" for i in range(1, 8)) + "\n"
+    doc += "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
+    flow = run_hypermap(["flowpoly"], doc)
+    assert flow == run_hypermap(["charpoly"], run_hypermap(["dual"], doc))
 
 
 def test_wet_dry_equals_definition():
@@ -156,6 +228,7 @@ def test_answers_do_not_depend_on_labels():
             got = (
                 whitney_dp(g).polynomial,
                 characteristic_polynomial(g),
+                flow_polynomial(g),
                 wet_dry_polynomial(g) if g.genus == 0 else None,
                 circuit_partition_polynomial(g),
             )

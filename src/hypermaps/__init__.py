@@ -8,19 +8,13 @@ refinement order, medial maps with their circuit partition polynomials,
 characteristic and flow polynomials, flow spaces over prime fields, and
 coloring counts, plus a randomized identity selftest tying these to
 each other and to classical graph invariants.
+
+The core modules (perm, hypermap, poly, nclattice, whitney) load with the
+package; a public name of charflow, medial, oracles or selftest loads its
+module on first access, so a command that needs none of them never pays.
 """
 
 from .hypermap import Hypermap, dual, merge_components, orbit_count
-from .medial import (
-    EulerianDigraph,
-    EulerianMap,
-    circuit_partition_polynomial,
-    eulerian_coloring_sum,
-    from_eulerian_digraph,
-    medial_digraph,
-    medial_map,
-    source_hypermap,
-)
 from .nclattice import (
     catalan,
     interval,
@@ -30,20 +24,9 @@ from .nclattice import (
     refinement_count,
     refinements,
 )
-from .charflow import (
-    characteristic_polynomial,
-    compatible_coloring_count,
-    flow_polynomial,
-    flow_space,
-    nowhere_zero_flow_count,
-    proper_coloring_count,
-    unique_nz_refinement,
-    x_interval,
-)
-from .oracles import coherent_matchings
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
-from .selftest import run_selftest
+# Eager: importing the submodule later would rebind whitney to the module.
 from .whitney import (
     InstanceTooLarge,
     Specializations,
@@ -55,6 +38,36 @@ from .whitney import (
     whitney_phi,
     whitney_psi,
 )
+
+# The other public names, by home module: each module loads on first access.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("charflow", ("characteristic_polynomial", "compatible_coloring_count",
+                      "flow_polynomial", "flow_space", "nowhere_zero_flow_count",
+                      "proper_coloring_count", "unique_nz_refinement", "x_interval")),
+        ("medial", ("EulerianDigraph", "EulerianMap", "circuit_partition_polynomial",
+                    "eulerian_coloring_sum", "from_eulerian_digraph", "medial_digraph",
+                    "medial_map", "source_hypermap")),
+        ("oracles", ("coherent_matchings",)),
+        ("selftest", ("run_selftest",)),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

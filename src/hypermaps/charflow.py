@@ -27,9 +27,8 @@ f(i) = 0 only happens on alpha fixed points (buds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
 from .nclattice import (
@@ -138,8 +137,7 @@ def compatible_coloring_count(
     return count
 
 
-@dataclass(frozen=True)
-class FlowSpace:
+class FlowSpace(NamedTuple):
     """Nullspace of the cycle-sum equations over a prime field."""
 
     q: int

@@ -14,7 +14,8 @@ and a JSON object::
 Points omitted from a permutation are fixed points.  Labels do not have to
 be 1..n: without an explicit ``n`` they are compacted order-preservingly and
 all output is rendered through the original labels.  Duplicate or
-out-of-range points are rejected with the offending line and value named.
+out-of-range points are rejected with the offending line and value named,
+and so is any integer of more than ``MAX_DIGITS`` digits.
 
 Every subcommand reads its input from a file argument (``-`` or nothing
 means stdin), prints deterministic canonical text, and with ``--json`` emits
@@ -28,49 +29,47 @@ none), the flags beyond the input argument, and a compute function that
 returns (result, plain text, method, stats).  ``build_parser`` makes one
 subparser per row, and ``_run`` reads and loads the input, calls the
 compute function, and prints the plain text or the JSON payload.
+
+A process runs one subcommand, so only the core engines load with this
+module: each compute function imports the modules it runs (charflow, medial,
+selftest), and ``json`` is imported where JSON is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+)
 
 from . import __version__
-from .charflow import (
-    characteristic_polynomial,
-    flow_polynomial,
-    flow_space,
-    nowhere_zero_flow_count,
-    proper_coloring_count,
-)
 from .hypermap import Hypermap, dual
-from .medial import (
-    EulerianDigraph,
-    circuit_partition_polynomial,
-    eulerian_coloring_sum,
-    from_eulerian_digraph,
-    medial_map,
-    signed_name,
-)
 from .nclattice import refinement_count
 from .perm import Permutation
-from .selftest import run_selftest
 from .whitney import METHODS, InstanceTooLarge, wet_dry_polynomial, whitney
+
+if TYPE_CHECKING:
+    from .medial import EulerianDigraph
 
 DEFAULT_REFINEMENT_CAP = 10 ** 6
 DEFAULT_FLOW_CAP = 10 ** 6
+# Longest integer any input may hold: CPython's default int(str) bound, checked by
+# length so every interpreter answers alike (in JSON only if a digit run is longer).
+MAX_DIGITS = 4300
+_LONG_RUN = re.compile("[0-9]{%d}" % (MAX_DIGITS + 1))
 
 
 class InputError(ValueError):
     """Malformed document or digraph input."""
 
 
-@dataclass
-class HypermapDocument:
+def _too_long(what: str, loc: str) -> InputError:
+    return InputError(f"{loc}: {what} has more than {MAX_DIGITS} digits")
+
+
+class HypermapDocument(NamedTuple):
     hypermap: Hypermap
     labels: Tuple[int, ...]  # internal point i (1-based) -> original label
     name: Optional[str] = None
@@ -104,9 +103,11 @@ def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
     current: Optional[List[int]] = None
     token = ""
 
-    def flush_token():
+    def flush_token(end_col: int):
         nonlocal token
         if token:
+            if len(token) > MAX_DIGITS:
+                raise _too_long("point", f"{where}:{end_col - len(token)}")
             if current is None:
                 raise InputError(f"{where}: point {token} outside any cycle")
             current.append(int(token))
@@ -118,7 +119,7 @@ def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
                 raise InputError(f"{where}:{col}: nested '('")
             current = []
         elif ch == ")":
-            flush_token()
+            flush_token(col)
             if current is None:
                 raise InputError(f"{where}:{col}: unmatched ')'")
             if not current:
@@ -128,12 +129,12 @@ def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
         elif "0" <= ch <= "9":
             token += ch
         elif ch in " \t,":
-            flush_token()
+            flush_token(col)
         else:
             raise InputError(f"{where}:{col}: unexpected character {ch!r}")
     if current is not None:
         raise InputError(f"{where}: unterminated cycle")
-    flush_token()
+    flush_token(first_col + len(line))
     return cycles
 
 
@@ -208,6 +209,8 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
         elif key == "n":
             if not re.fullmatch("[0-9]+", value):
                 raise InputError(f"{loc}: n must be a nonnegative integer")
+            if len(value) > MAX_DIGITS:
+                raise _too_long("n", loc)
             n = int(value)
             where["n"] = loc
         elif key == "name":
@@ -222,8 +225,17 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
 
 
 def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocument:
+    import json
+
+    def parse_int(digits: str) -> int:
+        if len(digits.lstrip("-")) > MAX_DIGITS:
+            line = text.count("\n", 0, text.find(digits)) + 1
+            raise _too_long("integer", f"{filename}:{line}")
+        return int(digits)
+
+    hooks = {"parse_int": parse_int} if _LONG_RUN.search(text) else {}
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, **hooks)
     except json.JSONDecodeError as exc:
         raise InputError(f"{filename}: invalid JSON: {exc}") from None
     except RecursionError:
@@ -257,6 +269,7 @@ def load_document(text: str, filename: str = "<input>") -> HypermapDocument:
 
 
 def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
+    from .medial import EulerianDigraph
     edges: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -269,6 +282,8 @@ def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
             )
         if not all(re.fullmatch("-?[0-9]+", x) for x in parts):
             raise InputError(f"{filename}:{lineno}: vertices must be integers")
+        if _LONG_RUN.search(line):
+            raise _too_long("vertex", f"{filename}:{lineno}")
         edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise InputError(f"{filename}: no edges")
@@ -287,6 +302,7 @@ def _read_input(path: Optional[str]) -> Tuple[str, str]:
 
 def _emit(args, payload: Dict, plain: str) -> None:
     if args.json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(plain)
@@ -339,6 +355,7 @@ def _dual(args, doc: HypermapDocument):
 
 
 def _medial(args, doc: HypermapDocument):
+    from .medial import medial_map, signed_name
     m = medial_map(doc.hypermap)
     sig = [[signed_name(p) for p in c] for c in m.sigma_prime.cycles()]
     alf = [[signed_name(p) for p in c] for c in m.alpha_prime.cycles()]
@@ -351,6 +368,7 @@ def _medial(args, doc: HypermapDocument):
 
 
 def _circuit_partition(args, doc: HypermapDocument):
+    from .medial import circuit_partition_polynomial
     h = doc.hypermap
     cap = None if args.no_size_guard else args.max_refinements
     poly = circuit_partition_polynomial(h, max_states=cap)
@@ -364,16 +382,19 @@ def _wet_dry(args, doc: HypermapDocument):
 
 
 def _charpoly(args, doc: HypermapDocument):
+    from .charflow import characteristic_polynomial
     poly = characteristic_polynomial(doc.hypermap).to_string("t")
     return poly, poly, "dp", {}
 
 
 def _flowpoly(args, doc: HypermapDocument):
+    from .charflow import flow_polynomial
     poly = flow_polynomial(doc.hypermap).to_string("t")
     return poly, poly, "dp", {}
 
 
 def _flows(args, doc: HypermapDocument):
+    from .charflow import flow_space, nowhere_zero_flow_count
     h = doc.hypermap
     space = flow_space(h, args.q)
     if args.nowhere_zero:
@@ -388,6 +409,8 @@ def _flows(args, doc: HypermapDocument):
 
 
 def _colorings(args, doc: HypermapDocument):
+    from .charflow import proper_coloring_count
+    from .medial import eulerian_coloring_sum
     if args.eulerian:
         count = eulerian_coloring_sum(doc.hypermap, args.m)
         method = "dp"
@@ -398,12 +421,14 @@ def _colorings(args, doc: HypermapDocument):
 
 
 def _from_digraph(args, d: EulerianDigraph):
+    from .medial import from_eulerian_digraph
     h = from_eulerian_digraph(d)
     result, plain = _pair_output(HypermapDocument(h, tuple(range(1, h.n + 1))), h)
     return {"n": h.n, **result}, plain, "greedy-interleave", {}
 
 
 def _selftest(args, _):
+    from .selftest import run_selftest
     results = run_selftest(n_max=args.n_max, seed=args.seed)
     failed = sum(not r.ok for r in results)
     passed = len(results) - failed

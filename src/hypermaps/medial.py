@@ -30,8 +30,7 @@ selftest and the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap
 from .nclattice import refinement_count, refinement_profile, refinement_sum
@@ -189,8 +188,7 @@ def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:
     return int(circuit_partition_polynomial(h, max_states=None).evaluate(colors))
 
 
-@dataclass(frozen=True)
-class EulerianDigraph:
+class EulerianDigraph(NamedTuple):
     """A directed multigraph given by its edge list (loops allowed)."""
 
     edges: Tuple[Tuple[int, int], ...]

@@ -10,8 +10,7 @@ state sums, coloring and flow identities.  All randomness flows through one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from . import charflow, medial, oracles
 from .hypermap import Hypermap, dual, merge_components, orbit_count
@@ -35,8 +34,7 @@ from .whitney import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -52,10 +52,9 @@ weight u^eu v^ev is added in as a shift of its terms' exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import mul
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
 from .nclattice import refinement_count, refinement_profile, refinement_sum
@@ -65,18 +64,18 @@ from .poly import BiPoly, UniPoly
 METHODS = ("brute", "phi", "psi", "dp")
 
 
-@dataclass
 class WhitneyStats:
-    nodes: int = 0
-    memo_hits: int = 0
-    terms: int = 0
+    __slots__ = ("nodes", "memo_hits", "terms")
+
+    def __init__(self, nodes: int = 0, memo_hits: int = 0, terms: int = 0):
+        self.nodes, self.memo_hits, self.terms = nodes, memo_hits, terms
 
 
-@dataclass
 class WhitneyResult:
-    polynomial: BiPoly
-    method: str
-    stats: WhitneyStats = field(default_factory=WhitneyStats)
+    __slots__ = ("polynomial", "method", "stats")
+
+    def __init__(self, polynomial: BiPoly, method: str, stats: WhitneyStats):
+        self.polynomial, self.method, self.stats = polynomial, method, stats
 
 
 class InstanceTooLarge(ValueError):
@@ -265,8 +264,7 @@ def whitney(h: Hypermap, method: str = "phi") -> WhitneyResult:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass
-class Specializations:
+class Specializations(NamedTuple):
     spanning_hyperforests: int
     spanning_collections: int
     hyperbola: UniPoly

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -357,6 +358,62 @@ ALPHA_LINE = "alpha: (1 2 3)\n"
 def test_only_ascii_digits_are_numbers(argv, stdin, error):
     r = run_cli(argv, stdin)
     assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {error}\n")
+
+
+LONG = "9" * 5000  # past the 4,300 digits that int(str) takes by default
+
+
+# Integers are refused by their length before int() is called, so the
+# message does not depend on the interpreter's own limit.
+@pytest.mark.parametrize(
+    "argv, stdin, error",
+    [
+        (["genus"], f"sigma: (1 {LONG})\n" + ALPHA_LINE,
+         "<stdin>:1:11: point has more than 4300 digits"),
+        (["genus"], f"sigma: (1 2)\n{ALPHA_LINE}n: {LONG}\n",
+         "<stdin>:3: n has more than 4300 digits"),
+        (["from-digraph"], f"1 2\n2 -{LONG}\n",
+         "<stdin>:2: vertex has more than 4300 digits"),
+        (["genus"], f'{{"sigma": [[1, 2]],\n "alpha": [[1, 2]],\n "n": {LONG}}}',
+         "<stdin>:3: integer has more than 4300 digits"),
+    ],
+    ids=["cycle-point", "n", "digraph-vertex", "json-n"],
+)
+def test_long_integers_refused_by_length(argv, stdin, error):
+    r = run_cli(argv, stdin)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {error}\n")
+
+
+def test_longest_accepted_integer_round_trips():
+    label = "9" * 4300
+    r = run_cli(["dual"], f"sigma: (1 {label})\nalpha: (1 {label})\n")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == f"sigma: (1)({label})\nalpha: (1 {label})\n"
+
+
+def imported_modules(args, stdin=""):
+    """Modules a fresh ``python <args>`` process imports, read off -X importtime."""
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        input=stdin, capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    return set(re.findall(r"^import time:\s+\d+ \|\s+\d+ \| *(\S+)$", r.stderr, re.M))
+
+
+def test_cold_subcommands_import_only_what_they_run():
+    # against a bare interpreter: site may load modules of its own
+    bare = imported_modules(["-c", "pass"])
+    heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.medial",
+             "dataclasses", "json"}
+    optional = {"hypermaps.charflow", "hypermaps.medial", "hypermaps.oracles",
+                "hypermaps.selftest"}
+    for commands, runs, unwanted in ((("charpoly", "flowpoly"), "charflow", heavy),
+                                     (("whitney", "genus", "wet-dry"), "whitney", optional)):
+        for command in commands:
+            added = imported_modules(["-m", "hypermaps", command], RUNNING) - bare
+            assert f"hypermaps.{runs}" in added, command
+            assert not added & unwanted, (command, sorted(added & unwanted))
 
 
 def test_negative_digraph_vertices_still_parse():

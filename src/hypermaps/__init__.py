@@ -10,8 +10,8 @@ coloring counts, plus a randomized identity selftest tying these to
 each other and to classical graph invariants.
 
 The core modules (perm, hypermap, poly, nclattice, whitney) load with the
-package; a public name of charflow, medial, oracles or selftest loads its
-module on first access, so a command that needs none of them never pays.
+package; charflow, medial, oracles and selftest, and their public names,
+load on first access, so a command that needs none of them never pays.
 """
 
 from .hypermap import Hypermap, dual, merge_components, orbit_count
@@ -39,7 +39,7 @@ from .whitney import (
     whitney_psi,
 )
 
-# The other public names, by home module: each module loads on first access.
+# The other public names by home module; a module and its names load on first access.
 _LAZY = {
     name: module
     for module, names in (
@@ -57,16 +57,17 @@ _LAZY = {
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    module = _LAZY.get(name, name if name in _LAZY.values() else None)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    value = import_module(f".{module}", __name__)  # binds a submodule's own name
+    value = globals()[name] = value if module == name else getattr(value, name)
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})
 
 
 __version__ = "0.1.0"

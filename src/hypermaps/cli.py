@@ -30,9 +30,8 @@ returns (result, plain text, method, stats).  ``build_parser`` makes one
 subparser per row, and ``_run`` reads and loads the input, calls the
 compute function, and prints the plain text or the JSON payload.
 
-A process runs one subcommand, so only the core engines load with this
-module: each compute function imports the modules it runs (charflow, medial,
-selftest), and ``json`` is imported where JSON is read or written.
+A process runs one subcommand, so each compute function imports the modules
+it runs (charflow, medial, selftest) and ``json`` loads where JSON is used.
 """
 
 from __future__ import annotations
@@ -56,17 +55,18 @@ if TYPE_CHECKING:
 DEFAULT_REFINEMENT_CAP = 10 ** 6
 DEFAULT_FLOW_CAP = 10 ** 6
 # Longest integer any input may hold: CPython's default int(str) bound, checked by
-# length so every interpreter answers alike (in JSON only if a digit run is longer).
+# length so every interpreter answers alike.
 MAX_DIGITS = 4300
-_LONG_RUN = re.compile("[0-9]{%d}" % (MAX_DIGITS + 1))
 
 
 class InputError(ValueError):
     """Malformed document or digraph input."""
 
 
-def _too_long(what: str, loc: str) -> InputError:
-    return InputError(f"{loc}: {what} has more than {MAX_DIGITS} digits")
+def _int(digits: str, loc: str, what: str) -> int:
+    if len(digits.lstrip("-")) > MAX_DIGITS:
+        raise InputError(f"{loc}: {what} has more than {MAX_DIGITS} digits")
+    return int(digits)
 
 
 class HypermapDocument(NamedTuple):
@@ -106,11 +106,9 @@ def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
     def flush_token(end_col: int):
         nonlocal token
         if token:
-            if len(token) > MAX_DIGITS:
-                raise _too_long("point", f"{where}:{end_col - len(token)}")
             if current is None:
                 raise InputError(f"{where}: point {token} outside any cycle")
-            current.append(int(token))
+            current.append(_int(token, f"{where}:{end_col - len(token)}", "point"))
             token = ""
 
     for col, ch in enumerate(line, start=first_col):
@@ -209,9 +207,7 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
         elif key == "n":
             if not re.fullmatch("[0-9]+", value):
                 raise InputError(f"{loc}: n must be a nonnegative integer")
-            if len(value) > MAX_DIGITS:
-                raise _too_long("n", loc)
-            n = int(value)
+            n = _int(value, loc, "n")
             where["n"] = loc
         elif key == "name":
             name = value
@@ -224,18 +220,23 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
     return _build_document(sigma_cycles, alpha_cycles, n, name, where)
 
 
+def _long_integer_line(text: str) -> int:
+    """Line of the first JSON integer longer than MAX_DIGITS, strings blanked."""
+    bare = re.sub(r'"(?:[^"\\]|\\.)*"', '""', text)
+    long_int = r"(?<![-+.eE0-9])-?[0-9]{%d,}(?![.eE0-9])" % (MAX_DIGITS + 1)
+    found = re.search(long_int, bare)
+    return bare.count("\n", 0, found.start() if found else 0) + 1
+
+
 def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocument:
     import json
 
-    def parse_int(digits: str) -> int:
-        if len(digits.lstrip("-")) > MAX_DIGITS:
-            line = text.count("\n", 0, text.find(digits)) + 1
-            raise _too_long("integer", f"{filename}:{line}")
-        return int(digits)
+    def parse_int(digits: str) -> int:  # looks the line up only if it may refuse
+        return _int(digits, filename if len(digits) <= MAX_DIGITS
+                    else f"{filename}:{_long_integer_line(text)}", "integer")
 
-    hooks = {"parse_int": parse_int} if _LONG_RUN.search(text) else {}
     try:
-        obj = json.loads(text, **hooks)
+        obj = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"{filename}: invalid JSON: {exc}") from None
     except RecursionError:
@@ -282,9 +283,7 @@ def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
             )
         if not all(re.fullmatch("-?[0-9]+", x) for x in parts):
             raise InputError(f"{filename}:{lineno}: vertices must be integers")
-        if _LONG_RUN.search(line):
-            raise _too_long("vertex", f"{filename}:{lineno}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(_int(x, f"{filename}:{lineno}", "vertex") for x in parts))
     if not edges:
         raise InputError(f"{filename}: no edges")
     return EulerianDigraph(tuple(edges))

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -376,8 +377,16 @@ LONG = "9" * 5000  # past the 4,300 digits that int(str) takes by default
          "<stdin>:2: vertex has more than 4300 digits"),
         (["genus"], f'{{"sigma": [[1, 2]],\n "alpha": [[1, 2]],\n "n": {LONG}}}',
          "<stdin>:3: integer has more than 4300 digits"),
+        # the same digits in a string or in a float before it are not the integer
+        (["genus"], f'{{"name": "{LONG}",\n "sigma": [[1, 2]], "alpha": [[1, 2]],\n'
+                    f' "n": {LONG}}}',
+         "<stdin>:3: integer has more than 4300 digits"),
+        (["genus"], f'{{"sigma": [[{LONG}.5, -{LONG}e1]],\n "alpha": [[1, 2]],\n'
+                    f' "n": -{LONG}}}',
+         "<stdin>:3: integer has more than 4300 digits"),
     ],
-    ids=["cycle-point", "n", "digraph-vertex", "json-n"],
+    ids=["cycle-point", "n", "digraph-vertex", "json-n", "json-n-after-name",
+         "json-n-after-floats"],
 )
 def test_long_integers_refused_by_length(argv, stdin, error):
     r = run_cli(argv, stdin)
@@ -389,6 +398,24 @@ def test_longest_accepted_integer_round_trips():
     r = run_cli(["dual"], f"sigma: (1 {label})\nalpha: (1 {label})\n")
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == f"sigma: (1)({label})\nalpha: (1 {label})\n"
+
+
+# Every integer passes the length check, so many accepted long ones must stay cheap.
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_many_long_integers_parse_quickly(fmt):
+    labels = [str(10 ** 4299 + k) for k in range(40)]
+    pairs = [labels[i:i + 2] for i in range(0, 40, 2)]
+    if fmt == "json":
+        text = '{"name": "%s", "sigma": %s, "alpha": [[%s]]}' % (
+            labels[0], str(pairs).replace("'", ""), ", ".join(labels))
+    else:
+        text = ("sigma: " + "".join(f"({a} {b})" for a, b in pairs)
+                + "\nalpha: (" + " ".join(labels) + ")\n")
+    start = time.perf_counter()
+    doc = cli.load_document(text)
+    assert time.perf_counter() - start < 1.0
+    assert doc.labels == tuple(int(x) for x in labels)
+    assert doc.hypermap.n == 40
 
 
 def imported_modules(args, stdin=""):

@@ -47,10 +47,18 @@ def test_dir_lists_every_public_name():
     assert set(hypermaps.__all__) <= set(dir(hypermaps))
 
 
+@pytest.mark.parametrize("module", ["charflow", "medial", "oracles", "selftest"])
+def test_lazy_modules_are_package_attributes(module):
+    assert getattr(hypermaps, module) is sys.modules[f"hypermaps.{module}"]
+    assert module in dir(hypermaps)
+
+
 FRESH = """
 import json, sys
 import hypermaps
 loaded = sorted(m for m in sys.modules if m.startswith("hypermaps."))
+modules = {m: getattr(hypermaps, m).__name__ for m in ("medial", "oracles")}
+medial_is_home = hypermaps.medial.medial_map is hypermaps.medial_map
 import hypermaps.whitney
 import hypermaps.charflow
 import hypermaps.selftest
@@ -62,6 +70,9 @@ print(json.dumps({
     "same": whitney is hypermaps.whitney,
     "too_large": InstanceTooLarge.__module__,
     "medial": hypermaps.medial_map.__module__,
+    "modules": modules,
+    "medial_is_home": medial_is_home,
+    "charflow": hypermaps.charflow.__name__,
 }))
 """
 
@@ -78,4 +89,7 @@ def test_fresh_import_keeps_whitney_the_function():
         "same": True,
         "too_large": "hypermaps.whitney",
         "medial": "hypermaps.medial",
+        "modules": {"medial": "hypermaps.medial", "oracles": "hypermaps.oracles"},
+        "medial_is_home": True,
+        "charflow": "hypermaps.charflow",
     }

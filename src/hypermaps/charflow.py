@@ -27,7 +27,7 @@ f(i) = 0 only happens on alpha fixed points (buds).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import filterfalse, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, orbit_count
@@ -78,28 +78,51 @@ def flow_polynomial(h: Hypermap) -> UniPoly:
 
 
 def proper_coloring_count(h: Hypermap, colors: int) -> int:
-    """Brute force count of proper vertex colorings.
+    """Count proper vertex colorings by backtracking.
 
     Vertices are sigma-cycles.  A coloring is proper when, on every
     alpha-cycle, the vertices met at its points are pairwise differently
-    colored; in particular a hyperedge visiting some vertex twice admits no
-    proper coloring at all.
+    colored; in particular a hyperedge visiting some vertex twice, or more
+    vertices than there are colors, admits no proper coloring at all.
+    Vertices are colored in label order, each only with colors its already
+    colored hyperedge neighbours do not use, so no improper partial coloring
+    is extended, and the last vertex counts its free colors.  The stack of
+    color choices is explicit, so the depth is not bounded by the recursion
+    limit, and memory stays linear in n.  The worst case, no hyperedges,
+    still takes colors^(V-1) steps; ``oracles.proper_coloring_enumeration``
+    is the definitional count over all colors^V colorings.
     """
     vertex_of = h.sigma.cycle_labels()
-    edge_vertexlists = [
-        [vertex_of[p] for p in c] for c in h.alpha.cycles() if len(c) > 1
-    ]
-    for vl in edge_vertexlists:
-        if len(set(vl)) != len(vl):
-            return 0
-    count = 0
     nv = h.sigma.cycle_count
-    for coloring in product(range(colors), repeat=nv):
-        if all(
-            len({coloring[v] for v in vl}) == len(vl) for vl in edge_vertexlists
-        ):
-            count += 1
-    return count
+    # before[v]: (vertices of a hyperedge at v in label order, v's position)
+    before: List[List[Tuple[List[int], int]]] = [[] for _ in range(nv)]
+    for c in h.alpha.cycles():
+        vl = sorted(vertex_of[p] for p in c)
+        if len(set(vl)) != len(vl) or len(vl) > colors:
+            return 0
+        for i in range(1, len(vl)):
+            before[vl[i]].append((vl, i))
+    if nv == 0:
+        return 1
+    coloring = [0] * nv
+    choices: List[Iterator[int]] = []  # choices[v]: colors still to try at v
+    count = 0
+    v = 0
+    while True:
+        used = {coloring[u] for vl, i in before[v] for u in vl[:i]}
+        if v == nv - 1:
+            count += colors - len(used)
+        else:
+            choices.append(filterfalse(used.__contains__, range(colors)))
+        while choices:
+            c = next(choices[-1], None)
+            if c is not None:
+                v = len(choices)
+                coloring[v - 1] = c
+                break
+            choices.pop()
+        else:
+            return count
 
 
 def compatible_coloring_count(

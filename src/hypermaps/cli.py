@@ -15,7 +15,8 @@ Points omitted from a permutation are fixed points.  Labels do not have to
 be 1..n: without an explicit ``n`` they are compacted order-preservingly and
 all output is rendered through the original labels.  Duplicate or
 out-of-range points are rejected with the offending line and value named,
-and so is any integer of more than ``MAX_DIGITS`` digits.
+and so is any integer of more than ``MAX_DIGITS`` digits; an explicit ``n``
+above ``MAX_POINTS`` is refused with its line named.
 
 Every subcommand reads its input from a file argument (``-`` or nothing
 means stdin), prints deterministic canonical text, and with ``--json`` emits
@@ -57,6 +58,8 @@ DEFAULT_FLOW_CAP = 10 ** 6
 # Longest integer any input may hold: CPython's default int(str) bound, checked by
 # length so every interpreter answers alike.
 MAX_DIGITS = 4300
+# Largest explicit n, refused before any point table is built.
+MAX_POINTS = 10 ** 6
 
 
 class InputError(ValueError):
@@ -208,6 +211,8 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
             if not re.fullmatch("[0-9]+", value):
                 raise InputError(f"{loc}: n must be a nonnegative integer")
             n = _int(value, loc, "n")
+            if n > MAX_POINTS:
+                raise InputError(f"{loc}: n must be at most {MAX_POINTS}")
             where["n"] = loc
         elif key == "name":
             name = value
@@ -226,6 +231,18 @@ def _long_integer_line(text: str) -> int:
     long_int = r"(?<![-+.eE0-9])-?[0-9]{%d,}(?![.eE0-9])" % (MAX_DIGITS + 1)
     found = re.search(long_int, bare)
     return bare.count("\n", 0, found.start() if found else 0) + 1
+
+
+def _top_level_key_line(text: str, key: str) -> int:
+    """Line of the last top-level ``key`` of a JSON object, the one json keeps."""
+    import json
+    line, depth = 1, 0
+    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[\[{]|[\]}]', text):
+        if m.group(1) is None:
+            depth += 1 if m.group() in "[{" else -1
+        elif depth == 1 and m.group(2) and json.loads(m.group(1)) == key:
+            line = text.count("\n", 0, m.start()) + 1
+    return line
 
 
 def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocument:
@@ -255,6 +272,9 @@ def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocumen
     n = obj.get("n")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 0):
         raise InputError(f"{filename}: n must be a nonnegative integer")
+    if n is not None and n > MAX_POINTS:
+        line = _top_level_key_line(text, "n")
+        raise InputError(f"{filename}:{line}: n must be at most {MAX_POINTS}")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"{filename}: name must be a string")
@@ -477,8 +497,9 @@ COMMANDS: Dict[str, Command] = {
                 "--method",
                 {
                     "choices": (*METHODS, "all"),
-                    "default": "phi",
-                    "help": "evaluation route (default phi)",
+                    "default": "dp",
+                    "help": "evaluation route (default dp; brute, phi and psi"
+                    " are check routes)",
                 },
             ),
             _switch("--check", "run every route and fail on any mismatch"),

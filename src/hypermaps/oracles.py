@@ -207,6 +207,21 @@ def circuit_state_sum(m: EulerianMap) -> UniPoly:
     return UniPoly(terms)
 
 
+def proper_coloring_enumeration(h: Hypermap, colors: int) -> int:
+    """Proper vertex colorings by the definition: all colors^V are listed.
+
+    Vertices are sigma-cycles; a coloring is proper when every alpha-cycle
+    meets pairwise differently colored vertices at its points, so a
+    hyperedge visiting a vertex twice admits none.
+    """
+    vertex_of = h.sigma.cycle_labels()
+    edges = [[vertex_of[p] for p in c] for c in h.alpha.cycles() if len(c) > 1]
+    return sum(
+        all(len({coloring[v] for v in vl}) == len(vl) for vl in edges)
+        for coloring in product(range(colors), repeat=h.sigma.cycle_count)
+    )
+
+
 def valence(cycle: Sequence[int], coloring: Dict[int, int]) -> int:
     """Number of noncrossing matchings of one vertex joining equal colors."""
     return sum(

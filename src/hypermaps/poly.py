@@ -14,10 +14,12 @@ parsing round-trip.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Tuple, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:  # fractions loads decimal, so only evaluation imports it
+    from fractions import Fraction
+
+    Scalar = Union[int, Fraction]
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^-?\d+|[*+-])")
 
@@ -27,13 +29,12 @@ def _pow(base: Scalar, exp: int) -> Scalar:
         return base ** exp
     if base == 0:
         raise ZeroDivisionError("zero raised to a negative power")
+    from fractions import Fraction
     return Fraction(1, 1) / (Fraction(base) ** (-exp))
 
 
-def _normalize(value: Scalar) -> Scalar:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+def _normalize(value: Fraction) -> Scalar:
+    return int(value) if value.denominator == 1 else value
 
 
 def _tokenize(text: str):
@@ -207,7 +208,8 @@ class BiPoly(_SparsePoly):
         return BiPoly(out)
 
     def evaluate(self, u: Scalar, v: Scalar) -> Scalar:
-        total: Scalar = Fraction(0)
+        from fractions import Fraction
+        total = Fraction(0)
         for (eu, ev), c in self.terms.items():
             total += c * Fraction(_pow(u, eu)) * Fraction(_pow(v, ev))
         return _normalize(total)
@@ -278,7 +280,8 @@ class UniPoly(_SparsePoly):
         return UniPoly(out)
 
     def evaluate(self, x: Scalar) -> Scalar:
-        total: Scalar = Fraction(0)
+        from fractions import Fraction
+        total = Fraction(0)
         for e, c in self.terms.items():
             total += c * Fraction(_pow(x, e))
         return _normalize(total)

@@ -7,12 +7,15 @@ all refinements beta <= alpha of
     * v^(kappa(sigma, beta) + n - z(beta) - z(sigma)),
 
 an exact bivariate polynomial with nonnegative integer coefficients.  Four
-evaluation routes are provided and must agree:
+evaluation routes are provided and must agree.  ``whitney_dp`` is the
+production route, the default of ``whitney`` and of the CLI; the other
+three are independent checks, run by ``--method``, ``--check``, the
+selftest and the tests:
 
+* ``whitney_dp`` reads the sum off ``nclattice.refinement_profile``, a
+  frontier dynamic program over the stack of open blocks that needs only
+  kappa(sigma, beta) and z(beta) of each refinement and never lists them;
 * ``whitney_bruteforce`` sums over the refinement stream directly;
-* ``whitney_dp`` reads the same sum off ``nclattice.refinement_profile``,
-  a frontier dynamic program over the stack of open blocks that needs
-  only kappa(sigma, beta) and z(beta) of each refinement;
 * ``whitney_phi`` applies the deletion/contraction style recursion that picks
   a hyperedge cycle (c1, ..., cm) of length m >= 2 and expands into m branch
   collections phi_k, one per point of the cycle, each weighted by 1, u, v or
@@ -252,7 +255,7 @@ def whitney_dp(h: Hypermap) -> WhitneyResult:
     return WhitneyResult(poly, "dp", WhitneyStats(states, 0, len(poly.terms)))
 
 
-def whitney(h: Hypermap, method: str = "phi") -> WhitneyResult:
+def whitney(h: Hypermap, method: str = "dp") -> WhitneyResult:
     if method == "brute":
         return whitney_bruteforce(h)
     if method == "phi":
@@ -278,7 +281,7 @@ def specializations(h: Hypermap, poly: Optional[BiPoly] = None) -> Specializatio
     connected-preserving collections.
     """
     if poly is None:
-        poly = whitney_phi(h).polynomial
+        poly = whitney_dp(h).polynomial
     return Specializations(
         spanning_hyperforests=int(poly.evaluate(0, 0)),
         spanning_collections=int(poly.evaluate(0, 1)),

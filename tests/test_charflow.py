@@ -17,7 +17,12 @@ from hypermaps.hypermap import Hypermap
 from hypermaps.nclattice import interval, is_refinement, mobius, refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
-from hypermaps.selftest import random_collection
+from hypermaps.oracles import proper_coloring_enumeration
+from hypermaps.selftest import (
+    random_bounded_cycles,
+    random_collection,
+    random_permutation,
+)
 from hypermaps.whitney import InstanceTooLarge
 
 
@@ -72,6 +77,29 @@ def test_three_point_hyperedge_coloring_theorem():
     chi = characteristic_polynomial(h)
     for m in (2, 3, 5):
         assert m ** h.kappa * chi.evaluate(m) == proper_coloring_count(h, m)
+
+
+def test_proper_colorings_match_the_listed_definition():
+    rng = random.Random(1515)
+    cases = [make(0, [], [])]
+    for _ in range(600):
+        n = rng.randint(0, 8)
+        cases.append(Hypermap(random_permutation(rng, n),
+                              random_bounded_cycles(rng, n, 4)))
+    seen = set()
+    for h in cases:
+        vertex_of = h.sigma.cycle_labels()
+        for c in h.alpha.cycles():
+            met = {vertex_of[p] for p in c}
+            seen.add("bud" if len(c) == 1 else "loop" if len(met) < len(c) else "edge")
+        for m in range(5):
+            assert proper_coloring_count(h, m) == proper_coloring_enumeration(h, m), (
+                h.sigma.cycles(), h.alpha.cycles(), m)
+    assert seen == {"bud", "loop", "edge"}
+    # many vertices, one color: the only coloring, or none once an edge joins two
+    for alpha, count in (([], 1), ([[2999, 3000]], 0)):
+        h = make(3000, [], alpha)
+        assert proper_coloring_count(h, 1) == proper_coloring_enumeration(h, 1) == count
 
 
 def test_x_interval_top_equals_shifted_characteristic():

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from hypermaps import cli, medial, nclattice
 from hypermaps.poly import BiPoly
+from hypermaps.selftest import random_collection
 from hypermaps.whitney import whitney_phi
 
 RUNNING = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
@@ -54,7 +56,7 @@ def test_whitney_json_payload():
     payload = json.loads(r.stdout)
     assert set(payload) == {"input_echo", "result", "method", "stats"}
     assert payload["result"] == "u^2 + u*v + 4*u + v + 3"
-    assert payload["method"] == "phi"
+    assert payload["method"] == "dp"
     assert payload["input_echo"]["n"] == 5
     assert payload["input_echo"]["alpha"] == [[1, 2, 3], [4, 5]]
 
@@ -443,6 +445,71 @@ def test_cold_subcommands_import_only_what_they_run():
             assert not added & unwanted, (command, sorted(added & unwanted))
 
 
+# n is refused before tuple(range(1, n + 1)) could overflow or allocate.
+@pytest.mark.parametrize(
+    "stdin, error",
+    [
+        ("sigma: (1 2)\n" + ALPHA_LINE + "n: 99999999999999999999\n",
+         "<stdin>:3: n must be at most 1000000"),
+        ('{"sigma": [[1, 2]],\n "name": "n",\n "alpha": [[1, 2, 3]],\n'
+         ' "n": 1000000000}', "<stdin>:4: n must be at most 1000000"),
+    ],
+    ids=["text", "json"],
+)
+def test_n_above_max_points_refused(stdin, error, monkeypatch, capsys):
+    assert cli.MAX_POINTS == 10 ** 6
+    rc, out, err = run_in_process(["genus"], stdin, monkeypatch, capsys)
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
+def render_document(h, label, as_json):
+    """h as cycle text or JSON, point p written as label[p]."""
+    cycles = {key: [[label[p] for p in c] for c in perm.cycles()]
+              for key, perm in (("sigma", h.sigma), ("alpha", h.alpha))}
+    if as_json:
+        return json.dumps(cycles)
+    return "".join(
+        f"{key}: " + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc) + "\n"
+        for key, cyc in cycles.items()
+    )
+
+
+def test_default_whitney_matches_check_routes(monkeypatch, capsys):
+    rng = random.Random(1313)
+    seen = set()
+    for i in range(48):
+        h = random_collection(rng, n_max=7, max_cycle=4)
+        if i % 3 == 0:  # disjoint union with a second collection
+            h = h.disjoint_union(random_collection(rng, n_max=4, max_cycle=3))
+        gaps = [rng.randint(1, 3) if i % 2 else 1 for _ in range(h.n)]
+        label = {p: sum(gaps[:p]) for p in range(1, h.n + 1)}
+        doc = render_document(h, label, as_json=i % 4 < 2)
+        seen |= {("disconnected", h.kappa > 1), ("positive genus", h.genus > 0),
+                 ("json", doc.startswith("{")),
+                 ("non-compact", label[h.n] != h.n)}
+        rc, default, err = run_in_process(["whitney"], doc, monkeypatch, capsys)
+        assert (rc, err) == (0, "")
+        for method in ("phi", "psi", "brute"):
+            argv = ["whitney", f"--method={method}"]
+            assert run_in_process(argv, doc, monkeypatch, capsys) == (0, default, ""), (
+                doc, method)
+    assert {name for name, hit in seen if hit} == {
+        "disconnected", "positive genus", "json", "non-compact"}
+
+
+def test_colorings_on_many_vertices_need_no_recursion():
+    # more vertices than the recursion limit main sets: 20,000 buds, and a
+    # path on 15,001 vertices {1}, {2, 3}, ..., {30000} joined by (2i-1 2i)
+    buds = "n: 20000\nsigma: (1)\nalpha: (1)\n"
+    k = 15000
+    path = ("sigma: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, k))
+            + "\nalpha: " + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, k + 1))
+            + "\n")
+    for m, doc, count in ((1, buds, "1"), (2, path, "2")):
+        r = run_cli(["colorings", f"--m={m}"], doc)
+        assert (r.returncode, r.stdout, r.stderr) == (0, count + "\n", ""), m
+
+
 def test_negative_digraph_vertices_still_parse():
     r = run_cli(["from-digraph"], "-1 2\n2 -1\n")
     assert r.returncode == 0, r.stderr
@@ -482,8 +549,8 @@ def json_text(payload):
 
 # (argv, stdin, plain text, --json result, --json method, --json stats)
 PINNED = [
-    (["whitney"], RUNNING, R_TEXT, R_TEXT, "phi",
-     {"memo_hits": 1, "nodes": 8, "terms": 5}),
+    (["whitney"], RUNNING, R_TEXT, R_TEXT, "dp",
+     {"memo_hits": 0, "nodes": 9, "terms": 5}),
     (["whitney", "--method=brute"], RUNNING, R_TEXT, R_TEXT, "brute",
      {"memo_hits": 0, "nodes": 10, "terms": 5}),
     (["whitney", "--method=psi"], RUNNING, R_TEXT, R_TEXT, "psi",
@@ -494,8 +561,8 @@ PINNED = [
      {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT, "dp": R_TEXT}, "all",
      {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 1, "nodes": 8},
       "psi": {"memo_hits": 3, "nodes": 8}, "dp": {"memo_hits": 0, "nodes": 9}}),
-    (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "phi",
-     {"memo_hits": 1, "nodes": 8, "terms": 5}),
+    (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "dp",
+     {"memo_hits": 0, "nodes": 9, "terms": 5}),
     (["genus"], RUNNING, "0", {"genus": 0, "kappa": 1}, "euler", {}),
     (["dual"], RUNNING, "sigma: (1 5)(2 4 3)\nalpha: (1 3 2)(4 5)",
      {"sigma": [[1, 5], [2, 4, 3]], "alpha": [[1, 3, 2], [4, 5]]}, "dual", {}),

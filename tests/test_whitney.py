@@ -278,6 +278,18 @@ def test_planar_dual_swaps_variables():
     assert whitney_phi(d).polynomial == GOLDEN.swap_variables()
 
 
+def test_default_method_is_dp():
+    r = whitney(RUNNING)
+    assert (r.method, r.polynomial) == ("dp", GOLDEN)
+
+
+def test_specializations_default_matches_phi():
+    rng = random.Random(1414)
+    for _ in range(60):
+        h = random_collection(rng, n_max=7)
+        assert specializations(h) == specializations(h, whitney_phi(h).polynomial)
+
+
 def test_specializations_of_golden():
     s = specializations(RUNNING)
     assert s.spanning_hyperforests == 3

@@ -28,7 +28,7 @@ f(i) = 0 only happens on alpha fixed points (buds).
 from __future__ import annotations
 
 from itertools import filterfalse, product
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .hypermap import Hypermap, orbit_count
 from .nclattice import (
@@ -94,14 +94,14 @@ def proper_coloring_count(h: Hypermap, colors: int) -> int:
     """
     vertex_of = h.sigma.cycle_labels()
     nv = h.sigma.cycle_count
-    # before[v]: (vertices of a hyperedge at v in label order, v's position)
-    before: List[List[Tuple[List[int], int]]] = [[] for _ in range(nv)]
+    # earlier[v]: v's hyperedge neighbours with smaller labels
+    earlier: List[Set[int]] = [set() for _ in range(nv)]
     for c in h.alpha.cycles():
         vl = sorted(vertex_of[p] for p in c)
         if len(set(vl)) != len(vl) or len(vl) > colors:
             return 0
         for i in range(1, len(vl)):
-            before[vl[i]].append((vl, i))
+            earlier[vl[i]].update(vl[:i])
     if nv == 0:
         return 1
     coloring = [0] * nv
@@ -109,7 +109,7 @@ def proper_coloring_count(h: Hypermap, colors: int) -> int:
     count = 0
     v = 0
     while True:
-        used = {coloring[u] for vl, i in before[v] for u in vl[:i]}
+        used = {coloring[u] for u in earlier[v]}
         if v == nv - 1:
             count += colors - len(used)
         else:

@@ -297,13 +297,10 @@ def wet_dry_polynomial(h: Hypermap) -> BiPoly:
         = 2 g(sigma, beta) + z(beta^-1 sigma) - kappa(sigma, beta)
     with g(sigma, beta) = 0, so taking wet(beta) = kappa(sigma, beta) parts
     of the surface and dry(beta) = z(beta^-1 sigma) - kappa(sigma, beta)
-    gives sum u^wet v^dry = u^kappa(sigma, alpha) * R(u, v).  Genus zero
-    also gives z(beta^-1 sigma) = n + 2 kappa(sigma, beta) - z(sigma) - z(beta),
-    so the sum is read off ``refinement_profile``.  The selftest and the
-    tests compare it with the definitional sum and with u^kappa R.
+    gives sum u^wet v^dry = u^kappa(sigma, alpha) * R(u, v), which is how it
+    is computed.  The selftest and the tests compare it with the
+    definitional sum.
     """
     if h.genus != 0:
         raise ValueError("wet/dry weights are only defined at genus zero")
-    counts, _ = refinement_profile(h)
-    zs = h.sigma.cycle_count
-    return BiPoly({(kb, h.n + kb - zs - zb): c for (kb, zb), c in counts.items()})
+    return BiPoly.monomial(1, h.kappa, 0) * whitney_dp(h).polynomial

@@ -434,9 +434,9 @@ def test_cold_subcommands_import_only_what_they_run():
     # against a bare interpreter: site may load modules of its own
     bare = imported_modules(["-c", "pass"])
     heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.medial",
-             "dataclasses", "json"}
+             "dataclasses", "json", "fractions", "decimal"}
     optional = {"hypermaps.charflow", "hypermaps.medial", "hypermaps.oracles",
-                "hypermaps.selftest"}
+                "hypermaps.selftest", "fractions", "decimal"}
     for commands, runs, unwanted in ((("charpoly", "flowpoly"), "charflow", heavy),
                                      (("whitney", "genus", "wet-dry"), "whitney", optional)):
         for command in commands:

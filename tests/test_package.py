@@ -94,12 +94,3 @@ def test_fresh_import_keeps_whitney_the_function():
         "charflow": "hypermaps.charflow",
     }
 
-
-def test_cold_commands_do_not_load_fractions():
-    from test_cli import RUNNING, imported_modules
-
-    bare = imported_modules(["-c", "pass"])
-    for command in ("charpoly", "flowpoly", "whitney", "genus"):
-        added = imported_modules(["-m", "hypermaps", command], RUNNING) - bare
-        assert "hypermaps.poly" in added, command
-        assert not added & {"fractions", "decimal"}, command

@@ -6,7 +6,9 @@ mu(id, beta), a product of ``mobius_nc`` over beta's blocks, and C(t) by
 mu(beta, alpha), a product over the cycles of the Kreweras complement
 beta^-1 alpha.  The stack of open blocks closes the blocks of either side
 whole at a height it knows, so each is one ``refinement_profile`` pass,
-which never lists the refinements.  X stays a ``refinement_sum`` pass.
+which never lists the refinements.  X is one ``refinement_walk`` over the
+refinements delta of alpha1^-1 alpha2, weighted by ``mobius_nc`` per block
+of delta; no ``Permutation`` is built per term.
 
 The characteristic polynomial of (sigma, alpha) is
 
@@ -30,14 +32,8 @@ from __future__ import annotations
 from itertools import filterfalse, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .hypermap import Hypermap, orbit_count
-from .nclattice import (
-    is_refinement,
-    mobius_nc,
-    mobius_of_cycles,
-    refinement_profile,
-    refinement_sum,
-)
+from .hypermap import Hypermap
+from .nclattice import is_refinement, mobius_nc, refinement_profile, refinement_walk
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
@@ -56,16 +52,24 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
 
     beta = alpha1 delta maps the refinements delta of alpha1^-1 alpha2 onto
     [alpha1, alpha2], and mu(alpha1, beta) = mu(id, delta) (Biane 1997).
+    As alpha1 <= beta, the orbits of <sigma, beta> are those of <sigma,
+    alpha1, delta>, so one ``refinement_walk`` over delta, starting from
+    the orbits of <sigma, alpha1> and weighting each block of delta by
+    ``mobius_nc``, gives every term.
     """
     if not is_refinement(alpha2, h.alpha):
         raise ValueError("alpha2 must refine the collection's alpha")
     if not is_refinement(alpha1, alpha2):
         raise ValueError("alpha1 must refine alpha2")
-
-    def term(delta: Permutation):
-        return orbit_count(h.sigma, alpha1 * delta), mobius_of_cycles(delta)
-
-    return UniPoly(refinement_sum(alpha1.inverse() * alpha2, term))
+    orbit = [0] * (h.n + 1)
+    for i, comp in enumerate(Hypermap(h.sigma, alpha1).components()):
+        for p in comp:
+            orbit[p] = i
+    counts = refinement_walk(alpha1.inverse() * alpha2, orbit, mobius_nc)
+    terms: Dict[int, int] = {}
+    for (kb, _), c in counts.items():
+        terms[kb] = terms.get(kb, 0) + c
+    return UniPoly(terms)
 
 
 def flow_polynomial(h: Hypermap) -> UniPoly:
@@ -78,19 +82,24 @@ def flow_polynomial(h: Hypermap) -> UniPoly:
 
 
 def proper_coloring_count(h: Hypermap, colors: int) -> int:
-    """Count proper vertex colorings by backtracking.
+    """Count proper vertex colorings, one hyperedge component at a time.
 
     Vertices are sigma-cycles.  A coloring is proper when, on every
     alpha-cycle, the vertices met at its points are pairwise differently
     colored; in particular a hyperedge visiting some vertex twice, or more
     vertices than there are colors, admits no proper coloring at all.
-    Vertices are colored in label order, each only with colors its already
-    colored hyperedge neighbours do not use, so no improper partial coloring
+    Vertices sharing no hyperedge are colored independently, so the count
+    is the product over the connected components of the "shares a
+    hyperedge" graph, which are the orbits of <sigma, alpha>; a vertex with
+    no neighbour contributes ``colors``.  Within a component, vertices are
+    colored by backtracking in label order, each only with colors its
+    already colored neighbours do not use, so no improper partial coloring
     is extended, and the last vertex counts its free colors.  The stack of
     color choices is explicit, so the depth is not bounded by the recursion
-    limit, and memory stays linear in n.  The worst case, no hyperedges,
-    still takes colors^(V-1) steps; ``oracles.proper_coloring_enumeration``
-    is the definitional count over all colors^V colorings.
+    limit, and memory stays linear in n.  The steps within a component still
+    grow with its count of colorings, 3 * 2^(V-1) on a path of V vertices
+    with 3 colors; ``oracles.proper_coloring_enumeration`` is the
+    definitional count over all colors^V colorings.
     """
     vertex_of = h.sigma.cycle_labels()
     nv = h.sigma.cycle_count
@@ -102,23 +111,34 @@ def proper_coloring_count(h: Hypermap, colors: int) -> int:
             return 0
         for i in range(1, len(vl)):
             earlier[vl[i]].update(vl[:i])
-    if nv == 0:
-        return 1
     coloring = [0] * nv
-    choices: List[Iterator[int]] = []  # choices[v]: colors still to try at v
+    total = 1
+    for comp in h.components():
+        order = sorted({vertex_of[p] for p in comp})
+        total *= _component_colorings(order, earlier, coloring, colors)
+        if not total:
+            return 0
+    return total
+
+
+def _component_colorings(
+    order: List[int], earlier: List[Set[int]], coloring: List[int], colors: int
+) -> int:
+    """Proper colorings of one component, its vertices colored in ``order``."""
+    choices: List[Iterator[int]] = []  # choices[i]: colors left at order[i]
     count = 0
-    v = 0
+    i = 0
     while True:
-        used = {coloring[u] for u in earlier[v]}
-        if v == nv - 1:
+        used = {coloring[u] for u in earlier[order[i]]}
+        if i == len(order) - 1:
             count += colors - len(used)
         else:
             choices.append(filterfalse(used.__contains__, range(colors)))
         while choices:
             c = next(choices[-1], None)
             if c is not None:
-                v = len(choices)
-                coloring[v - 1] = c
+                i = len(choices)
+                coloring[order[i - 1]] = c
                 break
             choices.pop()
         else:

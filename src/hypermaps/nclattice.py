@@ -7,10 +7,14 @@ partition of the cyclic order, each block traversed in the order its points
 first appear along the parent cycle.  Refinements of a single m-cycle are
 therefore in bijection with noncrossing partitions of an m-element cycle and
 are counted by the Catalan number Cat(m) = binom(2m, m) / (m + 1).
-``refinement_sum`` visits them one by one; ``refinement_profile`` sums
-over them without listing them, by a frontier dynamic program over the
-stack of open blocks, when a term needs only kappa(sigma, beta), z(beta)
-and a weight per block of beta or of its Kreweras complement beta^-1 alpha.
+When a term needs only kappa(sigma, beta), z(beta) and a weight per block
+of beta or of its Kreweras complement beta^-1 alpha, two routes read
+alpha's cycles as a stack of open blocks.  ``refinement_profile`` sums over
+the refinements without listing them, by a frontier dynamic program that
+merges equal states; ``refinement_walk`` visits them one by one, by a
+depth-first walk of the same moves that merges nothing, and checks it.
+``refinement_sum`` builds each beta as a ``Permutation``, for terms that
+need more of it, such as z(beta^-1 sigma) at positive genus.
 Reading a cycle point by point, one complement block lies open between two
 stack levels and one above the top, so with H blocks open, joining the
 block at depth d closes a complement block of H - d points, and the end of
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .hypermap import Hypermap
 from .perm import Permutation, cycle_count_on
@@ -120,16 +124,95 @@ def refinement_sum(
 ) -> Dict[Hashable, int]:
     """Sum term(beta) = (exponent key, coefficient) over beta <= alpha, by key.
 
-    This visits every refinement, Catalan-many per cycle.  Use it when the
-    term needs more of beta than ``refinement_profile`` keeps: more than
-    kappa(sigma, beta), z(beta) and a weight per block of beta or of
-    beta^-1 alpha, for example the whole permutation beta^-1 sigma.
+    This builds every refinement, Catalan-many per cycle.  Use it when the
+    term needs more of beta than ``refinement_profile`` and
+    ``refinement_walk`` keep: more than kappa(sigma, beta), z(beta) and a
+    weight per block, for example the whole permutation beta^-1 sigma, as
+    the circuit partition polynomial does at positive genus.
     """
     totals: Dict[Hashable, int] = {}
     for beta in refinements(alpha):
         key, coeff = term(beta)
         totals[key] = totals.get(key, 0) + coeff
     return totals
+
+
+def refinement_walk(
+    alpha: Permutation,
+    classes: Sequence[int],
+    block_weight: Optional[Callable[[int], int]] = None,
+) -> Dict[Tuple[int, int], int]:
+    """Weighted refinement counts by (kappa, z(beta)), one refinement at a time.
+
+    classes[p] in 0..K-1 is the class of point p.  For a refinement beta <=
+    alpha, kappa is the number of classes left once the classes of every
+    beta-block are joined, and its weight is the product of block_weight(|b|)
+    over the blocks b of beta (1 without a weight).  Pairs whose weights
+    cancel are left out, as in ``refinement_profile``.
+
+    A depth-first walk of the moves of ``noncrossing_partitions``, from an
+    explicit list of pending moves, so its depth is not bounded by the
+    recursion limit: a point opens a block (z + 1) or joins the open block at
+    some depth, closing every block above it, and the end of an alpha-cycle
+    closes them all.  A join unions the point's class with the block's in a
+    union-find with an undo log, which a move cuts back to its parent's
+    length, so each refinement costs O(1) amortized steps and no state is
+    merged.  Shorter cycles are read first, so the walk branches as late as
+    it can and fixed points are not walked again for every refinement.  It
+    shares nothing with ``refinement_profile``, which it checks.
+    """
+    cycles = sorted(alpha.cycles(), key=len)
+    points = [p for c in cycles for p in c]
+    if not points:
+        return {(0, 0): 1}
+    cls = [classes[p] for p in points]
+    last = len(points) - 1
+    ends = {t - 1 for t in accumulate(len(c) for c in cycles)}
+    w = [1] * (last + 2)
+    if block_weight is not None:
+        w[1:] = map(block_weight, range(1, last + 2))
+    parent = list(range(max(cls) + 1))
+    size = [1] * len(parent)
+    top = len(set(cls))  # kappa is top less the unions in the log
+    log: List[int] = []
+    counts: Dict[Tuple[int, int], int] = {}
+    # A move of point t: its depth (-1 opens), then the stack's labels and
+    # sizes, z, the weight of the closed blocks and the log length before it.
+    todo = [(0, -1, (), (), 0, 1, 0)]
+    while todo:
+        t, d, stack, sizes, z, wt, mark = todo.pop()
+        while len(log) > mark:
+            r = log.pop()
+            size[parent[r]] -= size[r]
+            parent[r] = r
+        if d < 0:
+            stack, sizes, z = stack + (cls[t],), sizes + (1,), z + 1
+        else:
+            a, b = cls[t], stack[d]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                a, b = (a, b) if size[a] <= size[b] else (b, a)
+                parent[a] = b
+                size[b] += size[a]
+                log.append(a)
+            for k in sizes[d + 1 :]:
+                wt *= w[k]
+            stack, sizes = stack[: d + 1], sizes[:d] + (sizes[d] + 1,)
+        if t in ends:
+            for k in sizes:
+                wt *= w[k]
+            stack = sizes = ()
+        if t == last:
+            key = (top - len(log), z)
+            counts[key] = counts.get(key, 0) + wt
+        else:
+            mark = len(log)
+            todo += [(t + 1, d, stack, sizes, z, wt, mark)
+                     for d in range(len(stack) - 1, -2, -1)]
+    return {key: c for key, c in counts.items() if c}
 
 
 def refinement_profile(

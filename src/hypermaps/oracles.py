@@ -13,14 +13,43 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .hypermap import Hypermap
+from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
+from .nclattice import mobius_of_cycles, refinements
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
 
 def narayana(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
+
+
+def whitney_refinement_sum(h: Hypermap) -> BiPoly:
+    """R(u, v) term by term: one ``Permutation`` per refinement beta <= alpha.
+
+    kappa(sigma, beta) comes from a search over the orbits of <sigma, beta>,
+    and z(beta) from beta's cycles.
+    """
+    terms: Dict[Tuple[int, int], int] = {}
+    for beta in refinements(h.alpha):
+        kb = orbit_count(h.sigma, beta)
+        key = (kb - h.kappa, kb + h.n - beta.cycle_count - h.sigma.cycle_count)
+        terms[key] = terms.get(key, 0) + 1
+    return BiPoly(terms)
+
+
+def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
+    """X([alpha1, alpha2]; t) term by term, for alpha1 <= alpha2 <= alpha.
+
+    Each refinement delta of alpha1^-1 alpha2 gives beta = alpha1 delta in
+    the interval, with mu(alpha1, beta) = mu(id, delta) and the exponent
+    kappa(sigma, beta) from a search over the orbits of <sigma, beta>.
+    """
+    terms: Dict[int, int] = {}
+    for delta in refinements(alpha1.inverse() * alpha2):
+        kb = orbit_count(h.sigma, alpha1 * delta)
+        terms[kb] = terms.get(kb, 0) + mobius_of_cycles(delta)
+    return UniPoly(terms)
 
 
 def underlying_graph(h: Hypermap) -> Tuple[int, List[Tuple[int, int]]]:

@@ -15,7 +15,12 @@ selftest and the tests:
 * ``whitney_dp`` reads the sum off ``nclattice.refinement_profile``, a
   frontier dynamic program over the stack of open blocks that needs only
   kappa(sigma, beta) and z(beta) of each refinement and never lists them;
-* ``whitney_bruteforce`` sums over the refinement stream directly;
+* ``whitney_bruteforce`` takes one term per refinement from
+  ``nclattice.refinement_walk``, a depth-first walk of the same stack of
+  open blocks that joins the sigma-cycles met by each block in a
+  union-find and merges no states, so it checks the DP's bookkeeping;
+  ``oracles.whitney_refinement_sum`` is the definitional sum, one
+  ``Permutation`` per refinement;
 * ``whitney_phi`` applies the deletion/contraction style recursion that picks
   a hyperedge cycle (c1, ..., cm) of length m >= 2 and expands into m branch
   collections phi_k, one per point of the cycle, each weighted by 1, u, v or
@@ -59,8 +64,8 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
-from .hypermap import Hypermap, orbit_count
-from .nclattice import refinement_count, refinement_profile, refinement_sum
+from .hypermap import Hypermap
+from .nclattice import refinement_count, refinement_profile, refinement_walk
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -223,21 +228,25 @@ def whitney_psi(h: Hypermap) -> WhitneyResult:
     return _whitney_recursive(h, keep_connected=True)
 
 
-def _beta_term(h: Hypermap, beta: Permutation) -> Tuple[int, int]:
-    kb = orbit_count(h.sigma, beta)
-    eu = kb - h.kappa
-    ev = kb + h.n - beta.cycle_count - h.sigma.cycle_count
-    return eu, ev
+def _poly_of_counts(h: Hypermap, counts) -> BiPoly:
+    """R from refinement counts by (kappa(sigma, beta), z(beta))."""
+    zs = h.sigma.cycle_count
+    return BiPoly(
+        {(kb - h.kappa, kb + h.n - zb - zs): c for (kb, zb), c in counts.items()}
+    )
 
 
 def whitney_bruteforce(h: Hypermap) -> WhitneyResult:
-    """Direct sum over the refinement stream, with no size guard of its own.
+    """One term per refinement, from ``nclattice.refinement_walk``.
 
-    The ``whitney`` subcommand checks ``refinement_count`` against its cap
+    The walk visits every beta <= alpha, joining the sigma-cycles met by each
+    beta-block to get kappa(sigma, beta), so it checks the DP's relabelling
+    and its detection of finished classes.  It has no size guard of its own:
+    the ``whitney`` subcommand checks ``refinement_count`` against its cap
     before it calls any route.
     """
     stats = WhitneyStats(nodes=refinement_count(h.alpha))
-    poly = BiPoly(refinement_sum(h.alpha, lambda beta: (_beta_term(h, beta), 1)))
+    poly = _poly_of_counts(h, refinement_walk(h.alpha, h.sigma.cycle_labels()))
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "brute", stats)
 
@@ -248,10 +257,7 @@ def whitney_dp(h: Hypermap) -> WhitneyResult:
     ``stats.nodes`` counts the DP states visited; there is no memo.
     """
     counts, states = refinement_profile(h)
-    zs = h.sigma.cycle_count
-    poly = BiPoly(
-        {(kb - h.kappa, kb + h.n - zb - zs): c for (kb, zb), c in counts.items()}
-    )
+    poly = _poly_of_counts(h, counts)
     return WhitneyResult(poly, "dp", WhitneyStats(states, 0, len(poly.terms)))
 
 

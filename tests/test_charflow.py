@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -86,6 +87,14 @@ def test_proper_colorings_match_the_listed_definition():
         n = rng.randint(0, 8)
         cases.append(Hypermap(random_permutation(rng, n),
                               random_bounded_cycles(rng, n, 4)))
+    for _ in range(150):  # the hyperedge graph falls apart
+        cases.append(random_collection(rng, n_max=4).disjoint_union(
+            random_collection(rng, n_max=4)))
+    for _ in range(150):  # many vertices, alpha mostly buds
+        n = rng.randint(1, 8)
+        edge = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
+        cases.append(Hypermap(random_bounded_cycles(rng, n, 2),
+                              Permutation.from_cycles(n, [edge])))
     seen = set()
     for h in cases:
         vertex_of = h.sigma.cycle_labels()
@@ -96,10 +105,30 @@ def test_proper_colorings_match_the_listed_definition():
             assert proper_coloring_count(h, m) == proper_coloring_enumeration(h, m), (
                 h.sigma.cycles(), h.alpha.cycles(), m)
     assert seen == {"bud", "loop", "edge"}
+    # the components of the hyperedge graph are the orbits of <sigma, alpha>
+    assert sum(h.kappa > 1 for h in cases) > 300
+    bud_vertices = [
+        sum(all(h.alpha(p) == p for p in c) for c in h.sigma.cycles()) for h in cases
+    ]
+    assert sum(b >= 3 for b in bud_vertices) > 50
     # many vertices, one color: the only coloring, or none once an edge joins two
     for alpha, count in (([], 1), ([[2999, 3000]], 0)):
         h = make(3000, [], alpha)
         assert proper_coloring_count(h, 1) == proper_coloring_enumeration(h, 1) == count
+
+
+def test_isolated_vertices_multiply_the_count():
+    # 20 buds, each its own vertex: 3^20 colorings, one factor per component
+    h = make(20, [], [])
+    start = time.perf_counter()
+    assert proper_coloring_count(h, 3) == 3 ** 20 == 3486784401
+    assert time.perf_counter() - start < 1.0
+    # two disjoint triangles and a bud: 6 * 6 * 3 colorings with 3 colors
+    triangles = make(12, [[1, 6], [2, 3], [4, 5], [7, 12], [8, 9], [10, 11]],
+                     [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]])
+    h = triangles.disjoint_union(make(1, [], []))
+    assert proper_coloring_count(h, 3) == 6 * 6 * 3
+    assert proper_coloring_count(h, 2) == 0
 
 
 def test_x_interval_top_equals_shifted_characteristic():

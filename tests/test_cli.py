@@ -510,6 +510,12 @@ def test_colorings_on_many_vertices_need_no_recursion():
         assert (r.returncode, r.stdout, r.stderr) == (0, count + "\n", ""), m
 
 
+def test_colorings_of_many_buds_factor_by_component():
+    # 20 isolated vertices: 3^20, one factor of 3 each, not 3^19 steps
+    r = run_cli(["colorings", "--m=3"], "n: 20\nsigma: (1)\nalpha: (1)\n", timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "3486784401\n", "")
+
+
 def test_negative_digraph_vertices_still_parse():
     r = run_cli(["from-digraph"], "-1 2\n2 -1\n")
     assert r.returncode == 0, r.stderr

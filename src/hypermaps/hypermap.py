@@ -46,11 +46,11 @@ def orbit_count(p: Permutation, q: Permutation) -> int:
 class Hypermap:
     """A collection of hypermaps; connected exactly when ``kappa == 1``.
 
-    kappa and genus are computed eagerly, the canonical key lazily.
-    Instances are immutable and safe to share across threads.
+    kappa and genus are computed eagerly.  Instances are immutable and safe
+    to share across threads.
     """
 
-    __slots__ = ("sigma", "alpha", "n", "kappa", "genus", "_faces", "_key")
+    __slots__ = ("sigma", "alpha", "n", "kappa", "genus", "_faces")
 
     def __init__(self, sigma: Permutation, alpha: Permutation):
         if sigma.n != alpha.n:
@@ -70,7 +70,6 @@ class Hypermap:
         if euler < 0 or euler % 2:
             raise ValueError(f"genus parity violated: {euler}")
         self.genus = euler // 2
-        self._key = None
 
     @property
     def is_connected(self) -> bool:
@@ -129,58 +128,6 @@ class Hypermap:
             tuple([0] + [label[sig[p]] for p in points]),
             tuple([0] + [label[alf[p]] for p in points]),
         )
-
-    def canonical_key(self):
-        """Exact isomorphism invariant of the pair.
-
-        Two collections get equal keys if and only if some relabeling of
-        1..n carries one (sigma, alpha) pair to the other.  The type of a
-        point is the triple of lengths of its sigma-cycle, alpha-cycle and
-        face; relabelings preserve it.  In each component the root class is
-        the type held by the fewest points, ties going to the smaller type.
-        The component's key is its size, that type, and the lexicographic
-        minimum, over the roots of that class, of the pair of image words
-        after relabeling points in first-visit order (following sigma then
-        alpha from each visited point).  Component keys are sorted, which
-        handles collections.
-        """
-        if self._key is None:
-            sig, alf = self.sigma._image, self.alpha._image
-            lengths = []
-            for perm in (self.sigma, self.alpha, self._faces):
-                length = [0] * (self.n + 1)
-                for c in perm.cycles():
-                    for p in c:
-                        length[p] = len(c)
-                lengths.append(length)
-            ls, la, lf = lengths
-            keys = []
-            for comp in self.components():
-                classes: dict = {}
-                for p in comp:
-                    classes.setdefault((ls[p], la[p], lf[p]), []).append(p)
-                root_type, roots = min(
-                    classes.items(), key=lambda item: (len(item[1]), item[0])
-                )
-                best = None
-                for root in roots:
-                    label = [0] * (self.n + 1)
-                    label[root] = 1
-                    order = [root]
-                    for p in order:
-                        for q in (sig[p], alf[p]):
-                            if not label[q]:
-                                order.append(q)
-                                label[q] = len(order)
-                    cand = tuple(label[sig[p]] for p in order) + tuple(
-                        label[alf[p]] for p in order
-                    )
-                    if best is None or cand < best:
-                        best = cand
-                keys.append((len(comp), root_type, best))
-            keys.sort()
-            self._key = tuple(keys)
-        return self._key
 
     def relabel(self, r: Permutation) -> "Hypermap":
         return Hypermap(self.sigma.relabel(r), self.alpha.relabel(r))

@@ -46,16 +46,14 @@ The polynomial is multiplicative over disjoint unions, so phi and psi work
 one connected component at a time.  The input and every branch collection
 are split into components; a component whose hyperedges are all fixed
 points contributes 1, and every other one is relabeled onto 1..m in
-increasing point order, expanded, and multiplied in.  Two lookups, both
-living for one call, spare the expansion.  First the component's image
-tables on 1..m (``Hypermap.component_images``) are looked up in an exact
-index of the components already solved; a hit builds no ``Hypermap`` and
-computes no key.  Otherwise the component is built and its polynomial is
-memoized under its exact canonical key (``Hypermap.canonical_key``), so an
-isomorphic copy under other labels is solved once too; the result is then
-indexed under its images.  ``WhitneyStats`` counts component visits as
-nodes, and visits answered by either lookup as memo hits.  A branch's
-weight u^eu v^ev is added in as a shift of its terms' exponents.
+increasing point order, expanded, and multiplied in.  One lookup, living
+for one call, spares the expansion: the component's image tables on 1..m
+(``Hypermap.component_images``) are looked up in an exact index of the
+components already solved, so a hit builds no ``Hypermap``.  The index is
+keyed by labels, so an isomorphic copy under other labels is expanded
+again.  ``WhitneyStats`` counts component visits as nodes, and visits
+answered by the index as memo hits.  A branch's weight u^eu v^ev is added
+in as a shift of its terms' exponents.
 """
 
 from __future__ import annotations
@@ -153,7 +151,6 @@ def branch(
 
 
 def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
-    memo: dict = {}
     exact: dict = {}
     stats = WhitneyStats()
 
@@ -162,39 +159,23 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
         # hyperedges are all fixed points contributes 1.
         alf = g.alpha._image
         factors = []
-        misses: dict = {}  # images not indexed yet -> number of copies
         for comp in g.components():
             if any(alf[p] != p for p in comp):
+                stats.nodes += 1
                 images = g.component_images(comp)
-                if images in exact:
-                    stats.nodes += 1
-                    stats.memo_hits += 1
-                    factors.append(exact[images])
+                poly = exact.get(images)
+                if poly is None:
+                    if g.kappa == 1:
+                        piece = g
+                    else:
+                        piece = Hypermap(*map(Permutation._unchecked, images))
+                    exact[images] = poly = component(piece)
                 else:
-                    misses[images] = misses.get(images, 0) + 1
-        pieces = []
-        for images, copies in misses.items():
-            if g.kappa == 1:
-                piece = g
-            else:
-                piece = Hypermap(*map(Permutation._unchecked, images))
-            pieces.append((piece.canonical_key(), images, piece, copies))
-        # Solving in key order keeps the work independent of the labels.
-        pieces.sort(key=lambda piece: piece[0])
-        for key, images, piece, copies in pieces:
-            exact[images] = poly = component(key, piece)
-            # further copies of one labelled component are memo hits too
-            stats.nodes += copies - 1
-            stats.memo_hits += copies - 1
-            factors += [poly] * copies
+                    stats.memo_hits += 1
+                factors.append(poly)
         return reduce(mul, factors) if factors else BiPoly.const(1)
 
-    def component(key, g: Hypermap) -> BiPoly:
-        stats.nodes += 1
-        cached = memo.get(key)
-        if cached is not None:
-            stats.memo_hits += 1
-            return cached
+    def component(g: Hypermap) -> BiPoly:
         pivot = pivot_cycle(g.alpha)
         terms: dict = {}
         for k in range(1, len(pivot) + 1):
@@ -202,14 +183,11 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
             for (a, b), c in product(child).terms.items():
                 t = (a + eu, b + ev)
                 terms[t] = terms.get(t, 0) + c
-        total = BiPoly(terms)
-        memo[key] = total
-        return total
+        return BiPoly(terms)
 
     poly = product(h)
     # product and component refer to each other, a reference cycle that
-    # only the cyclic collector would free, so release the caches now
-    memo.clear()
+    # only the cyclic collector would free, so release the index now
     exact.clear()
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "psi" if keep_connected else "phi", stats)

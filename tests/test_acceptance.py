@@ -108,7 +108,7 @@ def corpus():
 
 
 def walk_branches(h, keep_connected):
-    """Every distinct recursion node's branches, deduplicated by key."""
+    """Every distinct recursion node's branches, deduplicated by (sigma, alpha)."""
     seen = set()
     stack = [h]
     while stack:
@@ -116,7 +116,7 @@ def walk_branches(h, keep_connected):
         cycle = pivot_cycle(g.alpha)
         if cycle is None:
             continue
-        key = g.canonical_key()
+        key = (g.sigma, g.alpha)
         if key in seen:
             continue
         seen.add(key)

@@ -4,19 +4,25 @@ Every drawn text must either parse or raise ``ValueError`` (the CLI turns
 that into exit 2 with a one-line ``error:``), and nothing else, within a
 fixed deadline per example.
 
-Drawn values of ``n`` stay small.  A large ``n`` is a known open defect,
-not something these tests hide: ``{"n": 1000000000, ...}`` (or the text
-line ``n: 1000000000``) makes ``_build_document`` allocate a label table of
-n entries before any size check runs, so it exhausts memory instead of
-failing fast.  Capping n at parse time is on the ROADMAP.
+Drawn values of ``n`` are either small (at most ``SMALL_N``) or above
+``cli.MAX_POINTS``, up to 10^40, where the parsers must refuse them with
+``ValueError`` before any point table is built.  Examples that set ``n``
+in between are skipped: they parse, but build tables of up to a million
+entries, which is slow rather than wrong.
 """
 
 import json
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypermaps.cli import parse_digraph, parse_hypermap_json, parse_hypermap_text
+from hypermaps.cli import (
+    MAX_POINTS,
+    parse_digraph,
+    parse_hypermap_json,
+    parse_hypermap_text,
+)
 from hypermaps.poly import BiPoly, UniPoly
 
 FUZZ = settings(
@@ -27,6 +33,7 @@ FUZZ = settings(
 )
 
 SMALL_N = 12
+large_n = st.integers(min_value=MAX_POINTS + 1, max_value=10 ** 40)
 
 points = st.integers(min_value=-2, max_value=SMALL_N + 2)
 cycles = st.lists(st.lists(points, max_size=5), max_size=4)
@@ -41,6 +48,7 @@ text_lines = st.one_of(
     cycles.map(lambda cs: "sigma: " + _cycle_text(cs)),
     cycles.map(lambda cs: "alpha: " + _cycle_text(cs)),
     st.integers(min_value=-1, max_value=SMALL_N).map(lambda n: f"n: {n}"),
+    large_n.map(lambda n: f"n: {n}"),
     junk.map(lambda s: "sigma: " + s),
     junk.map(lambda s: "alpha: " + s),
     junk.map(lambda s: "name: " + s),
@@ -49,13 +57,17 @@ text_lines = st.one_of(
 )
 
 
-def _n_is_small(text):
-    """False when some line sets n above SMALL_N (the known allocation)."""
+def _midsized(n):
+    return isinstance(n, int) and SMALL_N < n <= MAX_POINTS
+
+
+def _no_midsized_n(text):
+    """False when some line sets n above SMALL_N but within MAX_POINTS."""
     for raw in text.splitlines():
         key, sep, value = raw.split("#", 1)[0].partition(":")
         if sep and key.strip().lower() == "n":
             try:
-                if int(value.strip()) > SMALL_N:
+                if _midsized(int(value.strip())):
                     return False
             except ValueError:
                 pass
@@ -72,14 +84,14 @@ def _parses_or_value_error(parse, text):
 @FUZZ
 @given(st.lists(text_lines, max_size=5).map("\n".join))
 def test_hypermap_text_parses_or_raises_value_error(text):
-    assume(_n_is_small(text))
+    assume(_no_midsized_n(text))
     _parses_or_value_error(parse_hypermap_text, text)
 
 
 @FUZZ
 @given(st.text(max_size=40))
 def test_arbitrary_text_parses_or_raises_value_error(text):
-    assume(_n_is_small(text))
+    assume(_no_midsized_n(text))
     _parses_or_value_error(parse_hypermap_text, text)
 
 
@@ -99,7 +111,9 @@ json_values = st.recursive(
 json_documents = st.fixed_dictionaries(
     {"sigma": cycles, "alpha": cycles},
     optional={
-        "n": st.one_of(st.integers(min_value=-1, max_value=SMALL_N), json_scalars),
+        "n": st.one_of(
+            st.integers(min_value=-1, max_value=SMALL_N), large_n, json_scalars
+        ),
         "name": json_scalars,
     },
 )
@@ -125,8 +139,18 @@ def test_broken_json_parses_or_raises_value_error(text):
         n = json.loads(text)["n"]
     except (ValueError, TypeError, KeyError):
         n = None
-    assume(not isinstance(n, int) or n <= SMALL_N)
+    assume(not _midsized(n))
     _parses_or_value_error(parse_hypermap_json, text)
+
+
+@FUZZ
+@given(cycles, cycles, large_n)
+def test_n_above_max_points_is_refused(sigma, alpha, n):
+    text = f"n: {n}\nsigma: {_cycle_text(sigma)}\nalpha: {_cycle_text(alpha)}\n"
+    with pytest.raises(ValueError, match=f"n must be at most {MAX_POINTS}"):
+        parse_hypermap_text(text)
+    with pytest.raises(ValueError, match=f"n must be at most {MAX_POINTS}"):
+        parse_hypermap_json(json.dumps({"n": n, "sigma": sigma, "alpha": alpha}))
 
 
 digraph_lines = st.one_of(

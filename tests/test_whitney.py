@@ -1,4 +1,5 @@
 import gc
+import importlib
 import random
 import subprocess
 import sys
@@ -211,19 +212,19 @@ TWO_EQUAL_PIECES = SIX_CYCLE.disjoint_union(SIX_CYCLE)
 @pytest.mark.parametrize(
     "h, phi_counts, psi_counts",
     [
-        (make(12, [], [list(range(1, 13))]), (441, 375), (517, 373)),
-        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (517, 373), (517, 373)),
-        (UNION_8_7, (301, 199), (301, 199)),
-        (UNION_8_7_RELABELLED, (411, 272), (401, 269)),
-        (TWO_EQUAL_PIECES, (62, 35), (57, 36)),
+        (make(12, [], [list(range(1, 13))]), (441, 375), (812, 580)),
+        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (812, 580), (812, 580)),
+        (UNION_8_7, (451, 246), (451, 246)),
+        (UNION_8_7_RELABELLED, (671, 335), (653, 334)),
+        (TWO_EQUAL_PIECES, (72, 18), (69, 25)),
     ],
 )
 def test_recursion_counts_pinned(h, phi_counts, psi_counts):
     """Nodes and memo hits of phi and psi: every component lookup counts as
-    a node, and a lookup answered without expanding as a memo hit, whether
-    it is answered by the component's exact images or by its canonical key.
-    The counts equal those of the canonical memo alone, since the exact
-    index only finds the same hits sooner."""
+    a node, and a lookup answered by the exact index of solved components,
+    keyed by their image tables on 1..m, as a memo hit.  The index is keyed
+    by labels, so isomorphic components under other labels are expanded
+    again, and a relabelled input (UNION_8_7_RELABELLED) can cost more."""
     for route, counts in ((whitney_phi, phi_counts), (whitney_psi, psi_counts)):
         stats = route(h).stats
         assert (stats.nodes, stats.memo_hits) == counts
@@ -233,19 +234,22 @@ def test_recursion_counts_pinned(h, phi_counts, psi_counts):
     "h", [make(11, [], [list(range(1, 12))]), UNION_8_7_RELABELLED, TWO_EQUAL_PIECES]
 )
 def test_each_labelled_component_keyed_once(h, monkeypatch):
-    keyed = []
-    original = Hypermap.canonical_key
+    """The memo is keyed by a component's image tables on 1..m.  A component
+    is expanded through its branches k = 1..m, so the k = 1 calls list the
+    expansions; no two of them share image tables."""
+    expanded = []
 
-    def counting(self):
-        keyed.append((self.sigma, self.alpha))
-        return original(self)
+    def counting(g, cycle, k, keep_connected):
+        if k == 1:
+            expanded.append((g.sigma, g.alpha))
+        return branch(g, cycle, k, keep_connected)
 
-    monkeypatch.setattr(Hypermap, "canonical_key", counting)
+    monkeypatch.setattr(importlib.import_module("hypermaps.whitney"), "branch", counting)
     for route in (whitney_phi, whitney_psi):
-        keyed.clear()
+        expanded.clear()
         stats = route(h).stats
-        assert len(keyed) == len(set(keyed))
-        assert len(keyed) < stats.nodes
+        assert len(expanded) == len(set(expanded))
+        assert len(expanded) < stats.nodes
 
 
 def test_recursion_leaves_no_cached_garbage():

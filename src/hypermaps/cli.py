@@ -60,6 +60,8 @@ DEFAULT_FLOW_CAP = 10 ** 6
 MAX_DIGITS = 4300
 # Largest explicit n, refused before any point table is built.
 MAX_POINTS = 10 ** 6
+# Largest selftest --n-max; its run time about triples with each step.
+MAX_SELFTEST_N = 10
 
 
 class InputError(ValueError):
@@ -559,7 +561,7 @@ COMMANDS: Dict[str, Command] = {
         "run the identity check suite",
         None,
         (
-            _integer("--n-max", "point count bound", 7),
+            _integer("--n-max", f"point count bound, 1..{MAX_SELFTEST_N}", 7),
             _integer("--seed", "corpus seed", 0),
             _JSON,
         ),
@@ -572,6 +574,10 @@ def _run(args) -> int:
     command = COMMANDS[args.command]
     if getattr(args, "m", 0) < 0:  # checked before any input is read
         raise InputError(f"--m must be nonnegative, got {args.m}")
+    if not 1 <= getattr(args, "n_max", 1) <= MAX_SELFTEST_N:
+        raise InputError(
+            f"--n-max must be between 1 and {MAX_SELFTEST_N}, got {args.n_max}"
+        )
     if command.kind is None:
         data, echo = None, {"n_max": args.n_max, "seed": args.seed}
     else:

@@ -13,8 +13,8 @@ alpha's cycles as a stack of open blocks.  ``refinement_profile`` sums over
 the refinements without listing them, by a frontier dynamic program that
 merges equal states; ``refinement_walk`` visits them one by one, by a
 depth-first walk of the same moves that merges nothing, and checks it.
-``refinement_sum`` builds each beta as a ``Permutation``, for terms that
-need more of it, such as z(beta^-1 sigma) at positive genus.
+``refinements`` streams each beta as a ``Permutation``, caching nothing, for
+terms that need more of it, such as z(beta^-1 sigma) at positive genus.
 Reading a cycle point by point, one complement block lies open between two
 stack levels and one above the top, so with H blocks open, joining the
 block at depth d closes a complement block of H - d points, and the end of
@@ -40,8 +40,7 @@ and the selftest check it against the defining recursion.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .hypermap import Hypermap
@@ -54,48 +53,19 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-@lru_cache(maxsize=None)
 def noncrossing_partitions(m: int) -> Tuple[Partition, ...]:
     """All noncrossing partitions of positions 0..m-1, sorted.
 
-    Noncrossing on the circle equals noncrossing in the linear order obtained
-    by cutting the circle at position 0.  Read left to right, the blocks
-    still open form a stack (Kreweras 1972): each position either opens a
-    new block on top, or joins an open block, which closes every block above
-    it, since a later point of those would cross the joined block.
+    The position blocks of the refinements of the cycle (1 ... m): a block
+    read along that cycle is increasing, so each canonical cycle of a
+    refinement is one block.  Listed afresh on every call; nothing is cached.
     """
-    result: List[Partition] = []
-
-    def extend(pos: int, closed: Partition, stack: Partition) -> None:
-        if pos == m:
-            result.append(tuple(sorted(closed + stack)))
-            return
-        extend(pos + 1, closed, stack + ((pos,),))
-        for depth, block in enumerate(stack):
-            joined = stack[:depth] + (block + (pos,),)
-            extend(pos + 1, closed + stack[depth + 1 :], joined)
-
-    extend(0, (), ())
-    result.sort()
-    return tuple(result)
-
-
-def cycle_refinement_images(cycle: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Refinements of one cycle, each given as the images of its points.
-
-    The i-th entry of a refinement's tuple is the image of ``cycle[i]``.  A
-    block {p1 < p2 < ...} of positions becomes the cycle visiting the
-    corresponding points in the order they appear along the parent cycle.
-    That orientation is the unique genus zero one.
-    """
-    out = []
-    for part in noncrossing_partitions(len(cycle)):
-        img = [0] * len(cycle)
-        for block in part:
-            for p, q in zip(block, block[1:] + block[:1]):
-                img[p] = cycle[q]
-        out.append(tuple(img))
-    return out
+    cycle = Permutation._unchecked((0, *range(2, m + 1), 1) if m else (0,))
+    parts = [
+        tuple(tuple(p - 1 for p in c) for c in beta.cycles())
+        for beta in refinements(cycle)
+    ]
+    return tuple(sorted(parts))
 
 
 def refinement_count(alpha: Permutation) -> int:
@@ -106,17 +76,47 @@ def refinement_count(alpha: Permutation) -> int:
 
 
 def refinements(alpha: Permutation) -> Iterator[Permutation]:
-    """All beta with beta <= alpha, deterministically ordered."""
-    cycles = alpha.cycles()
-    per_cycle = [cycle_refinement_images(c) for c in cycles]
-    size = alpha.n + 1
-    for choice in product(*per_cycle):
-        # the cycles cover every point once, fixed points included
-        img = [0] * size
-        for c, images in zip(cycles, choice):
-            for p, q in zip(c, images):
-                img[p] = q
+    """All beta with beta <= alpha, deterministically ordered, one at a time.
+
+    Cut at a cycle's first point, the open blocks of a noncrossing partition
+    form a stack (Kreweras 1972).  A depth-first walk of alpha's points, from
+    an explicit list of pending moves as in ``refinement_walk``: a point
+    opens a block or joins the open block at some depth, which closes every
+    block above it, and the end of a cycle closes them all.  A join maps the
+    block's latest point to the new point and a close maps it back to the
+    block's first, so each block is the cycle through its points in alpha's
+    order, the genus zero orientation.  Each path from the root writes every
+    image once, so one image table serves every leaf and nothing is kept.
+    """
+    cycles = sorted(alpha.cycles(), key=len)
+    points = [p for c in cycles for p in c]
+    img = list(range(alpha.n + 1))
+    if not points:
         yield Permutation._unchecked(tuple(img))
+        return
+    last = len(points) - 1
+    ends = {t - 1 for t in accumulate(len(c) for c in cycles)}
+    # A move of point t: its depth (-1 opens) and the open blocks before it.
+    todo = [(0, -1, ())]
+    while todo:
+        t, d, stack = todo.pop()
+        x = points[t]
+        if d < 0:
+            stack += ((x, x),)
+        else:
+            first, latest = stack[d]
+            img[latest] = x
+            for first_above, latest_above in stack[d + 1 :]:
+                img[latest_above] = first_above
+            stack = stack[:d] + ((first, x),)
+        if t in ends:
+            for first, latest in stack:
+                img[latest] = first
+            stack = ()
+        if t == last:
+            yield Permutation._unchecked(tuple(img))
+        else:
+            todo += [(t + 1, d, stack) for d in range(len(stack) - 1, -2, -1)]
 
 
 def refinement_sum(
@@ -150,7 +150,7 @@ def refinement_walk(
     over the blocks b of beta (1 without a weight).  Pairs whose weights
     cancel are left out, as in ``refinement_profile``.
 
-    A depth-first walk of the moves of ``noncrossing_partitions``, from an
+    A depth-first walk of the moves of ``refinements``, from an
     explicit list of pending moves, so its depth is not bounded by the
     recursion limit: a point opens a block (z + 1) or joins the open block at
     some depth, closing every block above it, and the end of an alpha-cycle
@@ -229,7 +229,7 @@ def refinement_profile(
     one).  The second value is the number of DP states visited.
 
     A frontier dynamic program (Sekine, Imai and Tani 1995, for Tutte
-    polynomials) over the stack of open blocks (``noncrossing_partitions``).
+    polynomials) over the stack of open blocks (``refinements``).
     alpha's cycles are read point by point: a point opens a block or joins
     the open block at some depth, closing every block above it, and the end
     of a cycle closes them all.  A class is a set of sigma-cycles joined so

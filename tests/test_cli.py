@@ -229,6 +229,19 @@ def test_selftest_passes():
     assert "30/30 checks passed" in r.stdout
 
 
+def test_selftest_n_max_bounds(monkeypatch, capsys):
+    # refused before any check runs, with one line naming the flag; past
+    # 10 the run time about triples per step
+    def refuse(*args, **kwargs):
+        raise AssertionError("selftest ran")
+
+    monkeypatch.setattr("hypermaps.selftest.run_selftest", refuse)
+    for n in (0, -3, 11):
+        argv = ["selftest", f"--n-max={n}"]
+        err = f"error: --n-max must be between 1 and 10, got {n}\n"
+        assert run_in_process(argv, "", monkeypatch, capsys) == (2, "", err)
+
+
 def test_determinism_byte_identical():
     for args in (
         ["whitney", "--method=all"],

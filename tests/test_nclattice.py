@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -176,9 +177,39 @@ def test_mobius_requires_refinement():
 
 
 def test_refinements_are_exactly_the_members():
-    """refinements() and is_refinement() agree against brute force on S_4."""
-    alpha = Permutation.from_cycles(4, [[1, 2, 3, 4]])
-    members = set(refinements(alpha))
-    for image in itertools.permutations(range(1, 5)):
-        beta = Permutation(image)
-        assert is_refinement(beta, alpha) == (beta in members)
+    """refinements() and is_refinement() agree against brute force on S_n."""
+    for alpha in (
+        Permutation.identity(0),
+        Permutation.identity(1),
+        Permutation.from_cycles(4, [[1, 2, 3, 4]]),
+        Permutation.from_cycles(5, [[1, 2, 3], [4, 5]]),
+        Permutation.from_cycles(6, [[2, 5, 1, 6]]),  # fixed points 3 and 4
+    ):
+        members = set(refinements(alpha))
+        assert len(members) == refinement_count(alpha)
+        for image in itertools.permutations(range(1, alpha.n + 1)):
+            beta = Permutation(image)
+            assert is_refinement(beta, alpha) == (beta in members)
+
+
+def test_streamed_refinements_are_distinct_and_kept():
+    """Each yielded beta owns its table: a later one never rewrites it."""
+    rng = random.Random(17)
+    for _ in range(60):
+        alpha = random_collection(rng, n_max=8, max_cycle=6).alpha
+        listed = list(refinements(alpha))
+        assert len({b.image for b in listed}) == refinement_count(alpha)
+        assert all(is_refinement(b, alpha) for b in listed)
+
+
+def test_refinements_stream_in_constant_memory():
+    # an 11-cycle has 58,786 refinements; listing them all took 18.7 MiB
+    alpha = Permutation.from_cycles(11, [range(1, 12)])
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in refinements(alpha))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == catalan(11)
+    assert peak < 2 ** 20

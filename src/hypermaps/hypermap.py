@@ -20,27 +20,60 @@ from typing import List, Tuple
 from .perm import Permutation
 
 
-def orbit_count(p: Permutation, q: Permutation) -> int:
-    """Number of orbits of the group generated by p and q."""
-    n = p.n
-    if q.n != n:
-        raise ValueError("size mismatch")
-    pimg, qimg = p._image, q._image
-    seen = [False] * (n + 1)
-    count = 0
-    for start in range(1, n + 1):
+def orbits(sig: Tuple[int, ...], alf: Tuple[int, ...]) -> List[List[int]]:
+    """Orbits of <sig, alf> on image tables, each unsorted, ordered by minimum."""
+    seen = [False] * len(sig)
+    comps = []
+    for start in range(1, len(sig)):
         if seen[start]:
             continue
-        count += 1
         seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in (pimg[x], qimg[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
+        comp = [start]
+        for p in comp:
+            q = sig[p]
+            if not seen[q]:
+                seen[q] = True
+                comp.append(q)
+            q = alf[p]
+            if not seen[q]:
+                seen[q] = True
+                comp.append(q)
+        comps.append(comp)
+    return comps
+
+
+def orbit_count(p: Permutation, q: Permutation) -> int:
+    """Number of orbits of the group generated by p and q."""
+    if q.n != p.n:
+        raise ValueError("size mismatch")
+    return len(orbits(p._image, q._image))
+
+
+def cycle_count(img) -> int:
+    """Number of cycles of an image table (dummy 0 first)."""
+    # each cycle is first met at its minimum, which need not be marked
+    seen = [False] * len(img)
+    count = 0
+    for i in range(1, len(img)):
+        if not seen[i]:
+            count += 1
+            j = img[i]
+            while j != i:
+                seen[j] = True
+                j = img[j]
     return count
+
+
+def euler_number(sig: Tuple[int, ...], alf: Tuple[int, ...], kappa: int) -> int:
+    """2 * genus from image tables, checked to be even and nonnegative."""
+    sinv = [0] * len(sig)
+    for p, q in enumerate(sig):
+        sinv[q] = p
+    euler = len(sig) - 1 + 2 * kappa - cycle_count(sig) - cycle_count(alf)
+    euler -= cycle_count([sinv[a] for a in alf])  # z(sigma^-1 alpha) = z(faces)
+    if euler < 0 or euler % 2:
+        raise ValueError(f"genus parity violated: {euler}")
+    return euler
 
 
 class Hypermap:
@@ -50,7 +83,7 @@ class Hypermap:
     to share across threads.
     """
 
-    __slots__ = ("sigma", "alpha", "n", "kappa", "genus", "_faces")
+    __slots__ = ("sigma", "alpha", "n", "kappa", "genus")
 
     def __init__(self, sigma: Permutation, alpha: Permutation):
         if sigma.n != alpha.n:
@@ -59,17 +92,7 @@ class Hypermap:
         self.alpha = alpha
         self.n = sigma.n
         self.kappa = orbit_count(sigma, alpha)
-        self._faces = alpha.inverse() * sigma
-        euler = (
-            self.n
-            + 2 * self.kappa
-            - sigma.cycle_count
-            - alpha.cycle_count
-            - self._faces.cycle_count
-        )
-        if euler < 0 or euler % 2:
-            raise ValueError(f"genus parity violated: {euler}")
-        self.genus = euler // 2
+        self.genus = euler_number(sigma._image, alpha._image, self.kappa) // 2
 
     @property
     def is_connected(self) -> bool:
@@ -77,7 +100,7 @@ class Hypermap:
 
     def faces(self) -> Permutation:
         """alpha^-1 * sigma, whose cycles are the faces."""
-        return self._faces
+        return self.alpha.inverse() * self.sigma
 
     @property
     def is_map(self) -> bool:
@@ -86,48 +109,8 @@ class Hypermap:
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Orbits of the generated group, each sorted, ordered by minimum."""
-        n = self.n
-        if self.kappa == 1:
-            return (tuple(range(1, n + 1)),)
-        sig, alf = self.sigma._image, self.alpha._image
-        seen = [False] * (n + 1)
-        comps: List[Tuple[int, ...]] = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                p = stack.pop()
-                comp.append(p)
-                for q in (sig[p], alf[p]):
-                    if not seen[q]:
-                        seen[q] = True
-                        stack.append(q)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    def component_images(
-        self, points: Tuple[int, ...]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Image tables of sigma and alpha on a sorted union of components.
-
-        The points are relabeled onto 1..m, keeping their relative order:
-        the i-th smallest becomes i.  Each table has the dummy 0 first, as
-        in ``Permutation._image``; on the whole point set they are sigma's
-        and alpha's own.
-        """
-        sig, alf = self.sigma._image, self.alpha._image
-        if len(points) == self.n:
-            return sig, alf
-        label = [0] * (self.n + 1)
-        for i, p in enumerate(points, 1):
-            label[p] = i
-        return (
-            tuple([0] + [label[sig[p]] for p in points]),
-            tuple([0] + [label[alf[p]] for p in points]),
-        )
+        comps = orbits(self.sigma._image, self.alpha._image)
+        return tuple(tuple(sorted(c)) for c in comps)
 
     def relabel(self, r: Permutation) -> "Hypermap":
         return Hypermap(self.sigma.relabel(r), self.alpha.relabel(r))

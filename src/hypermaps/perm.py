@@ -123,17 +123,6 @@ class Permutation:
     def cycle_count(self) -> int:
         return len(self.cycles())
 
-    def same_cycle(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        img = self._image
-        k = img[i]
-        while k != i:
-            if k == j:
-                return True
-            k = img[k]
-        return False
-
     def relabel(self, r: "Permutation") -> "Permutation":
         """Conjugate by r: the result maps r(i) to r(self(i))."""
         img = self._image
@@ -147,15 +136,9 @@ class Permutation:
 
     def swap_values(self, i: int, j: int) -> "Permutation":
         """(i, j) * self, computed without building the transposition."""
-        img = list(self._image)
-        if not (1 <= i < len(img) and 1 <= j < len(img)):
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"point out of range 1..{self.n}")
-        for k in range(1, len(img)):
-            if img[k] == i:
-                img[k] = j
-            elif img[k] == j:
-                img[k] = i
-        return Permutation._unchecked(tuple(img))
+        return Permutation._unchecked(swap_values(self._image, i, j))
 
     def cycle_string(self) -> str:
         if self.n == 0:
@@ -170,6 +153,13 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.from_cycles({self.n}, {list(self.cycles())})"
+
+
+def swap_values(img: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:
+    """(i, j) * img on an image table (dummy 0 first), for points i and j."""
+    out = list(img)
+    out[img.index(i)], out[img.index(j)] = j, i
+    return tuple(out)
 
 
 def cycle_count_on(points: Iterable[int], func) -> int:

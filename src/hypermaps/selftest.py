@@ -78,6 +78,30 @@ def random_map(rng: random.Random, n_max: int = 8) -> Hypermap:
     return Hypermap(random_permutation(rng, n), random_bounded_cycles(rng, n, 2))
 
 
+def noncrossing_partition(n: int, i: int, first: int = 0) -> List[Tuple[int, ...]]:
+    """``noncrossing_partitions(n)[i]`` on first..first+n-1, listing no other.
+
+    In that order the first block is most significant, then the gaps it
+    leaves.  The block grows point by point; ending it (c = end) comes first.
+    """
+    end, block, gaps, weight = first + n, [first], [], 1
+    while block[-1] != end:
+        b = block[-1]
+        for c in (end, *range(b + 1, end)):
+            count = weight * catalan(c - b - 1) * catalan(end - c)
+            if i < count:
+                break
+            i -= count
+        gaps.append((b + 1, c - b - 1))
+        weight *= catalan(c - b - 1)
+        block.append(c)
+    rest: List[Tuple[int, ...]] = []
+    for start, g in reversed(gaps):
+        i, r = divmod(i, catalan(g))
+        rest = (noncrossing_partition(g, r, start) if g else []) + rest
+    return [tuple(block[:-1])] + rest
+
+
 def random_planar_connected(rng: random.Random, n_max: int = 8) -> Hypermap:
     """Connected genus zero pair: a full cycle and one of its refinements.
 
@@ -89,7 +113,7 @@ def random_planar_connected(rng: random.Random, n_max: int = 8) -> Hypermap:
     rng.shuffle(points)
     alpha = Permutation.from_cycles(n, [tuple(points)])
     parent = alpha.cycles()[0]
-    pattern = rng.choice(noncrossing_partitions(n))
+    pattern = noncrossing_partition(n, rng.randrange(catalan(n)))
     sigma = Permutation.from_cycles(
         n, [tuple(parent[p] for p in block) for block in pattern]
     )

@@ -30,30 +30,23 @@ selftest and the tests:
   joining c1's and c2's components), so connected input stays connected all
   the way down.
 
-Branch construction for the cycle (c1, ..., cm), rotated so c1 is the
-smallest point, and 1 <= k <= m:
+Branches are image tables; ``phi_k`` and ``branch`` wrap the same step in a
+``Hypermap``.  The pivot cycle (c1, ..., cm) of alpha runs from its least
+non-fixed point.  Branch k, 1 <= k <= m, swaps the values c1 and ck of sigma
+when they lie in different sigma-cycles (never for k = 1), and replaces the
+cycle in alpha by (c1)(c2 ... cm) when k <= 2 and otherwise by
+(c1)(c2 ... c(k-1))(ck ... cm); its weight is u^(kappa(phi_k) - kappa) *
+v^[k != 1 and c1, ck share a sigma-cycle].  One orbit walk gives kappa and
+the components.  Checks that raise ``ValueError``: u-exponent 0 or 1, psi's
+gluing restores kappa, and n + 2 kappa - z(sigma) - z(alpha) -
+z(sigma^-1 alpha) even and nonnegative on every branch and relabeled piece.
 
-* the sigma part is (c1, ck) * sigma when c1 and ck lie in different
-  sigma-cycles (always the case for k = 1, reading (c1, c1) as identity),
-  and sigma unchanged when they share a cycle;
-* the alpha part replaces the cycle by (c1)(c2 ... cm) when k is 1 or 2 and
-  by (c1)(c2 ... c(k-1))(ck ... cm) otherwise.
-
-The branch weight is u^(kappa(phi_k) - kappa) * v^[k != 1 and c1, ck share a
-sigma-cycle]; every weight is one of 1, u, v, u*v, which is checked.
-
-The polynomial is multiplicative over disjoint unions, so phi and psi work
-one connected component at a time.  The input and every branch collection
-are split into components; a component whose hyperedges are all fixed
-points contributes 1, and every other one is relabeled onto 1..m in
-increasing point order, expanded, and multiplied in.  One lookup, living
-for one call, spares the expansion: the component's image tables on 1..m
-(``Hypermap.component_images``) are looked up in an exact index of the
-components already solved, so a hit builds no ``Hypermap``.  The index is
-keyed by labels, so an isomorphic copy under other labels is expanded
-again.  ``WhitneyStats`` counts component visits as nodes, and visits
-answered by the index as memo hits.  A branch's weight u^eu v^ev is added
-in as a shift of its terms' exponents.
+R is multiplicative over disjoint unions, so phi and psi work one component
+at a time.  One whose hyperedges are all fixed points contributes 1; any
+other is relabeled onto 1..m in point order, and these tables key an exact
+index of solved components that lives for one call.  An isomorphic copy
+under other labels is expanded again.  ``WhitneyStats`` counts component
+visits as nodes and index hits as memo hits.
 """
 
 from __future__ import annotations
@@ -62,9 +55,9 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
-from .hypermap import Hypermap
+from .hypermap import Hypermap, euler_number, orbits
 from .nclattice import refinement_count, refinement_profile, refinement_walk
-from .perm import Permutation
+from .perm import Permutation, swap_values
 from .poly import BiPoly, UniPoly
 
 METHODS = ("brute", "phi", "psi", "dp")
@@ -88,44 +81,60 @@ class InstanceTooLarge(ValueError):
     """Raised when a size guard would be exceeded."""
 
 
+def _pivot(alf: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    """The alpha-cycle through the smallest non-fixed point, starting there."""
+    p = next((p for p in range(1, len(alf)) if alf[p] != p), None)
+    if p is None:
+        return None
+    cycle = [p]
+    while alf[cycle[-1]] != p:
+        cycle.append(alf[cycle[-1]])
+    return tuple(cycle)
+
+
 def pivot_cycle(alpha: Permutation) -> Optional[Tuple[int, ...]]:
-    """The alpha-cycle of length >= 2 containing the smallest such point.
-
-    Cycles from ``Permutation.cycles`` start at their minimum and are sorted
-    by it, so the first long cycle is the right one.  None when alpha only
-    has fixed points (the recursion base case).
-    """
-    for c in alpha.cycles():
-        if len(c) >= 2:
-            return c
-    return None
+    """The cycle from alpha's least non-fixed point; None for the identity."""
+    return _pivot(alpha._image)
 
 
-def _replace_cycle(alpha: Permutation, cycle: Tuple[int, ...], k: int) -> Permutation:
-    img = list(alpha._image)
-    c1 = cycle[0]
-    img[c1] = c1
-    if k <= 2:
-        pieces = [cycle[1:]]
-    else:
-        pieces = [cycle[1 : k - 1], cycle[k - 1 :]]
-    for piece in pieces:
-        for a, b in zip(piece, piece[1:] + piece[:1]):
-            img[a] = b
-    return Permutation._unchecked(tuple(img))
-
-
-def phi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
-    """The k-th branch collection for the given pivot cycle."""
+def _phi_k_tables(sig, alf, cycle: Tuple[int, ...], k: int):
+    """Image tables of the k-th branch collection, and its v-exponent."""
     m = len(cycle)
     if m < 2 or not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for cycle of length {m}")
     c1, ck = cycle[0], cycle[k - 1]
-    if h.sigma.same_cycle(c1, ck):
-        sig = h.sigma
-    else:
-        sig = h.sigma.swap_values(c1, ck)
-    return Hypermap(sig, _replace_cycle(h.alpha, cycle, k))
+    q = sig[c1]
+    while q != c1 and q != ck:
+        q = sig[q]
+    if q != ck:
+        sig = swap_values(sig, c1, ck)
+    img = list(alf)
+    img[cycle[k - 2]] = cycle[1]  # c(k-1) -> c2; for k <= 2 rewritten below
+    img[cycle[-1]] = cycle[max(k, 2) - 1]  # cm -> ck, or -> c2 for k <= 2
+    img[c1] = c1
+    return sig, tuple(img), int(k != 1 and q == ck)
+
+
+def _branch(sig, alf, kappa: int, cycle: Tuple[int, ...], k: int, keep_connected: bool):
+    """One branch on image tables: (sigma, alpha, orbits, eu, ev), checked."""
+    sig, alf, ev = _phi_k_tables(sig, alf, cycle, k)
+    comps = orbits(sig, alf)
+    eu = len(comps) - kappa
+    if eu not in (0, 1):
+        raise ValueError(f"branch weight out of range: u^{eu}")
+    if keep_connected and eu == 1:
+        sig = swap_values(sig, cycle[0], cycle[1])
+        comps = orbits(sig, alf)
+        if len(comps) != kappa:
+            raise ValueError("gluing failed to restore the orbit count")
+    euler_number(sig, alf, len(comps))
+    return sig, alf, comps, eu, ev
+
+
+def phi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
+    """The k-th branch collection for the given pivot cycle."""
+    sig, alf, _ = _phi_k_tables(h.sigma._image, h.alpha._image, cycle, k)
+    return Hypermap(Permutation._unchecked(sig), Permutation._unchecked(alf))
 
 
 def branch(
@@ -137,55 +146,54 @@ def branch(
     orbit count always matches the parent's.  The weight is unchanged by the
     gluing and always lands in {1, u, v, u*v}.
     """
-    child = phi_k(h, cycle, k)
-    eu = child.kappa - h.kappa
-    if eu not in (0, 1):
-        raise ValueError(f"branch weight out of range: u^{eu}")
-    ev = 1 if k != 1 and h.sigma.same_cycle(cycle[0], cycle[k - 1]) else 0
-    if keep_connected and eu == 1:
-        glued = Hypermap(child.sigma.swap_values(cycle[0], cycle[1]), child.alpha)
-        if glued.kappa != h.kappa:
-            raise ValueError("gluing failed to restore the orbit count")
-        child = glued
-    return child, eu, ev
+    tables = (h.sigma._image, h.alpha._image)
+    sig, alf, _, eu, ev = _branch(*tables, h.kappa, cycle, k, keep_connected)
+    return Hypermap(Permutation._unchecked(sig), Permutation._unchecked(alf)), eu, ev
+
+
+def _relabel(sig, alf, points) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Both tables on a union of orbits, its i-th smallest point relabeled i."""
+    points = sorted(points)
+    label = [0] * len(sig)
+    for i, p in enumerate(points, 1):
+        label[p] = i
+    return tuple(tuple([0] + [label[t[p]] for p in points]) for t in (sig, alf))
 
 
 def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     exact: dict = {}
     stats = WhitneyStats()
 
-    def product(g: Hypermap) -> BiPoly:
+    def product(sig, alf, comps) -> BiPoly:
         # R is multiplicative over components, and a component whose
         # hyperedges are all fixed points contributes 1.
-        alf = g.alpha._image
         factors = []
-        for comp in g.components():
+        for comp in comps:
             if any(alf[p] != p for p in comp):
                 stats.nodes += 1
-                images = g.component_images(comp)
-                poly = exact.get(images)
+                key = (sig, alf) if len(comps) == 1 else _relabel(sig, alf, comp)
+                poly = exact.get(key)
                 if poly is None:
-                    if g.kappa == 1:
-                        piece = g
-                    else:
-                        piece = Hypermap(*map(Permutation._unchecked, images))
-                    exact[images] = poly = component(piece)
+                    if len(comps) > 1:
+                        euler_number(*key, 1)
+                    exact[key] = poly = component(*key)
                 else:
                     stats.memo_hits += 1
                 factors.append(poly)
         return reduce(mul, factors) if factors else BiPoly.const(1)
 
-    def component(g: Hypermap) -> BiPoly:
-        pivot = pivot_cycle(g.alpha)
+    def component(sig, alf) -> BiPoly:
+        pivot = _pivot(alf)
         terms: dict = {}
         for k in range(1, len(pivot) + 1):
-            child, eu, ev = branch(g, pivot, k, keep_connected)
-            for (a, b), c in product(child).terms.items():
+            csig, calf, comps, eu, ev = _branch(sig, alf, 1, pivot, k, keep_connected)
+            for (a, b), c in product(csig, calf, comps).terms.items():
                 t = (a + eu, b + ev)
                 terms[t] = terms.get(t, 0) + c
         return BiPoly(terms)
 
-    poly = product(h)
+    sig, alf = h.sigma._image, h.alpha._image
+    poly = product(sig, alf, orbits(sig, alf))
     # product and component refer to each other, a reference cycle that
     # only the cyclic collector would free, so release the index now
     exact.clear()
@@ -240,15 +248,10 @@ def whitney_dp(h: Hypermap) -> WhitneyResult:
 
 
 def whitney(h: Hypermap, method: str = "dp") -> WhitneyResult:
-    if method == "brute":
-        return whitney_bruteforce(h)
-    if method == "phi":
-        return whitney_phi(h)
-    if method == "psi":
-        return whitney_psi(h)
-    if method == "dp":
-        return whitney_dp(h)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    routes = (whitney_bruteforce, whitney_phi, whitney_psi, whitney_dp)
+    return routes[METHODS.index(method)](h)
 
 
 class Specializations(NamedTuple):

@@ -14,7 +14,7 @@ from hypermaps.nclattice import (
     refinements,
 )
 from hypermaps.perm import Permutation
-from hypermaps.selftest import random_collection
+from hypermaps.selftest import noncrossing_partition, random_collection
 
 
 def test_catalan_values():
@@ -48,6 +48,16 @@ def reference_noncrossing_partitions(m):
 def test_noncrossing_partitions_match_reference():
     for m in range(10):
         assert noncrossing_partitions(m) == reference_noncrossing_partitions(m)
+
+
+def test_noncrossing_partition_unranks_the_sorted_list():
+    """The selftest draws partitions by index; every index of n <= 8 must
+    give the same partition as the sorted list, so seeded draws match."""
+    for n in range(1, 9):
+        listed = noncrossing_partitions(n)
+        unranked = [tuple(noncrossing_partition(n, i)) for i in range(len(listed))]
+        assert unranked == list(listed)
+    assert noncrossing_partition(3, 0, first=5) == [(5,), (6,), (7,)]
 
 
 def test_noncrossing_partitions_of_three():

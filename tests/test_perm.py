@@ -6,7 +6,7 @@ import pytest
 from hypermaps.nclattice import refinements
 from hypermaps.perm import Permutation, cycle_count_on
 from hypermaps.selftest import random_collection, random_permutation
-from hypermaps.whitney import _replace_cycle
+from hypermaps.whitney import _phi_k_tables, _relabel
 
 
 def test_identity():
@@ -48,9 +48,12 @@ def test_builders_equal_checked_permutations():
         ]
         cycle = max(q.cycles(), key=len)
         if len(cycle) >= 2:
-            built.append(_replace_cycle(q, cycle, rng.randint(1, len(cycle))))
+            k = rng.randint(1, len(cycle))
+            tables = _phi_k_tables(p._image, q._image, cycle, k)[:2]
+            built += map(Permutation._unchecked, tables)
         for comp in h.components():
-            built += [Permutation._unchecked(t) for t in h.component_images(comp)]
+            tables = _relabel(p._image, q._image, comp)
+            built += map(Permutation._unchecked, tables)
         built += islice(refinements(q), 20)
         for b in built:
             checked = Permutation(b.image)
@@ -118,8 +121,8 @@ def test_cycle_labels_with_fixed_points():
 def test_cycle_containing_and_same_cycle():
     p = Permutation.from_cycles(5, [[1, 3, 5]])
     assert next(c for c in p.cycles() if 3 in c) == (1, 3, 5)
-    assert p.same_cycle(1, 5)
-    assert not p.same_cycle(1, 2)
+    labels = p.cycle_labels()
+    assert labels[1] == labels[5] != labels[2]
 
 
 def test_relabel_is_conjugation():

@@ -238,18 +238,38 @@ def test_each_labelled_component_keyed_once(h, monkeypatch):
     is expanded through its branches k = 1..m, so the k = 1 calls list the
     expansions; no two of them share image tables."""
     expanded = []
+    module = importlib.import_module("hypermaps.whitney")
+    step = module._branch
 
-    def counting(g, cycle, k, keep_connected):
+    def counting(sig, alf, kappa, cycle, k, keep_connected):
         if k == 1:
-            expanded.append((g.sigma, g.alpha))
-        return branch(g, cycle, k, keep_connected)
+            expanded.append((sig, alf))
+        return step(sig, alf, kappa, cycle, k, keep_connected)
 
-    monkeypatch.setattr(importlib.import_module("hypermaps.whitney"), "branch", counting)
+    monkeypatch.setattr(module, "_branch", counting)
     for route in (whitney_phi, whitney_psi):
         expanded.clear()
         stats = route(h).stats
+        assert expanded, "the recursion never called the hooked branch step"
         assert len(expanded) == len(set(expanded))
         assert len(expanded) < stats.nodes
+
+
+def test_recursion_builds_no_hypermap_below_the_input(monkeypatch):
+    """Branches and components stay image tables: phi and psi on the
+    12-cycle with sigma the identity construct no ``Hypermap``."""
+    built = []
+    init = Hypermap.__init__
+
+    def counting(self, sigma, alpha):
+        built.append((sigma, alpha))
+        init(self, sigma, alpha)
+
+    monkeypatch.setattr(Hypermap, "__init__", counting)
+    h = make(12, [], [list(range(1, 13))])
+    for route in (whitney_phi, whitney_psi):
+        assert route(h).stats.nodes > 100
+    assert built == [(h.sigma, h.alpha)]
 
 
 def test_recursion_leaves_no_cached_garbage():
@@ -349,7 +369,9 @@ def test_stats_populated():
 
 
 def test_invariant_checks_raise_under_optimize():
-    """The branch weight and genus parity checks are not bare asserts."""
+    """The branch weight, genus parity and per-branch Euler checks are not
+    bare asserts.  Each injected fault goes through the hook the recursion
+    really calls, so every expected line proves its hook ran."""
     script = (
         "import importlib\n"
         "from hypermaps.hypermap import Hypermap\n"
@@ -359,7 +381,9 @@ def test_invariant_checks_raise_under_optimize():
         "ident = Permutation.identity(5)\n"
         "hypermap = importlib.import_module('hypermaps.hypermap')\n"
         "whitney = importlib.import_module('hypermaps.whitney')\n"
-        "whitney.phi_k = lambda g, cycle, k: Hypermap(ident, ident)\n"
+        "phi_k_tables = whitney._phi_k_tables\n"
+        "whitney._phi_k_tables = lambda sig, alf, cycle, k: (\n"
+        "    ident._image, ident._image, 0)\n"
         "try:\n"
         "    whitney.whitney_phi(h)\n"
         "except ValueError as exc:\n"
@@ -369,8 +393,20 @@ def test_invariant_checks_raise_under_optimize():
         "    Hypermap(ident, ident)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
+        "whitney._phi_k_tables = phi_k_tables\n"
+        "hypermap.cycle_count = lambda img: 0\n"
+        "try:\n"
+        "    whitney.whitney_phi(h)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
     )
-    expected = "branch weight out of range: u^4\ngenus parity violated: -10\n"
+    # The last fault makes every cycle count 0, so the first branch, which
+    # keeps 5 points in one orbit, reads n + 2 kappa = 7.
+    expected = (
+        "branch weight out of range: u^4\n"
+        "genus parity violated: -10\n"
+        "genus parity violated: 7\n"
+    )
     for flags in ([], ["-O"]):
         r = subprocess.run(
             [sys.executable, *flags, "-c", script], capture_output=True, text=True,

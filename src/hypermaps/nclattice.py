@@ -15,6 +15,9 @@ merges equal states; ``refinement_walk`` visits them one by one, by a
 depth-first walk of the same moves that merges nothing, and checks it.
 ``refinements`` streams each beta as a ``Permutation``, caching nothing, for
 terms that need more of it, such as z(beta^-1 sigma) at positive genus.
+Most refinements are leaves of that walk (Cat(m) of about 1.4 Cat(m) nodes
+for one m-cycle), so both walks handle the last point's moves at their
+parent and push no frame for them.
 Reading a cycle point by point, one complement block lies open between two
 stack levels and one above the top, so with H blocks open, joining the
 block at depth d closes a complement block of H - d points, and the end of
@@ -87,6 +90,9 @@ def refinements(alpha: Permutation) -> Iterator[Permutation]:
     block's first, so each block is the cycle through its points in alpha's
     order, the genus zero orientation.  Each path from the root writes every
     image once, so one image table serves every leaf and nothing is kept.
+    The last point ends the last cycle, so its parent closes the stack and
+    yields each of its moves in turn, open first, then joins from the
+    bottom up, the order in which their frames would pop.
     """
     cycles = sorted(alpha.cycles(), key=len)
     points = [p for c in cycles for p in c]
@@ -96,9 +102,24 @@ def refinements(alpha: Permutation) -> Iterator[Permutation]:
         return
     last = len(points) - 1
     ends = {t - 1 for t in accumulate(len(c) for c in cycles)}
-    # A move of point t: its depth (-1 opens) and the open blocks before it.
-    todo = [(0, -1, ())]
-    while todo:
+    # The open blocks after point t; a pending move is (t, depth, stack).
+    t, stack, todo = -1, (), []
+    while True:
+        if t + 1 < last:
+            todo += [(t + 1, d, stack) for d in range(len(stack) - 1, -2, -1)]
+        else:
+            # Each move of the last point writes two images, then restores one.
+            x = points[last]
+            for first, latest in stack:
+                img[latest] = first
+            img[x] = x
+            yield Permutation._unchecked(tuple(img))
+            for first, latest in stack:
+                img[latest], img[x] = x, first
+                yield Permutation._unchecked(tuple(img))
+                img[latest] = first
+        if not todo:
+            return
         t, d, stack = todo.pop()
         x = points[t]
         if d < 0:
@@ -113,10 +134,6 @@ def refinements(alpha: Permutation) -> Iterator[Permutation]:
             for first, latest in stack:
                 img[latest] = first
             stack = ()
-        if t == last:
-            yield Permutation._unchecked(tuple(img))
-        else:
-            todo += [(t + 1, d, stack) for d in range(len(stack) - 1, -2, -1)]
 
 
 def refinement_sum(
@@ -157,9 +174,12 @@ def refinement_walk(
     closes them all.  A join unions the point's class with the block's in a
     union-find with an undo log, which a move cuts back to its parent's
     length, so each refinement costs O(1) amortized steps and no state is
-    merged.  Shorter cycles are read first, so the walk branches as late as
-    it can and fixed points are not walked again for every refinement.  It
-    shares nothing with ``refinement_profile``, which it checks.
+    merged.  The last point's moves are added at their parent, with no frame
+    and no union: a join lowers kappa when the block's root differs from
+    the point's.  Shorter cycles are read first, so the walk branches as
+    late as it can and fixed points are not walked again for every
+    refinement.  It shares nothing with ``refinement_profile``, which it
+    checks.
     """
     cycles = sorted(alpha.cycles(), key=len)
     points = [p for c in cycles for p in c]
@@ -176,10 +196,36 @@ def refinement_walk(
     top = len(set(cls))  # kappa is top less the unions in the log
     log: List[int] = []
     counts: Dict[Tuple[int, int], int] = {}
-    # A move of point t: its depth (-1 opens), then the stack's labels and
-    # sizes, z, the weight of the closed blocks and the log length before it.
-    todo = [(0, -1, (), (), 0, 1, 0)]
-    while todo:
+    # The state after point t: the stack's labels and sizes, z and the weight
+    # of the closed blocks; a pending move of t + 1 adds its depth (-1 opens)
+    # and the log length it starts from.
+    t, stack, sizes, z, wt, todo = -1, (), (), 0, 1, []
+    while True:
+        if t + 1 < last:
+            mark = len(log)
+            todo += [(t + 1, d, stack, sizes, z, wt, mark)
+                     for d in range(len(stack) - 1, -2, -1)]
+        else:
+            # Each move of the last point, in the pop order: a join at depth d
+            # grows level d's block by one and leaves the other levels' weights.
+            r = cls[last]
+            while parent[r] != r:
+                r = parent[r]
+            kappa = top - len(log)
+            above = [wt]  # above[i]: wt times the weights of the top i levels
+            for k in reversed(sizes):
+                above.append(above[-1] * w[k])
+            key = (kappa, z + 1)
+            counts[key] = counts.get(key, 0) + above.pop() * w[1]
+            below = 1
+            for b, k in zip(stack, sizes):
+                while parent[b] != b:
+                    b = parent[b]
+                key = (kappa - (b != r), z)
+                counts[key] = counts.get(key, 0) + below * w[k + 1] * above.pop()
+                below *= w[k]
+        if not todo:
+            break
         t, d, stack, sizes, z, wt, mark = todo.pop()
         while len(log) > mark:
             r = log.pop()
@@ -205,13 +251,6 @@ def refinement_walk(
             for k in sizes:
                 wt *= w[k]
             stack = sizes = ()
-        if t == last:
-            key = (top - len(log), z)
-            counts[key] = counts.get(key, 0) + wt
-        else:
-            mark = len(log)
-            todo += [(t + 1, d, stack, sizes, z, wt, mark)
-                     for d in range(len(stack) - 1, -2, -1)]
     return {key: c for key, c in counts.items() if c}
 
 

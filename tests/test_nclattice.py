@@ -212,6 +212,37 @@ def test_streamed_refinements_are_distinct_and_kept():
         assert all(is_refinement(b, alpha) for b in listed)
 
 
+def test_refinement_order_is_pinned():
+    # Seeded callers draw rng.choice(list(refinements(alpha))), so the order
+    # is part of the output.  Shorter cycles are read first; at each point
+    # the walk takes the open move first, then joins from the bottom of the
+    # stack up.  Rows are beta(1), ..., beta(n).
+    four = Permutation.from_cycles(4, [[1, 2, 3, 4]])
+    assert [b.image for b in refinements(four)] == [
+        (1, 2, 3, 4), (4, 2, 3, 1), (1, 4, 3, 2), (1, 2, 4, 3),
+        (3, 2, 1, 4), (3, 2, 4, 1), (1, 3, 2, 4), (4, 3, 2, 1),
+        (1, 3, 4, 2), (2, 1, 3, 4), (2, 4, 3, 1), (2, 1, 4, 3),
+        (2, 3, 1, 4), (2, 3, 4, 1),
+    ]
+    two = Permutation.from_cycles(5, [[1, 2, 3], [4, 5]])
+    assert [b.image for b in refinements(two)] == [
+        (1, 2, 3, 4, 5), (3, 2, 1, 4, 5), (1, 3, 2, 4, 5), (2, 1, 3, 4, 5),
+        (2, 3, 1, 4, 5), (1, 2, 3, 5, 4), (3, 2, 1, 5, 4), (1, 3, 2, 5, 4),
+        (2, 1, 3, 5, 4), (2, 3, 1, 5, 4),
+    ]
+
+
+def test_refinements_are_distinct_up_to_ten_points():
+    rng = random.Random(18)
+    alphas = [Permutation.from_cycles(10, [range(1, 11)]), Permutation.identity(10)]
+    alphas += [random_collection(rng, n_max=10, max_cycle=10).alpha
+               for _ in range(40)]
+    assert max(a.n for a in alphas) == 10
+    for alpha in alphas:
+        tables = [b.image for b in refinements(alpha)]
+        assert len(tables) == len(set(tables)) == refinement_count(alpha), alpha
+
+
 def test_refinements_stream_in_constant_memory():
     # an 11-cycle has 58,786 refinements; listing them all took 18.7 MiB
     alpha = Permutation.from_cycles(11, [range(1, 12)])

@@ -3,15 +3,21 @@
 It serves the brute-force Whitney route and the interval polynomial X, and
 is checked three ways on one seeded corpus: against the definitional sums
 of ``oracles``, which build a ``Permutation`` per refinement, and against
-the frontier DP, whose state merging it exists to check.
+the frontier DP, whose state merging it exists to check.  The walk adds the
+last point's moves at their parent, and most refinements are such leaves
+once a cycle is long, so it is also checked against the DP at n = 9..12 and
+on inputs whose last point is the first, opens only, or closes a 2-cycle.
 """
 
+import math
 import random
 import subprocess
 import sys
 
 from hypermaps.charflow import x_interval
+from hypermaps.hypermap import Hypermap
 from hypermaps.nclattice import (
+    catalan,
     mobius_nc,
     refinement_count,
     refinement_profile,
@@ -19,10 +25,60 @@ from hypermaps.nclattice import (
     refinements,
 )
 from hypermaps.oracles import whitney_refinement_sum, x_interval_sum
+from hypermaps.perm import Permutation
+from hypermaps.selftest import (
+    noncrossing_partition,
+    random_bounded_cycles,
+    random_permutation,
+)
 from hypermaps.whitney import whitney_bruteforce, whitney_dp
 from test_frontier import SPECIAL, seeded_collections
 
 CORPUS = SPECIAL + seeded_collections(1401, 1000)
+
+
+def sized_instances(seed):
+    """Four collections for each n in 9..12.
+
+    gamma is a random n-cycle.  Genus zero by construction: alpha = gamma
+    with sigma a random refinement of it, and alpha a random refinement of
+    gamma with sigma = alpha gamma^-1.  Then a random sigma, once with
+    alpha = gamma and once with alpha of cycles of at most 6 points.
+    """
+    rng = random.Random(seed)
+    out = []
+    for n in range(9, 13):
+        points = rng.sample(range(1, n + 1), n)
+        gamma = Permutation.from_cycles(n, [points])
+
+        def refinement():
+            blocks = noncrossing_partition(n, rng.randrange(catalan(n)))
+            return Permutation.from_cycles(
+                n, [[points[i] for i in b] for b in blocks])
+
+        beta = refinement()
+        out += [
+            Hypermap(refinement(), gamma),
+            Hypermap(beta * gamma.inverse(), beta),
+            Hypermap(random_permutation(rng, n), gamma),
+            Hypermap(random_permutation(rng, n), random_bounded_cycles(rng, n, 6)),
+        ]
+    return out
+
+
+SIZED = sized_instances(1403)
+
+EDGES = [
+    Hypermap(Permutation.identity(0), Permutation.identity(0)),
+    Hypermap(Permutation.identity(1), Permutation.identity(1)),
+    Hypermap(Permutation.from_cycles(3, [[1, 2, 3]]), Permutation.identity(3)),
+    Hypermap(Permutation.from_cycles(10, [[1, 4, 7], [2, 9]]),
+             Permutation.identity(10)),
+    Hypermap(Permutation.from_cycles(10, [[1, 3, 5, 7, 9]]),
+             Permutation.from_cycles(10, [[2 * i - 1, 2 * i] for i in range(1, 6)])),
+    Hypermap(Permutation.identity(12),
+             Permutation.from_cycles(12, [[i, i + 6] for i in range(1, 7)])),
+]
 
 
 def test_corpus_reaches_every_kind_of_input():
@@ -34,7 +90,7 @@ def test_corpus_reaches_every_kind_of_input():
 
 
 def test_bruteforce_equals_definition_and_dp():
-    for h in CORPUS:
+    for h in CORPUS + EDGES:
         brute = whitney_bruteforce(h)
         assert brute.polynomial == whitney_refinement_sum(h), h
         assert brute.polynomial == whitney_dp(h).polynomial, h
@@ -42,9 +98,34 @@ def test_bruteforce_equals_definition_and_dp():
 
 
 def test_block_weighted_walk_equals_dp_level_form():
-    for h in CORPUS:
+    for h in CORPUS + SIZED + EDGES:
         walked = refinement_walk(h.alpha, h.sigma.cycle_labels(), mobius_nc)
         assert walked == refinement_profile(h, block_weight=mobius_nc)[0], h
+
+
+def test_sized_instances_reach_the_long_cycles():
+    assert sorted({h.n for h in SIZED}) == [9, 10, 11, 12]
+    for n in range(9, 13):
+        genera = [h.genus for h in SIZED if h.n == n]
+        assert genera[:2] == [0, 0] and max(genera) > 0, (n, genera)
+    assert max(h.genus for h in SIZED) >= 3
+
+
+def test_bruteforce_equals_dp_at_n_9_to_12():
+    for h in SIZED:
+        brute = whitney_bruteforce(h)
+        assert brute.polynomial == whitney_dp(h).polynomial, h
+        assert brute.polynomial.evaluate(1, 1) == refinement_count(h.alpha)
+
+
+def test_walk_on_edge_inputs():
+    # no point; one point, so the last point is point 0; an identity alpha,
+    # whose last point can only open; alphas made only of 2-cycles
+    assert [h.n for h in EDGES] == [0, 1, 3, 10, 10, 12]
+    assert refinement_walk(EDGES[1].alpha, [0, 0], lambda k: 5 * k) == {(1, 1): 5}
+    assert refinement_walk(EDGES[1].alpha, [0, 0], lambda k: 0) == {}
+    assert refinement_walk(EDGES[5].alpha, list(range(13))) == {
+        (12 - j, 12 - j): math.comb(6, j) for j in range(7)}
 
 
 def test_x_interval_equals_definition():

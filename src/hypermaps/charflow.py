@@ -6,9 +6,9 @@ mu(id, beta), a product of ``mobius_nc`` over beta's blocks, and C(t) by
 mu(beta, alpha), a product over the cycles of the Kreweras complement
 beta^-1 alpha.  The stack of open blocks closes the blocks of either side
 whole at a height it knows, so each is one ``refinement_profile`` pass,
-which never lists the refinements.  X is one ``refinement_walk`` over the
-refinements delta of alpha1^-1 alpha2, weighted by ``mobius_nc`` per block
-of delta; no ``Permutation`` is built per term.
+which never lists the refinements.  X is one more such pass, in the level
+form, over the refinements delta of alpha1^-1 alpha2, weighted by
+``mobius_nc`` per block of delta.
 
 The characteristic polynomial of (sigma, alpha) is
 
@@ -33,14 +33,15 @@ from itertools import filterfalse, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .hypermap import Hypermap
-from .nclattice import is_refinement, mobius_nc, refinement_profile, refinement_walk
+from .nclattice import is_refinement, mobius_nc, refinement_profile
 from .perm import Permutation
 from .poly import UniPoly
 from .whitney import InstanceTooLarge
 
 
 def characteristic_polynomial(h: Hypermap) -> UniPoly:
-    counts, _ = refinement_profile(h, block_weight=mobius_nc)
+    vertex = h.sigma.cycle_labels()
+    counts, _ = refinement_profile(h.alpha, vertex, block_weight=mobius_nc)
     terms: Dict[int, int] = {}
     for (kb, _), c in counts.items():
         terms[kb - h.kappa] = terms.get(kb - h.kappa, 0) + c
@@ -53,9 +54,9 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
     beta = alpha1 delta maps the refinements delta of alpha1^-1 alpha2 onto
     [alpha1, alpha2], and mu(alpha1, beta) = mu(id, delta) (Biane 1997).
     As alpha1 <= beta, the orbits of <sigma, beta> are those of <sigma,
-    alpha1, delta>, so one ``refinement_walk`` over delta, starting from
-    the orbits of <sigma, alpha1> and weighting each block of delta by
-    ``mobius_nc``, gives every term.
+    alpha1, delta>, so one ``refinement_profile`` pass over delta, with the
+    orbits of <sigma, alpha1> as the classes and ``mobius_nc`` as the block
+    weight, gives every term.
     """
     if not is_refinement(alpha2, h.alpha):
         raise ValueError("alpha2 must refine the collection's alpha")
@@ -65,7 +66,8 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
     for i, comp in enumerate(Hypermap(h.sigma, alpha1).components()):
         for p in comp:
             orbit[p] = i
-    counts = refinement_walk(alpha1.inverse() * alpha2, orbit, mobius_nc)
+    delta = alpha1.inverse() * alpha2
+    counts, _ = refinement_profile(delta, orbit, block_weight=mobius_nc)
     terms: Dict[int, int] = {}
     for (kb, _), c in counts.items():
         terms[kb] = terms.get(kb, 0) + c
@@ -73,7 +75,8 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
 
 
 def flow_polynomial(h: Hypermap) -> UniPoly:
-    counts, _ = refinement_profile(h, complement_weight=mobius_nc)
+    vertex = h.sigma.cycle_labels()
+    counts, _ = refinement_profile(h.alpha, vertex, complement_weight=mobius_nc)
     base = h.n - h.sigma.cycle_count
     terms: Dict[int, int] = {}
     for (kb, zb), c in counts.items():

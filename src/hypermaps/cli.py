@@ -341,10 +341,10 @@ def _pair_output(doc: HypermapDocument, g: Hypermap) -> Tuple[Dict, str]:
 
 def _whitney(args, doc: HypermapDocument):
     h = doc.hypermap
-    cap = None if args.no_size_guard else args.max_refinements
-    if cap is not None and refinement_count(h.alpha) > cap:
+    count = None if args.no_size_guard else refinement_count(h.alpha)
+    if count is not None and count > args.max_refinements:
         raise InstanceTooLarge(
-            f"{refinement_count(h.alpha)} refinements exceed the cap of {cap}"
+            f"{count} refinements exceed the cap of {args.max_refinements}"
             " (raise with --max-refinements or --no-size-guard)"
         )
     methods = METHODS if args.method == "all" else (args.method,)
@@ -572,8 +572,10 @@ COMMANDS: Dict[str, Command] = {
 
 def _run(args) -> int:
     command = COMMANDS[args.command]
-    if getattr(args, "m", 0) < 0:  # checked before any input is read
-        raise InputError(f"--m must be nonnegative, got {args.m}")
+    for name in ("m", "max_refinements", "max_vectors"):  # before any input
+        if getattr(args, name, 0) < 0:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be nonnegative, got {getattr(args, name)}")
     if not 1 <= getattr(args, "n_max", 1) <= MAX_SELFTEST_N:
         raise InputError(
             f"--n-max must be between 1 and {MAX_SELFTEST_N}, got {args.n_max}"

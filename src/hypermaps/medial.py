@@ -166,7 +166,7 @@ def circuit_partition_polynomial(
         return UniPoly(
             refinement_sum(h.alpha, lambda beta: ((sinv * beta).cycle_count, 1))
         )
-    counts, _ = refinement_profile(h)
+    counts, _ = refinement_profile(h.alpha, h.sigma.cycle_labels())
     offset = h.n - h.sigma.cycle_count
     terms: Dict[int, int] = {}
     for (kb, zb), c in counts.items():

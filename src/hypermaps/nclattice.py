@@ -9,10 +9,12 @@ therefore in bijection with noncrossing partitions of an m-element cycle and
 are counted by the Catalan number Cat(m) = binom(2m, m) / (m + 1).
 When a term needs only kappa(sigma, beta), z(beta) and a weight per block
 of beta or of its Kreweras complement beta^-1 alpha, two routes read
-alpha's cycles as a stack of open blocks.  ``refinement_profile`` sums over
-the refinements without listing them, by a frontier dynamic program that
-merges equal states; ``refinement_walk`` visits them one by one, by a
-depth-first walk of the same moves that merges nothing, and checks it.
+alpha's cycles as a stack of open blocks, each joining the classes of the
+points in a block of beta (sigma's cycles for kappa(sigma, beta)).
+``refinement_profile`` sums over the refinements without listing them, by
+a frontier dynamic program that merges equal states and carries every
+weight; ``refinement_walk`` counts them one by one, by a depth-first walk
+of the same moves that merges nothing and weighs nothing, and checks it.
 ``refinements`` streams each beta as a ``Permutation``, caching nothing, for
 terms that need more of it, such as z(beta^-1 sigma) at positive genus.
 Most refinements are leaves of that walk (Cat(m) of about 1.4 Cat(m) nodes
@@ -24,10 +26,12 @@ block at depth d closes a complement block of H - d points, and the end of
 the cycle closes one of H points (Kreweras 1972).  The Moebius weights
 below are read off these heights.
 
-Genus zero of the restricted pair is checked without relabeling: for a parent
-cycle C of length m with restriction b, it is equivalent to
+Genus zero of the restricted pairs is checked without relabeling.  Once
+every beta-cycle lies inside an alpha-cycle, an alpha-cycle of m points
+holds at most m + 1 cycles of beta and of beta^-1 alpha together, with
+equality exactly at genus zero, so beta <= alpha if and only if
 
-    (#cycles of b on C) + (#cycles of b^-1 * C on C) == m + 1.
+    z(beta) + z(beta^-1 alpha) == n + z(alpha).
 
 The Moebius function is the closed form
 
@@ -46,8 +50,7 @@ import math
 from itertools import accumulate
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .hypermap import Hypermap
-from .perm import Permutation, cycle_count_on
+from .perm import Permutation
 
 Partition = Tuple[Tuple[int, ...], ...]
 
@@ -142,10 +145,10 @@ def refinement_sum(
     """Sum term(beta) = (exponent key, coefficient) over beta <= alpha, by key.
 
     This builds every refinement, Catalan-many per cycle.  Use it when the
-    term needs more of beta than ``refinement_profile`` and
-    ``refinement_walk`` keep: more than kappa(sigma, beta), z(beta) and a
-    weight per block, for example the whole permutation beta^-1 sigma, as
-    the circuit partition polynomial does at positive genus.
+    term needs more of beta than ``refinement_profile`` keeps: more than
+    kappa(sigma, beta), z(beta) and a weight per block, for example the
+    whole permutation beta^-1 sigma, as the circuit partition polynomial
+    does at positive genus.
     """
     totals: Dict[Hashable, int] = {}
     for beta in refinements(alpha):
@@ -155,29 +158,23 @@ def refinement_sum(
 
 
 def refinement_walk(
-    alpha: Permutation,
-    classes: Sequence[int],
-    block_weight: Optional[Callable[[int], int]] = None,
+    alpha: Permutation, classes: Sequence[int]
 ) -> Dict[Tuple[int, int], int]:
-    """Weighted refinement counts by (kappa, z(beta)), one refinement at a time.
+    """Refinement counts by (kappa, z(beta)), one refinement at a time.
 
     classes[p] in 0..K-1 is the class of point p.  For a refinement beta <=
     alpha, kappa is the number of classes left once the classes of every
-    beta-block are joined, and its weight is the product of block_weight(|b|)
-    over the blocks b of beta (1 without a weight).  Pairs whose weights
-    cancel are left out, as in ``refinement_profile``.
+    beta-block are joined.  Nothing is weighed: each refinement adds 1.
 
-    A depth-first walk of the moves of ``refinements``, from an
-    explicit list of pending moves, so its depth is not bounded by the
-    recursion limit: a point opens a block (z + 1) or joins the open block at
-    some depth, closing every block above it, and the end of an alpha-cycle
-    closes them all.  A join unions the point's class with the block's in a
+    A depth-first walk of the moves of ``refinements``, from an explicit
+    list of pending moves, so its depth is not bounded by the recursion
+    limit.  A join unions the point's class with the block's in a
     union-find with an undo log, which a move cuts back to its parent's
     length, so each refinement costs O(1) amortized steps and no state is
-    merged.  The last point's moves are added at their parent, with no frame
-    and no union: a join lowers kappa when the block's root differs from
-    the point's.  Shorter cycles are read first, so the walk branches as
-    late as it can and fixed points are not walked again for every
+    merged.  The last point's moves are counted at their parent, with no
+    frame and no union: a join lowers kappa when the block's root differs
+    from the point's.  Shorter cycles are read first, so the walk branches
+    as late as it can and fixed points are not walked again for every
     refinement.  It shares nothing with ``refinement_profile``, which it
     checks.
     """
@@ -188,51 +185,40 @@ def refinement_walk(
     cls = [classes[p] for p in points]
     last = len(points) - 1
     ends = {t - 1 for t in accumulate(len(c) for c in cycles)}
-    w = [1] * (last + 2)
-    if block_weight is not None:
-        w[1:] = map(block_weight, range(1, last + 2))
     parent = list(range(max(cls) + 1))
     size = [1] * len(parent)
     top = len(set(cls))  # kappa is top less the unions in the log
     log: List[int] = []
     counts: Dict[Tuple[int, int], int] = {}
-    # The state after point t: the stack's labels and sizes, z and the weight
-    # of the closed blocks; a pending move of t + 1 adds its depth (-1 opens)
-    # and the log length it starts from.
-    t, stack, sizes, z, wt, todo = -1, (), (), 0, 1, []
+    # The state after point t: the stack's class labels and z; a pending move
+    # of t + 1 adds its depth (-1 opens) and the log length it starts from.
+    t, stack, z, todo = -1, (), 0, []
     while True:
         if t + 1 < last:
             mark = len(log)
-            todo += [(t + 1, d, stack, sizes, z, wt, mark)
-                     for d in range(len(stack) - 1, -2, -1)]
+            todo += [(t + 1, d, stack, z, mark) for d in range(len(stack) - 1, -2, -1)]
         else:
-            # Each move of the last point, in the pop order: a join at depth d
-            # grows level d's block by one and leaves the other levels' weights.
+            # Each move of the last point, in the pop order.
             r = cls[last]
             while parent[r] != r:
                 r = parent[r]
             kappa = top - len(log)
-            above = [wt]  # above[i]: wt times the weights of the top i levels
-            for k in reversed(sizes):
-                above.append(above[-1] * w[k])
             key = (kappa, z + 1)
-            counts[key] = counts.get(key, 0) + above.pop() * w[1]
-            below = 1
-            for b, k in zip(stack, sizes):
+            counts[key] = counts.get(key, 0) + 1
+            for b in stack:
                 while parent[b] != b:
                     b = parent[b]
                 key = (kappa - (b != r), z)
-                counts[key] = counts.get(key, 0) + below * w[k + 1] * above.pop()
-                below *= w[k]
+                counts[key] = counts.get(key, 0) + 1
         if not todo:
-            break
-        t, d, stack, sizes, z, wt, mark = todo.pop()
+            return counts
+        t, d, stack, z, mark = todo.pop()
         while len(log) > mark:
             r = log.pop()
             size[parent[r]] -= size[r]
             parent[r] = r
         if d < 0:
-            stack, sizes, z = stack + (cls[t],), sizes + (1,), z + 1
+            stack, z = stack + (cls[t],), z + 1
         else:
             a, b = cls[t], stack[d]
             while parent[a] != a:
@@ -244,37 +230,36 @@ def refinement_walk(
                 parent[a] = b
                 size[b] += size[a]
                 log.append(a)
-            for k in sizes[d + 1 :]:
-                wt *= w[k]
-            stack, sizes = stack[: d + 1], sizes[:d] + (sizes[d] + 1,)
+            stack = stack[: d + 1]
         if t in ends:
-            for k in sizes:
-                wt *= w[k]
-            stack = sizes = ()
-    return {key: c for key, c in counts.items() if c}
+            stack = ()
 
 
 def refinement_profile(
-    h: Hypermap,
+    alpha: Permutation,
+    classes: Sequence[Hashable],
     block_weight: Optional[Callable[[int], int]] = None,
     complement_weight: Optional[Callable[[int], int]] = None,
 ) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Weighted refinement counts by (kappa(sigma, beta), z(beta)), and states.
+    """Weighted refinement counts by (kappa, z(beta)), and states.
 
+    classes[p] is the class of point p, and kappa counts the classes left
+    once the classes of every beta-block are joined, as in
+    ``refinement_walk``; with sigma's cycle labels it is kappa(sigma, beta).
     The count of a pair (k, z) is the sum, over the refinements beta <= alpha
-    with kappa(sigma, beta) = k and z(beta) = z, of the product of
-    block_weight(|b|) over the cycles b of beta, or of complement_weight(|c|)
-    over the cycles c of beta^-1 alpha (1 without a weight; give at most
-    one).  The second value is the number of DP states visited.
+    with kappa = k and z(beta) = z, of the product of block_weight(|b|) over
+    the cycles b of beta, or of complement_weight(|c|) over the cycles c of
+    beta^-1 alpha (1 without a weight; give at most one).  The second value
+    is the number of DP states visited.
 
     A frontier dynamic program (Sekine, Imai and Tani 1995, for Tutte
     polynomials) over the stack of open blocks (``refinements``).
     alpha's cycles are read point by point: a point opens a block or joins
     the open block at some depth, closing every block above it, and the end
-    of a cycle closes them all.  A class is a set of sigma-cycles joined so
+    of a cycle closes them all.  A label stands for the classes joined so
     far; one that no label refers to any more is finished and adds 1 to
-    kappa.  The state is one tuple of class labels, relabeled by first
-    occurrence: one per active sigma-cycle (touched, with points to come),
+    kappa.  The state is one tuple of labels, relabeled by first
+    occurrence: one per active class (touched, with points to come),
     then one per stack level, bottom first.  Weights follow the height rule
     of the module docstring, so no block sizes are kept.  Values are
     polynomials in kappa and z, kept as {kappa * (n + 1) + z: coefficient}.
@@ -294,18 +279,17 @@ def refinement_profile(
         raise ValueError("give block_weight or complement_weight, not both")
     levels = block_weight is not None
     weight = block_weight or complement_weight
-    radix = h.n + 1
+    radix = alpha.n + 1
     # w[k] for a closed block of k points; none is empty or longer than n.
     w = [0] + [weight(k) for k in range(1, radix)] if weight else [1] * radix
-    vertex = h.sigma.cycle_labels()
-    points = [p for c in h.alpha.cycles() for p in c]
-    cycle_ends = set(accumulate(len(c) for c in h.alpha.cycles()))
-    last = {vertex[p]: t for t, p in enumerate(points)}
-    active: List[int] = []  # sigma-cycles with a label in the state, by entry
+    points = [p for c in alpha.cycles() for p in c]
+    cycle_ends = set(accumulate(len(c) for c in alpha.cycles()))
+    last = {classes[p]: t for t, p in enumerate(points)}
+    active: List[Hashable] = []  # classes with a label in the state, by entry
     states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
     visited = 1
     for t, p in enumerate(points):
-        v = vertex[p]
+        v = classes[p]
         prev = active.index(v) if v in active else -1
         keep = last[v] > t
         ends = t + 1 in cycle_ends
@@ -318,7 +302,7 @@ def refinement_profile(
             lv = act[prev] if prev >= 0 else fresh
             base = act[:pos] + (lv,) * keep + act[pos + 1 :]
             # Classes before merging: those in use, and v's own when v is new.
-            classes = fresh + (prev < 0)
+            in_use = fresh + (prev < 0)
             for depth in range(-1, len(stack)):
                 # depth -1 opens; a join maps the labels in group to r: the
                 # joined block's in the block form, levels depth..top else.
@@ -342,7 +326,7 @@ def refinement_profile(
                 relabel: Dict[int, int] = {}
                 key = tuple([relabel.setdefault(x, len(relabel)) for x in new])
                 # A class that no label refers to any more is finished.
-                finished = classes - merged - len(relabel)
+                finished = in_use - merged - len(relabel)
                 shift = finished * radix + z
                 target = new_states.setdefault(key, {})
                 for e, c in value.items():
@@ -361,14 +345,8 @@ def is_refinement(beta: Permutation, alpha: Permutation) -> bool:
     for c in beta.cycles():
         if any(owner[p] != owner[c[0]] for p in c):
             return False
-    binv = beta.inverse()
-    for c in alpha.cycles():
-        m = len(c)
-        zb = cycle_count_on(c, beta)
-        zc = cycle_count_on(c, lambda x: binv(alpha(x)))
-        if zb + zc != m + 1:
-            return False
-    return True
+    zc = (beta.inverse() * alpha).cycle_count
+    return beta.cycle_count + zc == alpha.n + alpha.cycle_count
 
 
 def interval(beta: Permutation, alpha: Permutation) -> List[Permutation]:

@@ -160,21 +160,3 @@ def swap_values(img: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:
     out = list(img)
     out[img.index(i)], out[img.index(j)] = j, i
     return tuple(out)
-
-
-def cycle_count_on(points: Iterable[int], func) -> int:
-    """Number of cycles of the map ``func`` restricted to ``points``.
-
-    The point set must be closed under func; used for per-cycle genus checks
-    without relabeling anything.
-    """
-    pts = set(points)
-    count = 0
-    while pts:
-        start = pts.pop()
-        j = func(start)
-        while j != start:
-            pts.remove(j)
-            j = func(j)
-        count += 1
-    return count

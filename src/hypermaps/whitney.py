@@ -242,7 +242,7 @@ def whitney_dp(h: Hypermap) -> WhitneyResult:
 
     ``stats.nodes`` counts the DP states visited; there is no memo.
     """
-    counts, states = refinement_profile(h)
+    counts, states = refinement_profile(h.alpha, h.sigma.cycle_labels())
     poly = _poly_of_counts(h, counts)
     return WhitneyResult(poly, "dp", WhitneyStats(states, 0, len(poly.terms)))
 

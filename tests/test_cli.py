@@ -242,6 +242,31 @@ def test_selftest_n_max_bounds(monkeypatch, capsys):
         assert run_in_process(argv, "", monkeypatch, capsys) == (2, "", err)
 
 
+def test_negative_caps_are_refused(monkeypatch, capsys):
+    # refused before any input is read, with one line naming the flag, even
+    # when --no-size-guard would ignore the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "_read_input", refuse)
+    for argv, flag, cap in (
+        (["whitney", "--max-refinements=-1"], "--max-refinements", -1),
+        (["whitney", "--no-size-guard", "--max-refinements=-2"],
+         "--max-refinements", -2),
+        (["circuit-partition", "--max-refinements=-5"], "--max-refinements", -5),
+        (["flows", "--q=3", "--nowhere-zero", "--max-vectors=-1"],
+         "--max-vectors", -1),
+    ):
+        err = f"error: {flag} must be nonnegative, got {cap}\n"
+        assert run_in_process(argv, "", monkeypatch, capsys) == (2, "", err)
+    monkeypatch.undo()
+    # a cap of 0 is a cap
+    err = ("error: 10 refinements exceed the cap of 0"
+           " (raise with --max-refinements or --no-size-guard)\n")
+    argv = ["whitney", "--max-refinements=0"]
+    assert run_in_process(argv, RUNNING, monkeypatch, capsys) == (2, "", err)
+
+
 def test_determinism_byte_identical():
     for args in (
         ["whitney", "--method=all"],

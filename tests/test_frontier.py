@@ -120,23 +120,36 @@ def prime_weighted_sum(h, blocks_of):
 
 def test_block_weight_reaches_every_block():
     for h in seeded_collections(74, 60):
-        counts, _ = refinement_profile(h, block_weight=PRIMES.__getitem__)
+        counts, _ = refinement_profile(
+            h.alpha, h.sigma.cycle_labels(), block_weight=PRIMES.__getitem__)
         assert counts == prime_weighted_sum(h, lambda beta: beta), h
 
 
 def test_complement_weight_reaches_every_block():
     # and it visits the states of R: the weight needs no state of its own
     for h in SPECIAL + seeded_collections(81, 60):
-        counts, states = refinement_profile(h, complement_weight=PRIMES.__getitem__)
+        vertex = h.sigma.cycle_labels()
+        counts, states = refinement_profile(
+            h.alpha, vertex, complement_weight=PRIMES.__getitem__)
         expected = prime_weighted_sum(h, lambda beta: beta.inverse() * h.alpha)
         assert counts == expected, h
-        assert states == refinement_profile(h)[1], h
+        assert states == refinement_profile(h.alpha, vertex)[1], h
+
+
+def test_weights_on_one_point():
+    # the last point is the first, so the root adds its moves
+    alpha = Permutation.identity(1)
+    for form in ("block_weight", "complement_weight"):
+        five = refinement_profile(alpha, [0, 0], **{form: lambda k: 5 * k})
+        assert five[0] == {(1, 1): 5}
+        assert refinement_profile(alpha, [0, 0], **{form: lambda k: 0})[0] == {}
 
 
 def test_one_weight_at_a_time():
     h = SPECIAL[4]
     with pytest.raises(ValueError):
-        refinement_profile(h, block_weight=PRIMES.__getitem__,
+        refinement_profile(h.alpha, h.sigma.cycle_labels(),
+                           block_weight=PRIMES.__getitem__,
                            complement_weight=PRIMES.__getitem__)
 
 

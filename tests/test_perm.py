@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 from hypermaps.nclattice import refinements
-from hypermaps.perm import Permutation, cycle_count_on
+from hypermaps.perm import Permutation
 from hypermaps.selftest import random_collection, random_permutation
 from hypermaps.whitney import _phi_k_tables, _relabel
 
@@ -164,10 +164,3 @@ def test_hash_and_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Permutation.identity(3)
-
-
-def test_cycle_count_on_restriction():
-    p = Permutation.from_cycles(6, [[1, 2], [3, 4, 5]])
-    assert cycle_count_on(range(1, 7), p) == 3
-    # restricted to a union of full cycles
-    assert cycle_count_on([1, 2, 6], p) == 2

@@ -1,12 +1,14 @@
 """The depth-first refinement walk (``nclattice.refinement_walk``).
 
-It serves the brute-force Whitney route and the interval polynomial X, and
-is checked three ways on one seeded corpus: against the definitional sums
-of ``oracles``, which build a ``Permutation`` per refinement, and against
-the frontier DP, whose state merging it exists to check.  The walk adds the
-last point's moves at their parent, and most refinements are such leaves
-once a cycle is long, so it is also checked against the DP at n = 9..12 and
-on inputs whose last point is the first, opens only, or closes a 2-cycle.
+It serves the brute-force Whitney route, and is checked on one seeded
+corpus against the definitional sum of ``oracles``, which builds a
+``Permutation`` per refinement, and against the frontier DP, whose state
+merging it exists to check, also on random class tables.  The walk adds
+the last point's moves at their parent, and most refinements are such
+leaves once a cycle is long, so it is also checked against the DP at
+n = 9..12 and on inputs whose last point is the first, opens only, or
+closes a 2-cycle.  The same inputs check the level form of the DP, which
+carries chi and X, against the Moebius sums.
 """
 
 import math
@@ -14,11 +16,10 @@ import random
 import subprocess
 import sys
 
-from hypermaps.charflow import x_interval
-from hypermaps.hypermap import Hypermap
+from hypermaps.charflow import characteristic_polynomial, flow_polynomial, x_interval
+from hypermaps.hypermap import Hypermap, dual, orbit_count
 from hypermaps.nclattice import (
     catalan,
-    mobius_nc,
     refinement_count,
     refinement_profile,
     refinement_walk,
@@ -32,7 +33,7 @@ from hypermaps.selftest import (
     random_permutation,
 )
 from hypermaps.whitney import whitney_bruteforce, whitney_dp
-from test_frontier import SPECIAL, seeded_collections
+from test_frontier import SPECIAL, chi_definition, seeded_collections
 
 CORPUS = SPECIAL + seeded_collections(1401, 1000)
 
@@ -97,10 +98,35 @@ def test_bruteforce_equals_definition_and_dp():
         assert brute.stats.nodes == refinement_count(h.alpha)
 
 
-def test_block_weighted_walk_equals_dp_level_form():
+def test_dp_level_form_equals_moebius_sum():
+    # The genus-zero 12-cycle has 208,012 refinements, so it is checked
+    # against the block form instead, as chi(h) == C(dual h).
+    genus_zero_twelve = SIZED[12]
+    assert (genus_zero_twelve.n, genus_zero_twelve.genus) == (12, 0)
     for h in CORPUS + SIZED + EDGES:
-        walked = refinement_walk(h.alpha, h.sigma.cycle_labels(), mobius_nc)
-        assert walked == refinement_profile(h, block_weight=mobius_nc)[0], h
+        if h is genus_zero_twelve:
+            assert characteristic_polynomial(h) == flow_polynomial(dual(h))
+        else:
+            assert characteristic_polynomial(h) == chi_definition(h), h
+
+
+def test_walk_equals_dp_on_any_classes():
+    # class tables drawn per point, with fewer or more classes than alpha
+    # has cycles and with unused class numbers, on alphas with fixed points
+    rng = random.Random(1404)
+    fewer = more = fixed = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        alpha = random_bounded_cycles(rng, n, rng.choice((2, 4, n)))
+        k = rng.randint(1, n + 2)
+        classes = [rng.randrange(k) for _ in range(n + 1)]
+        walked = refinement_walk(alpha, classes)
+        assert walked == refinement_profile(alpha, classes)[0], (alpha, classes)
+        used = len(set(classes[1:]))
+        fewer += used < alpha.cycle_count
+        more += used > alpha.cycle_count
+        fixed += any(len(c) == 1 for c in alpha.cycles())
+    assert min(fewer, more, fixed) > 50, (fewer, more, fixed)
 
 
 def test_sized_instances_reach_the_long_cycles():
@@ -122,19 +148,21 @@ def test_walk_on_edge_inputs():
     # no point; one point, so the last point is point 0; an identity alpha,
     # whose last point can only open; alphas made only of 2-cycles
     assert [h.n for h in EDGES] == [0, 1, 3, 10, 10, 12]
-    assert refinement_walk(EDGES[1].alpha, [0, 0], lambda k: 5 * k) == {(1, 1): 5}
-    assert refinement_walk(EDGES[1].alpha, [0, 0], lambda k: 0) == {}
+    assert refinement_walk(EDGES[1].alpha, [0, 0]) == {(1, 1): 1}
     assert refinement_walk(EDGES[5].alpha, list(range(13))) == {
         (12 - j, 12 - j): math.comb(6, j) for j in range(7)}
 
 
 def test_x_interval_equals_definition():
     rng = random.Random(1402)
+    joined = 0  # draws whose alpha1 joins sigma-cycles into one orbit
     for h in CORPUS:
         alpha2 = rng.choice(list(refinements(h.alpha)))
         alpha1 = rng.choice(list(refinements(alpha2)))
         assert x_interval(h, alpha1, alpha2) == x_interval_sum(h, alpha1, alpha2), (
             h, alpha1, alpha2)
+        joined += orbit_count(h.sigma, alpha1) < h.sigma.cycle_count
+    assert joined > 100, joined
 
 
 def test_walk_depth_is_not_bounded_by_recursion_limit():

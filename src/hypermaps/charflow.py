@@ -194,6 +194,20 @@ class FlowSpace(NamedTuple):
     def count(self) -> int:
         return self.q ** self.dimension
 
+    def nowhere_zero_count(self, alpha: Permutation, max_vectors: Optional[int]) -> int:
+        """Count vectors whose zeros all sit on alpha fixed points (buds)."""
+        if max_vectors is not None and self.count() > max_vectors:
+            raise InstanceTooLarge(
+                f"{self.count()} flow vectors exceed the cap of {max_vectors}"
+            )
+        buds = {c[0] for c in alpha.cycles() if len(c) == 1}
+        required = [i for i in range(1, self.n + 1) if i not in buds]
+        count = 0
+        for vec in self.vectors():
+            if all(vec[i - 1] != 0 for i in required):
+                count += 1
+        return count
+
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         q, n = self.q, self.n
         for coeffs in product(range(q), repeat=self.dimension):
@@ -298,18 +312,7 @@ def nowhere_zero_flow_count(
     h: Hypermap, q: int, max_vectors: Optional[int] = 10 ** 6
 ) -> int:
     """Count flows whose zeros all sit on alpha fixed points (buds)."""
-    space = flow_space(h, q)
-    if max_vectors is not None and space.count() > max_vectors:
-        raise InstanceTooLarge(
-            f"{space.count()} flow vectors exceed the cap of {max_vectors}"
-        )
-    buds = {c[0] for c in h.alpha.cycles() if len(c) == 1}
-    required = [i for i in range(1, h.n + 1) if i not in buds]
-    count = 0
-    for vec in space.vectors():
-        if all(vec[i - 1] != 0 for i in required):
-            count += 1
-    return count
+    return flow_space(h, q).nowhere_zero_count(h.alpha, max_vectors)
 
 
 def unique_nz_refinement(h: Hypermap, f: Tuple[int, ...], q: int) -> Permutation:

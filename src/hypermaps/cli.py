@@ -16,7 +16,8 @@ be 1..n: without an explicit ``n`` they are compacted order-preservingly and
 all output is rendered through the original labels.  Duplicate or
 out-of-range points are rejected with the offending line and value named,
 and so is any integer of more than ``MAX_DIGITS`` digits; an explicit ``n``
-above ``MAX_POINTS`` is refused with its line named.
+above ``MAX_POINTS`` is refused with its line named, and a document without
+``n`` that names more than ``MAX_POINTS`` distinct points with its file named.
 
 Every subcommand reads its input from a file argument (``-`` or nothing
 means stdin), prints deterministic canonical text, and with ``--json`` emits
@@ -58,7 +59,8 @@ DEFAULT_FLOW_CAP = 10 ** 6
 # Longest integer any input may hold: CPython's default int(str) bound, checked by
 # length so every interpreter answers alike.
 MAX_DIGITS = 4300
-# Largest explicit n, refused before any point table is built.
+# Largest point count, explicit n or distinct points, refused before any point
+# table is built.
 MAX_POINTS = 10 ** 6
 # Largest selftest --n-max; its run time about triples with each step.
 MAX_SELFTEST_N = 10
@@ -159,10 +161,15 @@ def _build_document(
                 if p in seen:
                     raise InputError(f"{where[key]}: duplicate point {p}")
                 seen.add(p)
-    points = sorted(
+    points = (
         {p for cyc in sigma_cycles for p in cyc}
         | {p for cyc in alpha_cycles for p in cyc}
     )
+    if n is None and len(points) > MAX_POINTS:
+        raise InputError(
+            f"{where['n']}: {len(points)} distinct points, more than {MAX_POINTS}"
+        )
+    points = sorted(points)
     if n is not None:
         if points and points[-1] > n:
             raise InputError(
@@ -415,12 +422,12 @@ def _flowpoly(args, doc: HypermapDocument):
 
 
 def _flows(args, doc: HypermapDocument):
-    from .charflow import flow_space, nowhere_zero_flow_count
+    from .charflow import flow_space
     h = doc.hypermap
     space = flow_space(h, args.q)
     if args.nowhere_zero:
         cap = None if args.no_size_guard else args.max_vectors
-        count = nowhere_zero_flow_count(h, args.q, max_vectors=cap)
+        count = space.nowhere_zero_count(h.alpha, max_vectors=cap)
         method = "nowhere-zero-enumeration"
     else:
         count = space.count()

@@ -47,12 +47,21 @@ other is relabeled onto 1..m in point order, and these tables key an exact
 index of solved components that lives for one call.  An isomorphic copy
 under other labels is expanded again.  ``WhitneyStats`` counts component
 visits as nodes and index hits as memo hits.
+
+Inside the recursion every polynomial is one Python int (Kronecker
+substitution): the coefficient of u^a v^b sits in slot a*(n+1) + b, each
+slot refinement_count(alpha).bit_length() + 1 bits wide.  A branch weight
+u^eu v^ev is a left shift, the sum over branches is ``+`` and the product
+over components is ``*``; one decode at the end builds the ``BiPoly``.  No
+slot overflows: every value is R of a collection met on the way down, whose
+coefficients are nonnegative and sum to its refinement count, at most the
+input's since Cat(k-2) Cat(m-k+1) <= Cat(m), and every v-exponent is at
+most n.  The decoded R(1,1) must equal the refinement count, else
+``ValueError``.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, euler_number, orbits
@@ -160,43 +169,64 @@ def _relabel(sig, alf, points) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(tuple([0] + [label[t[p]] for p in points]) for t in (sig, alf))
 
 
+def _unpack(packed: int, bits: int, width: int) -> BiPoly:
+    """The BiPoly whose u^a v^b coefficient sits in slot a*width + b."""
+    mask = (1 << bits) - 1
+    terms = {}
+    slot = 0
+    while packed:
+        c = packed & mask
+        if c:
+            terms[divmod(slot, width)] = c
+        packed >>= bits
+        slot += 1
+    return BiPoly(terms)
+
+
 def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
+    # Polynomials are packed ints, slot a*(n+1) + b holding u^a v^b; the
+    # module docstring says why no slot overflows.
+    count = refinement_count(h.alpha)
+    bits = count.bit_length() + 1
+    u_shift = bits * (h.n + 1)
     exact: dict = {}
     stats = WhitneyStats()
 
-    def product(sig, alf, comps) -> BiPoly:
+    def product(sig, alf, comps) -> int:
         # R is multiplicative over components, and a component whose
         # hyperedges are all fixed points contributes 1.
-        factors = []
+        packed = 1
         for comp in comps:
             if any(alf[p] != p for p in comp):
                 stats.nodes += 1
                 key = (sig, alf) if len(comps) == 1 else _relabel(sig, alf, comp)
-                poly = exact.get(key)
-                if poly is None:
+                factor = exact.get(key)
+                if factor is None:
                     if len(comps) > 1:
                         euler_number(*key, 1)
-                    exact[key] = poly = component(*key)
+                    exact[key] = factor = component(*key)
                 else:
                     stats.memo_hits += 1
-                factors.append(poly)
-        return reduce(mul, factors) if factors else BiPoly.const(1)
+                packed *= factor
+        return packed
 
-    def component(sig, alf) -> BiPoly:
+    def component(sig, alf) -> int:
         pivot = _pivot(alf)
-        terms: dict = {}
+        packed = 0
         for k in range(1, len(pivot) + 1):
             csig, calf, comps, eu, ev = _branch(sig, alf, 1, pivot, k, keep_connected)
-            for (a, b), c in product(csig, calf, comps).terms.items():
-                t = (a + eu, b + ev)
-                terms[t] = terms.get(t, 0) + c
-        return BiPoly(terms)
+            packed += product(csig, calf, comps) << (eu * u_shift + ev * bits)
+        return packed
 
     sig, alf = h.sigma._image, h.alpha._image
-    poly = product(sig, alf, orbits(sig, alf))
+    packed = product(sig, alf, orbits(sig, alf))
     # product and component refer to each other, a reference cycle that
     # only the cyclic collector would free, so release the index now
     exact.clear()
+    poly = _unpack(packed, bits, h.n + 1)
+    total = sum(poly.terms.values())
+    if total != count:
+        raise ValueError(f"R(1,1) = {total}, but alpha has {count} refinements")
     stats.terms = len(poly.terms)
     return WhitneyResult(poly, "psi" if keep_connected else "phi", stats)
 

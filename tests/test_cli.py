@@ -500,6 +500,49 @@ def test_n_above_max_points_refused(stdin, error, monkeypatch, capsys):
     assert (rc, out, err) == (2, "", f"error: {error}\n")
 
 
+# Without n the distinct points set the table size; six exceed a cap of five.
+@pytest.mark.parametrize(
+    "document",
+    ["sigma: (10 20)\nalpha: (30 40 50 60)\n",
+     '{"sigma": [[10, 20]], "alpha": [[30, 40, 50, 60]]}'],
+    ids=["text", "json"],
+)
+def test_distinct_points_above_max_points_refused(
+    document, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "many.txt"
+    path.write_text(document)
+    monkeypatch.setattr(cli, "MAX_POINTS", 6)
+    rc, out, err = run_in_process(["genus", str(path)], "", monkeypatch, capsys)
+    assert (rc, out, err) == (0, "0\n", "")
+
+    def no_tables(*args):
+        raise AssertionError("a point table was built")
+
+    monkeypatch.setattr(cli, "MAX_POINTS", 5)
+    monkeypatch.setattr(cli.Permutation, "from_cycles", no_tables)
+    rc, out, err = run_in_process(["genus", str(path)], "", monkeypatch, capsys)
+    assert (rc, out, err) == (2, "", f"error: {path}: 6 distinct points, more than 5\n")
+
+
+def test_nowhere_zero_flows_eliminate_once(monkeypatch, capsys):
+    from hypermaps import charflow
+
+    calls = []
+    flow_space = charflow.flow_space
+
+    def counting(h, q):
+        calls.append(q)
+        return flow_space(h, q)
+
+    monkeypatch.setattr(charflow, "flow_space", counting)
+    doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
+    argv = ["flows", "--q=3", "--nowhere-zero", "--json"]
+    rc, out, err = run_in_process(argv, doc, monkeypatch, capsys)
+    assert (rc, err, calls) == (0, "", [3])
+    assert json.loads(out)["result"] == {"count": 4, "dimension": 2, "q": 3}
+
+
 def render_document(h, label, as_json):
     """h as cycle text or JSON, point p written as label[p]."""
     cycles = {key: [[label[p] for p in c] for c in perm.cycles()]

@@ -19,6 +19,7 @@ from hypermaps.whitney import (
     wet_dry_polynomial,
     whitney,
     whitney_bruteforce,
+    whitney_dp,
     whitney_phi,
     whitney_psi,
 )
@@ -196,6 +197,41 @@ def test_phi_factors_by_component():
     assert result.stats.nodes <= 600
 
 
+@pytest.mark.parametrize(
+    "sigma", [[], [[1, 3], [2, 5]]], ids=["identity", "(1 3)(2 5)"]
+)
+def test_recursion_on_a_thirteen_cycle_matches_dp(sigma):
+    """Cat(13) = 742,900 refinements, so every coefficient of the packed
+    recursion needs 21 bits of its 22-bit slot; with identity sigma the
+    coefficients are the Narayana numbers, the largest N(13, 7) = 226,512."""
+    h = make(13, sigma, [list(range(1, 14))])
+    expected = whitney_dp(h).polynomial
+    assert sum(expected.terms.values()) == 742900
+    if not sigma:
+        assert max(expected.terms.values()) == 226512
+    for route in (whitney_phi, whitney_psi):
+        assert route(h).polynomial == expected
+
+
+def test_recursion_on_interleaved_unions_matches_dp():
+    """Disjoint unions with their pieces' labels interleaved at random: each
+    branch splits into relabelled components whose packed values multiply."""
+    rng = random.Random(2020)
+    pieces = 0
+    for _ in range(40):
+        h = random_collection(rng, n_max=6)
+        for _ in range(rng.randint(1, 2)):
+            h = h.disjoint_union(random_collection(rng, n_max=5))
+        shuffled = list(range(1, h.n + 1))
+        rng.shuffle(shuffled)
+        h = h.relabel(Permutation(shuffled))
+        pieces += h.kappa > 1
+        expected = whitney_dp(h).polynomial
+        for route in (whitney_phi, whitney_psi):
+            assert route(h).polynomial == expected
+    assert pieces > 30
+
+
 UNION_8_7 = make(
     15,
     [[1, 3, 5, 7], [2, 4, 6, 8], [9, 11, 13, 15], [10, 12, 14]],
@@ -369,8 +405,8 @@ def test_stats_populated():
 
 
 def test_invariant_checks_raise_under_optimize():
-    """The branch weight, genus parity and per-branch Euler checks are not
-    bare asserts.  Each injected fault goes through the hook the recursion
+    """The branch weight, genus parity, per-branch Euler and R(1,1) checks
+    are not bare asserts.  Each injected fault goes through the hook the recursion
     really calls, so every expected line proves its hook ran."""
     script = (
         "import importlib\n"
@@ -394,17 +430,29 @@ def test_invariant_checks_raise_under_optimize():
         "except ValueError as exc:\n"
         "    print(exc)\n"
         "whitney._phi_k_tables = phi_k_tables\n"
+        "refinement_count = whitney.refinement_count\n"
+        "whitney.refinement_count = lambda alpha: 1\n"
+        "for route in (whitney.whitney_phi, whitney.whitney_psi):\n"
+        "    try:\n"
+        "        route(h)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "whitney.refinement_count = refinement_count\n"
         "hypermap.cycle_count = lambda img: 0\n"
         "try:\n"
         "    whitney.whitney_phi(h)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    # The last fault makes every cycle count 0, so the first branch, which
-    # keeps 5 points in one orbit, reads n + 2 kappa = 7.
+    # A refinement count of 1 leaves 2-bit slots, too narrow for R = u^2 +
+    # u*v + 4*u + v + 3, which then decodes with R(1,1) = 7.  The last fault
+    # makes every cycle count 0, so the first branch, which keeps 5 points in
+    # one orbit, reads n + 2 kappa = 7.
     expected = (
         "branch weight out of range: u^4\n"
         "genus parity violated: -10\n"
+        "R(1,1) = 7, but alpha has 1 refinements\n"
+        "R(1,1) = 7, but alpha has 1 refinements\n"
         "genus parity violated: 7\n"
     )
     for flags in ([], ["-O"]):

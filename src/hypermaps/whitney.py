@@ -49,14 +49,20 @@ under other labels is expanded again.  ``WhitneyStats`` counts component
 visits as nodes and index hits as memo hits.
 
 Inside the recursion every polynomial is one Python int (Kronecker
-substitution): the coefficient of u^a v^b sits in slot a*(n+1) + b, each
-slot refinement_count(alpha).bit_length() + 1 bits wide.  A branch weight
-u^eu v^ev is a left shift, the sum over branches is ``+`` and the product
-over components is ``*``; one decode at the end builds the ``BiPoly``.  No
-slot overflows: every value is R of a collection met on the way down, whose
-coefficients are nonnegative and sum to its refinement count, at most the
-input's since Cat(k-2) Cat(m-k+1) <= Cat(m), and every v-exponent is at
-most n.  The decoded R(1,1) must equal the refinement count, else
+substitution): with r = n - z(alpha) the rank of alpha, the coefficient of
+u^a v^b sits in slot a*(r+1) + b, and each slot is bits =
+refinement_count(alpha).bit_length() wide.  A branch weight u^eu v^ev is a
+left shift, the sum over branches is ``+`` and the product over components
+is ``*``; one decode at the end builds the ``BiPoly``.  Fixed points of alpha add nothing
+to r, so they do not widen the ints.  No slot overflows.  Every value is R
+of a collection met on the way down, whose coefficients are nonnegative and
+sum to its refinement count, which is below 2^bits because it is at most
+the input's (Cat(k-2) Cat(m-k+1) <= Cat(m)).  No exponent passes r: all
+coefficients are nonnegative, so each monomial met on the way down divides
+a monomial of the input's R, and there every beta <= alpha has
+u-exponent <= z(beta) - z(alpha) <= r (splitting a block raises kappa by
+at most 1) and v-exponent <= n - z(beta) <= r (kappa(sigma, beta) <=
+z(sigma)).  The decoded R(1,1) must equal the refinement count, else
 ``ValueError``.
 """
 
@@ -184,11 +190,12 @@ def _unpack(packed: int, bits: int, width: int) -> BiPoly:
 
 
 def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
-    # Polynomials are packed ints, slot a*(n+1) + b holding u^a v^b; the
-    # module docstring says why no slot overflows.
+    # Polynomials are packed ints, slot a*(r+1) + b holding u^a v^b with r
+    # the rank of alpha; the module docstring says why no slot overflows.
     count = refinement_count(h.alpha)
-    bits = count.bit_length() + 1
-    u_shift = bits * (h.n + 1)
+    bits = count.bit_length()
+    width = h.n - h.alpha.cycle_count + 1
+    u_shift = bits * width
     exact: dict = {}
     stats = WhitneyStats()
 
@@ -223,7 +230,7 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     # product and component refer to each other, a reference cycle that
     # only the cyclic collector would free, so release the index now
     exact.clear()
-    poly = _unpack(packed, bits, h.n + 1)
+    poly = _unpack(packed, bits, width)
     total = sum(poly.terms.values())
     if total != count:
         raise ValueError(f"R(1,1) = {total}, but alpha has {count} refinements")

@@ -3,6 +3,7 @@ import importlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -201,9 +202,10 @@ def test_phi_factors_by_component():
     "sigma", [[], [[1, 3], [2, 5]]], ids=["identity", "(1 3)(2 5)"]
 )
 def test_recursion_on_a_thirteen_cycle_matches_dp(sigma):
-    """Cat(13) = 742,900 refinements, so every coefficient of the packed
-    recursion needs 21 bits of its 22-bit slot; with identity sigma the
-    coefficients are the Narayana numbers, the largest N(13, 7) = 226,512."""
+    """Cat(13) = 742,900 refinements, so each slot of the packed recursion
+    is 20 bits wide and no coefficient may carry into the next; with
+    identity sigma the coefficients are the Narayana numbers, the largest
+    N(13, 7) = 226,512."""
     h = make(13, sigma, [list(range(1, 14))])
     expected = whitney_dp(h).polynomial
     assert sum(expected.terms.values()) == 742900
@@ -230,6 +232,33 @@ def test_recursion_on_interleaved_unions_matches_dp():
         for route in (whitney_phi, whitney_psi):
             assert route(h).polynomial == expected
     assert pieces > 30
+
+
+@pytest.mark.parametrize(
+    "alpha", [[[1, 2, 3]], [[1, 2, 3], [50000, 99999]]], ids=["3-cycle", "union"]
+)
+def test_fixed_points_do_not_widen_the_packed_recursion(alpha, monkeypatch):
+    """10^5 points, all but a few fixed by alpha: the slots follow the rank
+    of alpha, not n, so the packed values stay a few dozen bits wide and the
+    recursion runs in time linear in n (slots strided by n + 1 would pack
+    ~800,000 bits here and decode them in quadratic time)."""
+    n = 100000
+    h = make(n, [[2, 70000]], alpha)
+    module = importlib.import_module("hypermaps.whitney")
+    unpack, widths = module._unpack, []
+
+    def recording(packed, bits, width):
+        widths.append(packed.bit_length())
+        return unpack(packed, bits, width)
+
+    monkeypatch.setattr(module, "_unpack", recording)
+    expected = whitney_dp(h).polynomial
+    start = time.perf_counter()
+    for route in (whitney_phi, whitney_psi):
+        assert route(h).polynomial == expected
+    elapsed = time.perf_counter() - start
+    assert len(widths) == 2 and max(widths) <= 64
+    assert elapsed < 3.0
 
 
 UNION_8_7 = make(
@@ -444,15 +473,16 @@ def test_invariant_checks_raise_under_optimize():
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    # A refinement count of 1 leaves 2-bit slots, too narrow for R = u^2 +
-    # u*v + 4*u + v + 3, which then decodes with R(1,1) = 7.  The last fault
+    # A refinement count of 1 leaves 1-bit slots, too narrow for R = u^2 +
+    # u*v + 4*u + v + 3: with alpha of rank 3 the packed value is 3 + 2 +
+    # 4*2^4 + 2^5 + 2^8 = 0b101100101, which decodes with R(1,1) = 5.  The last fault
     # makes every cycle count 0, so the first branch, which keeps 5 points in
     # one orbit, reads n + 2 kappa = 7.
     expected = (
         "branch weight out of range: u^4\n"
         "genus parity violated: -10\n"
-        "R(1,1) = 7, but alpha has 1 refinements\n"
-        "R(1,1) = 7, but alpha has 1 refinements\n"
+        "R(1,1) = 5, but alpha has 1 refinements\n"
+        "R(1,1) = 5, but alpha has 1 refinements\n"
         "genus parity violated: 7\n"
     )
     for flags in ([], ["-O"]):

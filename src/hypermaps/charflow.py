@@ -24,19 +24,19 @@ mu(a1, beta) * t^kappa(sigma, beta).  The flow polynomial is
 A flow with values in GF(q) assigns f(i) to every point so that the values
 on each sigma-cycle and each alpha-cycle sum to zero; the solution space has
 dimension n + kappa - z(sigma) - z(alpha).  A flow is nowhere zero when
-f(i) = 0 only happens on alpha fixed points (buds).
+f(i) = 0 only happens on alpha fixed points (buds).  Proper colorings and
+nowhere-zero flows are counted as values of chi and C on graph maps.
 """
 
 from __future__ import annotations
 
-from itertools import filterfalse, product
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from itertools import combinations, product
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from .hypermap import Hypermap
 from .nclattice import is_refinement, mobius_nc, refinement_profile
 from .perm import Permutation
 from .poly import UniPoly
-from .whitney import InstanceTooLarge
 
 
 def characteristic_polynomial(h: Hypermap) -> UniPoly:
@@ -85,102 +85,84 @@ def flow_polynomial(h: Hypermap) -> UniPoly:
 
 
 def proper_coloring_count(h: Hypermap, colors: int) -> int:
-    """Count proper vertex colorings, one hyperedge component at a time.
+    """Count vertex colorings in which every hyperedge meets distinct colors.
 
-    Vertices are sigma-cycles.  A coloring is proper when, on every
-    alpha-cycle, the vertices met at its points are pairwise differently
-    colored; in particular a hyperedge visiting some vertex twice, or more
-    vertices than there are colors, admits no proper coloring at all.
-    Vertices sharing no hyperedge are colored independently, so the count
-    is the product over the connected components of the "shares a
-    hyperedge" graph, which are the orbits of <sigma, alpha>; a vertex with
-    no neighbour contributes ``colors``.  Within a component, vertices are
-    colored by backtracking in label order, each only with colors its
-    already colored neighbours do not use, so no improper partial coloring
-    is extended, and the last vertex counts its free colors.  The stack of
-    color choices is explicit, so the depth is not bounded by the recursion
-    limit, and memory stays linear in n.  The steps within a component still
-    grow with its count of colorings, 3 * 2^(V-1) on a path of V vertices
-    with 3 colors; ``oracles.proper_coloring_enumeration`` is the
-    definitional count over all colors^V colorings.
+    Vertices are sigma-cycles, so a hyperedge visiting some vertex twice, or
+    more vertices than there are colors, admits none.
+    ``oracles.proper_coloring_enumeration`` lists all colors^V colorings.
     """
-    vertex_of = h.sigma.cycle_labels()
-    nv = h.sigma.cycle_count
-    # earlier[v]: v's hyperedge neighbours with smaller labels
-    earlier: List[Set[int]] = [set() for _ in range(nv)]
-    for c in h.alpha.cycles():
-        vl = sorted(vertex_of[p] for p in c)
-        if len(set(vl)) != len(vl) or len(vl) > colors:
-            return 0
-        for i in range(1, len(vl)):
-            earlier[vl[i]].update(vl[:i])
-    coloring = [0] * nv
-    total = 1
-    for comp in h.components():
-        order = sorted({vertex_of[p] for p in comp})
-        total *= _component_colorings(order, earlier, coloring, colors)
-        if not total:
-            return 0
-    return total
+    vertex = h.sigma.cycle_labels()
+    groups = ([vertex[p] for p in c] for c in h.alpha.cycles())
+    return _distinct_colorings(h.sigma.cycle_count, groups, colors)
 
 
-def _component_colorings(
-    order: List[int], earlier: List[Set[int]], coloring: List[int], colors: int
-) -> int:
-    """Proper colorings of one component, its vertices colored in ``order``."""
-    choices: List[Iterator[int]] = []  # choices[i]: colors left at order[i]
-    count = 0
-    i = 0
-    while True:
-        used = {coloring[u] for u in earlier[order[i]]}
-        if i == len(order) - 1:
-            count += colors - len(used)
-        else:
-            choices.append(filterfalse(used.__contains__, range(colors)))
-        while choices:
-            c = next(choices[-1], None)
-            if c is not None:
-                i = len(choices)
-                coloring[order[i - 1]] = c
-                break
-            choices.pop()
-        else:
-            return count
-
-
-def compatible_coloring_count(
-    h: Hypermap, alpha1: Permutation, colors: int
-) -> int:
+def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> int:
     """Colorings constant on alpha1-hyperedges and proper across the rest.
 
-    Counts vertex colorings such that vertices meeting a common alpha1-cycle
-    share a color, while vertices meeting a common alpha-cycle without
-    sharing an alpha1-cycle differ.  Pairs of points are compared, so a
-    vertex met twice by an alpha-cycle outside alpha1 kills the count.
+    Vertices meeting a common alpha1-cycle share a color, so they merge into
+    the orbits of <sigma, alpha1>.  Each alpha-cycle then asks distinct
+    colors of the orbits of its alpha1-cycles; an orbit met by two of them
+    kills the count.  ``oracles.compatible_coloring_enumeration`` lists all
+    colors^V colorings.
     """
     if not is_refinement(alpha1, h.alpha):
         raise ValueError("alpha1 must refine alpha")
-    vertex_of = h.sigma.cycle_labels()
-    cycle1_of = alpha1.cycle_labels()
-    same: List[Tuple[int, int]] = []
-    differ: List[Tuple[int, int]] = []
-    for c in alpha1.cycles():
-        for i in range(len(c)):
-            for j in range(i + 1, len(c)):
-                same.append((vertex_of[c[i]], vertex_of[c[j]]))
-    for c in h.alpha.cycles():
-        for i in range(len(c)):
-            for j in range(i + 1, len(c)):
-                if cycle1_of[c[i]] != cycle1_of[c[j]]:
-                    differ.append((vertex_of[c[i]], vertex_of[c[j]]))
-    count = 0
-    nv = h.sigma.cycle_count
-    for coloring in product(range(colors), repeat=nv):
-        if all(coloring[a] == coloring[b] for a, b in same) and all(
-            coloring[a] != coloring[b] for a, b in differ
-        ):
-            count += 1
-    return count
+    merged = Hypermap(h.sigma, alpha1)
+    orbit = [0] * (h.n + 1)
+    for i, comp in enumerate(merged.components()):
+        for p in comp:
+            orbit[p] = i
+    cycle1 = alpha1.cycle_labels()
+    groups = (list({cycle1[p]: orbit[p] for p in c}.values())
+              for c in h.alpha.cycles())
+    return _distinct_colorings(merged.kappa, groups, colors)
+
+
+def _distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) -> int:
+    """Colorings of vertices 0..nv-1 giving each group's vertices distinct colors.
+
+    The groups are the cliques of one simple graph G.  A vertex of degree
+    d <= 1 takes colors - d colors whatever the others take, so such
+    vertices are removed one at a time with that factor, which keeps trees
+    and long paths away from the frontier DP.  What is left counts as
+    colors^kappa * chi(colors) of its map.
+    """
+    adj: List[Set[int]] = [set() for _ in range(nv)]
+    for g in groups:
+        if len(set(g)) != len(g) or len(g) > colors:
+            return 0
+        for u, v in combinations(g, 2):
+            adj[u].add(v)
+            adj[v].add(u)
+    total = 1
+    low = [v for v in range(nv) if len(adj[v]) <= 1]
+    while low and total:
+        v = low.pop()
+        total *= colors - len(adj[v])
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) == 1:
+                low.append(u)
+        adj[v] = set()
+    if not total:
+        return 0
+    g = _graph_map([(u, v) for u in range(nv) for v in sorted(adj[u]) if u < v])
+    return total * colors ** g.kappa * characteristic_polynomial(g).evaluate(colors)
+
+
+def _graph_map(edges: Sequence[Tuple[int, int]]) -> Hypermap:
+    """A graph's map: edges[e] = (u, v) is the 2-cycle (2e+1 2e+2), 2e+1 at u.
+
+    The points at a vertex form its sigma-cycle; any rotation gives the same
+    chi and C.
+    """
+    ends: Dict[int, List[int]] = {}
+    for e, (u, v) in enumerate(edges):
+        ends.setdefault(u, []).append(2 * e + 1)
+        ends.setdefault(v, []).append(2 * e + 2)
+    n = 2 * len(edges)
+    return Hypermap(Permutation.from_cycles(n, ends.values()),
+                    Permutation.from_cycles(n, zip(range(1, n, 2), range(2, n + 1, 2))))
 
 
 class FlowSpace(NamedTuple):
@@ -193,20 +175,6 @@ class FlowSpace(NamedTuple):
 
     def count(self) -> int:
         return self.q ** self.dimension
-
-    def nowhere_zero_count(self, alpha: Permutation, max_vectors: Optional[int]) -> int:
-        """Count vectors whose zeros all sit on alpha fixed points (buds)."""
-        if max_vectors is not None and self.count() > max_vectors:
-            raise InstanceTooLarge(
-                f"{self.count()} flow vectors exceed the cap of {max_vectors}"
-            )
-        buds = {c[0] for c in alpha.cycles() if len(c) == 1}
-        required = [i for i in range(1, self.n + 1) if i not in buds]
-        count = 0
-        for vec in self.vectors():
-            if all(vec[i - 1] != 0 for i in required):
-                count += 1
-        return count
 
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         q, n = self.q, self.n
@@ -244,7 +212,7 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _check_prime(q: int) -> None:
+def check_prime(q: int) -> None:
     if q >= 1 << 64:
         raise ValueError(f"q must be below 2^64, got a {q.bit_length()}-bit q")
     if q < 2 or not _is_prime(q):
@@ -257,7 +225,7 @@ def flow_space(h: Hypermap, q: int) -> FlowSpace:
     The resulting dimension always equals n + kappa - z(sigma) - z(alpha),
     which the selftest and the tests check.
     """
-    _check_prime(q)
+    check_prime(q)
     n = h.n
     rows: List[List[int]] = []
     for perm in (h.sigma, h.alpha):
@@ -308,11 +276,21 @@ def is_flow(h: Hypermap, f: Tuple[int, ...], q: int) -> bool:
     return True
 
 
-def nowhere_zero_flow_count(
-    h: Hypermap, q: int, max_vectors: Optional[int] = 10 ** 6
-) -> int:
-    """Count flows whose zeros all sit on alpha fixed points (buds)."""
-    return flow_space(h, q).nowhere_zero_count(h.alpha, max_vectors)
+def nowhere_zero_flow_count(h: Hypermap, q: int) -> int:
+    """Count flows over GF(q) whose zeros all sit on alpha fixed points (buds).
+
+    These are the nowhere-zero flows of the incidence graph, which has a
+    vertex per sigma-cycle and per alpha-cycle and an edge per point that
+    is not a bud, from its sigma side to its alpha side; a bud carries 0 by
+    conservation at its alpha-cycle.  Their count is that graph's flow
+    polynomial at q (Tutte 1954).  ``oracles.nowhere_zero_flow_enumeration``
+    lists the q^dim flows instead.
+    """
+    check_prime(q)
+    vertex, edge = h.sigma.cycle_labels(), h.alpha.cycle_labels()
+    z = h.sigma.cycle_count
+    incidence = [(vertex[p], z + edge[p]) for p in range(1, h.n + 1) if h.alpha(p) != p]
+    return flow_polynomial(_graph_map(incidence)).evaluate(q)
 
 
 def unique_nz_refinement(h: Hypermap, f: Tuple[int, ...], q: int) -> Permutation:
@@ -324,7 +302,7 @@ def unique_nz_refinement(h: Hypermap, f: Tuple[int, ...], q: int) -> Permutation
     the result does not depend on the order the zeros are processed, and f
     stays a flow on (sigma, beta), which the tests check.
     """
-    _check_prime(q)
+    check_prime(q)
     if any(len(c) > 3 for c in h.alpha.cycles()):
         raise ValueError("hyperedges longer than 3 are not supported here")
     if not is_flow(h, f, q):

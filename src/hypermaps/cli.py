@@ -55,7 +55,6 @@ if TYPE_CHECKING:
     from .medial import EulerianDigraph
 
 DEFAULT_REFINEMENT_CAP = 10 ** 6
-DEFAULT_FLOW_CAP = 10 ** 6
 # Longest integer any input may hold: CPython's default int(str) bound, checked by
 # length so every interpreter answers alike.
 MAX_DIGITS = 4300
@@ -422,30 +421,26 @@ def _flowpoly(args, doc: HypermapDocument):
 
 
 def _flows(args, doc: HypermapDocument):
-    from .charflow import flow_space
+    from .charflow import check_prime, nowhere_zero_flow_count
     h = doc.hypermap
-    space = flow_space(h, args.q)
+    check_prime(args.q)
+    # The cycle-sum matrix is totally unimodular, so its rank holds in every field.
+    dimension = h.n + h.kappa - h.sigma.cycle_count - h.alpha.cycle_count
     if args.nowhere_zero:
-        cap = None if args.no_size_guard else args.max_vectors
-        count = space.nowhere_zero_count(h.alpha, max_vectors=cap)
-        method = "nowhere-zero-enumeration"
+        count, method = nowhere_zero_flow_count(h, args.q), "dp"
     else:
-        count = space.count()
-        method = "nullspace"
-    result = {"count": count, "dimension": space.dimension, "q": args.q}
+        count, method = args.q ** dimension, "euler"
+    result = {"count": count, "dimension": dimension, "q": args.q}
     return result, str(count), method, {}
 
 
 def _colorings(args, doc: HypermapDocument):
-    from .charflow import proper_coloring_count
-    from .medial import eulerian_coloring_sum
     if args.eulerian:
-        count = eulerian_coloring_sum(doc.hypermap, args.m)
-        method = "dp"
+        from .medial import eulerian_coloring_sum as count_colorings
     else:
-        count = proper_coloring_count(doc.hypermap, args.m)
-        method = "proper-enumeration"
-    return {"count": count, "m": args.m}, str(count), method, {}
+        from .charflow import proper_coloring_count as count_colorings
+    count = count_colorings(doc.hypermap, args.m)
+    return {"count": count, "m": args.m}, str(count), "dp", {}
 
 
 def _from_digraph(args, d: EulerianDigraph):
@@ -540,8 +535,6 @@ COMMANDS: Dict[str, Command] = {
             _JSON,
             _integer("--q", "prime field size"),
             _switch("--nowhere-zero", "count only flows vanishing nowhere off buds"),
-            _integer("--max-vectors", "flow enumeration size guard", DEFAULT_FLOW_CAP),
-            _switch("--no-size-guard", "disable the size guard"),
         ),
         _flows,
     ),
@@ -579,7 +572,7 @@ COMMANDS: Dict[str, Command] = {
 
 def _run(args) -> int:
     command = COMMANDS[args.command]
-    for name in ("m", "max_refinements", "max_vectors"):  # before any input
+    for name in ("m", "max_refinements"):  # before any input
         if getattr(args, name, 0) < 0:
             flag = "--" + name.replace("_", "-")
             raise InputError(f"{flag} must be nonnegative, got {getattr(args, name)}")

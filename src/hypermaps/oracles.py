@@ -13,6 +13,7 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from .charflow import flow_space
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
 from .nclattice import mobius_of_cycles, refinements
@@ -249,6 +250,31 @@ def proper_coloring_enumeration(h: Hypermap, colors: int) -> int:
         all(len({coloring[v] for v in vl}) == len(vl) for vl in edges)
         for coloring in product(range(colors), repeat=h.sigma.cycle_count)
     )
+
+
+def compatible_coloring_enumeration(
+    h: Hypermap, alpha1: Permutation, colors: int
+) -> int:
+    """Colorings constant on alpha1-cycles and proper across the rest, listed.
+
+    Over all colors^V colorings, any two points of one alpha-cycle must see
+    equal vertex colors when they share an alpha1-cycle and distinct ones
+    otherwise.
+    """
+    vertex_of = h.sigma.cycle_labels()
+    cycle1_of = alpha1.cycle_labels()
+    pairs = [(vertex_of[a], vertex_of[b], cycle1_of[a] == cycle1_of[b])
+             for c in h.alpha.cycles() for a, b in combinations(c, 2)]
+    return sum(
+        all((coloring[u] == coloring[v]) == same for u, v, same in pairs)
+        for coloring in product(range(colors), repeat=h.sigma.cycle_count)
+    )
+
+
+def nowhere_zero_flow_enumeration(h: Hypermap, q: int) -> int:
+    """Flows over GF(q) with zeros only on buds, among all q^dim listed ones."""
+    required = [p - 1 for p in range(1, h.n + 1) if h.alpha(p) != p]
+    return sum(all(vec[i] for i in required) for vec in flow_space(h, q).vectors())
 
 
 def valence(cycle: Sequence[int], coloring: Dict[int, int]) -> int:

@@ -526,9 +526,11 @@ def _check_small_edge_theorems(rng: random.Random, n_max: int) -> str:
         flow = charflow.flow_polynomial(h)
         for colors in (2, 3):
             lhs = colors ** h.kappa * chi.evaluate(colors)
-            _require(lhs == charflow.proper_coloring_count(h, colors))
+            _require(lhs == charflow.proper_coloring_count(h, colors)
+                     == oracles.proper_coloring_enumeration(h, colors))
             nz = charflow.nowhere_zero_flow_count(h, colors)
-            _require(flow.evaluate(colors) == nz)
+            _require(flow.evaluate(colors) == nz
+                     == oracles.nowhere_zero_flow_enumeration(h, colors))
     return f"{trials} collections with hyperedges <= 3, m = q = 2, 3"
 
 

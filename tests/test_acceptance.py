@@ -56,6 +56,8 @@ from hypermaps.oracles import (
     graph_flow_polynomial,
     matching_refinement,
     narayana,
+    nowhere_zero_flow_enumeration,
+    proper_coloring_enumeration,
     underlying_graph,
 )
 from hypermaps.perm import Permutation
@@ -356,14 +358,18 @@ def test_criterion_8_charflow(corpus):
             assert flow_polynomial(h) == graph_flow_polynomial(nv, edges)
         if all(len(c) <= 3 for c in h.alpha.cycles()):
             flow = flow_polynomial(h)
-            for q in (2, 3, 5):
-                assert q ** h.kappa * chi.evaluate(q) == proper_coloring_count(h, q)
-                assert flow.evaluate(q) == nowhere_zero_flow_count(h, q)
+            for q in (2, 3, 5):  # the enumerations keep one side independent
+                colorings = proper_coloring_count(h, q)
+                assert q ** h.kappa * chi.evaluate(q) == colorings
+                assert colorings == proper_coloring_enumeration(h, q)
+                nowhere_zero = nowhere_zero_flow_count(h, q)
+                assert flow.evaluate(q) == nowhere_zero
+                assert nowhere_zero == nowhere_zero_flow_enumeration(h, q)
     # counterexample one: a 4-point hyperedge breaks the coloring reading
     four = make(4, [], [[1, 2, 3, 4]])
     chi4 = characteristic_polynomial(four)
     assert chi4 == UniPoly.parse("t^3 - 6*t^2 + 10*t - 5", var="t")
-    assert proper_coloring_count(four, 2) == 0
+    assert proper_coloring_count(four, 2) == proper_coloring_enumeration(four, 2) == 0
     assert 2 ** four.kappa * chi4.evaluate(2) == -2
     # counterexample two: over GF(2) the all-ones flow is nowhere zero on
     # alpha and on two distinct refinements, so uniqueness fails at length 4

@@ -18,13 +18,17 @@ from hypermaps.hypermap import Hypermap
 from hypermaps.nclattice import interval, is_refinement, mobius, refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
-from hypermaps.oracles import proper_coloring_enumeration
+from hypermaps.oracles import (
+    compatible_coloring_enumeration,
+    nowhere_zero_flow_enumeration,
+    proper_coloring_enumeration,
+)
 from hypermaps.selftest import (
     random_bounded_cycles,
     random_collection,
+    random_map,
     random_permutation,
 )
-from hypermaps.whitney import InstanceTooLarge
 
 
 def make(n, sigma_cycles, alpha_cycles):
@@ -80,9 +84,10 @@ def test_three_point_hyperedge_coloring_theorem():
         assert m ** h.kappa * chi.evaluate(m) == proper_coloring_count(h, m)
 
 
-def test_proper_colorings_match_the_listed_definition():
+@pytest.fixture(scope="module")
+def coloring_corpus():
     rng = random.Random(1515)
-    cases = [make(0, [], [])]
+    cases = [make(0, [], []), make(5, [[1, 2], [3, 4, 5]], [])]
     for _ in range(600):
         n = rng.randint(0, 8)
         cases.append(Hypermap(random_permutation(rng, n),
@@ -95,16 +100,35 @@ def test_proper_colorings_match_the_listed_definition():
         edge = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
         cases.append(Hypermap(random_bounded_cycles(rng, n, 2),
                               Permutation.from_cycles(n, [edge])))
+    for _ in range(300):  # hyperedges up to length 8, on few or many vertices
+        n = rng.randint(1, 8)
+        sigma = random_bounded_cycles(rng, n, rng.choice((1, 2, 8)))
+        cases.append(Hypermap(sigma, random_bounded_cycles(rng, n, 8)))
+    for _ in range(150):  # maps, with loops and parallel edges
+        cases.append(random_map(rng, n_max=8))
+    return cases
+
+
+def test_proper_colorings_match_the_listed_definition(coloring_corpus):
+    cases = coloring_corpus
     seen = set()
     for h in cases:
         vertex_of = h.sigma.cycle_labels()
+        pairs = [tuple(sorted(vertex_of[p] for p in c))
+                 for c in h.alpha.cycles() if len(c) == 2]
+        if len(set(pairs)) < len(pairs):
+            seen.add("parallel")
         for c in h.alpha.cycles():
             met = {vertex_of[p] for p in c}
             seen.add("bud" if len(c) == 1 else "loop" if len(met) < len(c) else "edge")
+            if len(c) == 8:
+                seen.add("length 8")
+            if len(met) == len(c) > 4:  # more vertices than colors
+                seen.add("long edge")
         for m in range(5):
             assert proper_coloring_count(h, m) == proper_coloring_enumeration(h, m), (
                 h.sigma.cycles(), h.alpha.cycles(), m)
-    assert seen == {"bud", "loop", "edge"}
+    assert seen == {"bud", "loop", "edge", "parallel", "length 8", "long edge"}
     # the components of the hyperedge graph are the orbits of <sigma, alpha>
     assert sum(h.kappa > 1 for h in cases) > 300
     bud_vertices = [
@@ -115,6 +139,30 @@ def test_proper_colorings_match_the_listed_definition():
     for alpha, count in (([], 1), ([[2999, 3000]], 0)):
         h = make(3000, [], alpha)
         assert proper_coloring_count(h, 1) == proper_coloring_enumeration(h, 1) == count
+
+
+def test_compatible_colorings_match_the_listed_definition(coloring_corpus):
+    rng = random.Random(1516)
+    nonzero = 0
+    for h in coloring_corpus:
+        alpha1 = rng.choice(list(refinements(h.alpha)))
+        for m in range(4):
+            count = compatible_coloring_count(h, alpha1, m)
+            assert count == compatible_coloring_enumeration(h, alpha1, m), (
+                h.sigma.cycles(), h.alpha.cycles(), alpha1.cycles(), m)
+            nonzero += count > 0
+    assert nonzero > 1000
+
+
+def test_nowhere_zero_flows_match_the_listed_definition(coloring_corpus):
+    nonzero = 0
+    for h in coloring_corpus:
+        for q in (2, 3, 5):
+            count = nowhere_zero_flow_count(h, q)
+            assert count == nowhere_zero_flow_enumeration(h, q), (
+                h.sigma.cycles(), h.alpha.cycles(), q)
+            nonzero += count > 0
+    assert nonzero > 1000
 
 
 def test_isolated_vertices_multiply_the_count():
@@ -215,12 +263,6 @@ def test_buds_exempt_from_nowhere_zero():
     h = make(2, [[1, 2]], [])
     assert nowhere_zero_flow_count(h, 3) == 1
     assert flow_polynomial(h).evaluate(3) == 1
-
-
-def test_nowhere_zero_size_guard():
-    h = make(4, [[1, 3], [2, 4]], [[1, 2], [3, 4]])
-    with pytest.raises(InstanceTooLarge):
-        nowhere_zero_flow_count(h, 3, max_vectors=2)
 
 
 def test_unique_refinement_for_short_hyperedges():

@@ -254,8 +254,6 @@ def test_negative_caps_are_refused(monkeypatch, capsys):
         (["whitney", "--no-size-guard", "--max-refinements=-2"],
          "--max-refinements", -2),
         (["circuit-partition", "--max-refinements=-5"], "--max-refinements", -5),
-        (["flows", "--q=3", "--nowhere-zero", "--max-vectors=-1"],
-         "--max-vectors", -1),
     ):
         err = f"error: {flag} must be nonnegative, got {cap}\n"
         assert run_in_process(argv, "", monkeypatch, capsys) == (2, "", err)
@@ -525,22 +523,44 @@ def test_distinct_points_above_max_points_refused(
     assert (rc, out, err) == (2, "", f"error: {path}: 6 distinct points, more than 5\n")
 
 
-def test_nowhere_zero_flows_eliminate_once(monkeypatch, capsys):
+def test_flows_run_no_elimination(monkeypatch, capsys):
+    # the dimension is n + kappa - z(sigma) - z(alpha), and the nowhere-zero
+    # count one flow polynomial value, so neither mode lists or eliminates
     from hypermaps import charflow
 
-    calls = []
-    flow_space = charflow.flow_space
+    def refuse(*args):
+        raise AssertionError("flow_space called")
 
-    def counting(h, q):
-        calls.append(q)
-        return flow_space(h, q)
-
-    monkeypatch.setattr(charflow, "flow_space", counting)
+    monkeypatch.setattr(charflow, "flow_space", refuse)
     doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
-    argv = ["flows", "--q=3", "--nowhere-zero", "--json"]
-    rc, out, err = run_in_process(argv, doc, monkeypatch, capsys)
-    assert (rc, err, calls) == (0, "", [3])
-    assert json.loads(out)["result"] == {"count": 4, "dimension": 2, "q": 3}
+    for argv, count in ((["flows", "--q=3", "--json"], 9),
+                        (["flows", "--q=3", "--nowhere-zero", "--json"], 4)):
+        rc, out, err = run_in_process(argv, doc, monkeypatch, capsys)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["result"] == {"count": count, "dimension": 2, "q": 3}
+    help_text = run_cli(["flows", "--help"]).stdout
+    assert "--max-vectors" not in help_text and "--no-size-guard" not in help_text
+
+
+def test_flows_answer_without_enumeration():
+    # a ring of 10,000 two-point vertices and hyperedges: 20,000 points, dimension 1
+    n = 20000
+    ring = ("sigma: " + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, n // 2 + 1))
+            + "\nalpha: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, n // 2))
+            + f"({n} 1)\n")
+    start = time.perf_counter()
+    r = run_cli(["flows", "--q=3"], ring)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "3\n", "")
+    assert time.perf_counter() - start < 5
+    # two vertices joined by 15 edges: dimension 14, so 3^14 vectors; the
+    # nowhere-zero ones are the 15 nonzero values summing to 0, (2^15 - 2) / 3
+    k = 15
+    banana = ("sigma: (" + " ".join(str(2 * e + 1) for e in range(k)) + ")("
+              + " ".join(str(2 * e + 2) for e in range(k)) + ")\nalpha: "
+              + "".join(f"({2 * e + 1} {2 * e + 2})" for e in range(k)) + "\n")
+    r = run_cli(["flows", "--q=3", "--nowhere-zero", "--json"], banana)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["result"] == {"count": 10922, "dimension": 14, "q": 3}
 
 
 def render_document(h, label, as_json):
@@ -589,6 +609,18 @@ def test_colorings_on_many_vertices_need_no_recursion():
     for m, doc, count in ((1, buds, "1"), (2, path, "2")):
         r = run_cli(["colorings", f"--m={m}"], doc)
         assert (r.returncode, r.stdout, r.stderr) == (0, count + "\n", ""), m
+
+
+def test_colorings_of_a_long_path_are_not_listed():
+    # 200 vertices {1}, {2, 3}, ..., {398, 399}, {400}: 3 * 2^199 colorings
+    k = 199
+    path = ("sigma: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, k))
+            + "\nalpha: " + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, k + 1))
+            + "\n")
+    start = time.perf_counter()
+    r = run_cli(["colorings", "--m=3"], path)
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"{3 * 2 ** 199}\n", "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_colorings_of_many_buds_factor_by_component():
@@ -667,11 +699,10 @@ PINNED = [
     (["charpoly"], RUNNING, "t^2 - 3*t + 2", "t^2 - 3*t + 2", "dp", {}),
     (["flowpoly"], RUNNING, "0", "0", "dp", {}),
     (["flows", "--q=3"], RUNNING, "3", {"count": 3, "dimension": 1, "q": 3},
-     "nullspace", {}),
+     "euler", {}),
     (["flows", "--q=3", "--nowhere-zero"], RUNNING, "0",
-     {"count": 0, "dimension": 1, "q": 3}, "nowhere-zero-enumeration", {}),
-    (["colorings", "--m=2"], RUNNING, "0", {"count": 0, "m": 2},
-     "proper-enumeration", {}),
+     {"count": 0, "dimension": 1, "q": 3}, "dp", {}),
+    (["colorings", "--m=2"], RUNNING, "0", {"count": 0, "m": 2}, "dp", {}),
     (["colorings", "--m=2", "--eulerian"], RUNNING, "42", {"count": 42, "m": 2},
      "dp", {}),
     (["from-digraph"], DIGRAPH, "sigma: (1 2)\nalpha: (1)(2)",

@@ -284,9 +284,13 @@ def nowhere_zero_flow_count(h: Hypermap, q: int) -> int:
     is not a bud, from its sigma side to its alpha side; a bud carries 0 by
     conservation at its alpha-cycle.  Their count is that graph's flow
     polynomial at q (Tutte 1954).  ``oracles.nowhere_zero_flow_enumeration``
-    lists the q^dim flows instead.
+    lists the q^dim flows instead.  A sigma-cycle holding one point that is
+    not a bud makes that point the only edge at its vertex, a bridge, so
+    the count is 0 without the graph.
     """
     check_prime(q)
+    if any(sum(h.alpha(p) != p for p in c) == 1 for c in h.sigma.cycles()):
+        return 0
     vertex, edge = h.sigma.cycle_labels(), h.alpha.cycle_labels()
     z = h.sigma.cycle_count
     incidence = [(vertex[p], z + edge[p]) for p in range(1, h.n + 1) if h.alpha(p) != p]

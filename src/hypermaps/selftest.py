@@ -5,12 +5,15 @@ random corpus: genus arithmetic, refinement/Moebius structure, polynomial
 round-trips, the four Whitney routes, duality and specializations, medial
 state sums, coloring and flow identities.  All randomness flows through one
 ``random.Random(seed)`` instance, so output is byte for byte reproducible.
+
+Each identity that the acceptance criteria also check is one ``require_*``
+function here, which both call.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import charflow, medial, oracles
 from .hypermap import Hypermap, dual, merge_components, orbit_count
@@ -40,9 +43,14 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _require(condition: bool, message: str = "") -> None:
-    """Fail the running check; unlike ``assert``, this also runs under -O."""
+def _require(condition: bool, message: str = "", *subjects: object) -> None:
+    """Fail the running check; unlike ``assert``, this also runs under -O.
+
+    The failure names the broken identity and the inputs it failed on.
+    """
     if not condition:
+        if subjects:
+            message += " fails on " + ", ".join(map(repr, subjects))
         raise AssertionError(message)
 
 
@@ -137,7 +145,240 @@ def random_eulerian_digraph(
     return medial.EulerianDigraph(tuple(edges))
 
 
+# The identities.  Each is written once, as a function of one collection
+# (or digraph) plus the sizes it needs; the checks below run it on seeded
+# random corpora and ``tests/test_acceptance.py`` on its fixed corpus.  Each
+# fails through ``_require`` and draws no randomness.
+
+
+def require_routes_agree(h: Hypermap, routes: Sequence[Callable]) -> None:
+    """Each Whitney route gives brute force's R."""
+    brute = whitney_bruteforce(h).polynomial
+    for route in routes:
+        _require(route(h).polynomial == brute, f"{route.__name__} == brute", h)
+
+
+def require_product(a: Hypermap, b: Hypermap, route: Callable) -> None:
+    """R(a + b) = R(a) R(b), and merging two components of a + b keeps it."""
+    union = a.disjoint_union(b)
+    product = whitney_phi(a).polynomial * whitney_phi(b).polynomial
+    _require(route(union).polynomial == product, "R(a + b) == R(a) R(b)", a, b)
+    for comp in union.components()[1:]:
+        merged = merge_components(union, 1, comp[0])
+        _require(route(merged).polynomial == product,
+                 f"merging points 1 and {comp[0]} keeps R", a, b)
+
+
+def require_planar_duality(h: Hypermap) -> None:
+    """At genus zero the dual is planar and swaps u and v in R."""
+    d = dual(h)
+    swapped = whitney_phi(h).polynomial.swap_variables()
+    _require(d.genus == 0 and whitney_phi(d).polynomial == swapped,
+             "R(dual) == R(v, u) at genus zero", h)
+
+
+def require_narayana(n: int) -> None:
+    """The identity over an n-cycle has the Narayana numbers as R's u-terms."""
+    h = Hypermap(
+        Permutation.identity(n), Permutation.from_cycles(n, [tuple(range(1, n + 1))])
+    )
+    r = whitney_phi(h).polynomial
+    _require(all(ev == 0 for (_, ev) in r.terms)
+             and all(r.coefficient(k - 1, 0) == oracles.narayana(n, k)
+                     for k in range(1, n + 1)), "R == the Narayana polynomial", h)
+    rd = whitney_phi(dual(h)).polynomial
+    _require(rd == r.swap_variables() and all(eu == 0 for (eu, _) in rd.terms),
+             "R(dual) == R(v, u) on the Narayana family", h)
+
+
+def require_specializations(h: Hypermap) -> None:
+    """R(0,0), R(0,1) and R(v^-1, v) count what their definitions list."""
+    r = whitney_bruteforce(h).polynomial
+    s = specializations(h, r)
+    forests = spanning = 0
+    hyper: dict = {}
+    for beta in refinements(h.alpha):
+        sub = Hypermap(h.sigma, beta)
+        if sub.kappa == h.kappa:
+            spanning += 1
+            if sub.genus == 0 and sub.faces().cycle_count == sub.kappa:
+                forests += 1
+        e = h.n + h.kappa - beta.cycle_count - h.sigma.cycle_count
+        hyper[e] = hyper.get(e, 0) + 1
+    _require(s.spanning_hyperforests == forests == r.evaluate(0, 0),
+             "R(0, 0) counts spanning hyperforests", h)
+    _require(s.spanning_collections == spanning == r.evaluate(0, 1),
+             "R(0, 1) counts spanning collections", h)
+    _require(s.hyperbola == UniPoly(hyper) == r.hyperbola_section(),
+             "R(v^-1, v) counts refinements by v-exponent", h)
+
+
+def require_wet_dry(h: Hypermap) -> None:
+    """At genus zero, wet/dry is u^kappa R and equals its definition, the
+    sum over beta <= alpha of
+
+        u^kappa(sigma, beta) v^(z(beta^-1 sigma) - kappa(sigma, beta)).
+    """
+    wet_dry = wet_dry_polynomial(h)
+    expected = BiPoly.monomial(1, h.kappa, 0) * whitney_phi(h).polynomial
+    _require(wet_dry == expected, "wet/dry == u^kappa R", h)
+    terms: dict = {}
+    for beta in refinements(h.alpha):
+        kb = orbit_count(h.sigma, beta)
+        e = (kb, (beta.inverse() * h.sigma).cycle_count - kb)
+        terms[e] = terms.get(e, 0) + 1
+    _require(wet_dry == BiPoly(terms), "wet/dry == its definition", h)
+
+
+def require_medial_shape(h: Hypermap) -> None:
+    """The medial map keeps the genus, has a vertex per hyperedge and an
+    edge per point, and gives back its source."""
+    m = medial.medial_map(h)
+    _require(m.genus == h.genus and m.sigma_prime.cycle_count == h.alpha.cycle_count
+             and len(m.edges()) == m.alpha_prime.cycle_count == h.n
+             and medial.source_hypermap(m) == h, "medial shape", h)
+
+
+def require_matching_bijection(h: Hypermap) -> None:
+    """Coherent medial states are the refinements beta <= alpha, each with
+    z(beta^-1 sigma) circuits; a map has 2^edges of them."""
+    m = medial.medial_map(h)
+    matched = []
+    for mu in oracles.coherent_matchings(m):
+        beta = oracles.matching_refinement(m, mu)
+        _require(len(oracles.circuits_of_state(m, mu))
+                 == (beta.inverse() * h.sigma).cycle_count,
+                 "a medial state has z(beta^-1 sigma) circuits", h)
+        matched.append(beta.image)
+    betas = sorted(b.image for b in refinements(h.alpha))
+    _require(sorted(matched) == betas and len(betas) == refinement_count(h.alpha),
+             "medial states <-> refinements", h)
+    if h.is_map:
+        edges = sum(1 for c in h.alpha.cycles() if len(c) == 2)
+        _require(len(betas) == 2 ** edges, "a map has 2^edges medial states", h)
+
+
+def require_circuit_polynomial(h: Hypermap) -> None:
+    """j(x) is the medial state sum, and x^kappa R(x, x) at genus zero."""
+    j = medial.circuit_partition_polynomial(h)
+    _require(j == oracles.circuit_state_sum(medial.medial_map(h)),
+             "j(x) == the medial state sum", h)
+    if h.genus == 0:
+        shifted: dict = {}
+        for (eu, ev), c in whitney_bruteforce(h).polynomial.terms.items():
+            shifted[h.kappa + eu + ev] = shifted.get(h.kappa + eu + ev, 0) + c
+        _require(j == UniPoly(shifted), "j(x) == x^kappa R(x, x)", h)
+
+
+def require_coloring_sum(h: Hypermap) -> None:
+    """At genus zero, Eulerian m-colorings weighted by valence sum to
+    m^kappa R(m, m), for m = 1, 2, 3."""
+    r = whitney_phi(h).polynomial
+    for colors in (1, 2, 3):
+        total = oracles.eulerian_valence_sum(h, colors)
+        _require(total == colors ** h.kappa * r.evaluate(colors, colors)
+                 == medial.eulerian_coloring_sum(h, colors),
+                 f"Eulerian {colors}-coloring sum == m^kappa R(m, m)", h)
+
+
+def require_interval_sums(h: Hypermap) -> None:
+    """X([beta, alpha]) sums to t^z(sigma) over beta <= alpha, and
+    X([id, alpha]) is t^kappa chi."""
+    total = UniPoly.zero()
+    for beta in refinements(h.alpha):
+        total = total + charflow.x_interval(h, beta, h.alpha)
+    _require(total == UniPoly.monomial(1, h.sigma.cycle_count),
+             "sum of X([beta, alpha]) == t^z(sigma)", h)
+    chi = charflow.characteristic_polynomial(h)
+    shifted = UniPoly({e + h.kappa: c for e, c in chi.terms.items()})
+    ident = Permutation.identity(h.n)
+    _require(shifted == charflow.x_interval(h, ident, h.alpha),
+             "X([id, alpha]) == t^kappa chi", h)
+
+
+def require_flow_sum(h: Hypermap) -> None:
+    """C(sigma, beta) sums to t^(n + kappa - z(sigma) - z(alpha)) over
+    beta <= alpha; at genus zero that is t^(faces - kappa)."""
+    total = UniPoly.zero()
+    for beta in refinements(h.alpha):
+        total = total + charflow.flow_polynomial(Hypermap(h.sigma, beta))
+    e = h.n + h.kappa - h.alpha.cycle_count - h.sigma.cycle_count
+    _require(total == UniPoly.monomial(1, e), "sum of C(sigma, beta) == t^dim", h)
+    if h.genus == 0:
+        _require(UniPoly.monomial(1, h.kappa) * total
+                 == UniPoly.monomial(1, h.faces().cycle_count),
+                 "sum of C(sigma, beta) == t^(faces - kappa)", h)
+
+
+def require_map_oracles(h: Hypermap) -> None:
+    """On a map, chi and C are the underlying graph's, and chi = +-R(-t, -1)."""
+    nv, edges = oracles.underlying_graph(h)
+    chi = charflow.characteristic_polynomial(h)
+    _require(chi == oracles.graph_characteristic(nv, edges), "chi == the graph's", h)
+    _require(charflow.flow_polynomial(h) == oracles.graph_flow_polynomial(nv, edges),
+             "C == the graph's flow polynomial", h)
+    sign = -1 if (h.sigma.cycle_count - h.kappa) % 2 else 1
+    r = whitney_bruteforce(h).polynomial
+    _require(r.substitute_v(-1).flip_variable().scalar_multiply(sign) == chi,
+             "chi == +-R(-t, -1)", h)
+
+
+def require_small_edge_counts(h: Hypermap, sizes: Sequence[int]) -> None:
+    """With hyperedges of length <= 3, m^kappa chi(m) counts proper
+    m-colorings and C(q) nowhere-zero flows over GF(q), for each size;
+    the enumerations keep one side independent."""
+    chi = charflow.characteristic_polynomial(h)
+    flow = charflow.flow_polynomial(h)
+    for q in sizes:
+        colorings = charflow.proper_coloring_count(h, q)
+        _require(q ** h.kappa * chi.evaluate(q) == colorings
+                 == oracles.proper_coloring_enumeration(h, q),
+                 f"m^kappa chi(m) counts proper colorings, m = {q}", h)
+        nowhere_zero = charflow.nowhere_zero_flow_count(h, q)
+        _require(flow.evaluate(q) == nowhere_zero
+                 == oracles.nowhere_zero_flow_enumeration(h, q),
+                 f"C(q) counts nowhere-zero flows, q = {q}", h)
+
+
+def require_flow_space(
+    h: Hypermap, sizes: Sequence[int], max_listed: Optional[int] = None
+) -> None:
+    """Flows over GF(q) form a space of dimension n + kappa - z(sigma) -
+    z(alpha); up to max_listed vectors (None: all) are listed and checked."""
+    expected = h.n + h.kappa - h.sigma.cycle_count - h.alpha.cycle_count
+    for q in sizes:
+        space = charflow.flow_space(h, q)
+        _require(space.dimension == expected and space.count() == q ** expected,
+                 f"flow space dimension over GF({q})", h)
+        if max_listed is None or space.count() <= max_listed:
+            vecs = list(space.vectors())
+            _require(len(set(vecs)) == space.count()
+                     and all(charflow.is_flow(h, vec, q) for vec in vecs),
+                     f"flow space lists distinct flows over GF({q})", h)
+
+
+def require_digraph_roundtrip(d: medial.EulerianDigraph) -> None:
+    """An Eulerian digraph's hypermap has its medial digraph back."""
+    h = medial.from_eulerian_digraph(d)
+    _require(h.n == len(d.edges)
+             and oracles.digraph_isomorphic(d, medial.medial_digraph(h)),
+             "digraph -> hypermap -> medial digraph", d)
+
+
 Check = Tuple[str, Callable[[random.Random, int], str]]
+
+
+def _each(
+    trials: int, draw: Callable, identity: Callable, detail: str
+) -> Callable[[random.Random, int], str]:
+    """A check that runs identity on trials draws, each draw(rng, n_max)."""
+
+    def check(rng: random.Random, n_max: int) -> str:
+        for _ in range(trials):
+            identity(draw(rng, n_max))
+        return f"{trials} {detail}"
+
+    return check
 
 
 def _check_genus_arithmetic(rng: random.Random, n_max: int) -> str:
@@ -267,23 +508,13 @@ def _check_poly_ring(rng: random.Random, n_max: int) -> str:
     return f"{trials} random triples"
 
 
-def _check_whitney_routes(rng: random.Random, n_max: int) -> str:
-    trials = 60
-    for _ in range(trials):
-        h = random_collection(rng, n_max)
-        brute = whitney_bruteforce(h).polynomial
-        _require(whitney_phi(h).polynomial == brute)
-        _require(whitney_psi(h).polynomial == brute)
-    return f"{trials} collections, brute == phi == psi"
-
-
 def _check_whitney_dp(rng: random.Random, n_max: int) -> str:
     trials = 60
     for _ in range(trials):
         h = random_collection(rng, n_max, max_cycle=min(n_max, 7))
         if rng.random() < 0.3:
             h = h.disjoint_union(random_collection(rng, max(1, n_max // 2)))
-        _require(whitney_dp(h).polynomial == whitney_bruteforce(h).polynomial)
+        require_routes_agree(h, (whitney_dp,))
     return f"{trials} collections and unions, dp == brute"
 
 
@@ -292,26 +523,8 @@ def _check_whitney_product(rng: random.Random, n_max: int) -> str:
     for _ in range(trials):
         a = random_collection(rng, max(2, n_max // 2))
         b = random_collection(rng, max(2, n_max // 2))
-        un = a.disjoint_union(b)
-        lhs = whitney_phi(un).polynomial
-        rhs = whitney_phi(a).polynomial * whitney_phi(b).polynomial
-        _require(lhs == rhs)
-        if un.kappa > 1:
-            comps = un.components()
-            merged = merge_components(un, comps[0][0], comps[1][0])
-            _require(whitney_phi(merged).polynomial == lhs)
+        require_product(a, b, whitney_phi)
     return f"{trials} disjoint unions and merges"
-
-
-def _check_planar_duality(rng: random.Random, n_max: int) -> str:
-    trials = 40
-    for _ in range(trials):
-        h = random_planar_connected(rng, n_max)
-        d = dual(h)
-        _require(d.genus == 0)
-        swapped = whitney_phi(h).polynomial.swap_variables()
-        _require(whitney_phi(d).polynomial == swapped)
-    return f"{trials} genus zero duals"
 
 
 def _check_map_subset_expansion(rng: random.Random, n_max: int) -> str:
@@ -326,167 +539,8 @@ def _check_map_subset_expansion(rng: random.Random, n_max: int) -> str:
 
 def _check_narayana(rng: random.Random, n_max: int) -> str:
     for n in range(2, 8):
-        h = Hypermap(
-            Permutation.identity(n),
-            Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-        )
-        poly = whitney_phi(h).polynomial
-        _require(all(ev == 0 for (_, ev) in poly.terms))
-        for k in range(1, n + 1):
-            _require(poly.coefficient(k - 1, 0) == oracles.narayana(n, k))
-        d = dual(h)
-        dpoly = whitney_phi(d).polynomial
-        _require(dpoly == poly.swap_variables())
+        require_narayana(n)
     return "identity sigma with full cycle, n = 2..7"
-
-
-def _check_specializations(rng: random.Random, n_max: int) -> str:
-    trials = 40
-    for _ in range(trials):
-        h = random_collection(rng, n_max)
-        poly = whitney_bruteforce(h).polynomial
-        counts = specializations(h, poly)
-        forests = 0
-        spanning = 0
-        hyper = {}
-        for beta in refinements(h.alpha):
-            sub = Hypermap(h.sigma, beta)
-            if sub.kappa == h.kappa:
-                spanning += 1
-                if sub.genus == 0 and sub.faces().cycle_count == sub.kappa:
-                    forests += 1
-            e = h.n + h.kappa - beta.cycle_count - h.sigma.cycle_count
-            hyper[e] = hyper.get(e, 0) + 1
-        _require(counts.spanning_hyperforests == forests)
-        _require(counts.spanning_collections == spanning)
-        _require(counts.hyperbola == UniPoly(hyper))
-    return f"{trials} collections: R(0,0), R(0,1), R(v^-1, v)"
-
-
-def _check_wet_dry(rng: random.Random, n_max: int) -> str:
-    trials = 30
-    for _ in range(trials):
-        h = random_planar_connected(rng, n_max)
-        wet_dry = wet_dry_polynomial(h)
-        expected = BiPoly.monomial(1, h.kappa, 0) * whitney_phi(h).polynomial
-        _require(wet_dry == expected, "wet/dry disagrees with u^kappa R")
-        # The definition, summed over the refinements:
-        # u^kappa(sigma, beta) v^(z(beta^-1 sigma) - kappa(sigma, beta)).
-        terms: dict = {}
-        for beta in refinements(h.alpha):
-            kb = orbit_count(h.sigma, beta)
-            e = (kb, (beta.inverse() * h.sigma).cycle_count - kb)
-            terms[e] = terms.get(e, 0) + 1
-        _require(wet_dry == BiPoly(terms), "wet/dry disagrees with its definition")
-    return f"{trials} genus zero instances, wet/dry == u^kappa R(u, v)"
-
-
-def _check_medial_shape(rng: random.Random, n_max: int) -> str:
-    trials = 40
-    for _ in range(trials):
-        h = random_collection(rng, n_max)
-        m = medial.medial_map(h)
-        _require(m.genus == h.genus)
-        _require(m.sigma_prime.cycle_count == h.alpha.cycle_count)
-        _require(m.alpha_prime.cycle_count == h.n)
-        _require(medial.source_hypermap(m) == h)
-    return f"{trials} collections, shape and genus preserved"
-
-
-def _check_matching_bijection(rng: random.Random, n_max: int) -> str:
-    trials = 25
-    for _ in range(trials):
-        h = random_collection(rng, min(n_max, 7), max_cycle=4)
-        m = medial.medial_map(h)
-        betas = sorted(b.image for b in refinements(h.alpha))
-        matched = []
-        for mu in oracles.coherent_matchings(m):
-            beta = oracles.matching_refinement(m, mu)
-            circuits = oracles.circuits_of_state(m, mu)
-            _require(len(circuits) == (beta.inverse() * h.sigma).cycle_count)
-            matched.append(beta.image)
-        _require(betas == sorted(matched))
-    return f"{trials} collections, matchings == refinements, circuit counts"
-
-
-def _check_circuit_polynomial(rng: random.Random, n_max: int) -> str:
-    trials = 25
-    for _ in range(trials):
-        h = random_planar_connected(rng, min(n_max, 7))
-        j = medial.circuit_partition_polynomial(h)
-        r = whitney_bruteforce(h).polynomial
-        expected = UniPoly.zero()
-        for (eu, ev), c in r.terms.items():
-            # x^kappa R(x, x) collects exponents kappa + eu + ev
-            e = h.kappa + eu + ev
-            expected = expected + UniPoly.monomial(c, e)
-        _require(j == expected)
-        _require(oracles.circuit_state_sum(medial.medial_map(h)) == expected)
-    return f"{trials} genus zero instances, j(x) == x^kappa R(x, x)"
-
-
-def _check_map_states(rng: random.Random, n_max: int) -> str:
-    trials = 25
-    for _ in range(trials):
-        h = random_map(rng, n_max)
-        m = medial.medial_map(h)
-        edges = sum(1 for c in h.alpha.cycles() if len(c) == 2)
-        states = sum(1 for _ in oracles.coherent_matchings(m))
-        _require(refinement_count(h.alpha) == states == 2 ** edges)
-    return f"{trials} maps, 2^edges coherent states"
-
-
-def _check_coloring_sum(rng: random.Random, n_max: int) -> str:
-    trials = 10
-    for _ in range(trials):
-        h = random_planar_connected(rng, min(n_max, 6))
-        r = whitney_phi(h).polynomial
-        for colors in (1, 2, 3):
-            total = oracles.eulerian_valence_sum(h, colors)
-            _require(total == colors ** h.kappa * r.evaluate(colors, colors))
-            _require(total == medial.eulerian_coloring_sum(h, colors))
-    return f"{trials} genus zero instances, m = 1, 2, 3 against m^kappa R(m, m)"
-
-
-def _check_chromatic_identities(rng: random.Random, n_max: int) -> str:
-    trials = 25
-    for _ in range(trials):
-        h = random_collection(rng, min(n_max, 7), max_cycle=4)
-        total = UniPoly.zero()
-        for beta in refinements(h.alpha):
-            total = total + charflow.x_interval(h, beta, h.alpha)
-        _require(total == UniPoly.monomial(1, h.sigma.cycle_count))
-        chi = charflow.characteristic_polynomial(h)
-        shifted = UniPoly(
-            {e + h.kappa: c for e, c in chi.terms.items()}
-        )
-        ident = Permutation.identity(h.n)
-        _require(shifted == charflow.x_interval(h, ident, h.alpha))
-    return f"{trials} collections, interval sums collapse"
-
-
-def _check_flow_identities(rng: random.Random, n_max: int) -> str:
-    trials = 25
-    for _ in range(trials):
-        h = random_collection(rng, min(n_max, 7), max_cycle=4)
-        total = UniPoly.zero()
-        for beta in refinements(h.alpha):
-            total = total + charflow.flow_polynomial(Hypermap(h.sigma, beta))
-        e = h.n + h.kappa - h.alpha.cycle_count - h.sigma.cycle_count
-        _require(total == UniPoly.monomial(1, e))
-    return f"{trials} collections, flow sum collapses"
-
-
-def _check_flow_planar(rng: random.Random, n_max: int) -> str:
-    trials = 20
-    for _ in range(trials):
-        h = random_planar_connected(rng, min(n_max, 7))
-        total = UniPoly.zero()
-        x = UniPoly.variable()
-        for beta in refinements(h.alpha):
-            total = total + x * charflow.flow_polynomial(Hypermap(h.sigma, beta))
-        _require(total == UniPoly.monomial(1, h.faces().cycle_count))
-    return f"{trials} genus zero instances"
 
 
 def _check_flow_chi_duality(rng: random.Random, n_max: int) -> str:
@@ -500,66 +554,6 @@ def _check_flow_chi_duality(rng: random.Random, n_max: int) -> str:
         chi = charflow.characteristic_polynomial(dual(h))
         _require(flow == chi, "C(h) differs from chi(dual h)")
     return f"{trials} genus zero collections, C(h) == chi(dual h)"
-
-
-def _check_map_charflow_oracles(rng: random.Random, n_max: int) -> str:
-    trials = 30
-    for _ in range(trials):
-        h = random_map(rng, n_max)
-        nv, edges = oracles.underlying_graph(h)
-        chi = charflow.characteristic_polynomial(h)
-        _require(chi == oracles.graph_characteristic(nv, edges))
-        flow = charflow.flow_polynomial(h)
-        _require(flow == oracles.graph_flow_polynomial(nv, edges))
-        r = whitney_bruteforce(h).polynomial
-        sign = -1 if (h.sigma.cycle_count - h.kappa) % 2 else 1
-        via_r = r.substitute_v(-1).flip_variable().scalar_multiply(sign)
-        _require(via_r == chi)
-    return f"{trials} maps against graph oracles and the R(-t, -1) route"
-
-
-def _check_small_edge_theorems(rng: random.Random, n_max: int) -> str:
-    trials = 20
-    for _ in range(trials):
-        h = random_collection(rng, min(n_max, 6), max_cycle=3)
-        chi = charflow.characteristic_polynomial(h)
-        flow = charflow.flow_polynomial(h)
-        for colors in (2, 3):
-            lhs = colors ** h.kappa * chi.evaluate(colors)
-            _require(lhs == charflow.proper_coloring_count(h, colors)
-                     == oracles.proper_coloring_enumeration(h, colors))
-            nz = charflow.nowhere_zero_flow_count(h, colors)
-            _require(flow.evaluate(colors) == nz
-                     == oracles.nowhere_zero_flow_enumeration(h, colors))
-    return f"{trials} collections with hyperedges <= 3, m = q = 2, 3"
-
-
-def _check_flow_space(rng: random.Random, n_max: int) -> str:
-    trials = 30
-    for _ in range(trials):
-        h = random_collection(rng, n_max)
-        for q in (2, 3, 5):
-            space = charflow.flow_space(h, q)
-            expected = (
-                h.n + h.kappa - h.sigma.cycle_count - h.alpha.cycle_count
-            )
-            _require(space.dimension == expected)
-            vecs = list(space.vectors())
-            _require(len(set(vecs)) == q ** space.dimension)
-            for vec in vecs[:8]:
-                _require(charflow.is_flow(h, vec, q))
-    return f"{trials} collections, q = 2, 3, 5"
-
-
-def _check_digraph_roundtrip(rng: random.Random, n_max: int) -> str:
-    trials = 50
-    for _ in range(trials):
-        d = random_eulerian_digraph(rng)
-        h = medial.from_eulerian_digraph(d)
-        back = medial.medial_digraph(h)
-        _require(oracles.digraph_isomorphic(d, back))
-        _require(h.n == len(d.edges))
-    return f"{trials} Eulerian digraphs, medial round-trip"
 
 
 def _check_valence_legality(rng: random.Random, n_max: int) -> str:
@@ -590,27 +584,62 @@ CHECKS: List[Check] = [
     ("mobius-recursion", _check_mobius),
     ("poly-print-parse", _check_poly_roundtrip),
     ("poly-ring-axioms", _check_poly_ring),
-    ("whitney-three-routes", _check_whitney_routes),
+    ("whitney-three-routes", _each(
+        60, random_collection,
+        lambda h: require_routes_agree(h, (whitney_phi, whitney_psi)),
+        "collections, brute == phi == psi")),
     ("whitney-frontier-dp", _check_whitney_dp),
     ("whitney-multiplicative", _check_whitney_product),
-    ("planar-duality", _check_planar_duality),
+    ("planar-duality", _each(
+        40, random_planar_connected, require_planar_duality, "genus zero duals")),
     ("map-subset-expansion", _check_map_subset_expansion),
     ("narayana-coefficients", _check_narayana),
-    ("specializations", _check_specializations),
-    ("wet-dry", _check_wet_dry),
-    ("medial-shape", _check_medial_shape),
-    ("matching-bijection", _check_matching_bijection),
-    ("circuit-partition-polynomial", _check_circuit_polynomial),
-    ("map-state-count", _check_map_states),
-    ("eulerian-coloring-sum", _check_coloring_sum),
-    ("chromatic-identities", _check_chromatic_identities),
-    ("flow-identity", _check_flow_identities),
-    ("flow-planar-identity", _check_flow_planar),
+    ("specializations", _each(
+        40, random_collection, require_specializations,
+        "collections: R(0,0), R(0,1), R(v^-1, v)")),
+    ("wet-dry", _each(
+        30, random_planar_connected, require_wet_dry,
+        "genus zero instances, wet/dry == u^kappa R(u, v)")),
+    ("medial-shape", _each(
+        40, random_collection, require_medial_shape,
+        "collections, shape and genus preserved")),
+    ("matching-bijection", _each(
+        25, lambda rng, n: random_collection(rng, min(n, 7), max_cycle=4),
+        require_matching_bijection,
+        "collections, matchings == refinements, circuit counts")),
+    ("circuit-partition-polynomial", _each(
+        25, lambda rng, n: random_planar_connected(rng, min(n, 7)),
+        require_circuit_polynomial,
+        "genus zero instances, j(x) == x^kappa R(x, x)")),
+    ("map-state-count", _each(
+        25, random_map, require_matching_bijection, "maps, 2^edges coherent states")),
+    ("eulerian-coloring-sum", _each(
+        10, lambda rng, n: random_planar_connected(rng, min(n, 6)),
+        require_coloring_sum,
+        "genus zero instances, m = 1, 2, 3 against m^kappa R(m, m)")),
+    ("chromatic-identities", _each(
+        25, lambda rng, n: random_collection(rng, min(n, 7), max_cycle=4),
+        require_interval_sums, "collections, interval sums collapse")),
+    ("flow-identity", _each(
+        25, lambda rng, n: random_collection(rng, min(n, 7), max_cycle=4),
+        require_flow_sum, "collections, flow sum collapses")),
+    ("flow-planar-identity", _each(
+        20, lambda rng, n: random_planar_connected(rng, min(n, 7)),
+        require_flow_sum, "genus zero instances")),
     ("flow-chi-duality", _check_flow_chi_duality),
-    ("map-charflow-oracles", _check_map_charflow_oracles),
-    ("small-edge-theorems", _check_small_edge_theorems),
-    ("flow-space-dimension", _check_flow_space),
-    ("digraph-roundtrip", _check_digraph_roundtrip),
+    ("map-charflow-oracles", _each(
+        30, random_map, require_map_oracles,
+        "maps against graph oracles and the R(-t, -1) route")),
+    ("small-edge-theorems", _each(
+        20, lambda rng, n: random_collection(rng, min(n, 6), max_cycle=3),
+        lambda h: require_small_edge_counts(h, (2, 3)),
+        "collections with hyperedges <= 3, m = q = 2, 3")),
+    ("flow-space-dimension", _each(
+        30, random_collection, lambda h: require_flow_space(h, (2, 3, 5)),
+        "collections, q = 2, 3, 5")),
+    ("digraph-roundtrip", _each(
+        50, lambda rng, n: random_eulerian_digraph(rng), require_digraph_roundtrip,
+        "Eulerian digraphs, medial round-trip")),
     ("valence-legality", _check_valence_legality),
 ]
 

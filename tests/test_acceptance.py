@@ -3,7 +3,8 @@
 Run with plain ``pytest``; the per-criterion lines are repeated in the
 terminal summary.  The randomized criteria share a single seeded corpus of
 520 collections with n <= 8 and hyperedge cycles of length <= 5, so reruns
-are deterministic.
+are deterministic.  Identities the selftest also checks are its
+``require_*`` functions, so each is written once.
 """
 
 import json
@@ -17,26 +18,16 @@ import pytest
 
 from acceptance_report import criterion
 from test_whitney import phi_expansion
+from hypermaps import charflow
 from hypermaps.charflow import (
     characteristic_polynomial,
-    flow_polynomial,
     flow_space,
     is_flow,
-    nowhere_zero_flow_count,
     proper_coloring_count,
     unique_nz_refinement,
-    x_interval,
 )
-from hypermaps.hypermap import Hypermap, dual, merge_components, orbit_count
-from hypermaps.medial import (
-    circuit_partition_polynomial,
-    eulerian_coloring_sum,
-    from_eulerian_digraph,
-    medial_digraph,
-    medial_map,
-    minus,
-    plus,
-)
+from hypermaps.hypermap import Hypermap, orbit_count
+from hypermaps.medial import medial_map, minus, plus
 from hypermaps.nclattice import (
     catalan,
     interval,
@@ -46,27 +37,37 @@ from hypermaps.nclattice import (
     refinements,
 )
 from hypermaps.oracles import (
-    circuit_state_sum,
     circuits_of_state,
-    coherent_matchings,
-    digraph_isomorphic,
     eulerian_edge_colorings,
     eulerian_valence_sum,
-    graph_characteristic,
-    graph_flow_polynomial,
     matching_refinement,
-    narayana,
-    nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,
-    underlying_graph,
 )
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
-from hypermaps.selftest import random_collection, random_eulerian_digraph
+from hypermaps.selftest import (
+    random_collection,
+    random_eulerian_digraph,
+    require_circuit_polynomial,
+    require_coloring_sum,
+    require_digraph_roundtrip,
+    require_flow_space,
+    require_flow_sum,
+    require_interval_sums,
+    require_map_oracles,
+    require_matching_bijection,
+    require_medial_shape,
+    require_narayana,
+    require_planar_duality,
+    require_product,
+    require_routes_agree,
+    require_small_edge_counts,
+    require_specializations,
+    run_selftest,
+)
 from hypermaps.whitney import (
     branch,
     pivot_cycle,
-    specializations,
     whitney_bruteforce,
     whitney_dp,
     whitney_phi,
@@ -202,15 +203,7 @@ def test_criterion_2_constant_terms():
 @criterion(3, "identity-over-n-cycle gives the Narayana polynomials")
 def test_criterion_3_narayana():
     for n in range(2, 8):
-        h = make(n, [], [list(range(1, n + 1))])
-        r = whitney_phi(h).polynomial
-        assert all(ev == 0 for (_, ev) in r.terms)
-        for k in range(1, n + 1):
-            assert r.coefficient(k - 1, 0) == narayana(n, k)
-        d = dual(h)
-        rd = whitney_phi(d).polynomial
-        assert rd == r.swap_variables()
-        assert all(eu == 0 for (eu, _) in rd.terms)
+        require_narayana(n)
     three = make(3, [], [[1, 2, 3]])
     assert whitney_phi(three).polynomial == BiPoly.parse("u^2 + 3*u + 1")
 
@@ -224,10 +217,7 @@ def test_criterion_4_oracle_triangle(corpus):
         assert h.n <= 8
         assert all(len(c) <= 5 for c in h.alpha.cycles())
         assert refinement_count(h.alpha) <= REFINEMENT_CAP
-        b = whitney_bruteforce(h).polynomial
-        assert whitney_phi(h).polynomial == b
-        assert whitney_psi(h).polynomial == b
-        assert whitney_dp(h).polynomial == b
+        require_routes_agree(h, (whitney_phi, whitney_psi, whitney_dp))
         for _, _, eu, ev in walk_branches(h, keep_connected=False):
             assert (eu, ev) in allowed
         if h.is_connected:
@@ -241,58 +231,19 @@ def test_criterion_5_structural(corpus):
     nonempty = [h for h in corpus if h.n >= 1]
     pairs = list(zip(nonempty[0::2], nonempty[1::2]))[:80]
     for a, b in pairs:
-        union = a.disjoint_union(b)
-        product = whitney_phi(a).polynomial * whitney_phi(b).polynomial
-        assert whitney_bruteforce(union).polynomial == product
-        merged = merge_components(union, 1, a.n + 1)
-        assert whitney_bruteforce(merged).polynomial == product
+        require_product(a, b, whitney_bruteforce)
     for h in corpus:
-        r = whitney_phi(h).polynomial
         if h.genus == 0:
-            assert whitney_phi(dual(h)).polynomial == r.swap_variables()
-        s = specializations(h, r)
-        forests = collections = 0
-        for beta in refinements(h.alpha):
-            sub = Hypermap(h.sigma, beta)
-            if sub.kappa != h.kappa:
-                continue
-            collections += 1
-            if sub.genus == 0 and sub.faces().cycle_count == sub.kappa:
-                forests += 1
-        assert s.spanning_hyperforests == forests == r.evaluate(0, 0)
-        assert s.spanning_collections == collections == r.evaluate(0, 1)
-        assert s.hyperbola == r.hyperbola_section()
+            require_planar_duality(h)
+        require_specializations(h)
 
 
 @criterion(6, "medial shape, matching bijection, circuit counts, j(x)")
 def test_criterion_6_medial(corpus):
     for h in corpus:
-        m = medial_map(h)
-        assert m.genus == h.genus
-        assert m.sigma_prime.cycle_count == h.alpha.cycle_count
-        assert len(m.edges()) == h.n
-        if h.n:
-            assert m.alpha_prime.cycle_count == h.n
-        refs = set(refinements(h.alpha))
-        seen = set()
-        states = 0
-        for mu in coherent_matchings(m):
-            beta = matching_refinement(m, mu)
-            seen.add(beta)
-            states += 1
-            circuits = circuits_of_state(m, mu)
-            assert len(circuits) == (beta.inverse() * h.sigma).cycle_count
-        assert seen == refs
-        assert refinement_count(h.alpha) == states == len(refs)
-        j = circuit_partition_polynomial(h)
-        assert j == circuit_state_sum(m)
-        if h.genus == 0 and h.n <= 14:
-            r = whitney_phi(h).polynomial
-            shifted = {}
-            for (eu, ev), c in r.terms.items():
-                e = eu + ev + h.kappa
-                shifted[e] = shifted.get(e, 0) + c
-            assert j == UniPoly(shifted)
+        require_medial_shape(h)
+        require_matching_bijection(h)
+        require_circuit_polynomial(h)
     # the worked six-point matching: beta = (1 2 3), two circuits
     lookalike = make(6, LOOKALIKE_SIGMA, [[1, 2, 3, 4], [5, 6]])
     m = medial_map(lookalike)
@@ -311,11 +262,7 @@ def test_criterion_7_coloring_sums(corpus):
     for h in corpus:
         if h.genus != 0 or h.n > 8:
             continue
-        r = whitney_phi(h).polynomial
-        for m_colors in (1, 2, 3):
-            total = eulerian_valence_sum(h, m_colors)
-            assert total == m_colors ** h.kappa * r.evaluate(m_colors, m_colors)
-            assert eulerian_coloring_sum(h, m_colors) == total
+        require_coloring_sum(h)
         checked += 1
         if h.is_map:
             # For a map every medial vertex has 4 points (two matchings when
@@ -340,31 +287,12 @@ def test_criterion_7_coloring_sums(corpus):
 @criterion(8, "chromatic and flow identities, oracles, counterexamples")
 def test_criterion_8_charflow(corpus):
     for h in corpus:
-        total = UniPoly.zero()
-        for beta in refinements(h.alpha):
-            total = total + x_interval(h, beta, h.alpha)
-        assert total == UniPoly.monomial(1, h.sigma.cycle_count)
-        chi = characteristic_polynomial(h)
-        shifted = UniPoly({e + h.kappa: c for e, c in chi.terms.items()})
-        assert shifted == x_interval(h, Permutation.identity(h.n), h.alpha)
-        flow_total = UniPoly.zero()
-        for beta in refinements(h.alpha):
-            flow_total = flow_total + flow_polynomial(Hypermap(h.sigma, beta))
-        e = h.n + h.kappa - h.alpha.cycle_count - h.sigma.cycle_count
-        assert flow_total == UniPoly.monomial(1, e)
+        require_interval_sums(h)
+        require_flow_sum(h)
         if h.is_map:
-            nv, edges = underlying_graph(h)
-            assert chi == graph_characteristic(nv, edges)
-            assert flow_polynomial(h) == graph_flow_polynomial(nv, edges)
+            require_map_oracles(h)
         if all(len(c) <= 3 for c in h.alpha.cycles()):
-            flow = flow_polynomial(h)
-            for q in (2, 3, 5):  # the enumerations keep one side independent
-                colorings = proper_coloring_count(h, q)
-                assert q ** h.kappa * chi.evaluate(q) == colorings
-                assert colorings == proper_coloring_enumeration(h, q)
-                nowhere_zero = nowhere_zero_flow_count(h, q)
-                assert flow.evaluate(q) == nowhere_zero
-                assert nowhere_zero == nowhere_zero_flow_enumeration(h, q)
+            require_small_edge_counts(h, (2, 3, 5))
     # counterexample one: a 4-point hyperedge breaks the coloring reading
     four = make(4, [], [[1, 2, 3, 4]])
     chi4 = characteristic_polynomial(four)
@@ -384,19 +312,40 @@ def test_criterion_8_charflow(corpus):
         unique_nz_refinement(SEVEN, f, 2)
 
 
+def test_broken_route_fails_its_check_and_its_criterion(corpus, monkeypatch):
+    # The selftest and criterion 8 share require_flow_sum, so a C(t) off by
+    # one fails both, naming the identity and the collection, also under -O.
+    real = charflow.flow_polynomial
+    monkeypatch.setattr(charflow, "flow_polynomial", lambda h: real(h) + UniPoly.const(1))
+    assert "flow-identity" in {r.name for r in run_selftest(4, 0) if not r.ok}
+    h = corpus[0]
+    message = f"sum of C(sigma, beta) == t^dim fails on {h!r}"
+    with pytest.raises(AssertionError) as failure:
+        require_flow_sum(h)
+    assert str(failure.value) == message
+    script = (
+        "from hypermaps import charflow, selftest\n"
+        "from hypermaps.hypermap import Hypermap\n"
+        "from hypermaps.perm import Permutation\n"
+        "from hypermaps.poly import UniPoly\n"
+        "real = charflow.flow_polynomial\n"
+        "charflow.flow_polynomial = lambda h: real(h) + UniPoly.const(1)\n"
+        f"h = Hypermap(Permutation({list(h.sigma.image)}), "
+        f"Permutation({list(h.alpha.image)}))\n"
+        "try:\n"
+        "    selftest.require_flow_sum(h)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                       text=True, timeout=300)
+    assert (r.returncode, r.stdout.strip()) == (0, message), r.stderr
+
+
 @criterion(9, "flow space dimensions and counts over GF(2), GF(3), GF(5)")
 def test_criterion_9_flow_space(corpus):
     for h in corpus:
-        expected = h.n + h.kappa - h.sigma.cycle_count - h.alpha.cycle_count
-        for q in (2, 3, 5):
-            space = flow_space(h, q)
-            assert space.dimension == expected
-            assert space.count() == q ** expected
-            if space.count() <= 2048:
-                vectors = list(space.vectors())
-                assert len(set(vectors)) == space.count()
-                for vec in vectors:
-                    assert is_flow(h, vec, q)
+        require_flow_space(h, (2, 3, 5), max_listed=2048)
     for q in (2, 3, 5):
         assert flow_space(SEVEN, q).dimension == 2
 
@@ -424,10 +373,7 @@ def test_criterion_10_mobius():
 def test_criterion_11_digraph_round_trip():
     rng = random.Random(61)
     for _ in range(50):
-        d = random_eulerian_digraph(rng)
-        h = from_eulerian_digraph(d)
-        assert h.n == len(d.edges)
-        assert digraph_isomorphic(medial_digraph(h), d)
+        require_digraph_roundtrip(random_eulerian_digraph(rng))
 
 
 @criterion(12, "CLI selftest passes, reruns byte-identical, errors clean")

@@ -7,11 +7,15 @@ import time
 
 import pytest
 
-from hypermaps.hypermap import Hypermap, dual, merge_components, orbit_count
-from hypermaps.nclattice import refinements
+from hypermaps.hypermap import Hypermap, dual
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
-from hypermaps.selftest import random_collection
+from hypermaps.selftest import (
+    random_collection,
+    require_product,
+    require_routes_agree,
+    require_wet_dry,
+)
 from hypermaps.whitney import (
     branch,
     phi_k,
@@ -19,7 +23,6 @@ from hypermaps.whitney import (
     specializations,
     wet_dry_polynomial,
     whitney,
-    whitney_bruteforce,
     whitney_dp,
     whitney_phi,
     whitney_psi,
@@ -165,10 +168,7 @@ def test_psi_preserves_connectivity():
 def test_three_routes_agree_randomized():
     rng = random.Random(3)
     for _ in range(25):
-        h = random_collection(rng, n_max=7)
-        b = whitney_bruteforce(h).polynomial
-        assert whitney_phi(h).polynomial == b
-        assert whitney_psi(h).polynomial == b
+        require_routes_agree(random_collection(rng, n_max=7), (whitney_phi, whitney_psi))
 
 
 def test_multiplicative_over_disjoint_union():
@@ -356,9 +356,7 @@ def test_recursion_leaves_no_cached_garbage():
 def test_merge_leaves_polynomial_unchanged():
     a = make(3, [[1, 2]], [[1, 2, 3]])
     b = make(4, [[1, 3]], [[1, 2], [3, 4]])
-    u = a.disjoint_union(b)
-    merged = merge_components(u, 1, 4)
-    assert whitney_phi(merged).polynomial == whitney_phi(u).polynomial
+    require_product(a, b, whitney_phi)
 
 
 def test_planar_dual_swaps_variables():
@@ -386,31 +384,15 @@ def test_specializations_of_golden():
     assert s.hyperbola == GOLDEN.hyperbola_section()
 
 
-def wet_dry_definition(h):
-    """The definitional wet/dry sum, over every refinement beta <= alpha, of
-
-        u^kappa(sigma, beta) v^(z(beta^-1 sigma) - kappa(sigma, beta)).
-    """
-    terms = {}
-    for beta in refinements(h.alpha):
-        kb = orbit_count(h.sigma, beta)
-        e = (kb, (beta.inverse() * h.sigma).cycle_count - kb)
-        terms[e] = terms.get(e, 0) + 1
-    return BiPoly(terms)
-
-
 def test_wet_dry_equals_kappa_shifted_polynomial():
-    poly = wet_dry_polynomial(RUNNING)
-    assert poly == GOLDEN * BiPoly.monomial(1, RUNNING.kappa, 0)
-    assert poly == wet_dry_definition(RUNNING)
+    assert wet_dry_polynomial(RUNNING) == GOLDEN * BiPoly.monomial(1, RUNNING.kappa, 0)
+    require_wet_dry(RUNNING)
     rng = random.Random(12)
     checked = 0
     while checked < 25:
         h = random_collection(rng, n_max=7)
         if h.genus == 0:
-            shifted = whitney_phi(h).polynomial * BiPoly.monomial(1, h.kappa, 0)
-            assert wet_dry_polynomial(h) == shifted
-            assert wet_dry_polynomial(h) == wet_dry_definition(h)
+            require_wet_dry(h)
             checked += 1
 
 

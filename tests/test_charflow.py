@@ -183,6 +183,13 @@ def test_isolated_vertices_multiply_the_count():
     assert proper_coloring_count(h, 2) == 0
 
 
+def test_x_interval_top_equals_shifted_characteristic():
+    h = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
+    chi = characteristic_polynomial(h)
+    shifted = UniPoly({e + h.kappa: c for e, c in chi.terms.items()})
+    assert shifted == x_interval(h, Permutation.identity(5), h.alpha)
+
+
 def test_x_interval_sum_collapses():
     require_interval_sums(make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]]))
 

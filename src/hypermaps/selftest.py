@@ -310,6 +310,13 @@ def require_flow_sum(h: Hypermap) -> None:
                  "sum of C(sigma, beta) == t^(faces - kappa)", h)
 
 
+def require_flow_chi_duality(h: Hypermap) -> None:
+    """At genus zero C(h) = chi(dual h): the block and the level form of the
+    frontier DP, against each other."""
+    _require(charflow.flow_polynomial(h) == charflow.characteristic_polynomial(dual(h)),
+             "C(h) == chi(dual h) at genus zero", h)
+
+
 def require_map_oracles(h: Hypermap) -> None:
     """On a map, chi and C are the underlying graph's, and chi = +-R(-t, -1)."""
     nv, edges = oracles.underlying_graph(h)
@@ -544,15 +551,12 @@ def _check_narayana(rng: random.Random, n_max: int) -> str:
 
 
 def _check_flow_chi_duality(rng: random.Random, n_max: int) -> str:
-    # The block and the level form of the frontier DP, against each other.
     trials = 25
     for _ in range(trials):
         h = random_planar_connected(rng, n_max)
         if rng.random() < 0.5:
             h = h.disjoint_union(random_planar_connected(rng, min(n_max, 4)))
-        flow = charflow.flow_polynomial(h)
-        chi = charflow.characteristic_polynomial(dual(h))
-        _require(flow == chi, "C(h) differs from chi(dual h)")
+        require_flow_chi_duality(h)
     return f"{trials} genus zero collections, C(h) == chi(dual h)"
 
 

@@ -39,14 +39,23 @@ cycle in alpha by (c1)(c2 ... cm) when k <= 2 and otherwise by
 v^[k != 1 and c1, ck share a sigma-cycle].  One orbit walk gives kappa and
 the components.  Checks that raise ``ValueError``: u-exponent 0 or 1, psi's
 gluing restores kappa, and n + 2 kappa - z(sigma) - z(alpha) -
-z(sigma^-1 alpha) even and nonnegative on every branch and relabeled piece.
+z(sigma^-1 alpha) even and nonnegative on every branch and on each piece
+of a branch that splits.
 
 R is multiplicative over disjoint unions, so phi and psi work one component
-at a time.  One whose hyperedges are all fixed points contributes 1; any
-other is relabeled onto 1..m in point order, and these tables key an exact
-index of solved components that lives for one call.  An isomorphic copy
-under other labels is expanded again.  ``WhitneyStats`` counts component
-visits as nodes and index hits as memo hits.
+at a time, and each is normalised before it is looked up: every fixed point
+p of alpha (a bud) is spliced out of sigma, sigma(sigma^-1(p)) = sigma(p),
+and the points left are relabeled 1..m in increasing order.  R does not
+change.  Every beta <= alpha fixes p, so removing p lowers n and z(beta) by
+one each; z(sigma) and kappa(sigma, beta) stay, because p's sigma-cycle
+keeps another point.  (A sigma-cycle of buds only is a component of its
+own; it is left empty and dropped, as a factor 1.)  Branches that differ
+only in their buds thus share one entry of an exact index of solved
+components, keyed by these tables, that lives for one call; a one-orbit
+branch's own tables key its entry too, so a repeated branch skips the
+splice.  The lookup goes by labels: an isomorphic copy under other labels
+is expanded again.  ``WhitneyStats`` counts component visits as nodes and
+index hits as memo hits.
 
 Inside the recursion every polynomial is one Python int (Kronecker
 substitution): with r = n - z(alpha) the rank of alpha, the coefficient of
@@ -167,12 +176,27 @@ def branch(
 
 
 def _relabel(sig, alf, points) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Both tables on a union of orbits, its i-th smallest point relabeled i."""
+    """Both tables on some points of a union of orbits, the i-th smallest
+    point relabeled i; sigma skips the points left out, which must be fixed
+    by alpha."""
     points = sorted(points)
     label = [0] * len(sig)
     for i, p in enumerate(points, 1):
         label[p] = i
-    return tuple(tuple([0] + [label[t[p]] for p in points]) for t in (sig, alf))
+    s = [0]
+    for p in points:
+        q = sig[p]
+        while not label[q]:
+            q = sig[q]
+        s.append(label[q])
+    return tuple(s), tuple([0] + [label[alf[p]] for p in points])
+
+
+def _reduce(sig, alf, comps):
+    """The tables of each orbit with alpha's fixed points spliced out of
+    sigma, relabeled onto 1..m; orbits left empty are dropped."""
+    moved = ([p for p in comp if alf[p] != p] for comp in comps)
+    return [_relabel(sig, alf, points) for points in moved if points]
 
 
 def _unpack(packed: int, bits: int, width: int) -> BiPoly:
@@ -200,21 +224,28 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     stats = WhitneyStats()
 
     def product(sig, alf, comps) -> int:
-        # R is multiplicative over components, and a component whose
-        # hyperedges are all fixed points contributes 1.
+        # R is multiplicative over components and unchanged by splicing out
+        # alpha's fixed points.  A one-orbit branch's own tables key its
+        # factor too, so a repeated branch skips the splice.
+        whole = exact.get((sig, alf)) if len(comps) == 1 else None
+        if whole is not None:
+            stats.nodes += 1
+            stats.memo_hits += 1
+            return whole
+        keys = _reduce(sig, alf, comps)
         packed = 1
-        for comp in comps:
-            if any(alf[p] != p for p in comp):
-                stats.nodes += 1
-                key = (sig, alf) if len(comps) == 1 else _relabel(sig, alf, comp)
-                factor = exact.get(key)
-                if factor is None:
-                    if len(comps) > 1:
-                        euler_number(*key, 1)
-                    exact[key] = factor = component(*key)
-                else:
-                    stats.memo_hits += 1
-                packed *= factor
+        for key in keys:
+            stats.nodes += 1
+            factor = exact.get(key)
+            if factor is None:
+                if len(comps) > 1:
+                    euler_number(*key, 1)
+                exact[key] = factor = component(*key)
+            else:
+                stats.memo_hits += 1
+            packed *= factor
+        if len(comps) == len(keys) == 1:
+            exact[sig, alf] = packed
         return packed
 
     def component(sig, alf) -> int:

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import itertools
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
 from hypermaps.selftest import (
     random_collection,
+    random_permutation,
     require_product,
     require_routes_agree,
     require_wet_dry,
@@ -23,6 +25,7 @@ from hypermaps.whitney import (
     specializations,
     wet_dry_polynomial,
     whitney,
+    whitney_bruteforce,
     whitney_dp,
     whitney_phi,
     whitney_psi,
@@ -190,12 +193,14 @@ def test_multiplicative_over_disjoint_union():
 
 def test_phi_factors_by_component():
     """phi on alpha = (1 2 ... 12) with sigma the identity visits 3,381
-    nodes when whole collections are memoized; memoizing each component
-    brings it under 600."""
+    nodes when whole collections are memoized and 441 when each component
+    is; splicing alpha's fixed points out of sigma before the lookup brings
+    it to 111, because branches that differ only in their fixed points then
+    share one entry."""
     h = make(12, [], [list(range(1, 13))])
     result = whitney_phi(h)
     assert result.polynomial == whitney_psi(h).polynomial
-    assert result.stats.nodes <= 600
+    assert result.stats.nodes <= 111
 
 
 @pytest.mark.parametrize(
@@ -261,6 +266,63 @@ def test_fixed_points_do_not_widen_the_packed_recursion(alpha, monkeypatch):
     assert elapsed < 3.0
 
 
+def with_buds(rng, h, buds):
+    """h with points n+1..n+buds fixed by alpha, each put into sigma right
+    after a random earlier point, then all points relabelled at random."""
+    sig, alf = list(h.sigma.image), list(h.alpha.image)
+    for q in range(h.n + 1, h.n + buds + 1):
+        p = rng.randint(1, q - 1)
+        sig.append(sig[p - 1])
+        sig[p - 1] = q
+        alf.append(q)
+    grown = Hypermap(Permutation(sig), Permutation(alf))
+    return grown.relabel(random_permutation(rng, grown.n))
+
+
+def bud_heavy_collection(rng, n_max):
+    """Random sigma; alpha moves at most half of the points, in one or two
+    cycles, and fixes the rest."""
+    n = rng.randint(4, n_max)
+    moved = rng.sample(range(1, n + 1), rng.randint(2, max(2, n // 2)))
+    cut = rng.choice([len(moved)] + list(range(2, len(moved) - 1)))
+    alpha = Permutation.from_cycles(n, [c for c in (moved[:cut], moved[cut:]) if c])
+    return Hypermap(random_permutation(rng, n), alpha)
+
+
+def test_spliced_buds_leave_r_unchanged():
+    """The lemma behind the recursion's splice, on routes that never splice:
+    a point fixed by alpha inside a sigma-cycle of other points lowers n and
+    z(beta) by one for every beta <= alpha and keeps z(sigma) and
+    kappa(sigma, beta), so both exponents of every term stay as they are."""
+    rng = random.Random(2323)
+    for _ in range(300):
+        h = random_collection(rng, n_max=7)
+        grown = with_buds(rng, h, rng.randint(1, 4))
+        for route in (whitney_dp, whitney_bruteforce):
+            assert route(grown).polynomial == route(h).polynomial, (h, grown)
+
+
+@pytest.mark.parametrize("bud_heavy", [False, True], ids=["random", "bud-heavy"])
+def test_recursion_matches_dp_on_seeded_collections(bud_heavy):
+    rng = random.Random(f"splice:{bud_heavy}")
+    draw = bud_heavy_collection if bud_heavy else random_collection
+    for _ in range(1000):
+        h = draw(rng, 9)
+        expected = whitney_dp(h).polynomial
+        for route in (whitney_phi, whitney_psi):
+            assert route(h).polynomial == expected, (route.__name__, h)
+
+
+def test_recursion_matches_dp_on_every_pair_up_to_four_points():
+    for n in range(5):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+        for sigma, alpha in itertools.product(perms, repeat=2):
+            h = Hypermap(sigma, alpha)
+            expected = whitney_dp(h).polynomial
+            for route in (whitney_phi, whitney_psi):
+                assert route(h).polynomial == expected, (route.__name__, h)
+
+
 UNION_8_7 = make(
     15,
     [[1, 3, 5, 7], [2, 4, 6, 8], [9, 11, 13, 15], [10, 12, 14]],
@@ -277,17 +339,18 @@ TWO_EQUAL_PIECES = SIX_CYCLE.disjoint_union(SIX_CYCLE)
 @pytest.mark.parametrize(
     "h, phi_counts, psi_counts",
     [
-        (make(12, [], [list(range(1, 13))]), (441, 375), (812, 580)),
-        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (812, 580), (812, 580)),
-        (UNION_8_7, (451, 246), (451, 246)),
-        (UNION_8_7_RELABELLED, (671, 335), (653, 334)),
-        (TWO_EQUAL_PIECES, (72, 18), (69, 25)),
+        (make(12, [], [list(range(1, 13))]), (111, 100), (347, 260)),
+        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (347, 260), (347, 260)),
+        (UNION_8_7, (135, 93), (135, 93)),
+        (UNION_8_7_RELABELLED, (417, 295), (417, 295)),
+        (TWO_EQUAL_PIECES, (44, 30), (43, 29)),
     ],
 )
 def test_recursion_counts_pinned(h, phi_counts, psi_counts):
     """Nodes and memo hits of phi and psi: every component lookup counts as
     a node, and a lookup answered by the exact index of solved components,
-    keyed by their image tables on 1..m, as a memo hit.  The index is keyed
+    keyed by their image tables on 1..m with alpha's fixed points spliced
+    out of sigma, as a memo hit.  The index is keyed
     by labels, so isomorphic components under other labels are expanded
     again, and a relabelled input (UNION_8_7_RELABELLED) can cost more."""
     for route, counts in ((whitney_phi, phi_counts), (whitney_psi, psi_counts)):

@@ -104,7 +104,14 @@ class HypermapDocument(NamedTuple):
 
 
 def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
-    """Cycles such as ``(1 2)(3)``; first_col is the column of line[0]."""
+    """Cycles such as ``(1 2)(3)``; first_col is the column of line[0].
+
+    A line that is exactly ``()`` is the permutation of no points, as
+    ``HypermapDocument.render_perm`` prints it; an empty cycle among others
+    is refused.
+    """
+    if line == "()":
+        return []
     cycles: List[List[int]] = []
     current: Optional[List[int]] = None
     token = ""

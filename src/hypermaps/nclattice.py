@@ -18,8 +18,9 @@ of the same moves that merges nothing and weighs nothing, and checks it.
 ``refinements`` streams each beta as a ``Permutation``, caching nothing, for
 terms that need more of it, such as z(beta^-1 sigma) at positive genus.
 Most refinements are leaves of that walk (Cat(m) of about 1.4 Cat(m) nodes
-for one m-cycle), so both walks handle the last point's moves at their
-parent and push no frame for them.
+for one m-cycle), so neither walk pushes a frame for the last point:
+``refinements`` yields its moves at their parent, and ``refinement_walk``
+counts the moves of the last two points at the frame before them.
 Reading a cycle point by point, one complement block lies open between two
 stack levels and one above the top, so with H blocks open, joining the
 block at depth d closes a complement block of H - d points, and the end of
@@ -171,47 +172,73 @@ def refinement_walk(
     limit.  A join unions the point's class with the block's in a
     union-find with an undo log, which a move cuts back to its parent's
     length, so each refinement costs O(1) amortized steps and no state is
-    merged.  The last point's moves are counted at their parent, with no
-    frame and no union: a join lowers kappa when the block's root differs
-    from the point's.  Shorter cycles are read first, so the walk branches
-    as late as it can and fixed points are not walked again for every
-    refinement.  It shares nothing with ``refinement_profile``, which it
-    checks.
+    merged.  Unless alpha fixes every point (then beta = alpha is the only
+    refinement), the last two points lie on one cycle, and they push no
+    frame and apply no union.  The frame before them reads the roots of
+    its stack once; for each move of the second-to-last point it counts
+    the last point's moves on a copy of those roots: an open adds 1 at
+    (kappa, z + 1), and a join adds 1 at (kappa, z), or at (kappa - 1, z)
+    when the two roots differ.  A join of the second-to-last point that
+    merges two roots renames one in the copy.  Counts go to a flat list
+    indexed kappa * (N + 1) + z, N the number of points alpha's cycles
+    hold, read into a dict once at the end.  Shorter cycles are read first,
+    so the walk branches as late as it can and fixed points are not walked
+    again for every refinement.  It shares nothing with
+    ``refinement_profile``, which it checks.
     """
     cycles = sorted(alpha.cycles(), key=len)
     points = [p for c in cycles for p in c]
     if not points:
         return {(0, 0): 1}
     cls = [classes[p] for p in points]
+    top = len(set(cls))  # kappa is top less the unions in the log
+    if len(cycles[-1]) == 1:  # alpha fixes every point, so beta = alpha
+        return {(top, len(points)): 1}
     last = len(points) - 1
     ends = {t - 1 for t in accumulate(len(c) for c in cycles)}
     parent = list(range(max(cls) + 1))
     size = [1] * len(parent)
-    top = len(set(cls))  # kappa is top less the unions in the log
     log: List[int] = []
-    counts: Dict[Tuple[int, int], int] = {}
+    radix = len(points) + 1
+    tally = [0] * ((top + 1) * radix)  # (kappa, z) is counted at kappa * radix + z
     # The state after point t: the stack's class labels and z; a pending move
     # of t + 1 adds its depth (-1 opens) and the log length it starts from.
     t, stack, z, todo = -1, (), 0, []
     while True:
-        if t + 1 < last:
+        if t + 2 < last:
             mark = len(log)
             todo += [(t + 1, d, stack, z, mark) for d in range(len(stack) - 1, -2, -1)]
         else:
-            # Each move of the last point, in the pop order.
-            r = cls[last]
-            while parent[r] != r:
-                r = parent[r]
-            kappa = top - len(log)
-            key = (kappa, z + 1)
-            counts[key] = counts.get(key, 0) + 1
+            # The last two points, u then x, read off the roots of the stack.
+            ru, rx = cls[last - 1], cls[last]
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[rx] != rx:
+                rx = parent[rx]
+            roots = []
             for b in stack:
                 while parent[b] != b:
                     b = parent[b]
-                key = (kappa - (b != r), z)
-                counts[key] = counts.get(key, 0) + 1
+                roots.append(b)
+            at = (top - len(log)) * radix + z
+            # u opens; x then opens, or joins a block, one class fewer if
+            # the block's root differs from x's.  u and x share a cycle.
+            tally[at + 2] += 1
+            for r in roots + [ru]:
+                tally[at + 1 - radix * (r != rx)] += 1
+            # u joins the block at depth d; a merge renames b to ru.
+            for d, b in enumerate(roots):
+                below, rxd, k = roots[:d], rx, at
+                if b != ru:
+                    below = [ru if r == b else r for r in below]
+                    rxd = ru if rx == b else rx
+                    k -= radix
+                tally[k + 1] += 1
+                for r in below:
+                    tally[k - radix * (r != rxd)] += 1
+                tally[k - radix * (ru != rxd)] += 1
         if not todo:
-            return counts
+            return {divmod(i, radix): c for i, c in enumerate(tally) if c}
         t, d, stack, z, mark = todo.pop()
         while len(log) > mark:
             r = log.pop()

@@ -371,6 +371,22 @@ def test_malformed_inputs_diagnose_cleanly():
         assert "Traceback" not in r.stderr, doc
 
 
+def test_empty_collection_reads_back_what_it_prints(monkeypatch, capsys):
+    # n = 0 prints each permutation as "()", which reads back as no cycles;
+    # an empty cycle next to others, or with a space inside, is still refused
+    empty = '{"n": 0, "sigma": [], "alpha": []}'
+    printed = "sigma: ()\nalpha: ()\n"
+    assert run_in_process(["dual"], empty, monkeypatch, capsys) == (0, printed, "")
+    assert run_in_process(["genus"], printed, monkeypatch, capsys) == (0, "0\n", "")
+    for doc, col in (
+        ("sigma: (1 2)()\nalpha: (1 2)\n", 14),
+        ("sigma: ()()\nalpha: ()\n", 9),
+        ("sigma: ( )\nalpha: ()\n", 10),
+    ):
+        err = f"error: <stdin>:1:{col}: empty cycle\n"
+        assert run_in_process(["genus"], doc, monkeypatch, capsys) == (2, "", err)
+
+
 ALPHA_LINE = "alpha: (1 2 3)\n"
 
 

@@ -3,10 +3,11 @@
 It serves the brute-force Whitney route, and is checked on one seeded
 corpus against the definitional sum of ``oracles``, which builds a
 ``Permutation`` per refinement, and against the frontier DP, whose state
-merging it exists to check, also on random class tables.  The walk adds
-the last point's moves at their parent, and most refinements are such
-leaves once a cycle is long, so it is also checked against the DP at
-n = 9..12 and on inputs whose last point is the first, opens only, or
+merging it exists to check, also on random class tables.  The walk counts
+the moves of the last two points at the frame before them, and most
+refinements are such leaves once a cycle is long, so it is also checked
+against the DP at n = 9..12 and on inputs whose last point is the first,
+whose second-to-last point is the first, whose last point opens only, or
 closes a 2-cycle.  The same inputs check the level form of the DP, which
 carries chi and X, against the Moebius sums.
 """
@@ -72,6 +73,9 @@ SIZED = sized_instances(1403)
 EDGES = [
     Hypermap(Permutation.identity(0), Permutation.identity(0)),
     Hypermap(Permutation.identity(1), Permutation.identity(1)),
+    Hypermap(Permutation.identity(2), Permutation.from_cycles(2, [[1, 2]])),
+    Hypermap(Permutation.from_cycles(2, [[1, 2]]),
+             Permutation.from_cycles(2, [[1, 2]])),
     Hypermap(Permutation.from_cycles(3, [[1, 2, 3]]), Permutation.identity(3)),
     Hypermap(Permutation.from_cycles(10, [[1, 4, 7], [2, 9]]),
              Permutation.identity(10)),
@@ -145,11 +149,18 @@ def test_bruteforce_equals_dp_at_n_9_to_12():
 
 
 def test_walk_on_edge_inputs():
-    # no point; one point, so the last point is point 0; an identity alpha,
-    # whose last point can only open; alphas made only of 2-cycles
-    assert [h.n for h in EDGES] == [0, 1, 3, 10, 10, 12]
+    # no point; one point, so the last point is point 0; two points on one
+    # alpha-cycle, so the second-to-last point is point 0, under two sigmas;
+    # an identity alpha, whose last point can only open; alphas made only of
+    # 2-cycles
+    assert [h.n for h in EDGES] == [0, 1, 2, 2, 3, 10, 10, 12]
+    assert refinement_walk(EDGES[0].alpha, [0]) == {(0, 0): 1}
     assert refinement_walk(EDGES[1].alpha, [0, 0]) == {(1, 1): 1}
-    assert refinement_walk(EDGES[5].alpha, list(range(13))) == {
+    pinned = [{(2, 2): 1, (1, 1): 1}, {(1, 2): 1, (1, 1): 1}]
+    for h, walked in zip(EDGES[2:4], pinned):
+        assert refinement_walk(h.alpha, h.sigma.cycle_labels()) == walked
+    assert refinement_walk(EDGES[4].alpha, EDGES[4].sigma.cycle_labels()) == {(1, 3): 1}
+    assert refinement_walk(EDGES[7].alpha, list(range(13))) == {
         (12 - j, 12 - j): math.comb(6, j) for j in range(7)}
 
 

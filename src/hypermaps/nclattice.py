@@ -180,8 +180,11 @@ def refinement_walk(
     (kappa, z + 1), and a join adds 1 at (kappa, z), or at (kappa - 1, z)
     when the two roots differ.  A join of the second-to-last point that
     merges two roots renames one in the copy.  Counts go to a flat list
-    indexed kappa * (N + 1) + z, N the number of points alpha's cycles
-    hold, read into a dict once at the end.  Shorter cycles are read first,
+    over the pairs a refinement can reach: with N points on c cycles, z
+    lies in c..N and kappa in top - (N - c)..top, top the number of
+    classes, so the list has (N - c + 1)^2 slots, and N - c is at most
+    log2 of the number of refinements.  It is read into a dict once at
+    the end.  Shorter cycles are read first,
     so the walk branches as late as it can and fixed points are not walked
     again for every refinement.  It shares nothing with
     ``refinement_profile``, which it checks.
@@ -199,8 +202,9 @@ def refinement_walk(
     parent = list(range(max(cls) + 1))
     size = [1] * len(parent)
     log: List[int] = []
-    radix = len(points) + 1
-    tally = [0] * ((top + 1) * radix)  # (kappa, z) is counted at kappa * radix + z
+    base = len(cycles)  # the least z; kappa is at least top - (radix - 1)
+    radix = len(points) - base + 1
+    tally = [0] * (radix * radix)  # (kappa, z) at (top - kappa) * radix + z - base
     # The state after point t: the stack's class labels and z; a pending move
     # of t + 1 adds its depth (-1 opens) and the log length it starts from.
     t, stack, z, todo = -1, (), 0, []
@@ -220,25 +224,28 @@ def refinement_walk(
                 while parent[b] != b:
                     b = parent[b]
                 roots.append(b)
-            at = (top - len(log)) * radix + z
+            at = len(log) * radix + z - base
             # u opens; x then opens, or joins a block, one class fewer if
             # the block's root differs from x's.  u and x share a cycle.
             tally[at + 2] += 1
             for r in roots + [ru]:
-                tally[at + 1 - radix * (r != rx)] += 1
+                tally[at + 1 + radix * (r != rx)] += 1
             # u joins the block at depth d; a merge renames b to ru.
             for d, b in enumerate(roots):
                 below, rxd, k = roots[:d], rx, at
                 if b != ru:
                     below = [ru if r == b else r for r in below]
                     rxd = ru if rx == b else rx
-                    k -= radix
+                    k += radix
                 tally[k + 1] += 1
                 for r in below:
-                    tally[k - radix * (r != rxd)] += 1
-                tally[k - radix * (ru != rxd)] += 1
+                    tally[k + radix * (r != rxd)] += 1
+                tally[k + radix * (ru != rxd)] += 1
         if not todo:
-            return {divmod(i, radix): c for i, c in enumerate(tally) if c}
+            return {
+                (top - i // radix, base + i % radix): c
+                for i, c in enumerate(tally) if c
+            }
         t, d, stack, z, mark = todo.pop()
         while len(log) > mark:
             r = log.pop()

@@ -164,6 +164,15 @@ def test_walk_on_edge_inputs():
         (12 - j, 12 - j): math.comb(6, j) for j in range(7)}
 
 
+def test_walk_on_many_fixed_points():
+    # two refinements among 20,000 points: the tally spans only the pairs
+    # (kappa, z) a refinement can reach, not every pair up to n
+    n = 20_000
+    h = Hypermap(Permutation.identity(n), Permutation.from_cycles(n, [[1, 2]]))
+    assert refinement_walk(h.alpha, h.sigma.cycle_labels()) == {
+        (n, n): 1, (n - 1, n - 1): 1}
+
+
 def test_x_interval_equals_definition():
     rng = random.Random(1402)
     joined = 0  # draws whose alpha1 joins sigma-cycles into one orbit

@@ -163,7 +163,8 @@ def _build_document(
                 raise InputError(f"{where[key]}: empty cycle")
             for p in cyc:
                 if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                    raise InputError(f"{where[key]}: bad point {p!r}")
+                    import json  # points of cycle text are ints, which JSON shows alike
+                    raise InputError(f"{where[key]}: bad point {json.dumps(p)}")
                 if p in seen:
                     raise InputError(f"{where[key]}: duplicate point {p}")
                 seen.add(p)
@@ -277,10 +278,10 @@ def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocumen
         raise InputError(f"{filename}: top level must be an object")
     unknown = set(obj) - {"n", "sigma", "alpha", "name"}
     if unknown:
-        raise InputError(f"{filename}: unknown keys {sorted(unknown)}")
+        raise InputError(f"{filename}: unknown keys {json.dumps(sorted(unknown))}")
     for key in ("sigma", "alpha"):
         if key not in obj:
-            raise InputError(f"{filename}: missing key {key!r}")
+            raise InputError(f"{filename}: missing key {json.dumps(key)}")
         val = obj[key]
         if not isinstance(val, list) or not all(isinstance(c, list) for c in val):
             raise InputError(f"{filename}: {key} must be a list of cycles")
@@ -299,7 +300,7 @@ def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocumen
 
 def load_document(text: str, filename: str = "<input>") -> HypermapDocument:
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return parse_hypermap_json(text, filename)
     return parse_hypermap_text(text, filename)
 

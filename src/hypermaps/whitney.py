@@ -38,9 +38,10 @@ cycle in alpha by (c1)(c2 ... cm) when k <= 2 and otherwise by
 (c1)(c2 ... c(k-1))(ck ... cm); its weight is u^(kappa(phi_k) - kappa) *
 v^[k != 1 and c1, ck share a sigma-cycle].  One orbit walk gives kappa and
 the components.  Checks that raise ``ValueError``: u-exponent 0 or 1, psi's
-gluing restores kappa, and n + 2 kappa - z(sigma) - z(alpha) -
-z(sigma^-1 alpha) even and nonnegative on every branch and on each piece
-of a branch that splits.
+gluing restores kappa, and n + 2 kappa - z(sigma) - z(alpha) - z(sigma^-1
+alpha) even and nonnegative on each branch and on each piece of a branch
+that splits.  Each depends only on the branch's tables (and psi's c1, c2),
+as does its value, so a branch memo runs them once per key in a call.
 
 R is multiplicative over disjoint unions, so phi and psi work one component
 at a time, and each is normalised before it is looked up: every fixed point
@@ -50,12 +51,11 @@ change.  Every beta <= alpha fixes p, so removing p lowers n and z(beta) by
 one each; z(sigma) and kappa(sigma, beta) stay, because p's sigma-cycle
 keeps another point.  (A sigma-cycle of buds only is a component of its
 own; it is left empty and dropped, as a factor 1.)  Branches that differ
-only in their buds thus share one entry of an exact index of solved
-components, keyed by these tables, that lives for one call; a one-orbit
-branch's own tables key its entry too, so a repeated branch skips the
-splice.  The lookup goes by labels: an isomorphic copy under other labels
-is expanded again.  ``WhitneyStats`` counts component visits as nodes and
-index hits as memo hits.
+only in their buds thus share one entry of a component memo keyed by these
+tables, kept for one call.  Both memos go by labels: an isomorphic copy
+under other labels is expanded again.  ``WhitneyStats`` nodes are branches
+met again and components of the input or of new branches; memo hits are
+the nodes a memo answers.
 
 Inside the recursion every polynomial is one Python int (Kronecker
 substitution): with r = n - z(alpha) the rank of alpha, the coefficient of
@@ -139,9 +139,8 @@ def _phi_k_tables(sig, alf, cycle: Tuple[int, ...], k: int):
     return sig, tuple(img), int(k != 1 and q == ck)
 
 
-def _branch(sig, alf, kappa: int, cycle: Tuple[int, ...], k: int, keep_connected: bool):
-    """One branch on image tables: (sigma, alpha, orbits, eu, ev), checked."""
-    sig, alf, ev = _phi_k_tables(sig, alf, cycle, k)
+def _check_branch(sig, alf, kappa: int, cycle: Tuple[int, ...], keep_connected: bool):
+    """A branch's sigma (glued by psi), orbits and u-exponent, checked."""
     comps = orbits(sig, alf)
     eu = len(comps) - kappa
     if eu not in (0, 1):
@@ -152,7 +151,7 @@ def _branch(sig, alf, kappa: int, cycle: Tuple[int, ...], k: int, keep_connected
         if len(comps) != kappa:
             raise ValueError("gluing failed to restore the orbit count")
     euler_number(sig, alf, len(comps))
-    return sig, alf, comps, eu, ev
+    return sig, comps, eu
 
 
 def phi_k(h: Hypermap, cycle: Tuple[int, ...], k: int) -> Hypermap:
@@ -170,8 +169,8 @@ def branch(
     orbit count always matches the parent's.  The weight is unchanged by the
     gluing and always lands in {1, u, v, u*v}.
     """
-    tables = (h.sigma._image, h.alpha._image)
-    sig, alf, _, eu, ev = _branch(*tables, h.kappa, cycle, k, keep_connected)
+    sig, alf, ev = _phi_k_tables(h.sigma._image, h.alpha._image, cycle, k)
+    sig, _, eu = _check_branch(sig, alf, h.kappa, cycle, keep_connected)
     return Hypermap(Permutation._unchecked(sig), Permutation._unchecked(alf)), eu, ev
 
 
@@ -221,20 +220,13 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
     width = h.n - h.alpha.cycle_count + 1
     u_shift = bits * width
     exact: dict = {}
+    branches: dict = {}
     stats = WhitneyStats()
 
     def product(sig, alf, comps) -> int:
-        # R is multiplicative over components and unchanged by splicing out
-        # alpha's fixed points.  A one-orbit branch's own tables key its
-        # factor too, so a repeated branch skips the splice.
-        whole = exact.get((sig, alf)) if len(comps) == 1 else None
-        if whole is not None:
-            stats.nodes += 1
-            stats.memo_hits += 1
-            return whole
-        keys = _reduce(sig, alf, comps)
+        # R is multiplicative over components and unchanged by splicing buds
         packed = 1
-        for key in keys:
+        for key in _reduce(sig, alf, comps):
             stats.nodes += 1
             factor = exact.get(key)
             if factor is None:
@@ -244,23 +236,31 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
             else:
                 stats.memo_hits += 1
             packed *= factor
-        if len(comps) == len(keys) == 1:
-            exact[sig, alf] = packed
         return packed
 
     def component(sig, alf) -> int:
         pivot = _pivot(alf)
+        glue = pivot[:2] if keep_connected else None
         packed = 0
         for k in range(1, len(pivot) + 1):
-            csig, calf, comps, eu, ev = _branch(sig, alf, 1, pivot, k, keep_connected)
-            packed += product(csig, calf, comps) << (eu * u_shift + ev * bits)
+            csig, calf, ev = _phi_k_tables(sig, alf, pivot, k)
+            value = branches.get((csig, calf, glue))
+            if value is None:
+                gsig, comps, eu = _check_branch(csig, calf, 1, pivot, keep_connected)
+                value = product(gsig, calf, comps) << eu * u_shift
+                branches[csig, calf, glue] = value
+            else:
+                stats.nodes += 1
+                stats.memo_hits += 1
+            packed += value << ev * bits
         return packed
 
     sig, alf = h.sigma._image, h.alpha._image
     packed = product(sig, alf, orbits(sig, alf))
     # product and component refer to each other, a reference cycle that
-    # only the cyclic collector would free, so release the index now
+    # only the cyclic collector would free, so release both memos now
     exact.clear()
+    branches.clear()
     poly = _unpack(packed, bits, width)
     total = sum(poly.terms.values())
     if total != count:

@@ -371,6 +371,45 @@ def test_malformed_inputs_diagnose_cleanly():
         assert "Traceback" not in r.stderr, doc
 
 
+# Values from a JSON document are shown as JSON, as the user wrote them; a
+# point of cycle text is an int, which JSON shows alike.
+@pytest.mark.parametrize(
+    "stdin, error",
+    [
+        ('{"sigma": [[true, 2]], "alpha": [[1, 2]]}', "<stdin>: bad point true"),
+        ('{"sigma": [[1, null]], "alpha": []}', "<stdin>: bad point null"),
+        ('{"sigma": [], "alpha": [["1"]]}', '<stdin>: bad point "1"'),
+        ('{"sigma": [[2.5]], "alpha": []}', "<stdin>: bad point 2.5"),
+        ('{"sigma": [[[1]]], "alpha": []}', "<stdin>: bad point [1]"),
+        ("sigma: (0 1)\nalpha: (1)\n", "<stdin>:1: bad point 0"),
+        ('{"sigma": [], "alpha": [], "b": 1, "a": 2}', '<stdin>: unknown keys ["a", "b"]'),
+        ('{"sigma": []}', '<stdin>: missing key "alpha"'),
+    ],
+    ids=["true", "null", "string", "float", "list", "text-zero", "unknown-keys",
+         "missing-key"],
+)
+def test_json_input_errors_show_json(stdin, error, monkeypatch, capsys):
+    rc, out, err = run_in_process(["genus"], stdin, monkeypatch, capsys)
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
+# Input that opens with "[" can only be JSON, whose top level must be an object.
+@pytest.mark.parametrize(
+    "stdin, error",
+    [
+        ("[]", "<stdin>: top level must be an object"),
+        ('\n  [{"sigma": [], "alpha": []}]', "<stdin>: top level must be an object"),
+        ("[1,", "<stdin>: invalid JSON: Expecting value: line 1 column 4 (char 3)"),
+    ],
+    ids=["empty-list", "list-of-documents", "truncated"],
+)
+def test_documents_opening_with_a_bracket_read_as_json(
+    stdin, error, monkeypatch, capsys
+):
+    rc, out, err = run_in_process(["genus"], stdin, monkeypatch, capsys)
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_empty_collection_reads_back_what_it_prints(monkeypatch, capsys):
     # n = 0 prints each permutation as "()", which reads back as no cycles;
     # an empty cycle next to others, or with a space inside, is still refused
@@ -689,13 +728,13 @@ PINNED = [
     (["whitney", "--method=brute"], RUNNING, R_TEXT, R_TEXT, "brute",
      {"memo_hits": 0, "nodes": 10, "terms": 5}),
     (["whitney", "--method=psi"], RUNNING, R_TEXT, R_TEXT, "psi",
-     {"memo_hits": 3, "nodes": 8, "terms": 5}),
+     {"memo_hits": 5, "nodes": 10, "terms": 5}),
     (["whitney", "--method=dp"], RUNNING, R_TEXT, R_TEXT, "dp",
      {"memo_hits": 0, "nodes": 9, "terms": 5}),
     (["whitney", "--method=all"], RUNNING, "\n".join([R_TEXT] * 4),
      {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT, "dp": R_TEXT}, "all",
-     {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 3, "nodes": 8},
-      "psi": {"memo_hits": 3, "nodes": 8}, "dp": {"memo_hits": 0, "nodes": 9}}),
+     {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 5, "nodes": 10},
+      "psi": {"memo_hits": 5, "nodes": 10}, "dp": {"memo_hits": 0, "nodes": 9}}),
     (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "dp",
      {"memo_hits": 0, "nodes": 9, "terms": 5}),
     (["genus"], RUNNING, "0", {"genus": 0, "kappa": 1}, "euler", {}),

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hypermaps.hypermap import Hypermap, dual
+from hypermaps.hypermap import Hypermap, dual, orbits
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
 from hypermaps.selftest import (
@@ -340,19 +340,21 @@ TWO_EQUAL_PIECES = SIX_CYCLE.disjoint_union(SIX_CYCLE)
     "h, phi_counts, psi_counts",
     [
         (make(12, [], [list(range(1, 13))]), (111, 100), (347, 260)),
-        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (347, 260), (347, 260)),
-        (UNION_8_7, (135, 93), (135, 93)),
-        (UNION_8_7_RELABELLED, (417, 295), (417, 295)),
-        (TWO_EQUAL_PIECES, (44, 30), (43, 29)),
+        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (348, 261), (348, 261)),
+        (UNION_8_7, (137, 95), (137, 95)),
+        (UNION_8_7_RELABELLED, (423, 301), (421, 299)),
+        (TWO_EQUAL_PIECES, (47, 33), (46, 32)),
     ],
 )
 def test_recursion_counts_pinned(h, phi_counts, psi_counts):
-    """Nodes and memo hits of phi and psi: every component lookup counts as
-    a node, and a lookup answered by the exact index of solved components,
-    keyed by their image tables on 1..m with alpha's fixed points spliced
-    out of sigma, as a memo hit.  The index is keyed
-    by labels, so isomorphic components under other labels are expanded
-    again, and a relabelled input (UNION_8_7_RELABELLED) can cost more."""
+    """Nodes and memo hits of phi and psi.  A branch met again in the call
+    is one node, answered by the branch memo; a new branch, and the input,
+    count a node per component, looked up in the component memo by its
+    image tables on 1..m with alpha's fixed points spliced out of sigma.
+    A branch whose points are all fixed by alpha has no component, so it
+    counts only when met again.  Both memos are keyed by labels, so
+    isomorphic components under other labels are expanded again, and a
+    relabelled input (UNION_8_7_RELABELLED) can cost more."""
     for route, counts in ((whitney_phi, phi_counts), (whitney_psi, psi_counts)):
         stats = route(h).stats
         assert (stats.nodes, stats.memo_hits) == counts
@@ -363,24 +365,124 @@ def test_recursion_counts_pinned(h, phi_counts, psi_counts):
 )
 def test_each_labelled_component_keyed_once(h, monkeypatch):
     """The memo is keyed by a component's image tables on 1..m.  A component
-    is expanded through its branches k = 1..m, so the k = 1 calls list the
-    expansions; no two of them share image tables."""
+    is expanded through its branches k = 1..m, so the k = 1 calls of the
+    branch step list the expansions; no two of them share image tables."""
     expanded = []
     module = importlib.import_module("hypermaps.whitney")
-    step = module._branch
+    step = module._phi_k_tables
 
-    def counting(sig, alf, kappa, cycle, k, keep_connected):
+    def counting(sig, alf, cycle, k):
         if k == 1:
             expanded.append((sig, alf))
-        return step(sig, alf, kappa, cycle, k, keep_connected)
+        return step(sig, alf, cycle, k)
 
-    monkeypatch.setattr(module, "_branch", counting)
+    monkeypatch.setattr(module, "_phi_k_tables", counting)
     for route in (whitney_phi, whitney_psi):
         expanded.clear()
         stats = route(h).stats
         assert expanded, "the recursion never called the hooked branch step"
         assert len(expanded) == len(set(expanded))
         assert len(expanded) < stats.nodes
+
+
+# With alpha = (1 ... 12) and this sigma, 329 of the 747 branches that phi
+# and psi each meet repeat one met before in the call.
+SIGMA_12_CYCLE = make(
+    12, [[1, 3, 7, 2, 4, 10, 8, 11, 5, 9, 12, 6]], [list(range(1, 13))]
+)
+REPEATING = pytest.mark.parametrize(
+    "h", [SIGMA_12_CYCLE, UNION_8_7_RELABELLED], ids=["12-cycle", "union-8-7"]
+)
+
+
+@REPEATING
+@pytest.mark.parametrize("route", [whitney_phi, whitney_psi], ids=["phi", "psi"])
+def test_each_branch_key_walked_and_checked_once(h, route, monkeypatch):
+    """A branch is keyed by its tables, and for psi also by c1 and c2, which
+    its gluing swaps.  Every distinct key the recursion meets is checked
+    once in the call, with one orbit walk (two if psi glues) and one Euler
+    check; a key met again is neither walked nor checked.  Outside the
+    checks the recursion walks only the input and Euler-checks only the
+    pieces of a split, whose tables fix no point (a branch's fix c1)."""
+    module = importlib.import_module("hypermaps.whitney")
+    psi = route is whitney_psi
+    tables, check = module._phi_k_tables, module._check_branch
+    walk, euler = module.orbits, module.euler_number
+    met, checks, inside = [], [], []
+    outside_walks, outside_eulers = [], []
+
+    def key(sig, alf, cycle):
+        return sig, alf, cycle[:2] if psi else None
+
+    def meeting(sig, alf, cycle, k):
+        found = tables(sig, alf, cycle, k)
+        met.append(key(found[0], found[1], cycle))
+        return found
+
+    def checking(sig, alf, kappa, cycle, keep_connected):
+        inside.append([key(sig, alf, cycle), 0, 0])
+        try:
+            return check(sig, alf, kappa, cycle, keep_connected)
+        finally:
+            checks.append(inside.pop())
+
+    def walking(sig, alf):
+        if inside:
+            inside[-1][1] += 1
+        else:
+            outside_walks.append((sig, alf))
+        return walk(sig, alf)
+
+    def euler_checking(sig, alf, kappa):
+        if inside:
+            inside[-1][2] += 1
+        else:
+            outside_eulers.append(alf)
+        return euler(sig, alf, kappa)
+
+    for name, hook in (("_phi_k_tables", meeting), ("_check_branch", checking),
+                       ("orbits", walking), ("euler_number", euler_checking)):
+        monkeypatch.setattr(module, name, hook)
+    route(h)
+    checked = [k for k, _, _ in checks]
+    assert len(set(met)) < len(met), "no branch was met twice"
+    assert set(checked) == set(met)
+    assert len(checked) == len(set(checked))
+    for _, walks, eulers in checks:
+        assert walks in ((1, 2) if psi else (1,)) and eulers == 1
+    assert outside_walks == [(h.sigma._image, h.alpha._image)]
+    assert all(alf[p] != p for alf in outside_eulers for p in range(1, len(alf)))
+
+
+@REPEATING
+def test_rejecting_a_repeated_branch_still_raises(h, monkeypatch):
+    """The branch memo stores a value only after its checks pass: an Euler
+    check that rejects the tables of a branch met twice stops phi and psi."""
+    module = importlib.import_module("hypermaps.whitney")
+    tables, euler = module._phi_k_tables, module.euler_number
+    for route in (whitney_phi, whitney_psi):
+        met = {}
+
+        def meeting(sig, alf, cycle, k):
+            found = tables(sig, alf, cycle, k)
+            met[found[:2]] = met.get(found[:2], 0) + 1
+            return found
+
+        monkeypatch.setattr(module, "_phi_k_tables", meeting)
+        route(h)
+        monkeypatch.setattr(module, "_phi_k_tables", tables)
+        # one orbit: psi glues nothing, so the check sees these very tables
+        target = next(t for t, c in met.items() if c > 1 and len(orbits(*t)) == 1)
+
+        def rejecting(sig, alf, kappa):
+            if (sig, alf) == target:
+                raise ValueError("rejected")
+            return euler(sig, alf, kappa)
+
+        monkeypatch.setattr(module, "euler_number", rejecting)
+        with pytest.raises(ValueError, match="rejected"):
+            route(h)
+        monkeypatch.setattr(module, "euler_number", euler)
 
 
 def test_recursion_builds_no_hypermap_below_the_input(monkeypatch):

@@ -22,15 +22,17 @@ above ``MAX_POINTS`` is refused with its line named, and a document without
 Every subcommand reads its input from a file argument (``-`` or nothing
 means stdin), prints deterministic canonical text, and with ``--json`` emits
 an object with the keys input_echo, result, method, stats.  Domain errors
-exit with status 2 and a one line message; ``--check`` mismatches and
-selftest failures exit with status 1.
+and command lines that cannot be read exit with status 2 and a one line
+message; ``--check`` mismatches and selftest failures exit with status 1.
+Results print at any length; only inputs are bounded, by ``MAX_DIGITS``.
 
 The subcommands are the rows of one table, ``COMMANDS``.  A row holds the
 help text, the input kind (a hypermap document, a digraph edge list, or
 none), the flags beyond the input argument, and a compute function that
-returns (result, plain text, method, stats).  ``build_parser`` makes one
-subparser per row, and ``_run`` reads and loads the input, calls the
-compute function, and prints the plain text or the JSON payload.
+returns (result, plain text, method, stats).  ``parse_args`` reads a
+command line off its row, help text included, and ``_run`` reads and loads
+the input, calls the compute function, and prints the plain text or the
+JSON payload.
 
 A process runs one subcommand, so each compute function imports the modules
 it runs (charflow, medial, selftest) and ``json`` loads where JSON is used.
@@ -38,9 +40,9 @@ it runs (charflow, medial, selftest) and ``json`` loads where JSON is used.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 )
@@ -49,7 +51,9 @@ from . import __version__
 from .hypermap import Hypermap, dual
 from .nclattice import refinement_count
 from .perm import Permutation
-from .whitney import METHODS, InstanceTooLarge, wet_dry_polynomial, whitney
+from .whitney import (
+    METHODS, InstanceTooLarge, over_cap, wet_dry_polynomial, whitney
+)
 
 if TYPE_CHECKING:
     from .medial import EulerianDigraph
@@ -66,13 +70,16 @@ MAX_SELFTEST_N = 10
 
 
 class InputError(ValueError):
-    """Malformed document or digraph input."""
+    """Malformed command line, document or digraph input."""
 
 
 def _int(digits: str, loc: str, what: str) -> int:
     if len(digits.lstrip("-")) > MAX_DIGITS:
         raise InputError(f"{loc}: {what} has more than {MAX_DIGITS} digits")
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # only a flag's value reaches here unchecked
+        raise InputError(f"{loc}: {what} {digits!r} is not an integer") from None
 
 
 class HypermapDocument(NamedTuple):
@@ -332,7 +339,7 @@ def _read_input(path: Optional[str]) -> Tuple[str, str]:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read(), path
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
 def _emit(args, payload: Dict, plain: str) -> None:
@@ -358,8 +365,8 @@ def _whitney(args, doc: HypermapDocument):
     count = None if args.no_size_guard else refinement_count(h.alpha)
     if count is not None and count > args.max_refinements:
         raise InstanceTooLarge(
-            f"{count} refinements exceed the cap of {args.max_refinements}"
-            " (raise with --max-refinements or --no-size-guard)"
+            over_cap(count, "refinements", args.max_refinements)
+            + " (raise with --max-refinements or --no-size-guard)"
         )
     methods = METHODS if args.method == "all" else (args.method,)
     runs = {m: whitney(h, m) for m in (METHODS if args.check else methods)}
@@ -472,22 +479,28 @@ def _selftest(args, _):
     return result, "\n".join(lines), "selftest", {"passed": passed, "failed": failed}
 
 
+class Flag(NamedTuple):
+    name: str  # "--max-refinements" reads into the attribute max_refinements
+    help: str
+    kind: str  # "switch", "int" or "choice"
+    default: object = None  # an int flag without one is required
+    choices: Tuple[str, ...] = ()
+
+
 class Command(NamedTuple):
     help: str
     kind: Optional[str]  # "hypermap", "digraph", or None: no input is read
-    flags: Tuple[Tuple[str, Dict], ...]  # (flag, argparse options) in help order
+    flags: Tuple[Flag, ...]  # in help order
     compute: Callable
 
 
-def _switch(flag: str, help: str) -> Tuple[str, Dict]:
-    return flag, {"action": "store_true", "help": help}
+def _switch(flag: str, help: str) -> Flag:
+    return Flag(flag, help, "switch", False)
 
 
-def _integer(flag: str, help: str, default: Optional[int] = None) -> Tuple[str, Dict]:
+def _integer(flag: str, help: str, default: Optional[int] = None) -> Flag:
     """An int flag; it is required when it has no default."""
-    return flag, {
-        "type": int, "default": default, "required": default is None, "help": help
-    }
+    return Flag(flag, help, "int", default)
 
 
 _JSON = _switch("--json", "structured output")
@@ -505,14 +518,12 @@ COMMANDS: Dict[str, Command] = {
         (
             _JSON,
             *_GUARDS,
-            (
+            Flag(
                 "--method",
-                {
-                    "choices": (*METHODS, "all"),
-                    "default": "dp",
-                    "help": "evaluation route (default dp; brute, phi and psi"
-                    " are check routes)",
-                },
+                "evaluation route; brute, phi and psi are check routes",
+                "choice",
+                "dp",
+                (*METHODS, "all"),
             ),
             _switch("--check", "run every route and fail on any mismatch"),
         ),
@@ -604,38 +615,132 @@ def _run(args) -> int:
     return 1 if stats.get("failed") else 0  # failed selftest checks
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hypermap",
-        description="Whitney polynomials and related invariants of hypermaps.",
+class HelpRequested(Exception):
+    """-h, --help or --version; main prints the text and exits with status 0."""
+
+
+# A token that reads as a negative number is a value, not a flag.
+_NEGATIVE = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
+
+
+def _is_flag(token: str) -> bool:
+    return token.startswith("-") and token != "-" and not _NEGATIVE.fullmatch(token)
+
+
+def _match(name: str, names: Sequence[str]) -> str:
+    """The flag that name is or, as a prefix, names alone."""
+    if name in names:
+        return name
+    found = [n for n in names if n.startswith(name)]
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise InputError(f"ambiguous flag {name!r}: {', '.join(found)}")
+    raise InputError(f"unknown flag {name!r}")
+
+
+def _columns(rows: Sequence[Tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(f"  {left:<{width}}{right}" for left, right in rows)
+
+
+def _usage() -> str:
+    rows = [(name, command.help) for name, command in COMMANDS.items()]
+    return (
+        "usage: hypermap [-h] [--version] COMMAND [INPUT] [FLAGS]\n\n"
+        "Whitney polynomials and related invariants of hypermaps.\n\n"
+        f"commands:\n{_columns(rows)}\n\n"
+        "'hypermap COMMAND --help' lists the flags of a command."
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        if command.kind is not None:
-            p.add_argument(
-                "input",
-                nargs="?",
-                default=None,
-                help="input file ('-' or omitted reads stdin)",
-            )
-        for flag, options in command.flags:
-            p.add_argument(flag, **options)
-    return parser
 
 
-_parser: Optional[argparse.ArgumentParser] = None
+def _command_usage(name: str, command: Command) -> str:
+    rows = [("INPUT", "input file ('-' or omitted reads stdin)")] if command.kind else []
+    for f in command.flags:
+        if f.kind == "switch":
+            rows.append((f.name, f.help))
+            continue
+        value = "N" if f.kind == "int" else "{" + ",".join(f.choices) + "}"
+        note = "required" if f.default is None else f"default {f.default}"
+        rows.append((f"{f.name}={value}", f"{f.help} ({note})"))
+    rows.append(("-h, --help", "show this help"))
+    head = f"usage: hypermap {name}{' [INPUT]' if command.kind else ''} [FLAGS]"
+    return f"{head}\n\n{command.help}\n\n{_columns(rows)}"
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
+    """The command and its flags, read off the command's ``COMMANDS`` row.
+
+    The namespace holds ``command``, ``input`` when the command reads one,
+    and one attribute per flag.  A value follows its flag after ``=`` or as
+    the next argument; a flag may be cut to a prefix that names it alone;
+    the last of a repeated flag wins; the input may stand anywhere, and
+    ``--`` ends the flags.  A command line that cannot be read raises
+    InputError with one line; help and the version raise HelpRequested.
+    """
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    name = next(tokens, None)
+    if name is None:
+        raise InputError(f"missing command: one of {', '.join(COMMANDS)}")
+    if _is_flag(name):
+        flag = _match(name.partition("=")[0], ("-h", "--help", "--version"))
+        raise HelpRequested(__version__ if flag == "--version" else _usage())
+    command = COMMANDS.get(name)
+    if command is None:
+        raise InputError(f"unknown command {name!r}: one of {', '.join(COMMANDS)}")
+    flags = {f.name: f for f in command.flags}
+    names = (*flags, "-h", "--help")
+    values = {f.name: f.default for f in command.flags}
+    inputs: List[str] = []
+    for token in tokens:
+        if token == "--":
+            inputs.extend(tokens)
+        elif not _is_flag(token):
+            inputs.append(token)
+        else:
+            key, eq, text = token.partition("=")
+            key = _match(key, names)
+            if key not in flags:
+                raise HelpRequested(_command_usage(name, command))
+            flag = flags[key]
+            if flag.kind == "switch":
+                if eq:
+                    raise InputError(f"{key} takes no value, got {text!r}")
+                values[key] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None or _is_flag(text):
+                    raise InputError(f"{key} needs a value")
+            if flag.kind == "int":
+                values[key] = _int(text, key, "value")
+            elif text in flag.choices:
+                values[key] = text
+            else:
+                choices = ", ".join(flag.choices)
+                raise InputError(f"{key} must be one of {choices}, got {text!r}")
+    missing = [key for key, value in values.items() if value is None]
+    if missing:
+        raise InputError(f"{name} needs {' and '.join(missing)}")
+    if len(inputs) > (command.kind is not None):
+        raise InputError(f"unexpected argument {inputs[-1]!r}")
+    args = SimpleNamespace(command=name)
+    if command.kind is not None:
+        args.input = inputs[0] if inputs else None
+    for key, value in values.items():
+        setattr(args, key[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
     sys.setrecursionlimit(10000)
-    if _parser is None:  # built once per process; parse_args keeps no state
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.11+; _int bounds every input
+        sys.set_int_max_str_digits(0)  # so a count of any length prints
     try:
-        return _run(args)
+        return _run(parse_args(argv))
+    except HelpRequested as exc:
+        print(exc)
+        return 0
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

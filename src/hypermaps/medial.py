@@ -36,7 +36,7 @@ from .hypermap import Hypermap
 from .nclattice import refinement_count, refinement_profile, refinement_sum
 from .perm import Permutation
 from .poly import UniPoly
-from .whitney import InstanceTooLarge
+from .whitney import InstanceTooLarge, over_cap
 
 
 def minus(i: int) -> int:
@@ -160,7 +160,7 @@ def circuit_partition_polynomial(
     if max_states is not None:
         count = refinement_count(h.alpha)
         if count > max_states:
-            raise InstanceTooLarge(f"{count} matchings exceed the cap of {max_states}")
+            raise InstanceTooLarge(over_cap(count, "matchings", max_states))
     if h.genus != 0:
         sinv = h.sigma.inverse()
         return UniPoly(

@@ -314,10 +314,12 @@ def refinement_profile(
     levels = block_weight is not None
     weight = block_weight or complement_weight
     radix = alpha.n + 1
-    # w[k] for a closed block of k points; none is empty or longer than n.
-    w = [0] + [weight(k) for k in range(1, radix)] if weight else [1] * radix
-    points = [p for c in alpha.cycles() for p in c]
-    cycle_ends = set(accumulate(len(c) for c in alpha.cycles()))
+    cycles = alpha.cycles()
+    # w[k] for a closed block of k points; a block or a stack lies in one cycle.
+    top = max(map(len, cycles), default=0) + 1
+    w = [0] + [weight(k) for k in range(1, top)] if weight else [1] * top
+    points = [p for c in cycles for p in c]
+    cycle_ends = set(accumulate(len(c) for c in cycles))
     last = {classes[p]: t for t, p in enumerate(points)}
     active: List[Hashable] = []  # classes with a label in the state, by entry
     states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}

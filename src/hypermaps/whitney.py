@@ -77,6 +77,7 @@ z(sigma)).  The decoded R(1,1) must equal the refinement count, else
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, euler_number, orbits
@@ -103,6 +104,19 @@ class WhitneyResult:
 
 class InstanceTooLarge(ValueError):
     """Raised when a size guard would be exceeded."""
+
+
+def over_cap(count: int, things: str, cap: int) -> str:
+    """Refusal text such as ``12 refinements exceed the cap of 10``.
+
+    A count past 30 digits is named by its length, as in ``a 4,516-digit
+    count of refinements exceeds the cap of 10``.
+    """
+    if count < 10 ** 30:
+        return f"{count} {things} exceed the cap of {cap}"
+    digits = int(count.bit_length() * math.log10(2))  # exact or one short
+    digits += count >= 10 ** digits
+    return f"a {digits:,}-digit count of {things} exceeds the cap of {cap}"
 
 
 def _pivot(alf: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:

@@ -320,16 +320,7 @@ def test_selftest_reports_failures_under_optimize():
     assert r.stdout.strip() == "['whitney-three-routes']"
 
 
-def test_main_reuses_one_parser(monkeypatch, capsys):
-    built = []
-    build_parser = cli.build_parser
-
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+def test_main_in_process_matches_a_fresh_process(monkeypatch, capsys):
     doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
     calls = [
         (["whitney", "--json"], RUNNING),
@@ -340,15 +331,92 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
         (["charpoly"], RUNNING),
     ]
     for argv, text in calls:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        out, err = capsys.readouterr()
+        rc, out, err = run_in_process(argv, text, monkeypatch, capsys)
         fresh = run_cli(argv, text)
         assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert len(built) == 1
+
+
+def test_importing_the_cli_loads_no_argparse():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, hypermaps.cli\n"
+         "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
+# Each line reads as its last entry does: prefixes, "--flag value", a
+# repeated flag whose last value wins, the input anywhere, "--".
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["whitney", "--meth=phi", "--jso"],
+        ["whitney", "--method", "phi", "--json"],
+        ["whitney", "--method=brute", "--json", "--method=phi"],
+        ["whitney", "-", "--json", "--method=phi"],
+        ["whitney", "--json", "--method=phi", "--", "-"],
+        ["whitney", "--method=phi", "--json"],
+    ],
+)
+def test_flag_forms_read_alike(argv, monkeypatch, capsys):
+    expected = run_in_process(
+        ["whitney", "--method=phi", "--json"], RUNNING, monkeypatch, capsys
+    )
+    assert run_in_process(argv, RUNNING, monkeypatch, capsys) == expected
+    assert expected[0] == 0
+
+
+def test_an_exact_flag_wins_over_a_longer_one(monkeypatch, capsys):
+    assert cli._match("--m", ("--max", "--m", "--method")) == "--m"
+    assert cli._match("--ma", ("--max", "--m", "--method")) == "--max"
+    with pytest.raises(cli.InputError, match="ambiguous flag '--me'"):
+        cli._match("--me", ("--method", "--meta"))
+    two = run_in_process(["colorings", "--m=2"], RUNNING, monkeypatch, capsys)
+    assert run_in_process(["colorings", "--m", "2"], RUNNING, monkeypatch, capsys) == two
+    # a negative number is a value, not a flag
+    assert run_in_process(["colorings", "--m", "-1"], RUNNING, monkeypatch, capsys) == (
+        2, "", "error: --m must be nonnegative, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([], "missing command: one of whitney, genus,"),
+        (["magic"], "unknown command 'magic': one of whitney,"),
+        (["--bogus"], "unknown flag '--bogus'"),
+        (["whitney", "--bogus"], "unknown flag '--bogus'"),
+        (["whitney", "-x"], "unknown flag '-x'"),
+        (["whitney", "--m=dp"], "ambiguous flag '--m': --max-refinements, --method"),
+        (["whitney", "--method"], "--method needs a value"),
+        (["whitney", "--method", "--json"], "--method needs a value"),
+        (["whitney", "--method=magic"],
+         "--method must be one of brute, phi, psi, dp, all, got 'magic'"),
+        (["whitney", "--max-refinements=ten"], "--max-refinements: value 'ten' is not"),
+        (["colorings", "--m=" + "9" * 4301], "--m: value has more than 4300 digits"),
+        (["flows"], "flows needs --q"),
+        (["colorings", "--json=yes", "--m=2"], "--json takes no value, got 'yes'"),
+        (["genus", "a", "b"], "unexpected argument 'b'"),
+        (["selftest", "x"], "unexpected argument 'x'"),
+        (["whitney", "--bad\nflag"], "unknown flag '--bad\\nflag'"),
+    ],
+)
+def test_bad_command_lines_exit_2_with_one_line(argv, error, monkeypatch, capsys):
+    rc, out, err = run_in_process(argv, RUNNING, monkeypatch, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + error) and err.count("\n") == 1, err
+
+
+def test_help_lists_the_table(monkeypatch, capsys):
+    rc, out, err = run_in_process(["--help"], "", monkeypatch, capsys)
+    assert (rc, err) == (0, "")
+    assert all(f"  {name} " in out for name in cli.COMMANDS)
+    for argv in (["whitney", "-h"], ["whitney", "--he"], ["whitney", "--json", "--help"]):
+        rc, out, err = run_in_process(argv, "", monkeypatch, capsys)
+        assert (rc, err) == (0, "")
+        assert out.startswith("usage: hypermap whitney [INPUT] [FLAGS]\n")
+        assert "--method={brute,phi,psi,dp,all}" in out and "(default dp)" in out
+    rc, out, _ = run_in_process(["flows", "-h"], "", monkeypatch, capsys)
+    assert "--q=N" in out and "(required)" in out
 
 
 def test_malformed_inputs_diagnose_cleanly():
@@ -684,16 +752,43 @@ def test_colorings_of_many_buds_factor_by_component():
     assert (r.returncode, r.stdout, r.stderr) == (0, "3486784401\n", "")
 
 
+def test_counts_past_4300_digits_print():
+    # 10,000 buds: 3^10000, past the int-to-str limit of Python 3.11+
+    r = run_cli(["colorings", "--m=3"], "n: 10000\nsigma: (1)\nalpha: (1)\n",
+                timeout=60)
+    assert (r.returncode, r.stderr) == (0, "")
+    digits = r.stdout.strip()
+    assert len(digits) == 4772
+    assert int(digits[-30:]) == 3 ** 10000 % 10 ** 30
+
+
+def test_huge_counts_are_named_by_length_in_refusals():
+    # a path of 15,000 edges has 2^15000 refinements, a 4,516-digit count
+    edges = 15000
+    text = ("sigma: (1)" + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, edges))
+            + f"({2 * edges})\nalpha: "
+            + "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(edges)) + "\n")
+    for command, things in (("whitney", "refinements"), ("circuit-partition", "matchings")):
+        r = run_cli([command], text)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith(
+            f"error: a 4,516-digit count of {things} exceeds the cap of 1000000"
+        ), r.stderr
+        assert r.stderr.count("\n") == 1
+
+
 def test_negative_digraph_vertices_still_parse():
     r = run_cli(["from-digraph"], "-1 2\n2 -1\n")
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("sigma:")
 
 
-def test_unknown_method_is_argparse_error():
+def test_unknown_method_is_a_usage_error():
     r = run_cli(["whitney", "--method=magic"], RUNNING)
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (
+        "error: --method must be one of brute, phi, psi, dp, all, got 'magic'\n"
+    )
 
 
 def test_size_guard_reports_cleanly():

@@ -138,6 +138,26 @@ def test_complement_weight_reaches_every_block():
         assert states == refinement_profile(h.alpha, vertex)[1], h
 
 
+def test_weights_go_no_further_than_the_longest_cycle():
+    # a block or a stack of levels lies in one cycle of alpha, so no weight
+    # past its length is asked for, and the sums still reach every block
+    for h in SPECIAL + seeded_collections(84, 60):
+        longest = max(map(len, h.alpha.cycles()), default=0)
+        asked = set()
+
+        def weight(k):
+            asked.add(k)
+            return PRIMES[k]
+
+        for form, blocks_of in (("block_weight", lambda beta: beta),
+                                ("complement_weight",
+                                 lambda beta: beta.inverse() * h.alpha)):
+            counts, _ = refinement_profile(
+                h.alpha, h.sigma.cycle_labels(), **{form: weight})
+            assert counts == prime_weighted_sum(h, blocks_of), h
+        assert asked == set(range(1, longest + 1)), h
+
+
 def test_weights_on_one_point():
     # the last point is the first, so the root adds its moves
     alpha = Permutation.identity(1)

@@ -1,8 +1,10 @@
-"""Property-based fuzzing of the input parsers and the polynomial text form.
+"""Property-based fuzzing of the input parsers, the command line and the
+polynomial text form.
 
 Every drawn text must either parse or raise ``ValueError`` (the CLI turns
 that into exit 2 with a one-line ``error:``), and nothing else, within a
-fixed deadline per example.
+fixed deadline per example.  Every drawn command line must exit 0, or 2
+with one ``error:`` line.
 
 Drawn values of ``n`` are either small (at most ``SMALL_N``) or above
 ``cli.MAX_POINTS``, up to 10^40, where the parsers must refuse them with
@@ -11,14 +13,20 @@ in between are skipped: they parse, but build tables of up to a million
 entries, which is slow rather than wrong.
 """
 
+import contextlib
+import io
 import json
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermaps.cli import (
+    COMMANDS,
     MAX_POINTS,
+    main,
     parse_digraph,
     parse_hypermap_json,
     parse_hypermap_text,
@@ -165,6 +173,67 @@ digraph_lines = st.one_of(
 @given(st.lists(digraph_lines, max_size=6).map("\n".join))
 def test_digraph_parses_or_raises_value_error(text):
     _parses_or_value_error(parse_digraph, text)
+
+
+# Command lines: drawn from each COMMANDS row's flags, whole or cut to a
+# prefix, with good, bad or missing values, among junk tokens.  Those have no
+# "/" or ".", so it names no file that exists; "-" reads the document.
+DOCUMENTS = {"hypermap": "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n",
+             "digraph": "1 2\n2 1\n", None: ""}
+flag_values = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.sampled_from(["brute", "phi", "psi", "dp", "all", "magic", "", "x", "1e3"]),
+    st.text(alphabet="-=0123456789x \n", max_size=6),
+)
+arg_junk = st.one_of(
+    st.sampled_from(["-", "--", "-h", "--help", "--version", "-x", "--=1"]),
+    st.text(alphabet="-=0123456789abx \n", max_size=8),
+)
+
+
+@st.composite
+def flag_tokens(draw, command):
+    flag = draw(st.sampled_from(command.flags))
+    name = flag.name[:draw(st.integers(min_value=3, max_value=len(flag.name)))]
+    form = draw(st.sampled_from(["bare", "joined", "split"]))
+    if form == "bare":
+        return [name]
+    value = draw(flag_values)
+    return [f"{name}={value}"] if form == "joined" else [name, value]
+
+
+@st.composite
+def command_lines(draw):
+    commands = st.sampled_from(sorted(COMMANDS))
+    name = draw(st.one_of(commands, commands, commands, arg_junk))
+    command = COMMANDS.get(name)
+    parts = arg_junk.map(lambda t: [t])
+    if command:
+        parts = st.one_of(parts, flag_tokens(command), flag_tokens(command))
+    argv = [name] + [t for part in draw(st.lists(parts, max_size=5)) for t in part]
+    return argv, DOCUMENTS[command.kind if command else None]
+
+
+@FUZZ
+@given(command_lines())
+def test_command_lines_exit_0_or_2_with_one_error_line(case):
+    argv, document = case
+    out, err = io.StringIO(), io.StringIO()
+    limit = sys.getrecursionlimit()  # main raises it; hypothesis wants it back
+    # --n-max may reach 10; the selftest itself has tests of its own
+    with mock.patch("hypermaps.selftest.run_selftest", return_value=[]), \
+            mock.patch.object(sys, "stdin", io.StringIO(document)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        finally:
+            sys.setrecursionlimit(limit)
+    if rc == 0:
+        assert err.getvalue() == "", (argv, err.getvalue())
+    else:
+        assert rc == 2, (argv, rc, err.getvalue())
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 exponents = st.integers(min_value=-3, max_value=6)

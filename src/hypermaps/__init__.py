@@ -10,8 +10,9 @@ coloring counts, plus a randomized identity selftest tying these to
 each other and to classical graph invariants.
 
 The core modules (perm, hypermap, poly, nclattice, whitney) load with the
-package; charflow, medial, oracles and selftest, and their public names,
-load on first access, so a command that needs none of them never pays.
+package; charflow, medial, oracles, routes (R's check routes) and selftest,
+and their public names, load on first use, so a command never pays for one
+it does not need.
 """
 
 from .hypermap import Hypermap, dual, merge_components, orbit_count
@@ -44,12 +45,12 @@ _LAZY = {
     name: module
     for module, names in (
         ("charflow", ("characteristic_polynomial", "compatible_coloring_count",
-                      "flow_polynomial", "flow_space", "nowhere_zero_flow_count",
+                      "flow_polynomial", "nowhere_zero_flow_count",
                       "proper_coloring_count", "unique_nz_refinement", "x_interval")),
         ("medial", ("EulerianDigraph", "EulerianMap", "circuit_partition_polynomial",
                     "eulerian_coloring_sum", "from_eulerian_digraph", "medial_digraph",
                     "medial_map", "source_hypermap")),
-        ("oracles", ("coherent_matchings",)),
+        ("oracles", ("coherent_matchings", "flow_space")),
         ("selftest", ("run_selftest",)),
     )
     for name in names

@@ -23,15 +23,16 @@ mu(a1, beta) * t^kappa(sigma, beta).  The flow polynomial is
 
 A flow with values in GF(q) assigns f(i) to every point so that the values
 on each sigma-cycle and each alpha-cycle sum to zero; the solution space has
-dimension n + kappa - z(sigma) - z(alpha).  A flow is nowhere zero when
-f(i) = 0 only happens on alpha fixed points (buds).  Proper colorings and
-nowhere-zero flows are counted as values of chi and C on graph maps.
+dimension n + kappa - z(sigma) - z(alpha), as ``oracles.flow_space``
+checks by elimination.  A flow is nowhere zero when f(i) = 0 only happens
+on alpha fixed points (buds).  Proper colorings and nowhere-zero flows are
+counted as values of chi and C on graph maps.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .hypermap import Hypermap
 from .nclattice import is_refinement, mobius_nc, refinement_profile
@@ -165,28 +166,6 @@ def _graph_map(edges: Sequence[Tuple[int, int]]) -> Hypermap:
                     Permutation.from_cycles(n, zip(range(1, n, 2), range(2, n + 1, 2))))
 
 
-class FlowSpace(NamedTuple):
-    """Nullspace of the cycle-sum equations over a prime field."""
-
-    q: int
-    n: int
-    dimension: int
-    basis: Tuple[Tuple[int, ...], ...]  # vectors indexed by point - 1
-
-    def count(self) -> int:
-        return self.q ** self.dimension
-
-    def vectors(self) -> Iterator[Tuple[int, ...]]:
-        q, n = self.q, self.n
-        for coeffs in product(range(q), repeat=self.dimension):
-            vec = [0] * n
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    for i in range(n):
-                        vec[i] = (vec[i] + c * b[i]) % q
-            yield tuple(vec)
-
-
 # Miller-Rabin with these bases is exact for every q < 2^64.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -217,53 +196,6 @@ def check_prime(q: int) -> None:
         raise ValueError(f"q must be below 2^64, got a {q.bit_length()}-bit q")
     if q < 2 or not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-
-
-def flow_space(h: Hypermap, q: int) -> FlowSpace:
-    """Gaussian elimination over GF(q) on one equation per cycle.
-
-    The resulting dimension always equals n + kappa - z(sigma) - z(alpha),
-    which the selftest and the tests check.
-    """
-    check_prime(q)
-    n = h.n
-    rows: List[List[int]] = []
-    for perm in (h.sigma, h.alpha):
-        for c in perm.cycles():
-            row = [0] * n
-            for p in c:
-                row[p - 1] = (row[p - 1] + 1) % q
-            rows.append(row)
-    pivots: List[int] = []
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % q != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % q:
-                factor = rows[r][col]
-                rows[r] = [
-                    (a - factor * b) % q for a, b in zip(rows[r], rows[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis: List[Tuple[int, ...]] = []
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rows[r][fc]) % q
-        basis.append(tuple(vec))
-    return FlowSpace(q=q, n=n, dimension=n - rank, basis=tuple(basis))
 
 
 def is_flow(h: Hypermap, f: Tuple[int, ...], q: int) -> bool:

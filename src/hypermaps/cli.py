@@ -50,7 +50,7 @@ from typing import (
 from . import __version__
 from .hypermap import Hypermap, dual
 from .nclattice import refinement_count
-from .perm import Permutation
+from .perm import Permutation, cycle_text
 from .whitney import (
     METHODS, InstanceTooLarge, over_cap, wet_dry_polynomial, whitney
 )
@@ -59,6 +59,7 @@ if TYPE_CHECKING:
     from .medial import EulerianDigraph
 
 DEFAULT_REFINEMENT_CAP = 10 ** 6
+_RAISE_CAP = "(raise with --max-refinements or --no-size-guard)"
 # Longest integer any input may hold: CPython's default int(str) bound, checked by
 # length so every interpreter answers alike.
 MAX_DIGITS = 4300
@@ -91,9 +92,7 @@ class HypermapDocument(NamedTuple):
         if perm.n == 0:
             return "()"
         lab = self.labels
-        return "".join(
-            "(" + " ".join(str(lab[p - 1]) for p in c) + ")" for c in perm.cycles()
-        )
+        return cycle_text(perm.cycles(), lambda p: str(lab[p - 1]))
 
     def cycles_json(self, perm: Permutation) -> List[List[int]]:
         lab = self.labels
@@ -365,8 +364,7 @@ def _whitney(args, doc: HypermapDocument):
     count = None if args.no_size_guard else refinement_count(h.alpha)
     if count is not None and count > args.max_refinements:
         raise InstanceTooLarge(
-            over_cap(count, "refinements", args.max_refinements)
-            + " (raise with --max-refinements or --no-size-guard)"
+            f"{over_cap(count, 'refinements', args.max_refinements)} {_RAISE_CAP}"
         )
     methods = METHODS if args.method == "all" else (args.method,)
     runs = {m: whitney(h, m) for m in (METHODS if args.check else methods)}
@@ -397,23 +395,26 @@ def _dual(args, doc: HypermapDocument):
 
 
 def _medial(args, doc: HypermapDocument):
-    from .medial import medial_map, signed_name
+    from .medial import base, is_plus, medial_map
     m = medial_map(doc.hypermap)
-    sig = [[signed_name(p) for p in c] for c in m.sigma_prime.cycles()]
-    alf = [[signed_name(p) for p in c] for c in m.alpha_prime.cycles()]
 
-    def render(cycles):
-        return "".join("(" + " ".join(c) + ")" for c in cycles)
+    def name(p):  # a signed point, named by the label of its base point
+        return f"{doc.labels[base(p) - 1]}{'+' if is_plus(p) else '-'}"
 
+    sig = [[name(p) for p in c] for c in m.sigma_prime.cycles()]
+    alf = [[name(p) for p in c] for c in m.alpha_prime.cycles()]
     result = {"sigma_prime": sig, "alpha_prime": alf, "genus": m.genus}
-    return result, f"sigma': {render(sig)}\nalpha': {render(alf)}", "medial", {}
+    return result, f"sigma': {cycle_text(sig)}\nalpha': {cycle_text(alf)}", "medial", {}
 
 
 def _circuit_partition(args, doc: HypermapDocument):
     from .medial import circuit_partition_polynomial
     h = doc.hypermap
     cap = None if args.no_size_guard else args.max_refinements
-    poly = circuit_partition_polynomial(h, max_states=cap)
+    try:
+        poly = circuit_partition_polynomial(h, max_states=cap)
+    except InstanceTooLarge as exc:
+        raise InstanceTooLarge(f"{exc} {_RAISE_CAP}") from None
     method = "dp" if h.genus == 0 else "states"
     return poly.to_string("x"), poly.to_string("x"), method, {}
 

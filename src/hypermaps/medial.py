@@ -34,7 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap
 from .nclattice import refinement_count, refinement_profile, refinement_sum
-from .perm import Permutation
+from .perm import Permutation, cycle_text
 from .poly import UniPoly
 from .whitney import InstanceTooLarge, over_cap
 
@@ -106,13 +106,9 @@ class EulerianMap:
         return tuple(out)
 
     def __repr__(self) -> str:
-        return f"EulerianMap(sigma'={_signed_cycles(self.sigma_prime)}, alpha'={_signed_cycles(self.alpha_prime)})"
-
-
-def _signed_cycles(p: Permutation) -> str:
-    return "".join(
-        "(" + " ".join(signed_name(x) for x in c) + ")" for c in p.cycles()
-    )
+        sig = cycle_text(self.pair.sigma.cycles(), signed_name)
+        alf = cycle_text(self.pair.alpha.cycles(), signed_name)
+        return f"EulerianMap(sigma'={sig}, alpha'={alf})"
 
 
 def medial_map(h: Hypermap) -> EulerianMap:

@@ -8,19 +8,15 @@ first appear along the parent cycle.  Refinements of a single m-cycle are
 therefore in bijection with noncrossing partitions of an m-element cycle and
 are counted by the Catalan number Cat(m) = binom(2m, m) / (m + 1).
 When a term needs only kappa(sigma, beta), z(beta) and a weight per block
-of beta or of its Kreweras complement beta^-1 alpha, two routes read
-alpha's cycles as a stack of open blocks, each joining the classes of the
-points in a block of beta (sigma's cycles for kappa(sigma, beta)).
-``refinement_profile`` sums over the refinements without listing them, by
-a frontier dynamic program that merges equal states and carries every
-weight; ``refinement_walk`` counts them one by one, by a depth-first walk
-of the same moves that merges nothing and weighs nothing, and checks it.
-``refinements`` streams each beta as a ``Permutation``, caching nothing, for
-terms that need more of it, such as z(beta^-1 sigma) at positive genus.
-Most refinements are leaves of that walk (Cat(m) of about 1.4 Cat(m) nodes
-for one m-cycle), so neither walk pushes a frame for the last point:
-``refinements`` yields its moves at their parent, and ``refinement_walk``
-counts the moves of the last two points at the frame before them.
+of beta or of its Kreweras complement beta^-1 alpha,
+``refinement_profile`` reads alpha's cycles as a stack of open blocks,
+each joining the classes of the points in a block of beta (sigma's cycles
+for kappa(sigma, beta)), and sums over the refinements without listing
+them, by a frontier dynamic program that merges equal states and carries
+every weight.  ``routes.refinement_walk``, a check route, counts them one
+by one along the same moves.  ``refinements`` streams each beta as a
+``Permutation``, caching nothing, for terms that need more of it, such as
+z(beta^-1 sigma) at positive genus.
 Reading a cycle point by point, one complement block lies open between two
 stack levels and one above the top, so with H blocks open, joining the
 block at depth d closes a complement block of H - d points, and the end of
@@ -87,16 +83,17 @@ def refinements(alpha: Permutation) -> Iterator[Permutation]:
 
     Cut at a cycle's first point, the open blocks of a noncrossing partition
     form a stack (Kreweras 1972).  A depth-first walk of alpha's points, from
-    an explicit list of pending moves as in ``refinement_walk``: a point
-    opens a block or joins the open block at some depth, which closes every
-    block above it, and the end of a cycle closes them all.  A join maps the
+    an explicit list of pending moves: a point opens a block or joins the
+    open block at some depth, which closes every block above it, and the
+    end of a cycle closes them all.  A join maps the
     block's latest point to the new point and a close maps it back to the
     block's first, so each block is the cycle through its points in alpha's
     order, the genus zero orientation.  Each path from the root writes every
     image once, so one image table serves every leaf and nothing is kept.
-    The last point ends the last cycle, so its parent closes the stack and
-    yields each of its moves in turn, open first, then joins from the
-    bottom up, the order in which their frames would pop.
+    Most refinements are leaves (Cat(m) of about 1.4 Cat(m) nodes for one
+    m-cycle), so the last point, which ends the last cycle, pushes no frame:
+    its parent closes the stack and yields each of its moves in turn, open
+    first, then joins from the bottom up, the order their frames would pop.
     """
     cycles = sorted(alpha.cycles(), key=len)
     points = [p for c in cycles for p in c]
@@ -158,117 +155,6 @@ def refinement_sum(
     return totals
 
 
-def refinement_walk(
-    alpha: Permutation, classes: Sequence[int]
-) -> Dict[Tuple[int, int], int]:
-    """Refinement counts by (kappa, z(beta)), one refinement at a time.
-
-    classes[p] in 0..K-1 is the class of point p.  For a refinement beta <=
-    alpha, kappa is the number of classes left once the classes of every
-    beta-block are joined.  Nothing is weighed: each refinement adds 1.
-
-    A depth-first walk of the moves of ``refinements``, from an explicit
-    list of pending moves, so its depth is not bounded by the recursion
-    limit.  A join unions the point's class with the block's in a
-    union-find with an undo log, which a move cuts back to its parent's
-    length, so each refinement costs O(1) amortized steps and no state is
-    merged.  Unless alpha fixes every point (then beta = alpha is the only
-    refinement), the last two points lie on one cycle, and they push no
-    frame and apply no union.  The frame before them reads the roots of
-    its stack once; for each move of the second-to-last point it counts
-    the last point's moves on a copy of those roots: an open adds 1 at
-    (kappa, z + 1), and a join adds 1 at (kappa, z), or at (kappa - 1, z)
-    when the two roots differ.  A join of the second-to-last point that
-    merges two roots renames one in the copy.  Counts go to a flat list
-    over the pairs a refinement can reach: with N points on c cycles, z
-    lies in c..N and kappa in top - (N - c)..top, top the number of
-    classes, so the list has (N - c + 1)^2 slots, and N - c is at most
-    log2 of the number of refinements.  It is read into a dict once at
-    the end.  Shorter cycles are read first,
-    so the walk branches as late as it can and fixed points are not walked
-    again for every refinement.  It shares nothing with
-    ``refinement_profile``, which it checks.
-    """
-    cycles = sorted(alpha.cycles(), key=len)
-    points = [p for c in cycles for p in c]
-    if not points:
-        return {(0, 0): 1}
-    cls = [classes[p] for p in points]
-    top = len(set(cls))  # kappa is top less the unions in the log
-    if len(cycles[-1]) == 1:  # alpha fixes every point, so beta = alpha
-        return {(top, len(points)): 1}
-    last = len(points) - 1
-    ends = {t - 1 for t in accumulate(len(c) for c in cycles)}
-    parent = list(range(max(cls) + 1))
-    size = [1] * len(parent)
-    log: List[int] = []
-    base = len(cycles)  # the least z; kappa is at least top - (radix - 1)
-    radix = len(points) - base + 1
-    tally = [0] * (radix * radix)  # (kappa, z) at (top - kappa) * radix + z - base
-    # The state after point t: the stack's class labels and z; a pending move
-    # of t + 1 adds its depth (-1 opens) and the log length it starts from.
-    t, stack, z, todo = -1, (), 0, []
-    while True:
-        if t + 2 < last:
-            mark = len(log)
-            todo += [(t + 1, d, stack, z, mark) for d in range(len(stack) - 1, -2, -1)]
-        else:
-            # The last two points, u then x, read off the roots of the stack.
-            ru, rx = cls[last - 1], cls[last]
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rx] != rx:
-                rx = parent[rx]
-            roots = []
-            for b in stack:
-                while parent[b] != b:
-                    b = parent[b]
-                roots.append(b)
-            at = len(log) * radix + z - base
-            # u opens; x then opens, or joins a block, one class fewer if
-            # the block's root differs from x's.  u and x share a cycle.
-            tally[at + 2] += 1
-            for r in roots + [ru]:
-                tally[at + 1 + radix * (r != rx)] += 1
-            # u joins the block at depth d; a merge renames b to ru.
-            for d, b in enumerate(roots):
-                below, rxd, k = roots[:d], rx, at
-                if b != ru:
-                    below = [ru if r == b else r for r in below]
-                    rxd = ru if rx == b else rx
-                    k += radix
-                tally[k + 1] += 1
-                for r in below:
-                    tally[k + radix * (r != rxd)] += 1
-                tally[k + radix * (ru != rxd)] += 1
-        if not todo:
-            return {
-                (top - i // radix, base + i % radix): c
-                for i, c in enumerate(tally) if c
-            }
-        t, d, stack, z, mark = todo.pop()
-        while len(log) > mark:
-            r = log.pop()
-            size[parent[r]] -= size[r]
-            parent[r] = r
-        if d < 0:
-            stack, z = stack + (cls[t],), z + 1
-        else:
-            a, b = cls[t], stack[d]
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                a, b = (a, b) if size[a] <= size[b] else (b, a)
-                parent[a] = b
-                size[b] += size[a]
-                log.append(a)
-            stack = stack[: d + 1]
-        if t in ends:
-            stack = ()
-
-
 def refinement_profile(
     alpha: Permutation,
     classes: Sequence[Hashable],
@@ -278,8 +164,8 @@ def refinement_profile(
     """Weighted refinement counts by (kappa, z(beta)), and states.
 
     classes[p] is the class of point p, and kappa counts the classes left
-    once the classes of every beta-block are joined, as in
-    ``refinement_walk``; with sigma's cycle labels it is kappa(sigma, beta).
+    once the classes of every beta-block are joined; with sigma's cycle
+    labels it is kappa(sigma, beta).
     The count of a pair (k, z) is the sum, over the refinements beta <= alpha
     with kappa = k and z(beta) = z, of the product of block_weight(|b|) over
     the cycles b of beta, or of complement_weight(|c|) over the cycles c of

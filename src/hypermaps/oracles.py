@@ -3,7 +3,8 @@
 Everything here is deliberately naive and coded against textbook
 definitions on graphs or plain enumeration, sharing as little as possible
 with the main code paths.  The selftest subcommand and the test suite both
-compare the fast routes against these.
+compare the fast routes against these.  ``flow_space`` is Gaussian
+elimination over GF(q); ``flows`` reads its dimension off a formula.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations, permutations, product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .charflow import flow_space
+from .charflow import check_prime
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
 from .nclattice import mobius_of_cycles, refinements
@@ -269,6 +270,75 @@ def compatible_coloring_enumeration(
         all((coloring[u] == coloring[v]) == same for u, v, same in pairs)
         for coloring in product(range(colors), repeat=h.sigma.cycle_count)
     )
+
+
+class FlowSpace(NamedTuple):
+    """Nullspace of the cycle-sum equations over a prime field."""
+
+    q: int
+    n: int
+    dimension: int
+    basis: Tuple[Tuple[int, ...], ...]  # vectors indexed by point - 1
+
+    def count(self) -> int:
+        return self.q ** self.dimension
+
+    def vectors(self) -> Iterator[Tuple[int, ...]]:
+        q, n = self.q, self.n
+        for coeffs in product(range(q), repeat=self.dimension):
+            vec = [0] * n
+            for c, b in zip(coeffs, self.basis):
+                if c:
+                    for i in range(n):
+                        vec[i] = (vec[i] + c * b[i]) % q
+            yield tuple(vec)
+
+
+def flow_space(h: Hypermap, q: int) -> FlowSpace:
+    """Gaussian elimination over GF(q) on one equation per cycle.
+
+    The resulting dimension always equals n + kappa - z(sigma) - z(alpha),
+    which the selftest and the tests check.
+    """
+    check_prime(q)
+    n = h.n
+    rows: List[List[int]] = []
+    for perm in (h.sigma, h.alpha):
+        for c in perm.cycles():
+            row = [0] * n
+            for p in c:
+                row[p - 1] = (row[p - 1] + 1) % q
+            rows.append(row)
+    pivots: List[int] = []
+    rank = 0
+    for col in range(n):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] % q != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        rows[rank] = [(x * inv) % q for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % q:
+                factor = rows[r][col]
+                rows[r] = [
+                    (a - factor * b) % q for a, b in zip(rows[r], rows[rank])
+                ]
+        pivots.append(col)
+        rank += 1
+    free_cols = [c for c in range(n) if c not in pivots]
+    basis: List[Tuple[int, ...]] = []
+    for fc in free_cols:
+        vec = [0] * n
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-rows[r][fc]) % q
+        basis.append(tuple(vec))
+    return FlowSpace(q=q, n=n, dimension=n - rank, basis=tuple(basis))
 
 
 def nowhere_zero_flow_enumeration(h: Hypermap, q: int) -> int:

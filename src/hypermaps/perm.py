@@ -12,7 +12,7 @@ here once:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 
 class Permutation:
@@ -143,7 +143,7 @@ class Permutation:
     def cycle_string(self) -> str:
         if self.n == 0:
             return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
+        return cycle_text(self.cycles())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._image == other._image
@@ -153,6 +153,11 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.from_cycles({self.n}, {list(self.cycles())})"
+
+
+def cycle_text(cycles: Iterable[Sequence], name: Callable = str) -> str:
+    """Cycles written as ``(1 2)(3)``, each point as name(point)."""
+    return "".join("(" + " ".join(map(name, c)) + ")" for c in cycles)
 
 
 def swap_values(img: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:

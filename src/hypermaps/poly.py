@@ -169,9 +169,6 @@ class _SparsePoly:
             result = result * self
         return result
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, type(self)) and self.terms == other.terms
 
@@ -262,10 +259,6 @@ class UniPoly(_SparsePoly):
     @classmethod
     def monomial(cls, coeff: int, e: int) -> "UniPoly":
         return cls({e: coeff})
-
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls({1: 1})
 
     @classmethod
     def parse(cls, text: str, var: str = "x") -> "UniPoly":

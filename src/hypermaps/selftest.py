@@ -354,7 +354,7 @@ def require_flow_space(
     z(alpha); up to max_listed vectors (None: all) are listed and checked."""
     expected = h.n + h.kappa - h.sigma.cycle_count - h.alpha.cycle_count
     for q in sizes:
-        space = charflow.flow_space(h, q)
+        space = oracles.flow_space(h, q)
         _require(space.dimension == expected and space.count() == q ** expected,
                  f"flow space dimension over GF({q})", h)
         if max_listed is None or space.count() <= max_listed:

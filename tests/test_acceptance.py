@@ -21,7 +21,6 @@ from test_whitney import phi_expansion
 from hypermaps import charflow
 from hypermaps.charflow import (
     characteristic_polynomial,
-    flow_space,
     is_flow,
     proper_coloring_count,
     unique_nz_refinement,
@@ -40,11 +39,13 @@ from hypermaps.oracles import (
     circuits_of_state,
     eulerian_edge_colorings,
     eulerian_valence_sum,
+    flow_space,
     matching_refinement,
     proper_coloring_enumeration,
 )
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
+from hypermaps.routes import branch, pivot_cycle
 from hypermaps.selftest import (
     random_collection,
     random_eulerian_digraph,
@@ -66,8 +67,6 @@ from hypermaps.selftest import (
     run_selftest,
 )
 from hypermaps.whitney import (
-    branch,
-    pivot_cycle,
     whitney_bruteforce,
     whitney_dp,
     whitney_phi,

@@ -7,7 +7,6 @@ from hypermaps.charflow import (
     characteristic_polynomial,
     compatible_coloring_count,
     flow_polynomial,
-    flow_space,
     is_flow,
     nowhere_zero_flow_count,
     proper_coloring_count,
@@ -20,6 +19,7 @@ from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
 from hypermaps.oracles import (
     compatible_coloring_enumeration,
+    flow_space,
     nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,
 )

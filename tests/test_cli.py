@@ -104,6 +104,23 @@ def test_medial_output():
     assert "sigma': (1- 1+ 2- 2+ 3- 3+)(4- 4+ 5- 5+)" in r.stdout
 
 
+def test_medial_names_points_by_the_documents_labels(monkeypatch, capsys):
+    # point 30 is alpha's fixed point; dual and medial both print labels
+    doc = "sigma: (10 20)\nalpha: (20 30)\n"
+    rc, out, err = run_in_process(["medial"], doc, monkeypatch, capsys)
+    assert (rc, err) == (0, "")
+    assert out == ("sigma': (10- 10+)(20- 20+ 30- 30+)\n"
+                   "alpha': (10- 20+)(10+ 20-)(30- 30+)\n")
+    rc, out, err = run_in_process(["medial", "--json"], doc, monkeypatch, capsys)
+    assert json.loads(out)["result"] == {
+        "sigma_prime": [["10-", "10+"], ["20-", "20+", "30-", "30+"]],
+        "alpha_prime": [["10-", "20+"], ["10+", "20-"], ["30-", "30+"]],
+        "genus": 0,
+    }
+    rc, out, err = run_in_process(["dual"], doc, monkeypatch, capsys)
+    assert out == "sigma: (10 30 20)\nalpha: (10)(20 30)\n"
+
+
 def test_circuit_partition():
     r = run_cli(["circuit-partition"], RUNNING)
     assert r.returncode == 0
@@ -191,7 +208,8 @@ def refused_without_listing(doc, monkeypatch, capsys):
     monkeypatch.setattr(medial, "refinement_profile", refuse)
     rc, out, err = run_in_process(["circuit-partition"], doc, monkeypatch, capsys)
     assert (rc, out) == (2, "")
-    assert err == "error: 2674440 matchings exceed the cap of 1000000\n"
+    assert err == ("error: 2674440 matchings exceed the cap of 1000000"
+                   " (raise with --max-refinements or --no-size-guard)\n")
 
 
 FOURTEEN_CYCLE = "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
@@ -590,18 +608,26 @@ def imported_modules(args, stdin=""):
 
 
 def test_cold_subcommands_import_only_what_they_run():
-    # against a bare interpreter: site may load modules of its own
+    # against a bare interpreter: site may load modules of its own; the
+    # check routes (routes) and the oracles load only where they run
     bare = imported_modules(["-c", "pass"])
     heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.medial",
-             "dataclasses", "json", "fractions", "decimal"}
+             "hypermaps.routes", "dataclasses", "json", "fractions", "decimal"}
     optional = {"hypermaps.charflow", "hypermaps.medial", "hypermaps.oracles",
-                "hypermaps.selftest", "fractions", "decimal"}
-    for commands, runs, unwanted in ((("charpoly", "flowpoly"), "charflow", heavy),
-                                     (("whitney", "genus", "wet-dry"), "whitney", optional)):
-        for command in commands:
-            added = imported_modules(["-m", "hypermaps", command], RUNNING) - bare
-            assert f"hypermaps.{runs}" in added, command
-            assert not added & unwanted, (command, sorted(added & unwanted))
+                "hypermaps.selftest", "hypermaps.routes", "fractions", "decimal"}
+    evaluating = heavy - {"fractions", "decimal"}  # UniPoly.evaluate loads fractions
+    for commands, runs, unwanted in (
+        ((["charpoly"], ["flowpoly"], ["flows", "--q=3"]), "charflow", heavy),
+        ((["colorings", "--m=3"], ["flows", "--q=3", "--nowhere-zero"]), "charflow",
+         evaluating),
+        ((["whitney"], ["genus"], ["wet-dry"]), "whitney", optional),
+        ((["whitney", "--method=phi"], ["whitney", "--check"]), "routes",
+         optional - {"hypermaps.routes"}),
+    ):
+        for argv in commands:
+            added = imported_modules(["-m", "hypermaps", *argv], RUNNING) - bare
+            assert f"hypermaps.{runs}" in added, argv
+            assert not added & unwanted, (argv, sorted(added & unwanted))
 
 
 # n is refused before tuple(range(1, n + 1)) could overflow or allocate.
@@ -646,21 +672,27 @@ def test_distinct_points_above_max_points_refused(
     assert (rc, out, err) == (2, "", f"error: {path}: 6 distinct points, more than 5\n")
 
 
-def test_flows_run_no_elimination(monkeypatch, capsys):
+def test_flows_run_no_elimination():
     # the dimension is n + kappa - z(sigma) - z(alpha), and the nowhere-zero
-    # count one flow polynomial value, so neither mode lists or eliminates
-    from hypermaps import charflow
-
-    def refuse(*args):
-        raise AssertionError("flow_space called")
-
-    monkeypatch.setattr(charflow, "flow_space", refuse)
-    doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
-    for argv, count in ((["flows", "--q=3", "--json"], 9),
-                        (["flows", "--q=3", "--nowhere-zero", "--json"], 4)):
-        rc, out, err = run_in_process(argv, doc, monkeypatch, capsys)
-        assert (rc, err) == (0, "")
-        assert json.loads(out)["result"] == {"count": count, "dimension": 2, "q": 3}
+    # count one flow polynomial value, so neither mode lists or eliminates:
+    # oracles, home of the elimination, is never imported
+    script = (
+        "import io, json, sys\n"
+        "from hypermaps import cli\n"
+        "doc = 'sigma: (1 5)(2 6)(3 7)(4 8)\\nalpha: (1 2 3 4)(5 6)(7 8)\\n'\n"
+        "for argv in (['flows', '--q=3', '--json'],\n"
+        "             ['flows', '--q=3', '--nowhere-zero', '--json']):\n"
+        "    sys.stdin, out, sys.stdout = io.StringIO(doc), sys.stdout, io.StringIO()\n"
+        "    rc = cli.main(argv)\n"
+        "    result = json.loads(sys.stdout.getvalue())['result']\n"
+        "    sys.stdout = out\n"
+        "    print(rc, result['count'], result['dimension'])\n"
+        "print('hypermaps.oracles' in sys.modules)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "0 9 2\n0 4 2\nFalse\n", "")
     help_text = run_cli(["flows", "--help"]).stdout
     assert "--max-vectors" not in help_text and "--no-size-guard" not in help_text
 

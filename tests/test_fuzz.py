@@ -4,7 +4,9 @@ polynomial text form.
 Every drawn text must either parse or raise ``ValueError`` (the CLI turns
 that into exit 2 with a one-line ``error:``), and nothing else, within a
 fixed deadline per example.  Every drawn command line must exit 0, or 2
-with one ``error:`` line.
+with one ``error:`` line, and so must every subcommand run on a drawn
+collection of at most 7 points (the selftest's generators, under drawn
+labels) or a drawn Eulerian digraph, with flags left out, valid or bad.
 
 Drawn values of ``n`` are either small (at most ``SMALL_N``) or above
 ``cli.MAX_POINTS``, up to 10^40, where the parsers must refuse them with
@@ -32,6 +34,7 @@ from hypermaps.cli import (
     parse_hypermap_text,
 )
 from hypermaps.poly import BiPoly, UniPoly
+from hypermaps.selftest import random_collection, random_eulerian_digraph, random_map
 
 FUZZ = settings(
     max_examples=150,
@@ -214,10 +217,7 @@ def command_lines(draw):
     return argv, DOCUMENTS[command.kind if command else None]
 
 
-@FUZZ
-@given(command_lines())
-def test_command_lines_exit_0_or_2_with_one_error_line(case):
-    argv, document = case
+def _exits_0_or_2_with_one_error_line(argv, document):
     out, err = io.StringIO(), io.StringIO()
     limit = sys.getrecursionlimit()  # main raises it; hypothesis wants it back
     # --n-max may reach 10; the selftest itself has tests of its own
@@ -234,6 +234,65 @@ def test_command_lines_exit_0_or_2_with_one_error_line(case):
         assert rc == 2, (argv, rc, err.getvalue())
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+@FUZZ
+@given(command_lines())
+def test_command_lines_exit_0_or_2_with_one_error_line(case):
+    _exits_0_or_2_with_one_error_line(*case)
+
+
+# Values a run reads (small caps refuse most inputs with one line), then
+# values it must refuse; genus-bound commands refuse other genera too.
+GOOD = {"--q": ("2", "3", "5"), "--method": ("dp", "brute", "phi", "psi", "all")}
+BAD = ("-1", "4", "x", "", "magic")
+
+
+@st.composite
+def labelled_document(draw):
+    """A collection of at most 7 points from the selftest's generators, its
+    points renamed by distinct labels, written as cycle text or JSON."""
+    rng = draw(st.randoms(use_true_random=False))
+    h = draw(st.sampled_from([random_collection, random_map]))(rng, n_max=7)
+    labels = draw(st.lists(st.integers(min_value=1, max_value=99), unique=True,
+                           min_size=h.n, max_size=h.n))
+    sigma, alpha = ([[labels[p - 1] for p in c] for c in perm.cycles()]
+                    for perm in (h.sigma, h.alpha))
+    if draw(st.booleans()):
+        return json.dumps({"sigma": sigma, "alpha": alpha})
+    return f"sigma: {_cycle_text(sigma)}\nalpha: {_cycle_text(alpha)}\n"
+
+
+@st.composite
+def subcommand_runs(draw):
+    """A subcommand on a drawn input, each flag left out or given a value."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    argv = [name]
+    for flag in command.flags:
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            continue
+        if flag.kind == "switch":
+            argv.append(flag.name)
+        else:
+            bad = draw(st.integers(min_value=0, max_value=4)) == 0
+            values = BAD if bad else GOOD.get(flag.name, ("1", "2", "3", "30"))
+            argv.append(f"{flag.name}={draw(st.sampled_from(values))}")
+    if command.kind == "hypermap":
+        document = draw(labelled_document())
+    elif command.kind == "digraph":
+        rng = draw(st.randoms(use_true_random=False))
+        edges = random_eulerian_digraph(rng, max_vertices=4, max_edges=7).edges
+        document = "".join(f"{a} {b}\n" for a, b in edges)
+    else:
+        document = ""
+    return argv, document
+
+
+@settings(FUZZ, max_examples=300)
+@given(subcommand_runs())
+def test_subcommands_on_drawn_collections_exit_0_or_2(case):
+    _exits_0_or_2_with_one_error_line(*case)
 
 
 exponents = st.integers(min_value=-3, max_value=6)

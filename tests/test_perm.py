@@ -6,7 +6,7 @@ import pytest
 from hypermaps.nclattice import refinements
 from hypermaps.perm import Permutation
 from hypermaps.selftest import random_collection, random_permutation
-from hypermaps.whitney import _phi_k_tables, _relabel
+from hypermaps.routes import _phi_k_tables, _relabel
 
 
 def test_identity():

@@ -1,4 +1,4 @@
-"""The depth-first refinement walk (``nclattice.refinement_walk``).
+"""The depth-first refinement walk (``routes.refinement_walk``).
 
 It serves the brute-force Whitney route, and is checked on one seeded
 corpus against the definitional sum of ``oracles``, which builds a
@@ -23,11 +23,11 @@ from hypermaps.nclattice import (
     catalan,
     refinement_count,
     refinement_profile,
-    refinement_walk,
     refinements,
 )
 from hypermaps.oracles import whitney_refinement_sum, x_interval_sum
 from hypermaps.perm import Permutation
+from hypermaps.routes import refinement_walk
 from hypermaps.selftest import (
     noncrossing_partition,
     random_bounded_cycles,

@@ -11,6 +11,7 @@ import pytest
 from hypermaps.hypermap import Hypermap, dual, orbits
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
+from hypermaps.routes import branch, phi_k, pivot_cycle
 from hypermaps.selftest import (
     random_collection,
     random_permutation,
@@ -19,9 +20,6 @@ from hypermaps.selftest import (
     require_wet_dry,
 )
 from hypermaps.whitney import (
-    branch,
-    phi_k,
-    pivot_cycle,
     specializations,
     wet_dry_polynomial,
     whitney,
@@ -249,7 +247,7 @@ def test_fixed_points_do_not_widen_the_packed_recursion(alpha, monkeypatch):
     ~800,000 bits here and decode them in quadratic time)."""
     n = 100000
     h = make(n, [[2, 70000]], alpha)
-    module = importlib.import_module("hypermaps.whitney")
+    module = importlib.import_module("hypermaps.routes")
     unpack, widths = module._unpack, []
 
     def recording(packed, bits, width):
@@ -368,7 +366,7 @@ def test_each_labelled_component_keyed_once(h, monkeypatch):
     is expanded through its branches k = 1..m, so the k = 1 calls of the
     branch step list the expansions; no two of them share image tables."""
     expanded = []
-    module = importlib.import_module("hypermaps.whitney")
+    module = importlib.import_module("hypermaps.routes")
     step = module._phi_k_tables
 
     def counting(sig, alf, cycle, k):
@@ -404,7 +402,7 @@ def test_each_branch_key_walked_and_checked_once(h, route, monkeypatch):
     check; a key met again is neither walked nor checked.  Outside the
     checks the recursion walks only the input and Euler-checks only the
     pieces of a split, whose tables fix no point (a branch's fix c1)."""
-    module = importlib.import_module("hypermaps.whitney")
+    module = importlib.import_module("hypermaps.routes")
     psi = route is whitney_psi
     tables, check = module._phi_k_tables, module._check_branch
     walk, euler = module.orbits, module.euler_number
@@ -458,7 +456,7 @@ def test_each_branch_key_walked_and_checked_once(h, route, monkeypatch):
 def test_rejecting_a_repeated_branch_still_raises(h, monkeypatch):
     """The branch memo stores a value only after its checks pass: an Euler
     check that rejects the tables of a branch met twice stops phi and psi."""
-    module = importlib.import_module("hypermaps.whitney")
+    module = importlib.import_module("hypermaps.routes")
     tables, euler = module._phi_k_tables, module.euler_number
     for route in (whitney_phi, whitney_psi):
         met = {}
@@ -593,8 +591,9 @@ def test_invariant_checks_raise_under_optimize():
         "ident = Permutation.identity(5)\n"
         "hypermap = importlib.import_module('hypermaps.hypermap')\n"
         "whitney = importlib.import_module('hypermaps.whitney')\n"
-        "phi_k_tables = whitney._phi_k_tables\n"
-        "whitney._phi_k_tables = lambda sig, alf, cycle, k: (\n"
+        "routes = importlib.import_module('hypermaps.routes')\n"
+        "phi_k_tables = routes._phi_k_tables\n"
+        "routes._phi_k_tables = lambda sig, alf, cycle, k: (\n"
         "    ident._image, ident._image, 0)\n"
         "try:\n"
         "    whitney.whitney_phi(h)\n"
@@ -605,15 +604,15 @@ def test_invariant_checks_raise_under_optimize():
         "    Hypermap(ident, ident)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
-        "whitney._phi_k_tables = phi_k_tables\n"
-        "refinement_count = whitney.refinement_count\n"
-        "whitney.refinement_count = lambda alpha: 1\n"
+        "routes._phi_k_tables = phi_k_tables\n"
+        "refinement_count = routes.refinement_count\n"
+        "routes.refinement_count = lambda alpha: 1\n"
         "for route in (whitney.whitney_phi, whitney.whitney_psi):\n"
         "    try:\n"
         "        route(h)\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
-        "whitney.refinement_count = refinement_count\n"
+        "routes.refinement_count = refinement_count\n"
         "hypermap.cycle_count = lambda img: 0\n"
         "try:\n"
         "    whitney.whitney_phi(h)\n"

@@ -11,13 +11,14 @@ and a JSON object::
 
     {"n": 5, "sigma": [[1, 4], [2, 5]], "alpha": [[1, 2, 3], [4, 5]]}
 
-Points omitted from a permutation are fixed points.  Labels do not have to
-be 1..n: without an explicit ``n`` they are compacted order-preservingly and
-all output is rendered through the original labels.  Duplicate or
-out-of-range points are rejected with the offending line and value named,
-and so is any integer of more than ``MAX_DIGITS`` digits; an explicit ``n``
-above ``MAX_POINTS`` is refused with its line named, and a document without
-``n`` that names more than ``MAX_POINTS`` distinct points with its file named.
+Every point sits inside parentheses, and points omitted from a permutation
+are fixed points.  Labels do not have to be 1..n: without an explicit ``n``
+they are compacted order-preservingly and all output is rendered through
+the original labels.  Duplicate or out-of-range points are rejected with
+the offending line and value named, and so is any integer of more than
+``MAX_DIGITS`` digits; an explicit ``n`` above ``MAX_POINTS`` is refused
+with its line named, and a document without ``n`` that names more than
+``MAX_POINTS`` distinct points with its file named.
 
 Every subcommand reads its input from a file argument (``-`` or nothing
 means stdin), prints deterministic canonical text, and with ``--json`` emits
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import chain
 from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -109,50 +111,95 @@ class HypermapDocument(NamedTuple):
         return doc
 
 
+# A token of cycle text: a point, that is a digit run that a separator run or
+# ')' ends (group 1); '(' (2); ')' (3); a separator run; a digit run that
+# something else ends (4); any other character (5).
+_TOKEN = re.compile(r"([0-9]+)(?:[ \t,]+|(?=\)))|(\()|(\))|[ \t,]+|([0-9]+)|(.)", re.S)
+
+
 def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
     """Cycles such as ``(1 2)(3)``; first_col is the column of line[0].
 
     A line that is exactly ``()`` is the permutation of no points, as
     ``HypermapDocument.render_perm`` prints it; an empty cycle among others
-    is refused.
+    is refused, and so is a number outside the parentheses.
     """
     if line == "()":
         return []
     cycles: List[List[int]] = []
     current: Optional[List[int]] = None
-    token = ""
-
-    def flush_token(end_col: int):
-        nonlocal token
-        if token:
+    stray = None  # a digit run that '(', an unexpected character or the end follows
+    for m in _TOKEN.finditer(line):
+        kind = m.lastindex
+        if kind == 1:
+            digits = m.group(1)
             if current is None:
-                raise InputError(f"{where}: point {token} outside any cycle")
-            current.append(_int(token, f"{where}:{end_col - len(token)}", "point"))
-            token = ""
-
-    for col, ch in enumerate(line, start=first_col):
-        if ch == "(":
-            if current is not None:
-                raise InputError(f"{where}:{col}: nested '('")
-            current = []
-        elif ch == ")":
-            flush_token(col)
+                raise InputError(f"{where}: point {digits} outside any cycle")
+            if len(digits) > MAX_DIGITS:
+                _int(digits, f"{where}:{first_col + m.start()}", "point")
+            current.append(int(digits))
+        elif kind == 3:
             if current is None:
-                raise InputError(f"{where}:{col}: unmatched ')'")
+                raise InputError(f"{where}:{first_col + m.start()}: unmatched ')'")
             if not current:
-                raise InputError(f"{where}:{col}: empty cycle")
+                raise InputError(f"{where}:{first_col + m.start()}: empty cycle")
             cycles.append(current)
             current = None
-        elif "0" <= ch <= "9":
-            token += ch
-        elif ch in " \t,":
-            flush_token(col)
-        else:
-            raise InputError(f"{where}:{col}: unexpected character {ch!r}")
+        elif kind == 2:
+            if current is not None:
+                raise InputError(f"{where}:{first_col + m.start()}: nested '('")
+            if stray is not None:
+                raise InputError(f"{where}: point {stray} outside any cycle")
+            current = []
+        elif kind == 4:
+            stray = m.group(4)
+        elif kind == 5:
+            raise InputError(
+                f"{where}:{first_col + m.start()}: unexpected character {m.group(5)!r}"
+            )
     if current is not None:
         raise InputError(f"{where}: unterminated cycle")
-    flush_token(first_col + len(line))
+    if stray is not None:
+        raise InputError(f"{where}: point {stray} outside any cycle")
     return cycles
+
+
+def _points(cycles: Sequence[Sequence[int]], where: str) -> Tuple[List[int], set]:
+    """The points of the cycles in order, and as a set.
+
+    Whole-list checks pass a good permutation; only a bad one is walked
+    point by point, to name its first empty cycle, bad or repeated point.
+    """
+    flat = list(chain.from_iterable(cycles))
+    if all(cycles) and set(map(type, flat)) <= {int} and min(flat, default=1) >= 1:
+        points = set(flat)
+        if len(points) == len(flat):
+            return flat, points
+    seen = set()
+    for cyc in cycles:
+        if not cyc:
+            raise InputError(f"{where}: empty cycle")
+        for p in cyc:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+                import json  # points of cycle text are ints, which JSON shows alike
+                raise InputError(f"{where}: bad point {json.dumps(p)}")
+            if p in seen:
+                raise InputError(f"{where}: duplicate point {p}")
+            seen.add(p)
+    raise AssertionError(f"{where}: the whole-list checks refused good points")
+
+
+def _image(cycles: Sequence[Sequence[int]], flat: List[int], size: int) -> Permutation:
+    """The permutation of 1..size with these cycles; flat lists their points."""
+    img = list(range(size + 1))
+    for a, b in zip(flat, flat[1:]):
+        img[a] = b
+    start = 0
+    for cyc in cycles:  # the last point of each cycle maps back to its first
+        end = start + len(cyc)
+        img[flat[end - 1]] = flat[start]
+        start = end
+    return Permutation._unchecked(tuple(img))
 
 
 def _build_document(
@@ -162,44 +209,27 @@ def _build_document(
     name: Optional[str],
     where: Dict[str, str],
 ) -> HypermapDocument:
-    for key, cycles in (("sigma", sigma_cycles), ("alpha", alpha_cycles)):
-        seen = set()
-        for cyc in cycles:
-            if not cyc:
-                raise InputError(f"{where[key]}: empty cycle")
-            for p in cyc:
-                if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                    import json  # points of cycle text are ints, which JSON shows alike
-                    raise InputError(f"{where[key]}: bad point {json.dumps(p)}")
-                if p in seen:
-                    raise InputError(f"{where[key]}: duplicate point {p}")
-                seen.add(p)
-    points = (
-        {p for cyc in sigma_cycles for p in cyc}
-        | {p for cyc in alpha_cycles for p in cyc}
-    )
+    sigma_flat, sigma_points = _points(sigma_cycles, where["sigma"])
+    alpha_flat, alpha_points = _points(alpha_cycles, where["alpha"])
+    points = sigma_points
+    points |= alpha_points  # in place: sigma's own set is not needed again
     if n is None and len(points) > MAX_POINTS:
         raise InputError(
             f"{where['n']}: {len(points)} distinct points, more than {MAX_POINTS}"
         )
-    points = sorted(points)
-    if n is not None:
-        if points and points[-1] > n:
-            raise InputError(
-                f"{where['n']}: point {points[-1]} out of range 1..{n}"
-            )
-        labels = tuple(range(1, n + 1))
-        compact = {p: p for p in points}
-    else:
-        labels = tuple(points)
-        compact = {p: i + 1 for i, p in enumerate(points)}
+    top = max(points, default=0)
+    if n is not None and top > n:
+        raise InputError(f"{where['n']}: point {top} out of range 1..{n}")
+    if n is None and top != len(points):  # relabel the points 1..size in order
+        labels = tuple(sorted(points))
+        compact = {p: i for i, p in enumerate(labels, 1)}.__getitem__
+        sigma_flat = list(map(compact, sigma_flat))
+        alpha_flat = list(map(compact, alpha_flat))
+    else:  # the points lie in 1..n, or they are 1..top already
+        labels = tuple(range(1, (top if n is None else n) + 1))
     size = len(labels)
-    sigma = Permutation.from_cycles(
-        size, [[compact[p] for p in cyc] for cyc in sigma_cycles]
-    )
-    alpha = Permutation.from_cycles(
-        size, [[compact[p] for p in cyc] for cyc in alpha_cycles]
-    )
+    sigma = _image(sigma_cycles, sigma_flat, size)
+    alpha = _image(alpha_cycles, alpha_flat, size)
     return HypermapDocument(Hypermap(sigma, alpha), labels, name)
 
 
@@ -267,12 +297,19 @@ def _top_level_key_line(text: str, key: str) -> int:
     return line
 
 
+# A digit run longer than MAX_DIGITS.  The lookbehind lets a match start only
+# at a run's first digit, which keeps the search linear in the text.
+_LONG_RUN = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))
+
+
 def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocument:
     import json
 
-    def parse_int(digits: str) -> int:  # looks the line up only if it may refuse
-        return _int(digits, filename if len(digits) <= MAX_DIGITS
-                    else f"{filename}:{_long_integer_line(text)}", "integer")
+    parse_int = None  # json's own int(), unless some integer may be too long
+    if _LONG_RUN.search(text):
+        def parse_int(digits: str) -> int:  # looks the line up only if it refuses
+            return _int(digits, filename if len(digits) <= MAX_DIGITS
+                        else f"{filename}:{_long_integer_line(text)}", "integer")
 
     try:
         obj = json.loads(text, parse_int=parse_int)
@@ -289,7 +326,7 @@ def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocumen
         if key not in obj:
             raise InputError(f"{filename}: missing key {json.dumps(key)}")
         val = obj[key]
-        if not isinstance(val, list) or not all(isinstance(c, list) for c in val):
+        if not isinstance(val, list) or not set(map(type, val)) <= {list}:
             raise InputError(f"{filename}: {key} must be a list of cycles")
     n = obj.get("n")
     if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 0):
@@ -341,10 +378,11 @@ def _read_input(path: Optional[str]) -> Tuple[str, str]:
         raise InputError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
-def _emit(args, payload: Dict, plain: str) -> None:
+def _emit(args, plain: str, payload: Callable[[], Dict]) -> None:
+    """Print the plain text, or under --json the payload, built only then."""
     if args.json:
         import json
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
         print(plain)
 
@@ -600,19 +638,21 @@ def _run(args) -> int:
         raise InputError(
             f"--n-max must be between 1 and {MAX_SELFTEST_N}, got {args.n_max}"
         )
+    # the input_echo of --json, built only there
     if command.kind is None:
-        data, echo = None, {"n_max": args.n_max, "seed": args.seed}
+        data, echo = None, lambda: {"n_max": args.n_max, "seed": args.seed}
     else:
         text, fname = _read_input(args.input)
         if command.kind == "digraph":
             data = parse_digraph(text, fname)
-            echo = {"edges": [list(e) for e in data.edges]}
+            echo = lambda: {"edges": [list(e) for e in data.edges]}
         else:
             data = load_document(text, fname)
-            echo = data.echo()
+            echo = data.echo
     result, plain, method, stats = command.compute(args, data)
-    payload = {"input_echo": echo, "result": result, "method": method, "stats": stats}
-    _emit(args, payload, plain)
+    _emit(args, plain, lambda: {
+        "input_echo": echo(), "result": result, "method": method, "stats": stats
+    })
     return 1 if stats.get("failed") else 0  # failed selftest checks
 
 

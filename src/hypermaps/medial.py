@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .hypermap import Hypermap
+from .hypermap import Hypermap, cycle_count
 from .nclattice import refinement_count, refinement_profile, refinement_sum
 from .perm import Permutation, cycle_text
 from .poly import UniPoly
@@ -158,10 +158,10 @@ def circuit_partition_polynomial(
         if count > max_states:
             raise InstanceTooLarge(over_cap(count, "matchings", max_states))
     if h.genus != 0:
-        sinv = h.sigma.inverse()
-        return UniPoly(
-            refinement_sum(h.alpha, lambda beta: ((sinv * beta).cycle_count, 1))
-        )
+        sinv = h.sigma.inverse()._image
+        return UniPoly(refinement_sum(
+            h.alpha, lambda beta: (cycle_count([sinv[b] for b in beta._image]), 1)
+        ))
     counts, _ = refinement_profile(h.alpha, h.sigma.cycle_labels())
     offset = h.n - h.sigma.cycle_count
     terms: Dict[int, int] = {}

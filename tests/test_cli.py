@@ -512,6 +512,23 @@ def test_empty_collection_reads_back_what_it_prints(monkeypatch, capsys):
         assert run_in_process(["genus"], doc, monkeypatch, capsys) == (2, "", err)
 
 
+# A number that stands outside the parentheses is refused, also where a
+# cycle opens right after it and would otherwise take its digits.
+@pytest.mark.parametrize(
+    "sigma, error",
+    [
+        ("(1 2)3(4)", "<stdin>:1: point 3 outside any cycle"),
+        ("12(3)", "<stdin>:1: point 12 outside any cycle"),
+        ("(1 2) 3", "<stdin>:1: point 3 outside any cycle"),
+    ],
+    ids=["between-cycles", "before-the-first-cycle", "after-the-last-cycle"],
+)
+def test_points_outside_the_parentheses_are_refused(sigma, error, monkeypatch, capsys):
+    doc = f"sigma: {sigma}\nalpha: (1 2)\n"
+    assert run_in_process(["genus"], doc, monkeypatch, capsys) == (
+        2, "", f"error: {error}\n")
+
+
 ALPHA_LINE = "alpha: (1 2 3)\n"
 
 

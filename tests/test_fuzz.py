@@ -7,6 +7,9 @@ fixed deadline per example.  Every drawn command line must exit 0, or 2
 with one ``error:`` line, and so must every subcommand run on a drawn
 collection of at most 7 points (the selftest's generators, under drawn
 labels) or a drawn Eulerian digraph, with flags left out, valid or bad.
+Well-formed drawn documents, written as cycle text with drawn separators and
+comments and as JSON, must load to the collection and labels that a
+reference built with ``Permutation.from_cycles`` gives.
 
 Drawn values of ``n`` are either small (at most ``SMALL_N``) or above
 ``cli.MAX_POINTS``, up to 10^40, where the parsers must refuse them with
@@ -28,11 +31,14 @@ from hypothesis import strategies as st
 from hypermaps.cli import (
     COMMANDS,
     MAX_POINTS,
+    load_document,
     main,
     parse_digraph,
     parse_hypermap_json,
     parse_hypermap_text,
 )
+from hypermaps.hypermap import Hypermap
+from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
 from hypermaps.selftest import random_collection, random_eulerian_digraph, random_map
 
@@ -162,6 +168,68 @@ def test_n_above_max_points_is_refused(sigma, alpha, n):
         parse_hypermap_text(text)
     with pytest.raises(ValueError, match=f"n must be at most {MAX_POINTS}"):
         parse_hypermap_json(json.dumps({"n": n, "sigma": sigma, "alpha": alpha}))
+
+
+# Well-formed documents written with every liberty the cycle text allows.
+separators = st.sampled_from([" ", ",", "\t", "  ", ", ", " ,\t"])
+comments = st.sampled_from(["", "  # a comment", "\t# (1 2) sigma: 3", "#"])
+
+
+@st.composite
+def drawn_cycles(draw, labels):
+    """Some of the labels, in drawn order, cut into cycles."""
+    order = draw(st.permutations(labels))
+    order = order[:draw(st.integers(min_value=0, max_value=len(order)))]
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=max(len(order) - 1, 1))))
+    bounds = [0, *sorted(c for c in cuts if c < len(order)), len(order)]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+@st.composite
+def written_cycles(draw, cycles):
+    """Cycle text for the cycles, with drawn separators around the points."""
+    if not cycles and draw(st.booleans()):
+        return "()"
+    out = ""
+    for cyc in cycles:
+        out += draw(st.sampled_from(["", " ", ",", "\t"])) + "("
+        out += draw(st.sampled_from(["", " ", "\t"]))
+        out += "".join(str(p) + draw(separators) for p in cyc[:-1]) + str(cyc[-1])
+        out += draw(st.sampled_from(["", " ", ","])) + ")"
+    return out
+
+
+@st.composite
+def written_documents(draw):
+    """Drawn cycles of sigma and alpha on labels that need not be 1..n, and
+    the same document as cycle text and as JSON."""
+    if draw(st.booleans()):
+        labels = list(range(1, draw(st.integers(min_value=0, max_value=9)) + 1))
+    else:
+        labels = draw(st.lists(st.integers(min_value=1, max_value=10 ** 12),
+                               unique=True, max_size=9))
+    sigma, alpha = draw(drawn_cycles(labels)), draw(drawn_cycles(labels))
+    lines = [f"sigma: {draw(written_cycles(sigma))}{draw(comments)}",
+             f"alpha: {draw(written_cycles(alpha))}{draw(comments)}"]
+    lines = draw(st.permutations(lines + ["", "# a comment line"]))
+    text = "\n".join(lines)
+    return sigma, alpha, text, json.dumps({"sigma": sigma, "alpha": alpha})
+
+
+@FUZZ
+@given(written_documents())
+def test_cycle_text_and_json_load_as_the_reference(case):
+    sigma, alpha, text, json_text = case
+    labels = sorted({p for cyc in sigma + alpha for p in cyc})
+    index = {p: i for i, p in enumerate(labels, 1)}
+    reference = Hypermap(*(
+        Permutation.from_cycles(len(labels), [[index[p] for p in c] for c in cycles])
+        for cycles in (sigma, alpha)
+    ))
+    for document in (text, json_text):
+        doc = load_document(document)
+        assert doc.hypermap == reference, document
+        assert doc.labels == tuple(labels), document
 
 
 digraph_lines = st.one_of(

@@ -44,13 +44,13 @@ from .whitney import (
 _LAZY = {
     name: module
     for module, names in (
-        ("charflow", ("characteristic_polynomial", "compatible_coloring_count",
-                      "flow_polynomial", "nowhere_zero_flow_count",
-                      "proper_coloring_count", "unique_nz_refinement", "x_interval")),
+        ("charflow", ("characteristic_polynomial", "flow_polynomial",
+                      "nowhere_zero_flow_count", "proper_coloring_count")),
         ("medial", ("EulerianDigraph", "EulerianMap", "circuit_partition_polynomial",
                     "eulerian_coloring_sum", "from_eulerian_digraph", "medial_digraph",
                     "medial_map", "source_hypermap")),
-        ("oracles", ("coherent_matchings", "flow_space")),
+        ("oracles", ("coherent_matchings", "compatible_coloring_count", "flow_space",
+                     "unique_nz_refinement", "x_interval")),
         ("selftest", ("run_selftest",)),
     )
     for name in names

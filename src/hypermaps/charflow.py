@@ -6,17 +6,17 @@ mu(id, beta), a product of ``mobius_nc`` over beta's blocks, and C(t) by
 mu(beta, alpha), a product over the cycles of the Kreweras complement
 beta^-1 alpha.  The stack of open blocks closes the blocks of either side
 whole at a height it knows, so each is one ``refinement_profile`` pass,
-which never lists the refinements.  X is one more such pass, in the level
-form, over the refinements delta of alpha1^-1 alpha2, weighted by
-``mobius_nc`` per block of delta.
+which never lists the refinements.  Such a pass checks its total at t = 1:
+chi(1) = C(1) = 1 if alpha is the identity and 0 otherwise, since Moebius
+values sum to zero over a nontrivial interval.  A count is one pass of the
+evaluated kind, which carries one int per state instead of a polynomial.
 
 The characteristic polynomial of (sigma, alpha) is
 
     chi(t) = sum over beta <= alpha of mu(id, beta)
              * t^(kappa(sigma, beta) - kappa(sigma, alpha)),
 
-and the interval variant is X([a1, a2]; t) = sum over beta in [a1, a2] of
-mu(a1, beta) * t^kappa(sigma, beta).  The flow polynomial is
+and the flow polynomial is
 
     C(t) = sum over beta <= alpha of mu(beta, alpha)
            * t^(n + kappa(sigma, beta) - z(beta) - z(sigma)).
@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .hypermap import Hypermap
-from .nclattice import is_refinement, mobius_nc, refinement_profile
+from .nclattice import mobius_nc, refinement_profile, require_total
 from .perm import Permutation
 from .poly import UniPoly
 
@@ -43,41 +43,17 @@ from .poly import UniPoly
 def characteristic_polynomial(h: Hypermap) -> UniPoly:
     vertex = h.sigma.cycle_labels()
     counts, _ = refinement_profile(h.alpha, vertex, block_weight=mobius_nc)
+    require_total(counts, h.alpha.cycle_count == h.n, "chi(1)")
     terms: Dict[int, int] = {}
     for (kb, _), c in counts.items():
         terms[kb - h.kappa] = terms.get(kb - h.kappa, 0) + c
     return UniPoly(terms)
 
 
-def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
-    """X([alpha1, alpha2]; t) with exponents kappa(sigma, beta).
-
-    beta = alpha1 delta maps the refinements delta of alpha1^-1 alpha2 onto
-    [alpha1, alpha2], and mu(alpha1, beta) = mu(id, delta) (Biane 1997).
-    As alpha1 <= beta, the orbits of <sigma, beta> are those of <sigma,
-    alpha1, delta>, so one ``refinement_profile`` pass over delta, with the
-    orbits of <sigma, alpha1> as the classes and ``mobius_nc`` as the block
-    weight, gives every term.
-    """
-    if not is_refinement(alpha2, h.alpha):
-        raise ValueError("alpha2 must refine the collection's alpha")
-    if not is_refinement(alpha1, alpha2):
-        raise ValueError("alpha1 must refine alpha2")
-    orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(Hypermap(h.sigma, alpha1).components()):
-        for p in comp:
-            orbit[p] = i
-    delta = alpha1.inverse() * alpha2
-    counts, _ = refinement_profile(delta, orbit, block_weight=mobius_nc)
-    terms: Dict[int, int] = {}
-    for (kb, _), c in counts.items():
-        terms[kb] = terms.get(kb, 0) + c
-    return UniPoly(terms)
-
-
 def flow_polynomial(h: Hypermap) -> UniPoly:
     vertex = h.sigma.cycle_labels()
     counts, _ = refinement_profile(h.alpha, vertex, complement_weight=mobius_nc)
+    require_total(counts, h.alpha.cycle_count == h.n, "C(1)")
     base = h.n - h.sigma.cycle_count
     terms: Dict[int, int] = {}
     for (kb, zb), c in counts.items():
@@ -97,28 +73,6 @@ def proper_coloring_count(h: Hypermap, colors: int) -> int:
     return _distinct_colorings(h.sigma.cycle_count, groups, colors)
 
 
-def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> int:
-    """Colorings constant on alpha1-hyperedges and proper across the rest.
-
-    Vertices meeting a common alpha1-cycle share a color, so they merge into
-    the orbits of <sigma, alpha1>.  Each alpha-cycle then asks distinct
-    colors of the orbits of its alpha1-cycles; an orbit met by two of them
-    kills the count.  ``oracles.compatible_coloring_enumeration`` lists all
-    colors^V colorings.
-    """
-    if not is_refinement(alpha1, h.alpha):
-        raise ValueError("alpha1 must refine alpha")
-    merged = Hypermap(h.sigma, alpha1)
-    orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(merged.components()):
-        for p in comp:
-            orbit[p] = i
-    cycle1 = alpha1.cycle_labels()
-    groups = (list({cycle1[p]: orbit[p] for p in c}.values())
-              for c in h.alpha.cycles())
-    return _distinct_colorings(merged.kappa, groups, colors)
-
-
 def _distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) -> int:
     """Colorings of vertices 0..nv-1 giving each group's vertices distinct colors.
 
@@ -126,7 +80,8 @@ def _distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) -
     d <= 1 takes colors - d colors whatever the others take, so such
     vertices are removed one at a time with that factor, which keeps trees
     and long paths away from the frontier DP.  What is left counts as
-    colors^kappa * chi(colors) of its map.
+    colors^kappa * chi(colors) of its map, the sum of mu(id, beta) *
+    colors^kappa(sigma, beta): the level form evaluated at (colors, 1).
     """
     adj: List[Set[int]] = [set() for _ in range(nv)]
     for g in groups:
@@ -148,7 +103,9 @@ def _distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) -
     if not total:
         return 0
     g = _graph_map([(u, v) for u in range(nv) for v in sorted(adj[u]) if u < v])
-    return total * colors ** g.kappa * characteristic_polynomial(g).evaluate(colors)
+    value, _ = refinement_profile(g.alpha, g.sigma.cycle_labels(),
+                                  block_weight=mobius_nc, at=(colors, 1))
+    return total * value
 
 
 def _graph_map(edges: Sequence[Tuple[int, int]]) -> Hypermap:
@@ -198,16 +155,6 @@ def check_prime(q: int) -> None:
         raise ValueError(f"q must be prime, got {q}")
 
 
-def is_flow(h: Hypermap, f: Tuple[int, ...], q: int) -> bool:
-    if len(f) != h.n:
-        raise ValueError("flow vector length mismatch")
-    for perm in (h.sigma, h.alpha):
-        for c in perm.cycles():
-            if sum(f[p - 1] for p in c) % q != 0:
-                return False
-    return True
-
-
 def nowhere_zero_flow_count(h: Hypermap, q: int) -> int:
     """Count flows over GF(q) whose zeros all sit on alpha fixed points (buds).
 
@@ -218,7 +165,10 @@ def nowhere_zero_flow_count(h: Hypermap, q: int) -> int:
     polynomial at q (Tutte 1954).  ``oracles.nowhere_zero_flow_enumeration``
     lists the q^dim flows instead.  A sigma-cycle holding one point that is
     not a bud makes that point the only edge at its vertex, a bridge, so
-    the count is 0 without the graph.
+    the count is 0 without the graph.  C(q) of the graph's map is the block
+    form, weighted by ``mobius_nc`` per complement block, evaluated at
+    (q, q), which gives q^(n + kappa(sigma, beta) - z(beta)) per term,
+    divided by q^z(sigma).
     """
     check_prime(q)
     if any(sum(h.alpha(p) != p for p in c) == 1 for c in h.sigma.cycles()):
@@ -226,29 +176,7 @@ def nowhere_zero_flow_count(h: Hypermap, q: int) -> int:
     vertex, edge = h.sigma.cycle_labels(), h.alpha.cycle_labels()
     z = h.sigma.cycle_count
     incidence = [(vertex[p], z + edge[p]) for p in range(1, h.n + 1) if h.alpha(p) != p]
-    return flow_polynomial(_graph_map(incidence)).evaluate(q)
-
-
-def unique_nz_refinement(h: Hypermap, f: Tuple[int, ...], q: int) -> Permutation:
-    """Shrink alpha so a given flow becomes nowhere zero on the result.
-
-    Only defined when every alpha-cycle has length at most 3.  Each zero
-    point i that is not already a bud is split out of its hyperedge by
-    multiplying alpha on the right with the transposition (alpha^-1(i), i);
-    the result does not depend on the order the zeros are processed, and f
-    stays a flow on (sigma, beta), which the tests check.
-    """
-    check_prime(q)
-    if any(len(c) > 3 for c in h.alpha.cycles()):
-        raise ValueError("hyperedges longer than 3 are not supported here")
-    if not is_flow(h, f, q):
-        raise ValueError("f is not a flow")
-    beta = h.alpha
-    for i in range(1, h.n + 1):
-        if f[i - 1] % q != 0:
-            continue
-        if beta(i) == i:
-            continue
-        pre = beta.inverse()(i)
-        beta = beta * Permutation.transposition(h.n, pre, i)
-    return beta
+    g = _graph_map(incidence)
+    value, _ = refinement_profile(g.alpha, g.sigma.cycle_labels(),
+                                  complement_weight=mobius_nc, at=(q, q))
+    return value // q ** g.sigma.cycle_count

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, cycle_count
-from .nclattice import refinement_count, refinement_profile, refinement_sum
+from .nclattice import refinement_count, refinement_profile, refinement_sum, require_total
 from .perm import Permutation, cycle_text
 from .poly import UniPoly
 from .whitney import InstanceTooLarge, over_cap
@@ -163,6 +163,7 @@ def circuit_partition_polynomial(
             h.alpha, lambda beta: (cycle_count([sinv[b] for b in beta._image]), 1)
         ))
     counts, _ = refinement_profile(h.alpha, h.sigma.cycle_labels())
+    require_total(counts, refinement_count(h.alpha), "j(1)")
     offset = h.n - h.sigma.cycle_count
     terms: Dict[int, int] = {}
     for (kb, zb), c in counts.items():
@@ -175,13 +176,19 @@ def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:
 
     Genus zero only.  A state with c circuits is compatible with exactly
     colors^c colorings (color each circuit), so the sum is j(colors)
-    (Ellis-Monaghan 1998), read off the frontier DP.  The selftest and the
-    tests compare it and colors^kappa R(colors, colors) with the
-    definitional sum ``oracles.eulerian_valence_sum``.
+    (Ellis-Monaghan 1998).  The frontier DP evaluated at (colors^2, colors)
+    gives colors^(n + 2 kappa(sigma, beta) - z(beta)) per refinement, which
+    is j's term times colors^z(sigma).  The selftest and the tests compare
+    it and colors^kappa R(colors, colors) with the definitional sum
+    ``oracles.eulerian_valence_sum``.
     """
     if h.genus != 0:
         raise ValueError("the coloring sum is only defined at genus zero")
-    return int(circuit_partition_polynomial(h, max_states=None).evaluate(colors))
+    if not colors:  # every state of n >= 1 points has a circuit
+        return int(h.n == 0)
+    value, _ = refinement_profile(h.alpha, h.sigma.cycle_labels(),
+                                  at=(colors * colors, colors))
+    return value // colors ** h.sigma.cycle_count
 
 
 class EulerianDigraph(NamedTuple):

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .perm import Permutation
 
@@ -160,8 +160,9 @@ def refinement_profile(
     classes: Sequence[Hashable],
     block_weight: Optional[Callable[[int], int]] = None,
     complement_weight: Optional[Callable[[int], int]] = None,
-) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Weighted refinement counts by (kappa, z(beta)), and states.
+    at: Optional[Tuple[int, int]] = None,
+) -> Tuple[Any, int]:
+    """Weighted refinement counts by (kappa, z(beta)), or their value at (x, y).
 
     classes[p] is the class of point p, and kappa counts the classes left
     once the classes of every beta-block are joined; with sigma's cycle
@@ -169,8 +170,9 @@ def refinement_profile(
     The count of a pair (k, z) is the sum, over the refinements beta <= alpha
     with kappa = k and z(beta) = z, of the product of block_weight(|b|) over
     the cycles b of beta, or of complement_weight(|c|) over the cycles c of
-    beta^-1 alpha (1 without a weight; give at most one).  The second value
-    is the number of DP states visited.
+    beta^-1 alpha (1 without a weight; give at most one).  With at = (x, y)
+    the first value is instead the int sum of count * x^k * y^(n - z), for
+    n = alpha.n.  The second value is the number of DP states visited.
 
     A frontier dynamic program (Sekine, Imai and Tani 1995, for Tutte
     polynomials) over the stack of open blocks (``refinements``).
@@ -180,20 +182,28 @@ def refinement_profile(
     far; one that no label refers to any more is finished and adds 1 to
     kappa.  The state is one tuple of labels, relabeled by first
     occurrence: one per active class (touched, with points to come),
-    then one per stack level, bottom first.  Weights follow the height rule
-    of the module docstring, so no block sizes are kept.  Values are
-    polynomials in kappa and z, kept as {kappa * (n + 1) + z: coefficient}.
+    then one per stack level, bottom first.  Many moves build the same raw
+    tuple, which is why states merge, so a memo maps a raw tuple to its key
+    and label count and a repeat skips the relabel.  It lives in this call
+    and holds at most 2^14 tuples; ``whitney``'s ``memo_hits`` counts only
+    phi and psi.  Weights follow the height rule of the module docstring,
+    so no block sizes are kept.  One loop carries either value kind: a
+    polynomial {kappa * (n + 1) + z: coefficient}, which a move shifts (a
+    state's first move of weight 1 copies it), or, given at, one int, which
+    a move multiplies by x per finished class and by y per unit of n - z.
 
     Block form (no weight, or complement_weight): the stack lists beta, a
-    level carries its block's class, a join merges the point's class into
-    it and an open adds 1 to z.  Level form (block_weight): the stack lists
-    gamma, and beta = gamma^-1 alpha runs over the refinements too (Nica and
-    Speicher, Lecture 9), its blocks being the complement blocks the stack
-    closes whole.  A level carries the class of the point that set it; a
-    join at depth d merges levels d..top into one block and sets level d,
-    the end of a cycle merges all levels, and each close adds 1 to z.  It
-    merges several labels per step and visits more states than the block
-    form, so only block_weight runs it.
+    level carries its block's class, a join renames one label to merge the
+    point's class into it, and an open adds 1 to z, so n - z counts the
+    joins.  Level form
+    (block_weight): the stack lists gamma, and beta = gamma^-1 alpha runs
+    over the refinements too (Nica and Speicher, Lecture 9), its blocks
+    being the complement blocks the stack closes whole.  A level carries
+    the class of the point that set it; a join at depth d merges levels
+    d..top into one block and sets level d, the end of a cycle merges all
+    levels, and each close adds 1 to z, so n - z counts the opens onto a
+    nonempty stack.  It merges several labels per step and visits more
+    states than the block form, so only block_weight runs it.
     """
     if block_weight is not None and complement_weight is not None:
         raise ValueError("give block_weight or complement_weight, not both")
@@ -207,8 +217,12 @@ def refinement_profile(
     points = [p for c in cycles for p in c]
     cycle_ends = set(accumulate(len(c) for c in cycles))
     last = {classes[p]: t for t, p in enumerate(points)}
+    if at is not None:
+        x, y = at
+        xs, ys = [1], (1, y)  # xs[f] = x^f for f finished classes
     active: List[Hashable] = []  # classes with a label in the state, by entry
-    states: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
+    states: Dict[Tuple[int, ...], Any] = {(): {0: 1} if at is None else 1}
+    canon: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
     visited = 1
     for t, p in enumerate(points):
         v = classes[p]
@@ -217,47 +231,101 @@ def refinement_profile(
         ends = t + 1 in cycle_ends
         nact = len(active)
         pos = prev if prev >= 0 else nact  # v's slot; its label stays while keep
-        new_states: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        while at is not None and len(xs) <= nact + top:  # finished <= nact + top
+            xs.append(xs[-1] * x)
+        new_states: Dict[Tuple[int, ...], Any] = {}
         for labels, value in states.items():
-            act, stack = labels[:nact], labels[nact:]
+            stack = labels[nact:]
+            height = len(stack)
             fresh = max(labels, default=-1) + 1
-            lv = act[prev] if prev >= 0 else fresh
-            base = act[:pos] + (lv,) * keep + act[pos + 1 :]
+            lv = labels[prev] if prev >= 0 else fresh
+            base = labels[:pos] + (lv,) * keep + labels[pos + 1 : nact]
             # Classes before merging: those in use, and v's own when v is new.
             in_use = fresh + (prev < 0)
-            for depth in range(-1, len(stack)):
-                # depth -1 opens; a join maps the labels in group to r: the
-                # joined block's in the block form, levels depth..top else.
-                if depth < 0:
-                    group, r, st, factor = (), lv, stack + (lv,), 1
+            for depth in range(-1, height):
+                # raw is the state before relabeling, merged the labels mapped
+                # onto others, z the step of z(beta) and r that of n - z.
+                if levels:
+                    # Levels depth..top, and at the end all levels, join the
+                    # class of one of them, j: the other labels, group, map to
+                    # j wherever raw holds one.
+                    if depth < 0:
+                        raw, factor, merged, z = base + stack + (lv,), 1, 0, 0
+                        r = height > 0
+                    else:
+                        raw, factor = base + stack[:depth] + (lv,), w[height - depth]
+                        j, z, r = stack[depth], 1, 0
+                        group = set(stack[depth + 1 :])
+                        group.discard(j)
+                        merged = len(group)
+                        if merged and not group.isdisjoint(raw):
+                            raw = tuple([j if e in group else e for e in raw])
+                    if ends:
+                        top_levels, raw = raw[len(base) :], raw[: len(base)]
+                        factor *= w[len(top_levels)]
+                        j, z = top_levels[-1], z + 1
+                        group = set(top_levels)
+                        group.discard(j)
+                        merged += len(group)
+                        if group and not group.isdisjoint(raw):
+                            raw = tuple([j if e in group else e for e in raw])
+                elif depth < 0:
+                    merged, z, r, raw, factor = 0, 1, 0, base, w[height + 1]
+                    if not ends:
+                        raw, factor = base + stack + (lv,), 1
                 else:
-                    group = set(stack[depth:]) if levels else (stack[depth],)
-                    r = stack[depth] if levels else lv
-                    st, factor = stack[:depth] + (lv,), w[len(stack) - depth]
-                new = [r if x in group else x for x in base + st]
-                merged = len(group) - (r in group)
-                z = depth >= 0 if levels else depth < 0
-                if ends:
-                    factor *= w[len(st)]
-                    top, new = new[len(base) :], new[: len(base)]
-                    if levels:
-                        group, r = set(top), top[-1]
-                        new = [r if x in group else x for x in new]
-                        merged += len(group) - 1
-                        z += 1
-                relabel: Dict[int, int] = {}
-                key = tuple([relabel.setdefault(x, len(relabel)) for x in new])
+                    # v joins the block of class old: a new v takes the label
+                    # old, else every old becomes v's label lv.
+                    old, factor = stack[depth], w[height - depth]
+                    merged, z, r, j = old != lv, 0, 1, old if prev < 0 else lv
+                    raw = labels[:nact] + (old,) * keep if prev < 0 else base
+                    if ends:
+                        factor *= w[depth + 1]
+                    else:
+                        raw += stack[:depth] + (j,)
+                    if j != old and old in raw:
+                        raw = tuple([j if e == old else e for e in raw])
+                hit = canon.get(raw)
+                if hit is None:
+                    if len(canon) > 1 << 14:  # a full memo starts over
+                        canon.clear()
+                    relabel: Dict[int, int] = {}
+                    key = tuple([relabel.setdefault(e, len(relabel)) for e in raw])
+                    hit = canon[raw] = key, len(relabel)
+                key, count = hit
                 # A class that no label refers to any more is finished.
-                finished = in_use - merged - len(relabel)
+                finished = in_use - merged - count
+                target = new_states.get(key)
+                if at is not None:
+                    gain = value * factor * xs[finished] * ys[r]
+                    new_states[key] = gain if target is None else target + gain
+                    continue
                 shift = finished * radix + z
-                target = new_states.setdefault(key, {})
-                for e, c in value.items():
-                    target[e + shift] = target.get(e + shift, 0) + c * factor
+                if target is None and factor == 1:
+                    new_states[key] = {e + shift: c for e, c in value.items()}
+                elif target is None:
+                    new_states[key] = {e + shift: c * factor for e, c in value.items()}
+                else:
+                    for e, c in value.items():
+                        target[e + shift] = target.get(e + shift, 0) + c * factor
         states = new_states
         visited += len(states)
         active[pos : pos + 1] = [v] * keep
+    if at is not None:
+        return states[()], visited
     counts = {divmod(e, radix): c for e, c in states[()].items() if c}
     return counts, visited
+
+
+def require_total(counts: Dict[Tuple[int, int], int], expected: int, name: str) -> None:
+    """Check the total of a polynomial run, its value at 1, without ``assert``.
+
+    A wrong total raises ``ValueError``, so the command line exits 2 with
+    one ``error:`` line, also under ``python -O``.
+    """
+    total = sum(counts.values())
+    if total != expected:
+        raise ValueError(f"{name} = {total}, but it must be {int(expected)}")
 
 
 def is_refinement(beta: Permutation, alpha: Permutation) -> bool:

@@ -5,6 +5,9 @@ definitions on graphs or plain enumeration, sharing as little as possible
 with the main code paths.  The selftest subcommand and the test suite both
 compare the fast routes against these.  ``flow_space`` is Gaussian
 elimination over GF(q); ``flows`` reads its dimension off a formula.
+The checks' own helpers live here too, since only the selftest and the
+tests call them: ``x_interval`` and ``compatible_coloring_count`` (one
+frontier DP pass each), ``is_flow`` and ``unique_nz_refinement``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,12 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .charflow import check_prime
+from .charflow import _distinct_colorings, check_prime
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
-from .nclattice import mobius_of_cycles, refinements
+from .nclattice import (
+    is_refinement, mobius_nc, mobius_of_cycles, refinement_profile, refinements,
+)
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -51,6 +56,32 @@ def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> Uni
     for delta in refinements(alpha1.inverse() * alpha2):
         kb = orbit_count(h.sigma, alpha1 * delta)
         terms[kb] = terms.get(kb, 0) + mobius_of_cycles(delta)
+    return UniPoly(terms)
+
+
+def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
+    """X([alpha1, alpha2]; t) with exponents kappa(sigma, beta).
+
+    beta = alpha1 delta maps the refinements delta of alpha1^-1 alpha2 onto
+    [alpha1, alpha2], and mu(alpha1, beta) = mu(id, delta) (Biane 1997).
+    As alpha1 <= beta, the orbits of <sigma, beta> are those of <sigma,
+    alpha1, delta>, so one ``refinement_profile`` pass over delta, with the
+    orbits of <sigma, alpha1> as the classes and ``mobius_nc`` as the block
+    weight, gives every term.
+    """
+    if not is_refinement(alpha2, h.alpha):
+        raise ValueError("alpha2 must refine the collection's alpha")
+    if not is_refinement(alpha1, alpha2):
+        raise ValueError("alpha1 must refine alpha2")
+    orbit = [0] * (h.n + 1)
+    for i, comp in enumerate(Hypermap(h.sigma, alpha1).components()):
+        for p in comp:
+            orbit[p] = i
+    delta = alpha1.inverse() * alpha2
+    counts, _ = refinement_profile(delta, orbit, block_weight=mobius_nc)
+    terms: Dict[int, int] = {}
+    for (kb, _), c in counts.items():
+        terms[kb] = terms.get(kb, 0) + c
     return UniPoly(terms)
 
 
@@ -272,6 +303,28 @@ def compatible_coloring_enumeration(
     )
 
 
+def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> int:
+    """Colorings constant on alpha1-hyperedges and proper across the rest.
+
+    Vertices meeting a common alpha1-cycle share a color, so they merge into
+    the orbits of <sigma, alpha1>.  Each alpha-cycle then asks distinct
+    colors of the orbits of its alpha1-cycles; an orbit met by two of them
+    kills the count.  ``compatible_coloring_enumeration`` lists all
+    colors^V colorings.
+    """
+    if not is_refinement(alpha1, h.alpha):
+        raise ValueError("alpha1 must refine alpha")
+    merged = Hypermap(h.sigma, alpha1)
+    orbit = [0] * (h.n + 1)
+    for i, comp in enumerate(merged.components()):
+        for p in comp:
+            orbit[p] = i
+    cycle1 = alpha1.cycle_labels()
+    groups = (list({cycle1[p]: orbit[p] for p in c}.values())
+              for c in h.alpha.cycles())
+    return _distinct_colorings(merged.kappa, groups, colors)
+
+
 class FlowSpace(NamedTuple):
     """Nullspace of the cycle-sum equations over a prime field."""
 
@@ -345,6 +398,41 @@ def nowhere_zero_flow_enumeration(h: Hypermap, q: int) -> int:
     """Flows over GF(q) with zeros only on buds, among all q^dim listed ones."""
     required = [p - 1 for p in range(1, h.n + 1) if h.alpha(p) != p]
     return sum(all(vec[i] for i in required) for vec in flow_space(h, q).vectors())
+
+
+def is_flow(h: Hypermap, f: Tuple[int, ...], q: int) -> bool:
+    if len(f) != h.n:
+        raise ValueError("flow vector length mismatch")
+    for perm in (h.sigma, h.alpha):
+        for c in perm.cycles():
+            if sum(f[p - 1] for p in c) % q != 0:
+                return False
+    return True
+
+
+def unique_nz_refinement(h: Hypermap, f: Tuple[int, ...], q: int) -> Permutation:
+    """Shrink alpha so a given flow becomes nowhere zero on the result.
+
+    Only defined when every alpha-cycle has length at most 3.  Each zero
+    point i that is not already a bud is split out of its hyperedge by
+    multiplying alpha on the right with the transposition (alpha^-1(i), i);
+    the result does not depend on the order the zeros are processed, and f
+    stays a flow on (sigma, beta), which the tests check.
+    """
+    check_prime(q)
+    if any(len(c) > 3 for c in h.alpha.cycles()):
+        raise ValueError("hyperedges longer than 3 are not supported here")
+    if not is_flow(h, f, q):
+        raise ValueError("f is not a flow")
+    beta = h.alpha
+    for i in range(1, h.n + 1):
+        if f[i - 1] % q != 0:
+            continue
+        if beta(i) == i:
+            continue
+        pre = beta.inverse()(i)
+        beta = beta * Permutation.transposition(h.n, pre, i)
+    return beta
 
 
 def valence(cycle: Sequence[int], coloring: Dict[int, int]) -> int:

@@ -286,13 +286,13 @@ def require_interval_sums(h: Hypermap) -> None:
     X([id, alpha]) is t^kappa chi."""
     total = UniPoly.zero()
     for beta in refinements(h.alpha):
-        total = total + charflow.x_interval(h, beta, h.alpha)
+        total = total + oracles.x_interval(h, beta, h.alpha)
     _require(total == UniPoly.monomial(1, h.sigma.cycle_count),
              "sum of X([beta, alpha]) == t^z(sigma)", h)
     chi = charflow.characteristic_polynomial(h)
     shifted = UniPoly({e + h.kappa: c for e, c in chi.terms.items()})
     ident = Permutation.identity(h.n)
-    _require(shifted == charflow.x_interval(h, ident, h.alpha),
+    _require(shifted == oracles.x_interval(h, ident, h.alpha),
              "X([id, alpha]) == t^kappa chi", h)
 
 
@@ -360,7 +360,7 @@ def require_flow_space(
         if max_listed is None or space.count() <= max_listed:
             vecs = list(space.vectors())
             _require(len(set(vecs)) == space.count()
-                     and all(charflow.is_flow(h, vec, q) for vec in vecs),
+                     and all(oracles.is_flow(h, vec, q) for vec in vecs),
                      f"flow space lists distinct flows over GF({q})", h)
 
 

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .hypermap import Hypermap
-from .nclattice import refinement_count, refinement_profile
+from .nclattice import refinement_count, refinement_profile, require_total
 from .poly import BiPoly, UniPoly
 
 METHODS = ("brute", "phi", "psi", "dp")
@@ -91,9 +91,12 @@ def whitney_bruteforce(h: Hypermap) -> WhitneyResult:
 def whitney_dp(h: Hypermap) -> WhitneyResult:
     """The refinement sum from (kappa(sigma, beta), z(beta)) counts alone.
 
-    ``stats.nodes`` counts the DP states visited; there is no memo.
+    ``stats.nodes`` counts the DP states visited, and ``stats.memo_hits``
+    stays 0: the DP's memo of relabeled states is not a memo of results.
+    R(1,1) is checked against the refinement count.
     """
     counts, states = refinement_profile(h.alpha, h.sigma.cycle_labels())
+    require_total(counts, refinement_count(h.alpha), "R(1,1)")
     poly = _poly_of_counts(h, counts)
     return WhitneyResult(poly, "dp", WhitneyStats(states, 0, len(poly.terms)))
 

@@ -19,12 +19,7 @@ import pytest
 from acceptance_report import criterion
 from test_whitney import phi_expansion
 from hypermaps import charflow
-from hypermaps.charflow import (
-    characteristic_polynomial,
-    is_flow,
-    proper_coloring_count,
-    unique_nz_refinement,
-)
+from hypermaps.charflow import characteristic_polynomial, proper_coloring_count
 from hypermaps.hypermap import Hypermap, orbit_count
 from hypermaps.medial import medial_map, minus, plus
 from hypermaps.nclattice import (
@@ -40,8 +35,10 @@ from hypermaps.oracles import (
     eulerian_edge_colorings,
     eulerian_valence_sum,
     flow_space,
+    is_flow,
     matching_refinement,
     proper_coloring_enumeration,
+    unique_nz_refinement,
 )
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly

@@ -5,23 +5,23 @@ import pytest
 
 from hypermaps.charflow import (
     characteristic_polynomial,
-    compatible_coloring_count,
     flow_polynomial,
-    is_flow,
     nowhere_zero_flow_count,
     proper_coloring_count,
-    unique_nz_refinement,
-    x_interval,
 )
 from hypermaps.hypermap import Hypermap
 from hypermaps.nclattice import interval, is_refinement, mobius, refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
 from hypermaps.oracles import (
+    compatible_coloring_count,
     compatible_coloring_enumeration,
     flow_space,
+    is_flow,
     nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,
+    unique_nz_refinement,
+    x_interval,
 )
 from hypermaps.selftest import (
     random_bounded_cycles,

@@ -4,26 +4,50 @@ Every invariant it serves is checked against its definition as a sum over
 the refinement stream: R against brute force, chi and the flow polynomial
 C(t) against their Moebius sums, the circuit partition polynomial against
 the listed medial state sum.  At genus zero, C(h) = chi(dual h) checks the
-two weighted forms of the DP against each other.
+two weighted forms of the DP against each other.  Each form runs in both
+value kinds, and the evaluated kind must equal the polynomial kind
+evaluated at the same point.
 """
 
+import contextlib
+import inspect
+import io
 import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from hypermaps.charflow import characteristic_polynomial, flow_polynomial
+from hypermaps import cli
+from hypermaps.charflow import (
+    characteristic_polynomial,
+    flow_polynomial,
+    nowhere_zero_flow_count,
+    proper_coloring_count,
+)
 from hypermaps.hypermap import Hypermap, dual, orbit_count
-from hypermaps.medial import circuit_partition_polynomial, medial_map
+from hypermaps.medial import (
+    circuit_partition_polynomial,
+    eulerian_coloring_sum,
+    medial_map,
+)
 from hypermaps.nclattice import (
     catalan,
+    mobius_nc,
     mobius_of_cycles,
     refinement_profile,
     refinement_sum,
 )
-from hypermaps.oracles import circuit_state_sum, narayana
+from hypermaps.oracles import (
+    circuit_state_sum,
+    narayana,
+    nowhere_zero_flow_enumeration,
+    proper_coloring_enumeration,
+    whitney_refinement_sum,
+)
+from hypermaps.routes import refinement_walk
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
 from hypermaps.selftest import (
@@ -305,3 +329,168 @@ def test_cli_answers_twenty_point_cycle():
     payload = json.loads(r.stdout)
     assert payload["method"] == "dp"
     assert BiPoly.parse(payload["result"]).evaluate(1, 1) == catalan(n)
+
+
+def kernel_collections(seed, count):
+    """Collections with n <= 9 under shuffled labels: alphas of one cycle or
+    of many short ones, most of them with fixed points."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        h = random_collection(rng, n_max=9, max_cycle=rng.choice((2, 3, 4, 9)))
+        out.append(h.relabel(random_permutation(rng, h.n)))
+    return out
+
+
+KERNEL = SPECIAL + kernel_collections(85, 160)
+
+# The three forms, each with the weight production gives it and with the
+# primes, which tell block sizes apart; blocks_of(h, beta) lists the
+# weighted blocks.
+FORMS = [
+    ("block form", {}, None),
+    ("complement weight", {"complement_weight": mobius_nc},
+     lambda h, beta: beta.inverse() * h.alpha),
+    ("complement weight", {"complement_weight": PRIMES.__getitem__},
+     lambda h, beta: beta.inverse() * h.alpha),
+    ("level form", {"block_weight": mobius_nc}, lambda h, beta: beta),
+    ("level form", {"block_weight": PRIMES.__getitem__}, lambda h, beta: beta),
+]
+
+
+def weighted_sum(h, weight, blocks_of):
+    def term(beta):
+        value = 1
+        for c in blocks_of(h, beta).cycles():
+            value *= weight(len(c))
+        return (orbit_count(h.sigma, beta), beta.cycle_count), value
+
+    return {key: c for key, c in refinement_sum(h.alpha, term).items() if c}
+
+
+def evaluated(counts, n, x, y):
+    """sum count * x^kappa * y^(n - z), the evaluated kind's definition."""
+    return sum(c * x ** k * y ** (n - z) for (k, z), c in counts.items())
+
+
+def test_kernel_forms_equal_the_walk_and_the_definitions():
+    assert sum(h.alpha.cycle_count > 2 for h in KERNEL) > 60
+    assert sum(any(h.alpha(p) == p for p in range(1, h.n + 1)) for h in KERNEL) > 100
+    for h in KERNEL:
+        vertex = h.sigma.cycle_labels()
+        block, states = refinement_profile(h.alpha, vertex)
+        assert block == refinement_walk(h.alpha, vertex), h
+        assert whitney_dp(h).polynomial == whitney_refinement_sum(h), h
+        for name, kw, blocks_of in FORMS[1:]:
+            counts, visited = refinement_profile(h.alpha, vertex, **kw)
+            weight = next(iter(kw.values()))
+            assert counts == weighted_sum(h, weight, blocks_of), (name, h)
+            if name == "complement weight":
+                assert visited == states, h
+
+
+# m and q of the counts, and the points the count subcommands evaluate at.
+VALUES = (0, 1, 2, 3, 5)
+POINTS = sorted({(m, 1) for m in VALUES} | {(q, q) for q in VALUES}
+                | {(m * m, m) for m in VALUES} | {(2, 3), (5, 0)})
+
+
+def test_evaluated_kind_equals_the_polynomial_kind_evaluated():
+    for h in KERNEL[::2]:
+        vertex = h.sigma.cycle_labels()
+        for name, kw, _ in FORMS:
+            counts, states = refinement_profile(h.alpha, vertex, **kw)
+            for x, y in POINTS:
+                value, visited = refinement_profile(h.alpha, vertex, at=(x, y), **kw)
+                assert value == evaluated(counts, h.n, x, y), (name, x, y, h)
+                assert visited == states, (name, h)
+
+
+def test_counts_on_the_evaluated_kind_equal_the_oracles():
+    rng = random.Random(86)
+    for _ in range(30):
+        h = random_collection(rng, n_max=6, max_cycle=rng.choice((2, 3, 6)))
+        h = h.relabel(random_permutation(rng, h.n))
+        for m in VALUES:
+            assert proper_coloring_count(h, m) == proper_coloring_enumeration(h, m), (m, h)
+        for q in (2, 3, 5):
+            assert nowhere_zero_flow_count(h, q) == nowhere_zero_flow_enumeration(h, q), (q, h)
+        g = random_planar_connected(rng, n_max=8)
+        j = circuit_partition_polynomial(g)
+        for m in VALUES:
+            assert eulerian_coloring_sum(g, m) == j.evaluate(m), (m, g)
+    assert eulerian_coloring_sum(make(0, [], []), 0) == 1
+
+
+def nested(n):
+    """sigma = (1 n)(2 n-1)..., alpha = (1 ... n): the DP's hard family."""
+    return make(n, [(i, n + 1 - i) for i in range(1, n // 2 + 1)], [range(1, n + 1)])
+
+
+def test_nested_pair_visits_the_same_states():
+    # pinned: the memo of relabeled tuples leaves the state machine alone
+    h = nested(12)
+    vertex = h.sigma.cycle_labels()
+    for kw, states in (({}, 1745), ({"complement_weight": mobius_nc}, 1745),
+                       ({"block_weight": mobius_nc}, 2831)):
+        assert refinement_profile(h.alpha, vertex, **kw)[1] == states, kw
+        assert refinement_profile(h.alpha, vertex, at=(3, 3), **kw)[1] == states, kw
+    result = whitney_dp(h)
+    assert (result.stats.nodes, result.stats.memo_hits) == (1745, 0)
+
+
+def run_main(monkeypatch, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_counts_on_a_thousand_vertex_cycle(monkeypatch):
+    # sigma (1 2)(3 4)..., alpha (2 3)(4 5)...(2000 1): a cycle of 1,000
+    # vertices, with 2^1000 + 2 proper 3-colorings and 2 nowhere-zero flows
+    doc = "sigma: " + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, 1001))
+    doc += "\nalpha: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, 1000))
+    doc += "(2000 1)\n"
+    for argv, expected in ((["colorings", "--m=3"], 2 ** 1000 + 2),
+                           (["flows", "--q=3", "--nowhere-zero"], 2)):
+        started = time.perf_counter()
+        assert run_main(monkeypatch, argv, doc) == (0, f"{expected}\n", ""), argv
+        assert time.perf_counter() - started < 1.0, argv
+
+
+def off_by_one(profile):
+    def wrong(*args, **kwargs):
+        counts, states = profile(*args, **kwargs)
+        key = next(iter(counts))
+        return {**counts, key: counts[key] + 1}, states
+
+    return wrong
+
+
+@pytest.mark.parametrize("module, command, total", [
+    ("whitney", "whitney", "R(1,1)"),
+    ("whitney", "wet-dry", "R(1,1)"),
+    ("medial", "circuit-partition", "j(1)"),
+    ("charflow", "charpoly", "chi(1)"),
+    ("charflow", "flowpoly", "C(1)"),
+])
+def test_polynomial_runs_check_their_totals(module, command, total, monkeypatch):
+    # the running example: 10 refinements, and alpha is not the identity
+    doc = "sigma: (1 4)(2 5)\nalpha: (1 2 3)(4 5)\n"
+    expected = {"R(1,1)": 10, "j(1)": 10}.get(total, 0)
+    message = f"error: {total} = {expected + 1}, but it must be {expected}\n"
+    mod = sys.modules[f"hypermaps.{module}"]
+    monkeypatch.setattr(mod, "refinement_profile", off_by_one(mod.refinement_profile))
+    assert run_main(monkeypatch, [command], doc) == (2, "", message)
+    # and under -O, where an assert would not run
+    script = inspect.getsource(off_by_one) + (
+        f"import importlib, sys\nfrom hypermaps import cli\n"
+        f"mod = importlib.import_module('hypermaps.{module}')\n"
+        f"mod.refinement_profile = off_by_one(mod.refinement_profile)\n"
+        f"sys.exit(cli.main([{command!r}]))\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", script], input=doc,
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", message)

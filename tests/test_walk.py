@@ -17,7 +17,7 @@ import random
 import subprocess
 import sys
 
-from hypermaps.charflow import characteristic_polynomial, flow_polynomial, x_interval
+from hypermaps.charflow import characteristic_polynomial, flow_polynomial
 from hypermaps.hypermap import Hypermap, dual, orbit_count
 from hypermaps.nclattice import (
     catalan,
@@ -25,7 +25,7 @@ from hypermaps.nclattice import (
     refinement_profile,
     refinements,
 )
-from hypermaps.oracles import whitney_refinement_sum, x_interval_sum
+from hypermaps.oracles import whitney_refinement_sum, x_interval, x_interval_sum
 from hypermaps.perm import Permutation
 from hypermaps.routes import refinement_walk
 from hypermaps.selftest import (

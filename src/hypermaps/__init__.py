@@ -10,9 +10,9 @@ coloring counts, plus a randomized identity selftest tying these to
 each other and to classical graph invariants.
 
 The core modules (perm, hypermap, poly, nclattice, whitney) load with the
-package; charflow, medial, oracles, routes (R's check routes) and selftest,
-and their public names, load on first use, so a command never pays for one
-it does not need.
+package; charflow, checks, medial, oracles, routes (R's check routes) and
+selftest, and their public names, load on first use, so a command never
+pays for one it does not need.
 """
 
 from .hypermap import Hypermap, dual, merge_components, orbit_count
@@ -49,8 +49,8 @@ _LAZY = {
         ("medial", ("EulerianDigraph", "EulerianMap", "circuit_partition_polynomial",
                     "eulerian_coloring_sum", "from_eulerian_digraph", "medial_digraph",
                     "medial_map", "source_hypermap")),
-        ("oracles", ("coherent_matchings", "compatible_coloring_count", "flow_space",
-                     "unique_nz_refinement", "x_interval")),
+        ("checks", ("compatible_coloring_count", "x_interval")),
+        ("oracles", ("coherent_matchings", "flow_space", "unique_nz_refinement")),
         ("selftest", ("run_selftest",)),
     )
     for name in names

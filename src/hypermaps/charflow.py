@@ -70,10 +70,10 @@ def proper_coloring_count(h: Hypermap, colors: int) -> int:
     """
     vertex = h.sigma.cycle_labels()
     groups = ([vertex[p] for p in c] for c in h.alpha.cycles())
-    return _distinct_colorings(h.sigma.cycle_count, groups, colors)
+    return distinct_colorings(h.sigma.cycle_count, groups, colors)
 
 
-def _distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) -> int:
+def distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) -> int:
     """Colorings of vertices 0..nv-1 giving each group's vertices distinct colors.
 
     The groups are the cliques of one simple graph G.  A vertex of degree

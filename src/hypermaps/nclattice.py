@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequ
 from .perm import Permutation
 
 Partition = Tuple[Tuple[int, ...], ...]
+KEY_MEMO_SIZE = 1 << 14  # raw tuples one refinement_profile call keeps
 
 
 def catalan(m: int) -> int:
@@ -181,28 +182,29 @@ def refinement_profile(
     of a cycle closes them all.  A label stands for the classes joined so
     far; one that no label refers to any more is finished and adds 1 to
     kappa.  The state is one tuple of labels, relabeled by first
-    occurrence: one per active class (touched, with points to come),
-    then one per stack level, bottom first.  Many moves build the same raw
-    tuple, which is why states merge, so a memo maps a raw tuple to its key
-    and label count and a repeat skips the relabel.  It lives in this call
-    and holds at most 2^14 tuples; ``whitney``'s ``memo_hits`` counts only
-    phi and psi.  Weights follow the height rule of the module docstring,
-    so no block sizes are kept.  One loop carries either value kind: a
-    polynomial {kappa * (n + 1) + z: coefficient}, which a move shifts (a
-    state's first move of weight 1 copies it), or, given at, one int, which
-    a move multiplies by x per finished class and by y per unit of n - z.
+    occurrence: one per active class (touched, with points to come), then
+    one per stack level, bottom first.  Many moves build the same raw tuple
+    (so states merge), and a memo maps a raw tuple to its key and label
+    count, so a repeat skips the relabel.  It lives in this call and starts
+    over once it holds KEY_MEMO_SIZE tuples; ``whitney``'s ``memo_hits``
+    counts only phi and psi.  Weights follow the height rule of the module
+    docstring, so no block sizes are kept.  One loop carries either value
+    kind: a polynomial {kappa * (n + 1) + z: coefficient}, which a move
+    shifts (a state's first move of weight 1 copies it), or, given at, one
+    int, which a move multiplies by x per finished class and by y per unit
+    of n - z.
 
     Block form (no weight, or complement_weight): the stack lists beta, a
     level carries its block's class, a join renames one label to merge the
     point's class into it, and an open adds 1 to z, so n - z counts the
-    joins.  Level form
-    (block_weight): the stack lists gamma, and beta = gamma^-1 alpha runs
-    over the refinements too (Nica and Speicher, Lecture 9), its blocks
-    being the complement blocks the stack closes whole.  A level carries
-    the class of the point that set it; a join at depth d merges levels
-    d..top into one block and sets level d, the end of a cycle merges all
-    levels, and each close adds 1 to z, so n - z counts the opens onto a
-    nonempty stack.  It merges several labels per step and visits more
+    joins.  Level form (block_weight): the stack lists gamma, and beta =
+    gamma^-1 alpha runs over the refinements too (Nica and Speicher,
+    Lecture 9), its blocks being the complement blocks the stack closes
+    whole.  A level carries the class of the point that set it; a join at
+    depth d merges levels d..top into one block and sets level d, the end
+    of a cycle merges all levels, and each close adds 1 to z, so n - z
+    counts the opens onto a nonempty stack, each cycle's first open being
+    onto an empty one.  It merges several labels per step and visits more
     states than the block form, so only block_weight runs it.
     """
     if block_weight is not None and complement_weight is not None:
@@ -217,9 +219,8 @@ def refinement_profile(
     points = [p for c in cycles for p in c]
     cycle_ends = set(accumulate(len(c) for c in cycles))
     last = {classes[p]: t for t, p in enumerate(points)}
-    if at is not None:
-        x, y = at
-        xs, ys = [1], (1, y)  # xs[f] = x^f for f finished classes
+    x, y = at or (1, 1)
+    xs, ys = [1], (1, y)  # xs[f] = x^f for f finished classes
     active: List[Hashable] = []  # classes with a label in the state, by entry
     states: Dict[Tuple[int, ...], Any] = {(): {0: 1} if at is None else 1}
     canon: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
@@ -231,7 +232,7 @@ def refinement_profile(
         ends = t + 1 in cycle_ends
         nact = len(active)
         pos = prev if prev >= 0 else nact  # v's slot; its label stays while keep
-        while at is not None and len(xs) <= nact + top:  # finished <= nact + top
+        while len(xs) <= nact + top:  # finished <= nact + top
             xs.append(xs[-1] * x)
         new_states: Dict[Tuple[int, ...], Any] = {}
         for labels, value in states.items():
@@ -248,7 +249,8 @@ def refinement_profile(
                 if levels:
                     # Levels depth..top, and at the end all levels, join the
                     # class of one of them, j: the other labels, group, map to
-                    # j wherever raw holds one.
+                    # j wherever raw holds one.  r sums to n - z per cycle, not
+                    # per move: L points, J joins, so L - J opens, J + 1 closes.
                     if depth < 0:
                         raw, factor, merged, z = base + stack + (lv,), 1, 0, 0
                         r = height > 0
@@ -287,7 +289,7 @@ def refinement_profile(
                         raw = tuple([j if e == old else e for e in raw])
                 hit = canon.get(raw)
                 if hit is None:
-                    if len(canon) > 1 << 14:  # a full memo starts over
+                    if len(canon) >= KEY_MEMO_SIZE:  # a full memo starts over
                         canon.clear()
                     relabel: Dict[int, int] = {}
                     key = tuple([relabel.setdefault(e, len(relabel)) for e in raw])

@@ -5,9 +5,8 @@ definitions on graphs or plain enumeration, sharing as little as possible
 with the main code paths.  The selftest subcommand and the test suite both
 compare the fast routes against these.  ``flow_space`` is Gaussian
 elimination over GF(q); ``flows`` reads its dimension off a formula.
-The checks' own helpers live here too, since only the selftest and the
-tests call them: ``x_interval`` and ``compatible_coloring_count`` (one
-frontier DP pass each), ``is_flow`` and ``unique_nz_refinement``.
+``is_flow`` and ``unique_nz_refinement``, which only the checks call,
+live here too.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .charflow import _distinct_colorings, check_prime
+from .charflow import check_prime
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
-from .nclattice import (
-    is_refinement, mobius_nc, mobius_of_cycles, refinement_profile, refinements,
-)
+from .nclattice import mobius_of_cycles, refinements
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -56,32 +53,6 @@ def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> Uni
     for delta in refinements(alpha1.inverse() * alpha2):
         kb = orbit_count(h.sigma, alpha1 * delta)
         terms[kb] = terms.get(kb, 0) + mobius_of_cycles(delta)
-    return UniPoly(terms)
-
-
-def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
-    """X([alpha1, alpha2]; t) with exponents kappa(sigma, beta).
-
-    beta = alpha1 delta maps the refinements delta of alpha1^-1 alpha2 onto
-    [alpha1, alpha2], and mu(alpha1, beta) = mu(id, delta) (Biane 1997).
-    As alpha1 <= beta, the orbits of <sigma, beta> are those of <sigma,
-    alpha1, delta>, so one ``refinement_profile`` pass over delta, with the
-    orbits of <sigma, alpha1> as the classes and ``mobius_nc`` as the block
-    weight, gives every term.
-    """
-    if not is_refinement(alpha2, h.alpha):
-        raise ValueError("alpha2 must refine the collection's alpha")
-    if not is_refinement(alpha1, alpha2):
-        raise ValueError("alpha1 must refine alpha2")
-    orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(Hypermap(h.sigma, alpha1).components()):
-        for p in comp:
-            orbit[p] = i
-    delta = alpha1.inverse() * alpha2
-    counts, _ = refinement_profile(delta, orbit, block_weight=mobius_nc)
-    terms: Dict[int, int] = {}
-    for (kb, _), c in counts.items():
-        terms[kb] = terms.get(kb, 0) + c
     return UniPoly(terms)
 
 
@@ -301,28 +272,6 @@ def compatible_coloring_enumeration(
         all((coloring[u] == coloring[v]) == same for u, v, same in pairs)
         for coloring in product(range(colors), repeat=h.sigma.cycle_count)
     )
-
-
-def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> int:
-    """Colorings constant on alpha1-hyperedges and proper across the rest.
-
-    Vertices meeting a common alpha1-cycle share a color, so they merge into
-    the orbits of <sigma, alpha1>.  Each alpha-cycle then asks distinct
-    colors of the orbits of its alpha1-cycles; an orbit met by two of them
-    kills the count.  ``compatible_coloring_enumeration`` lists all
-    colors^V colorings.
-    """
-    if not is_refinement(alpha1, h.alpha):
-        raise ValueError("alpha1 must refine alpha")
-    merged = Hypermap(h.sigma, alpha1)
-    orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(merged.components()):
-        for p in comp:
-            orbit[p] = i
-    cycle1 = alpha1.cycle_labels()
-    groups = (list({cycle1[p]: orbit[p] for p in c}.values())
-              for c in h.alpha.cycles())
-    return _distinct_colorings(merged.kappa, groups, colors)
 
 
 class FlowSpace(NamedTuple):

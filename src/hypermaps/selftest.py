@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import charflow, medial, oracles
+from . import charflow, checks, medial, oracles
 from .hypermap import Hypermap, dual, merge_components, orbit_count
 from .nclattice import (
     catalan,
@@ -286,13 +286,13 @@ def require_interval_sums(h: Hypermap) -> None:
     X([id, alpha]) is t^kappa chi."""
     total = UniPoly.zero()
     for beta in refinements(h.alpha):
-        total = total + oracles.x_interval(h, beta, h.alpha)
+        total = total + checks.x_interval(h, beta, h.alpha)
     _require(total == UniPoly.monomial(1, h.sigma.cycle_count),
              "sum of X([beta, alpha]) == t^z(sigma)", h)
     chi = charflow.characteristic_polynomial(h)
     shifted = UniPoly({e + h.kappa: c for e, c in chi.terms.items()})
     ident = Permutation.identity(h.n)
-    _require(shifted == oracles.x_interval(h, ident, h.alpha),
+    _require(shifted == checks.x_interval(h, ident, h.alpha),
              "X([id, alpha]) == t^kappa chi", h)
 
 

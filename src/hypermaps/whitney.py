@@ -91,9 +91,8 @@ def whitney_bruteforce(h: Hypermap) -> WhitneyResult:
 def whitney_dp(h: Hypermap) -> WhitneyResult:
     """The refinement sum from (kappa(sigma, beta), z(beta)) counts alone.
 
-    ``stats.nodes`` counts the DP states visited, and ``stats.memo_hits``
-    stays 0: the DP's memo of relabeled states is not a memo of results.
-    R(1,1) is checked against the refinement count.
+    ``stats.nodes`` counts the DP states visited and ``memo_hits`` stays 0,
+    as the DP's key memo holds no results; R(1,1) must be the refinement count.
     """
     counts, states = refinement_profile(h.alpha, h.sigma.cycle_labels())
     require_total(counts, refinement_count(h.alpha), "R(1,1)")

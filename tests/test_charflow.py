@@ -13,15 +13,14 @@ from hypermaps.hypermap import Hypermap
 from hypermaps.nclattice import interval, is_refinement, mobius, refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
+from hypermaps.checks import compatible_coloring_count, x_interval
 from hypermaps.oracles import (
-    compatible_coloring_count,
     compatible_coloring_enumeration,
     flow_space,
     is_flow,
     nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,
     unique_nz_refinement,
-    x_interval,
 )
 from hypermaps.selftest import (
     random_bounded_cycles,

@@ -626,12 +626,14 @@ def imported_modules(args, stdin=""):
 
 def test_cold_subcommands_import_only_what_they_run():
     # against a bare interpreter: site may load modules of its own; the
-    # check routes (routes) and the oracles load only where they run
+    # check routes (routes), the oracles and checks load only where they run
     bare = imported_modules(["-c", "pass"])
-    heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.medial",
-             "hypermaps.routes", "dataclasses", "json", "fractions", "decimal"}
+    heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.checks",
+             "hypermaps.medial", "hypermaps.routes", "dataclasses", "json",
+             "fractions", "decimal"}
     optional = {"hypermaps.charflow", "hypermaps.medial", "hypermaps.oracles",
-                "hypermaps.selftest", "hypermaps.routes", "fractions", "decimal"}
+                "hypermaps.checks", "hypermaps.selftest", "hypermaps.routes",
+                "fractions", "decimal"}
     evaluating = heavy - {"fractions", "decimal"}  # UniPoly.evaluate loads fractions
     for commands, runs, unwanted in (
         ((["charpoly"], ["flowpoly"], ["flows", "--q=3"]), "charflow", heavy),

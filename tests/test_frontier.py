@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from hypermaps import cli
+from hypermaps import cli, nclattice
 from hypermaps.charflow import (
     characteristic_polynomial,
     flow_polynomial,
@@ -437,6 +437,21 @@ def test_nested_pair_visits_the_same_states():
         assert refinement_profile(h.alpha, vertex, at=(3, 3), **kw)[1] == states, kw
     result = whitney_dp(h)
     assert (result.stats.nodes, result.stats.memo_hits) == (1745, 0)
+
+
+def test_a_full_key_memo_starts_over(monkeypatch):
+    # nested n=12 builds about 1,750 distinct raw tuples in the block forms
+    # and 2,800 in the level form, so a memo of 64 fills and clears often
+    h = nested(12)
+    vertex = h.sigma.cycle_labels()
+    runs = [(kw, at) for kw in ({}, {"complement_weight": mobius_nc},
+                                {"block_weight": mobius_nc})
+            for at in (None, (3, 3))]
+    whole = [refinement_profile(h.alpha, vertex, at=at, **kw) for kw, at in runs]
+    monkeypatch.setattr(nclattice, "KEY_MEMO_SIZE", 64)
+    small = [refinement_profile(h.alpha, vertex, at=at, **kw) for kw, at in runs]
+    assert small == whole
+    assert [visited for _, visited in small] == [1745, 1745] * 2 + [2831, 2831]
 
 
 def run_main(monkeypatch, argv, text):

@@ -25,7 +25,8 @@ from hypermaps.nclattice import (
     refinement_profile,
     refinements,
 )
-from hypermaps.oracles import whitney_refinement_sum, x_interval, x_interval_sum
+from hypermaps.checks import x_interval
+from hypermaps.oracles import whitney_refinement_sum, x_interval_sum
 from hypermaps.perm import Permutation
 from hypermaps.routes import refinement_walk
 from hypermaps.selftest import (

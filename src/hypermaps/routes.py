@@ -14,10 +14,17 @@ only ``--method``, ``--check``, the selftest and the tests load it.
   stays connected all the way down.
 
 Branches are image tables; ``phi_k`` and ``branch`` wrap the same step in a
-``Hypermap``.  The pivot cycle (c1, ..., cm) of alpha runs from its least
-non-fixed point.  Branch k, 1 <= k <= m, swaps the values c1 and ck of sigma
-when they lie in different sigma-cycles (never for k = 1), and replaces the
-cycle in alpha by (c1)(c2 ... cm) when k <= 2 and otherwise by
+``Hypermap``.  Any cycle of alpha of length m >= 2 may be expanded, and each
+gives the same R, so a component is expanded on its shortest one: it has the
+fewest branches, and the choice shapes the whole tree, as the choice of edge
+does in deletion-contraction.  Ties go to the cycle that holds the least
+point, and the pivot (c1, ..., cm) runs from that cycle's least point.
+``pivot_cycle`` keeps the paper's convention, the cycle through alpha's
+least non-fixed point, for its worked example.
+
+Branch k, 1 <= k <= m, swaps the values c1 and ck of sigma when they lie in
+different sigma-cycles (never for k = 1), and replaces the cycle in alpha
+by (c1)(c2 ... cm) when k <= 2 and otherwise by
 (c1)(c2 ... c(k-1))(ck ... cm); its weight is u^(kappa(phi_k) - kappa) *
 v^[k != 1 and c1, ck share a sigma-cycle].  One orbit walk gives kappa and
 the components.  Checks that raise ``ValueError``: u-exponent 0 or 1, psi's
@@ -182,7 +189,31 @@ def refinement_walk(
 
 
 def _pivot(alf: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-    """The alpha-cycle through the smallest non-fixed point, starting there."""
+    """The shortest alpha-cycle of length >= 2, starting from its least
+    point, ties going to the cycle that holds the least point; None when
+    alpha fixes every point."""
+    best: Optional[List[int]] = None
+    seen = [False] * len(alf)
+    for p in range(1, len(alf)):
+        if seen[p] or alf[p] == p:
+            continue
+        # p is the least point of its cycle: points below it are seen or fixed
+        cycle = [p]
+        q = alf[p]
+        while q != p:
+            seen[q] = True
+            cycle.append(q)
+            q = alf[q]
+        if len(cycle) == 2:
+            return tuple(cycle)
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return None if best is None else tuple(best)
+
+
+def pivot_cycle(alpha: Permutation) -> Optional[Tuple[int, ...]]:
+    """The cycle from alpha's least non-fixed point; None for the identity."""
+    alf = alpha._image
     p = next((p for p in range(1, len(alf)) if alf[p] != p), None)
     if p is None:
         return None
@@ -190,11 +221,6 @@ def _pivot(alf: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
     while alf[cycle[-1]] != p:
         cycle.append(alf[cycle[-1]])
     return tuple(cycle)
-
-
-def pivot_cycle(alpha: Permutation) -> Optional[Tuple[int, ...]]:
-    """The cycle from alpha's least non-fixed point; None for the identity."""
-    return _pivot(alpha._image)
 
 
 def _phi_k_tables(sig, alf, cycle: Tuple[int, ...], k: int):

@@ -874,13 +874,13 @@ PINNED = [
     (["whitney", "--method=brute"], RUNNING, R_TEXT, R_TEXT, "brute",
      {"memo_hits": 0, "nodes": 10, "terms": 5}),
     (["whitney", "--method=psi"], RUNNING, R_TEXT, R_TEXT, "psi",
-     {"memo_hits": 5, "nodes": 10, "terms": 5}),
+     {"memo_hits": 3, "nodes": 7, "terms": 5}),
     (["whitney", "--method=dp"], RUNNING, R_TEXT, R_TEXT, "dp",
      {"memo_hits": 0, "nodes": 9, "terms": 5}),
     (["whitney", "--method=all"], RUNNING, "\n".join([R_TEXT] * 4),
      {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT, "dp": R_TEXT}, "all",
-     {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 5, "nodes": 10},
-      "psi": {"memo_hits": 5, "nodes": 10}, "dp": {"memo_hits": 0, "nodes": 9}}),
+     {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 3, "nodes": 7},
+      "psi": {"memo_hits": 3, "nodes": 7}, "dp": {"memo_hits": 0, "nodes": 9}}),
     (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "dp",
      {"memo_hits": 0, "nodes": 9, "terms": 5}),
     (["genus"], RUNNING, "0", {"genus": 0, "kappa": 1}, "euler", {}),

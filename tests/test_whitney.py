@@ -11,7 +11,7 @@ import pytest
 from hypermaps.hypermap import Hypermap, dual, orbits
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
-from hypermaps.routes import branch, phi_k, pivot_cycle
+from hypermaps.routes import _pivot, branch, phi_k, pivot_cycle
 from hypermaps.selftest import (
     random_collection,
     random_permutation,
@@ -92,6 +92,42 @@ def test_pivot_cycle_picks_first_long_cycle():
     alpha = Permutation.from_cycles(6, [[2, 5], [3, 4]])
     assert pivot_cycle(alpha) == (2, 5)
     assert pivot_cycle(Permutation.identity(4)) is None
+
+
+def test_recursion_pivots_on_shortest_cycle():
+    """phi and psi expand a component on its shortest alpha-cycle of length
+    >= 2, from its least point, ties going to the cycle holding the least
+    point; ``pivot_cycle`` keeps the least-point rule of the paper's
+    worked example."""
+    def pivot(n, cycles):
+        return _pivot(Permutation.from_cycles(n, cycles)._image)
+
+    assert pivot(7, [[1, 2, 3, 4], [7, 5, 6]]) == (5, 6, 7)
+    alpha = Permutation.from_cycles(7, [[1, 2, 3, 4], [7, 5, 6]])
+    assert pivot_cycle(alpha) == (1, 2, 3, 4)
+    assert pivot(6, [[5, 3, 2], [6, 4, 1]]) == (1, 6, 4)
+    assert pivot(7, [[1, 2, 3], [6, 7], [5, 4]]) == (4, 5)
+    assert pivot(9, [[3, 5, 4, 6], [9, 8, 7]]) == (7, 9, 8)
+    assert pivot(4, []) is None
+
+
+def test_recursion_matches_dp_on_relabelled_many_hyperedge_collections():
+    """Where the shortest-cycle pivot departs most from the least point:
+    alpha of 3 to 5 cycles of length >= 2 on at most 10 points, under
+    random labels, with a random sigma."""
+    rng = random.Random("pivot:many-hyperedges")
+    for _ in range(150):
+        lengths = [2] * rng.randint(3, 5)
+        for _ in range(rng.randint(0, 10 - len(lengths) * 2)):
+            lengths[rng.randrange(len(lengths))] += 1
+        n = sum(lengths)
+        ends = list(itertools.accumulate(lengths))
+        cycles = [list(range(e - k + 1, e + 1)) for e, k in zip(ends, lengths)]
+        h = Hypermap(random_permutation(rng, n), Permutation.from_cycles(n, cycles))
+        h = h.relabel(random_permutation(rng, n))
+        expected = whitney_dp(h).polynomial
+        for route in (whitney_phi, whitney_psi):
+            assert route(h).polynomial == expected, (route.__name__, h)
 
 
 def phi_k_composed(h, cycle, k):
@@ -337,11 +373,11 @@ TWO_EQUAL_PIECES = SIX_CYCLE.disjoint_union(SIX_CYCLE)
 @pytest.mark.parametrize(
     "h, phi_counts, psi_counts",
     [
-        (make(12, [], [list(range(1, 13))]), (111, 100), (347, 260)),
-        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (348, 261), (348, 261)),
-        (UNION_8_7, (137, 95), (137, 95)),
-        (UNION_8_7_RELABELLED, (423, 301), (421, 299)),
-        (TWO_EQUAL_PIECES, (47, 33), (46, 32)),
+        (make(12, [], [list(range(1, 13))]), (111, 100), (187, 137)),
+        (make(12, [list(range(1, 13))], [list(range(1, 13))]), (188, 138), (188, 138)),
+        (UNION_8_7, (102, 70), (102, 70)),
+        (UNION_8_7_RELABELLED, (340, 243), (338, 241)),
+        (TWO_EQUAL_PIECES, (46, 32), (45, 31)),
     ],
 )
 def test_recursion_counts_pinned(h, phi_counts, psi_counts):
@@ -350,9 +386,11 @@ def test_recursion_counts_pinned(h, phi_counts, psi_counts):
     count a node per component, looked up in the component memo by its
     image tables on 1..m with alpha's fixed points spliced out of sigma.
     A branch whose points are all fixed by alpha has no component, so it
-    counts only when met again.  Both memos are keyed by labels, so
-    isomorphic components under other labels are expanded again, and a
-    relabelled input (UNION_8_7_RELABELLED) can cost more."""
+    counts only when met again.  Each component is expanded on its
+    shortest alpha-cycle, ties going to the least point.  Both memos are
+    keyed by labels, so isomorphic components under other labels are
+    expanded again, and a relabelled input (UNION_8_7_RELABELLED) can cost
+    more."""
     for route, counts in ((whitney_phi, phi_counts), (whitney_psi, psi_counts)):
         stats = route(h).stats
         assert (stats.nodes, stats.memo_hits) == counts
@@ -383,7 +421,7 @@ def test_each_labelled_component_keyed_once(h, monkeypatch):
         assert len(expanded) < stats.nodes
 
 
-# With alpha = (1 ... 12) and this sigma, 329 of the 747 branches that phi
+# With alpha = (1 ... 12) and this sigma, 187 of the 486 branches that phi
 # and psi each meet repeat one met before in the call.
 SIGMA_12_CYCLE = make(
     12, [[1, 3, 7, 2, 4, 10, 8, 11, 5, 9, 12, 6]], [list(range(1, 13))]

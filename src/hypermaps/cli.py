@@ -21,8 +21,10 @@ with its line named, and a document without ``n`` that names more than
 ``MAX_POINTS`` distinct points with its file named.
 
 Every subcommand reads its input from a file argument (``-`` or nothing
-means stdin), prints deterministic canonical text, and with ``--json`` emits
-an object with the keys input_echo, result, method, stats.  Domain errors
+means stdin; one leading byte-order mark is dropped), prints deterministic
+canonical text, and with ``--json`` emits an object with the keys
+input_echo, result, method, stats, printed exactly as
+``json.dumps(payload, indent=2, sort_keys=True)`` prints it.  Domain errors
 and command lines that cannot be read exit with status 2 and a one line
 message; ``--check`` mismatches and selftest failures exit with status 1.
 Results print at any length; only inputs are bounded, by ``MAX_DIGITS``.
@@ -36,7 +38,10 @@ the input, calls the compute function, and prints the plain text or the
 JSON payload.
 
 A process runs one subcommand, so each compute function imports the modules
-it runs (charflow, medial, selftest) and ``json`` loads where JSON is used.
+it runs (charflow, medial, selftest), ``json`` and the writer of ``--json``
+(jsonout) load where JSON is used, and the token walk that names the fault
+of a cycle-text line (diagnose) loads only for a line the one-pass reader
+refuses.
 """
 
 from __future__ import annotations
@@ -111,10 +116,14 @@ class HypermapDocument(NamedTuple):
         return doc
 
 
-# A token of cycle text: a point, that is a digit run that a separator run or
-# ')' ends (group 1); '(' (2); ')' (3); a separator run; a digit run that
-# something else ends (4); any other character (5).
-_TOKEN = re.compile(r"([0-9]+)(?:[ \t,]+|(?=\)))|(\()|(\))|[ \t,]+|([0-9]+)|(.)", re.S)
+# A well-formed line of cycle text: separator runs of space, tab or comma, and
+# cycles of at least one point each, with no point outside them.  Inside a
+# cycle only a character class repeats, so a match keeps no state per point.
+_CYCLE_LINE = re.compile(r"[ \t,]*(?:\((?=[ \t,]*[0-9])[ \t,0-9]*\)[ \t,]*)*")
+
+# A digit run longer than MAX_DIGITS.  The lookbehind lets a match start only
+# at a run's first digit, which keeps the search linear in the text.
+_LONG_RUN = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))
 
 
 def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
@@ -122,46 +131,17 @@ def _parse_cycle_text(line: str, where: str, first_col: int) -> List[List[int]]:
 
     A line that is exactly ``()`` is the permutation of no points, as
     ``HypermapDocument.render_perm`` prints it; an empty cycle among others
-    is refused, and so is a number outside the parentheses.
+    is refused, and so is a number outside the parentheses.  A well-formed
+    line is read in one pass; any other is walked token by token, to name
+    its first fault.
     """
     if line == "()":
         return []
-    cycles: List[List[int]] = []
-    current: Optional[List[int]] = None
-    stray = None  # a digit run that '(', an unexpected character or the end follows
-    for m in _TOKEN.finditer(line):
-        kind = m.lastindex
-        if kind == 1:
-            digits = m.group(1)
-            if current is None:
-                raise InputError(f"{where}: point {digits} outside any cycle")
-            if len(digits) > MAX_DIGITS:
-                _int(digits, f"{where}:{first_col + m.start()}", "point")
-            current.append(int(digits))
-        elif kind == 3:
-            if current is None:
-                raise InputError(f"{where}:{first_col + m.start()}: unmatched ')'")
-            if not current:
-                raise InputError(f"{where}:{first_col + m.start()}: empty cycle")
-            cycles.append(current)
-            current = None
-        elif kind == 2:
-            if current is not None:
-                raise InputError(f"{where}:{first_col + m.start()}: nested '('")
-            if stray is not None:
-                raise InputError(f"{where}: point {stray} outside any cycle")
-            current = []
-        elif kind == 4:
-            stray = m.group(4)
-        elif kind == 5:
-            raise InputError(
-                f"{where}:{first_col + m.start()}: unexpected character {m.group(5)!r}"
-            )
-    if current is not None:
-        raise InputError(f"{where}: unterminated cycle")
-    if stray is not None:
-        raise InputError(f"{where}: point {stray} outside any cycle")
-    return cycles
+    if _CYCLE_LINE.fullmatch(line) and not _LONG_RUN.search(line):
+        cells = line.replace(",", " ").replace("(", " ").split(")")
+        return [list(map(int, cell.split())) for cell in cells[:-1]]
+    from .diagnose import walk_cycle_text
+    return walk_cycle_text(line, where, first_col)
 
 
 def _points(cycles: Sequence[Sequence[int]], where: str) -> Tuple[List[int], set]:
@@ -297,11 +277,6 @@ def _top_level_key_line(text: str, key: str) -> int:
     return line
 
 
-# A digit run longer than MAX_DIGITS.  The lookbehind lets a match start only
-# at a run's first digit, which keeps the search linear in the text.
-_LONG_RUN = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))
-
-
 def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocument:
     import json
 
@@ -369,20 +344,30 @@ def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
 
 
 def _read_input(path: Optional[str]) -> Tuple[str, str]:
-    if path is None or path == "-":
-        return sys.stdin.read(), "<stdin>"
+    """The text of the file, or of stdin for None or ``-``, and its name.
+
+    One leading byte-order mark is dropped, before the format is chosen.
+    """
+    stdin = path is None or path == "-"
+    name = "<stdin>" if stdin else path
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(), path
+        if stdin:
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc.strerror}") from None
+        raise InputError(f"cannot read {name!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {name!r}: {exc}") from None
+    return text.removeprefix("\ufeff"), name
 
 
 def _emit(args, plain: str, payload: Callable[[], Dict]) -> None:
     """Print the plain text, or under --json the payload, built only then."""
     if args.json:
-        import json
-        print(json.dumps(payload(), indent=2, sort_keys=True))
+        from .jsonout import dumps
+        print(dumps(payload()))
     else:
         print(plain)
 

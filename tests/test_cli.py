@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -496,6 +497,50 @@ def test_documents_opening_with_a_bracket_read_as_json(
     assert (rc, out, err) == (2, "", f"error: {error}\n")
 
 
+# A byte-order mark that an editor puts first is dropped before the format
+# is chosen, whether the document comes from a file or from stdin.
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("document", [RUNNING, json.dumps(RUNNING_ECHO)],
+                         ids=["text", "json"])
+def test_a_leading_byte_order_mark_is_dropped(
+    document, source, tmp_path, monkeypatch, capsys
+):
+    text, argv = "\ufeff" + document, ["dual"]
+    if source == "file":
+        path = tmp_path / "marked.txt"
+        path.write_text(text, encoding="utf-8")
+        text, argv = "", argv + [str(path)]
+    assert run_in_process(argv, text, monkeypatch, capsys) == (
+        0, "sigma: (1 5)(2 4 3)\nalpha: (1 3 2)(4 5)\n", "")
+
+
+# An input that cannot be read names its file in one line.  Stdin is decoded
+# strictly only where PYTHONIOENCODING asks for it; by default undecodable
+# bytes reach the reader, which refuses them as characters.
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        ("missing.txt", None, "No such file or directory"),
+        ("latin1.txt", b"\xff", "'utf-8' codec can't decode byte 0xff in position 0:"
+                                " invalid start byte"),
+        ("-", b"sigma: (1 2)\nalpha: (1 \xe9)\n", "'utf-8' codec can't decode"
+                                                  " byte 0xe9 in position 23:"
+                                                  " invalid continuation byte"),
+    ],
+    ids=["missing-file", "undecodable-file", "undecodable-stdin"],
+)
+def test_unreadable_inputs_are_named(name, content, error, tmp_path):
+    path = name if name == "-" else str(tmp_path / name)
+    if content is not None and name != "-":
+        (tmp_path / name).write_bytes(content)
+    r = subprocess.run([sys.executable, "-m", "hypermaps", "genus", path],
+                       input=content if name == "-" else b"", capture_output=True,
+                       env={**os.environ, "PYTHONIOENCODING": "utf-8"}, timeout=300)
+    shown = "<stdin>" if name == "-" else path
+    assert (r.returncode, r.stdout, r.stderr.decode()) == (
+        2, b"", f"error: cannot read {shown!r}: {error}\n")
+
+
 def test_empty_collection_reads_back_what_it_prints(monkeypatch, capsys):
     # n = 0 prints each permutation as "()", which reads back as no cycles;
     # an empty cycle next to others, or with a space inside, is still refused
@@ -626,14 +671,15 @@ def imported_modules(args, stdin=""):
 
 def test_cold_subcommands_import_only_what_they_run():
     # against a bare interpreter: site may load modules of its own; the
-    # check routes (routes), the oracles and checks load only where they run
+    # check routes (routes), the oracles and checks load only where they run,
+    # the --json writer only under --json, the token walk only on bad input
     bare = imported_modules(["-c", "pass"])
     heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.checks",
-             "hypermaps.medial", "hypermaps.routes", "dataclasses", "json",
-             "fractions", "decimal"}
+             "hypermaps.medial", "hypermaps.routes", "hypermaps.jsonout",
+             "hypermaps.diagnose", "dataclasses", "json", "fractions", "decimal"}
     optional = {"hypermaps.charflow", "hypermaps.medial", "hypermaps.oracles",
                 "hypermaps.checks", "hypermaps.selftest", "hypermaps.routes",
-                "fractions", "decimal"}
+                "hypermaps.jsonout", "hypermaps.diagnose", "fractions", "decimal"}
     evaluating = heavy - {"fractions", "decimal"}  # UniPoly.evaluate loads fractions
     for commands, runs, unwanted in (
         ((["charpoly"], ["flowpoly"], ["flows", "--q=3"]), "charflow", heavy),

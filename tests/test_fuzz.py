@@ -7,9 +7,12 @@ fixed deadline per example.  Every drawn command line must exit 0, or 2
 with one ``error:`` line, and so must every subcommand run on a drawn
 collection of at most 7 points (the selftest's generators, under drawn
 labels) or a drawn Eulerian digraph, with flags left out, valid or bad.
-Well-formed drawn documents, written as cycle text with drawn separators and
-comments and as JSON, must load to the collection and labels that a
-reference built with ``Permutation.from_cycles`` gives.
+Well-formed drawn documents, written as cycle text with drawn separator runs,
+zero-padded and ``MAX_DIGITS``-digit points and comments, and as JSON, must
+load to the collection and labels that a reference built with
+``Permutation.from_cycles`` gives, and every drawn line of cycle text must
+read as the token walk reads it.  The ``--json`` writer must print every
+drawn payload value exactly as ``json.dumps(value, indent=2, sort_keys=True)``.
 
 Drawn values of ``n`` are either small (at most ``SMALL_N``) or above
 ``cli.MAX_POINTS``, up to 10^40, where the parsers must refuse them with
@@ -21,6 +24,7 @@ entries, which is slow rather than wrong.
 import contextlib
 import io
 import json
+import operator
 import sys
 from unittest import mock
 
@@ -28,8 +32,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypermaps import cli
 from hypermaps.cli import (
     COMMANDS,
+    MAX_DIGITS,
     MAX_POINTS,
     load_document,
     main,
@@ -37,7 +43,9 @@ from hypermaps.cli import (
     parse_hypermap_json,
     parse_hypermap_text,
 )
+from hypermaps.diagnose import walk_cycle_text
 from hypermaps.hypermap import Hypermap
+from hypermaps.jsonout import dumps
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
 from hypermaps.selftest import random_collection, random_eulerian_digraph, random_map
@@ -170,8 +178,11 @@ def test_n_above_max_points_is_refused(sigma, alpha, n):
         parse_hypermap_json(json.dumps({"n": n, "sigma": sigma, "alpha": alpha}))
 
 
-# Well-formed documents written with every liberty the cycle text allows.
-separators = st.sampled_from([" ", ",", "\t", "  ", ", ", " ,\t"])
+# Well-formed documents written with every liberty the cycle text allows:
+# separator runs between points, and runs that may be empty inside the
+# parentheses, between cycles and at both ends of the line.
+separators = st.text(alphabet=" \t,", min_size=1, max_size=4)
+gaps = st.text(alphabet=" \t,", max_size=4)
 comments = st.sampled_from(["", "  # a comment", "\t# (1 2) sigma: 3", "#"])
 
 
@@ -187,15 +198,20 @@ def drawn_cycles(draw, labels):
 
 @st.composite
 def written_cycles(draw, cycles):
-    """Cycle text for the cycles, with drawn separators around the points."""
+    """Cycle text for the cycles, with drawn separator runs around the points
+    and points zero-padded up to MAX_DIGITS digits or not."""
     if not cycles and draw(st.booleans()):
         return "()"
-    out = ""
+
+    def point(p):
+        pad = draw(st.sampled_from([0, 0, 1, 3]))
+        return "0" * min(pad, MAX_DIGITS - len(str(p))) + str(p)
+
+    out = draw(gaps)
     for cyc in cycles:
-        out += draw(st.sampled_from(["", " ", ",", "\t"])) + "("
-        out += draw(st.sampled_from(["", " ", "\t"]))
-        out += "".join(str(p) + draw(separators) for p in cyc[:-1]) + str(cyc[-1])
-        out += draw(st.sampled_from(["", " ", ","])) + ")"
+        out += "(" + draw(gaps)
+        out += "".join(point(p) + draw(separators) for p in cyc[:-1]) + point(cyc[-1])
+        out += draw(gaps) + ")" + draw(gaps)
     return out
 
 
@@ -206,7 +222,9 @@ def written_documents(draw):
     if draw(st.booleans()):
         labels = list(range(1, draw(st.integers(min_value=0, max_value=9)) + 1))
     else:
-        labels = draw(st.lists(st.integers(min_value=1, max_value=10 ** 12),
+        longest = st.integers(min_value=10 ** (MAX_DIGITS - 1),
+                              max_value=10 ** MAX_DIGITS - 1)
+        labels = draw(st.lists(st.integers(min_value=1, max_value=10 ** 12) | longest,
                                unique=True, max_size=9))
     sigma, alpha = draw(drawn_cycles(labels)), draw(drawn_cycles(labels))
     lines = [f"sigma: {draw(written_cycles(sigma))}{draw(comments)}",
@@ -230,6 +248,62 @@ def test_cycle_text_and_json_load_as_the_reference(case):
         doc = load_document(document)
         assert doc.hypermap == reference, document
         assert doc.labels == tuple(labels), document
+
+
+# Lines of cycle text, well formed or not: the one-pass reader must give the
+# cycles, or the error, that the token walk gives.
+cycle_lines = st.one_of(
+    junk,
+    st.text(alphabet="() 0123456789,\t", max_size=30),
+    st.lists(st.integers(min_value=0, max_value=99), unique=True, max_size=8)
+    .flatmap(drawn_cycles).flatmap(written_cycles),
+)
+
+
+@FUZZ
+@given(cycle_lines)
+def test_cycle_lines_read_as_the_token_walk_reads_them(line):
+    assume(line != "()")  # no points; the walk would call it an empty cycle
+
+    def read(parse):
+        try:
+            return parse(line, "<stdin>:1", 8)
+        except ValueError as exc:
+            return str(exc)
+
+    assert read(cli._parse_cycle_text) == read(walk_cycle_text)
+
+
+# Every type a --json payload holds, nested: strings with what json escapes
+# (quotes, backslashes, control characters, lone surrogates, non-ASCII), ints
+# of either sign and past 4,300 digits, bools among ints, None, and empty
+# lists and dicts.
+payload_strings = st.text(st.characters() | st.characters(categories=["Cs"])
+                          | st.sampled_from('"\\\x00\x1f\x7f\u2028'))
+long_ints = st.integers(min_value=10 ** 4300, max_value=10 ** 4400)
+payload_ints = st.integers() | long_ints | long_ints.map(operator.neg)
+int_or_bool = payload_ints | st.booleans()
+payload_values = st.recursive(
+    st.none() | st.booleans() | payload_ints | payload_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(payload_strings, inner, max_size=4)
+    | st.lists(int_or_bool, max_size=6)
+    | st.lists(st.lists(int_or_bool, max_size=4), max_size=4),
+    max_leaves=20,
+)
+
+
+@FUZZ
+@given(payload_values)
+def test_json_writer_prints_what_json_dumps_prints(value):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)  # as cli.main does
+    try:
+        assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 digraph_lines = st.one_of(

@@ -46,6 +46,7 @@ refuses.
 
 from __future__ import annotations
 
+import io
 import re
 import sys
 from itertools import chain
@@ -346,13 +347,16 @@ def parse_digraph(text: str, filename: str = "<input>") -> EulerianDigraph:
 def _read_input(path: Optional[str]) -> Tuple[str, str]:
     """The text of the file, or of stdin for None or ``-``, and its name.
 
-    One leading byte-order mark is dropped, before the format is chosen.
+    Both decode as strict UTF-8 (stdin from its bytes, where it has them);
+    one leading byte-order mark is dropped, before the format is chosen.
     """
     stdin = path is None or path == "-"
     name = "<stdin>" if stdin else path
     try:
         if stdin:
-            text = sys.stdin.read()
+            buffer = getattr(sys.stdin, "buffer", None)  # a StringIO has none
+            text = (sys.stdin.read() if buffer is None
+                    else io.TextIOWrapper(buffer, encoding="utf-8").read())
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -759,7 +763,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    sys.setrecursionlimit(10000)
     if hasattr(sys, "set_int_max_str_digits"):  # 3.11+; _int bounds every input
         sys.set_int_max_str_digits(0)  # so a count of any length prints
     try:
@@ -770,7 +773,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:  # InputError, InstanceTooLarge
+    except (ValueError, ZeroDivisionError, RecursionError) as exc:
+        # ValueError covers InputError and InstanceTooLarge
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -33,10 +33,10 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .hypermap import Hypermap, cycle_count
-from .nclattice import refinement_count, refinement_profile, refinement_sum, require_total
+from .nclattice import refinement_count, refinement_profile, refinement_sum
 from .perm import Permutation, cycle_text
 from .poly import UniPoly
-from .whitney import InstanceTooLarge, over_cap
+from .whitney import InstanceTooLarge, over_cap, whitney_dp
 
 
 def minus(i: int) -> int:
@@ -149,26 +149,23 @@ def circuit_partition_polynomial(
     States and refinements beta <= alpha correspond one to one, and the
     state of beta has z(beta^-1 sigma) circuits, the cycle count of its
     inverse sigma^-1 beta.  At genus zero that is
-    n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so j(x) is read off
-    ``refinement_profile``; otherwise it is one ``refinement_sum`` pass.
+    n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so j(x) = x^kappa R(x, x),
+    read off ``whitney_dp``; otherwise it is one ``refinement_sum`` pass.
     The cap counts the states from Catalan numbers before anything runs.
     """
     if max_states is not None:
         count = refinement_count(h.alpha)
         if count > max_states:
             raise InstanceTooLarge(over_cap(count, "matchings", max_states))
-    if h.genus != 0:
-        sinv = h.sigma.inverse()._image
-        return UniPoly(refinement_sum(
-            h.alpha, lambda beta: (cycle_count([sinv[b] for b in beta._image]), 1)
-        ))
-    counts, _ = refinement_profile(h.alpha, h.sigma.cycle_labels())
-    require_total(counts, refinement_count(h.alpha), "j(1)")
-    offset = h.n - h.sigma.cycle_count
-    terms: Dict[int, int] = {}
-    for (kb, zb), c in counts.items():
-        terms[offset + 2 * kb - zb] = terms.get(offset + 2 * kb - zb, 0) + c
-    return UniPoly(terms)
+    if h.genus == 0:
+        terms: Dict[int, int] = {}
+        for (eu, ev), c in whitney_dp(h).polynomial.terms.items():
+            terms[h.kappa + eu + ev] = terms.get(h.kappa + eu + ev, 0) + c
+        return UniPoly(terms)
+    sinv = h.sigma.inverse()._image
+    return UniPoly(refinement_sum(
+        h.alpha, lambda beta: (cycle_count([sinv[b] for b in beta._image]), 1)
+    ))
 
 
 def eulerian_coloring_sum(h: Hypermap, colors: int) -> int:

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 from .charflow import check_prime
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
-from .nclattice import mobius_of_cycles, refinements
+from .nclattice import mobius_of_cycles, refinement_sum
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -34,12 +34,11 @@ def whitney_refinement_sum(h: Hypermap) -> BiPoly:
     kappa(sigma, beta) comes from a search over the orbits of <sigma, beta>,
     and z(beta) from beta's cycles.
     """
-    terms: Dict[Tuple[int, int], int] = {}
-    for beta in refinements(h.alpha):
+    def term(beta: Permutation):
         kb = orbit_count(h.sigma, beta)
-        key = (kb - h.kappa, kb + h.n - beta.cycle_count - h.sigma.cycle_count)
-        terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+        return (kb - h.kappa, kb + h.n - beta.cycle_count - h.sigma.cycle_count), 1
+
+    return BiPoly(refinement_sum(h.alpha, term))
 
 
 def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
@@ -49,11 +48,8 @@ def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> Uni
     the interval, with mu(alpha1, beta) = mu(id, delta) and the exponent
     kappa(sigma, beta) from a search over the orbits of <sigma, beta>.
     """
-    terms: Dict[int, int] = {}
-    for delta in refinements(alpha1.inverse() * alpha2):
-        kb = orbit_count(h.sigma, alpha1 * delta)
-        terms[kb] = terms.get(kb, 0) + mobius_of_cycles(delta)
-    return UniPoly(terms)
+    return UniPoly(refinement_sum(alpha1.inverse() * alpha2, lambda delta: (
+        orbit_count(h.sigma, alpha1 * delta), mobius_of_cycles(delta))))
 
 
 def underlying_graph(h: Hypermap) -> Tuple[int, List[Tuple[int, int]]]:
@@ -92,32 +88,28 @@ def _component_count(nv: int, edges: Sequence[Tuple[int, int]]) -> int:
     return sum(1 for v in range(nv) if find(v) == v)
 
 
+def _edge_subsets(
+    nv: int, edges: Sequence[Tuple[int, int]]
+) -> Iterator[Tuple[int, int]]:
+    """(|A|, c(A)) for every subset A of the edges, c counted on nv vertices."""
+    for r in range(len(edges) + 1):
+        for subset in combinations(edges, r):
+            yield r, _component_count(nv, subset)
+
+
 def graph_whitney_rank(nv: int, edges: Sequence[Tuple[int, int]]) -> BiPoly:
     """Subset expansion sum_A u^(c(A) - c(E)) v^(|A| - nv + c(A))."""
-    edges = list(edges)
     c_full = _component_count(nv, edges)
-    terms: Dict[Tuple[int, int], int] = {}
-    for r in range(len(edges) + 1):
-        for subset in combinations(range(len(edges)), r):
-            chosen = [edges[i] for i in subset]
-            c = _component_count(nv, chosen)
-            key = (c - c_full, r - nv + c)
-            terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+    subsets = _edge_subsets(nv, edges)
+    return BiPoly(Counter((c - c_full, r - nv + c) for r, c in subsets))
 
 
 def graph_characteristic(nv: int, edges: Sequence[Tuple[int, int]]) -> UniPoly:
     """Chromatic subset expansion sum_A (-1)^|A| t^c(A), shifted down by c(E)."""
-    edges = list(edges)
-    c_full = _component_count(nv, edges)
-    terms: Dict[int, int] = {}
-    for r in range(len(edges) + 1):
-        for subset in combinations(range(len(edges)), r):
-            chosen = [edges[i] for i in subset]
-            c = _component_count(nv, chosen)
-            sign = -1 if r % 2 else 1
-            terms[c] = terms.get(c, 0) + sign
-    poly = UniPoly(terms).shift_exponents(-c_full)
+    terms: Counter = Counter()
+    for r, c in _edge_subsets(nv, edges):
+        terms[c] += -1 if r % 2 else 1
+    poly = UniPoly(terms).shift_exponents(-_component_count(nv, edges))
     if any(e < 0 for e in poly.terms):
         raise ValueError("characteristic shift went negative")
     return poly
@@ -125,16 +117,9 @@ def graph_characteristic(nv: int, edges: Sequence[Tuple[int, int]]) -> UniPoly:
 
 def graph_flow_polynomial(nv: int, edges: Sequence[Tuple[int, int]]) -> UniPoly:
     """Flow subset expansion sum_A (-1)^(|E| - |A|) t^(|A| - nv + c(A))."""
-    edges = list(edges)
-    ne = len(edges)
-    terms: Dict[int, int] = {}
-    for r in range(ne + 1):
-        for subset in combinations(range(ne), r):
-            chosen = [edges[i] for i in subset]
-            c = _component_count(nv, chosen)
-            sign = -1 if (ne - r) % 2 else 1
-            e = r - nv + c
-            terms[e] = terms.get(e, 0) + sign
+    terms: Counter = Counter()
+    for r, c in _edge_subsets(nv, edges):
+        terms[r - nv + c] += -1 if (len(edges) - r) % 2 else 1
     return UniPoly(terms)
 
 

@@ -7,8 +7,9 @@ allowed.  Evaluation is exact over the rationals.
 The canonical text form is pinned: bivariate terms are sorted by total degree
 descending then by the u-exponent descending, univariate terms by exponent
 descending; a coefficient of 1 is suppressed except on the constant term;
-ASCII only, e.g. ``u^2 + u*v + 4*u + v + 3`` or ``v^-1 + 2``.  Printing and
-parsing round-trip.
+ASCII only, e.g. ``u^2 + u*v + 4*u + v + 3`` or ``2 + v^-1``.  ``parse``
+reads this printed form back, spaced or not around signs and ``*``, and
+raises ``ValueError`` on any other text, such as ``u*2`` or an empty one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ if TYPE_CHECKING:  # fractions loads decimal, so only evaluation imports it
 
     Scalar = Union[int, Fraction]
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^-?\d+|[*+-])")
+# one factor of a term: a magnitude, or a variable with an optional exponent
+_FACTOR = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)(?:\^(-?\d+))?)\s*")
 
 
 def _pow(base: Scalar, exp: int) -> Scalar:
@@ -37,71 +39,29 @@ def _normalize(value: Fraction) -> Scalar:
     return int(value) if value.denominator == 1 else value
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad character at offset {pos}: {text[pos]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
 def _parse_terms(text: str, variables: Tuple[str, ...]) -> Dict[Tuple[int, ...], int]:
-    """Shared parser: returns exponent-vector -> coefficient."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    """Exponent vector -> coefficient, read by the grammar ``_format_terms``
+    prints: terms split at each sign that is not an exponent's, each term a
+    magnitude, then variables with optional exponents, joined by ``*``."""
+    parts = re.split(r"(?<!\^)([+-])", text)
+    if len(parts) > 1 and not parts[0].strip():  # a sign before the first term
+        del parts[0]
+    else:
+        parts.insert(0, "+")
     terms: Dict[Tuple[int, ...], int] = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        if tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -1
-            i += 1
-        elif not first:
-            raise ValueError(f"expected '+' or '-' near token {tokens[i]!r}")
-        first = False
-        coeff = None
-        expo = [0] * len(variables)
-        expect_factor = True
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok in "+-" and not expect_factor:
-                break
-            if tok == "*":
-                if expect_factor:
-                    raise ValueError("misplaced '*'")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ValueError(f"missing operator before {tok!r}")
-            if tok.isdigit():
-                coeff = (1 if coeff is None else coeff) * int(tok)
-                i += 1
-            elif tok in variables:
-                e = 1
-                if i + 1 < len(tokens) and tokens[i + 1].startswith("^"):
-                    e = int(tokens[i + 1][1:])
-                    i += 1
-                expo[variables.index(tok)] += e
-                i += 1
+    for sign, term in zip(parts[::2], parts[1::2]):
+        coeff, expo = 1, [0] * len(variables)
+        for i, factor in enumerate(term.split("*")):
+            m = _FACTOR.fullmatch(factor)
+            if not m or (i and m[1]) or m[2] not in (None,) + variables:
+                raise ValueError(f"malformed term {term.strip()!r} in {text!r}")
+            if m[1]:
+                coeff = int(m[1])
             else:
-                raise ValueError(f"unexpected token {tok!r}")
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("dangling operator at end of term")
-        c = sign * (1 if coeff is None else coeff)
+                expo[variables.index(m[2])] += int(m[3] or 1)
         key = tuple(expo)
-        terms[key] = terms.get(key, 0) + c
-    return {k: v for k, v in terms.items() if v != 0}
+        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+    return {k: v for k, v in terms.items() if v}
 
 
 def _format_terms(

@@ -30,8 +30,9 @@ v^[k != 1 and c1, ck share a sigma-cycle].  One orbit walk gives kappa and
 the components.  Checks that raise ``ValueError``: u-exponent 0 or 1, psi's
 gluing restores kappa, and n + 2 kappa - z(sigma) - z(alpha) - z(sigma^-1
 alpha) even and nonnegative on each branch and on each piece of a branch
-that splits.  Each depends only on the branch's tables (and psi's c1, c2),
-as does its value, so a branch memo runs them once per key in a call.
+that splits.  A branch's value is R of its tables, also where psi glues
+(gluing two components keeps R, ``merge_components``), so a branch memo
+keyed by the tables alone runs the checks once per key in a call.
 
 R is multiplicative over disjoint unions, so phi and psi work one component
 at a time, and each is normalised before it is looked up: every fixed point
@@ -342,15 +343,14 @@ def _whitney_recursive(h: Hypermap, keep_connected: bool) -> WhitneyResult:
 
     def component(sig, alf) -> int:
         pivot = _pivot(alf)
-        glue = pivot[:2] if keep_connected else None
         packed = 0
         for k in range(1, len(pivot) + 1):
             csig, calf, ev = _phi_k_tables(sig, alf, pivot, k)
-            value = branches.get((csig, calf, glue))
+            value = branches.get((csig, calf))
             if value is None:
                 gsig, comps, eu = _check_branch(csig, calf, 1, pivot, keep_connected)
                 value = product(gsig, calf, comps) << eu * u_shift
-                branches[csig, calf, glue] = value
+                branches[csig, calf] = value
             else:
                 stats.nodes += 1
                 stats.memo_hits += 1

@@ -23,6 +23,7 @@ from .nclattice import (
     mobius,
     noncrossing_partitions,
     refinement_count,
+    refinement_sum,
     refinements,
 )
 from .perm import Permutation
@@ -222,12 +223,13 @@ def require_wet_dry(h: Hypermap) -> None:
     wet_dry = wet_dry_polynomial(h)
     expected = BiPoly.monomial(1, h.kappa, 0) * whitney_phi(h).polynomial
     _require(wet_dry == expected, "wet/dry == u^kappa R", h)
-    terms: dict = {}
-    for beta in refinements(h.alpha):
+
+    def term(beta: Permutation):
         kb = orbit_count(h.sigma, beta)
-        e = (kb, (beta.inverse() * h.sigma).cycle_count - kb)
-        terms[e] = terms.get(e, 0) + 1
-    _require(wet_dry == BiPoly(terms), "wet/dry == its definition", h)
+        return (kb, (beta.inverse() * h.sigma).cycle_count - kb), 1
+
+    _require(wet_dry == BiPoly(refinement_sum(h.alpha, term)),
+             "wet/dry == its definition", h)
 
 
 def require_medial_shape(h: Hypermap) -> None:

@@ -515,8 +515,8 @@ def test_a_leading_byte_order_mark_is_dropped(
 
 
 # An input that cannot be read names its file in one line.  Stdin is decoded
-# strictly only where PYTHONIOENCODING asks for it; by default undecodable
-# bytes reach the reader, which refuses them as characters.
+# from its bytes as strict UTF-8, as a file is, under any locale: the C
+# locale's own decoding would pass the bad byte on as a character.
 @pytest.mark.parametrize(
     "name, content, error",
     [
@@ -535,7 +535,7 @@ def test_unreadable_inputs_are_named(name, content, error, tmp_path):
         (tmp_path / name).write_bytes(content)
     r = subprocess.run([sys.executable, "-m", "hypermaps", "genus", path],
                        input=content if name == "-" else b"", capture_output=True,
-                       env={**os.environ, "PYTHONIOENCODING": "utf-8"}, timeout=300)
+                       env={**os.environ, "LC_ALL": "C"}, timeout=300)
     shown = "<stdin>" if name == "-" else path
     assert (r.returncode, r.stdout, r.stderr.decode()) == (
         2, b"", f"error: cannot read {shown!r}: {error}\n")
@@ -819,7 +819,7 @@ def test_default_whitney_matches_check_routes(monkeypatch, capsys):
 
 
 def test_colorings_on_many_vertices_need_no_recursion():
-    # more vertices than the recursion limit main sets: 20,000 buds, and a
+    # more vertices than the default recursion limit: 20,000 buds, and a
     # path on 15,001 vertices {1}, {2, 3}, ..., {30000} joined by (2i-1 2i)
     buds = "n: 20000\nsigma: (1)\nalpha: (1)\n"
     k = 15000
@@ -829,6 +829,21 @@ def test_colorings_on_many_vertices_need_no_recursion():
     for m, doc, count in ((1, buds, "1"), (2, path, "2")):
         r = run_cli(["colorings", f"--m={m}"], doc)
         assert (r.returncode, r.stdout, r.stderr) == (0, count + "\n", ""), m
+
+
+def test_a_recursion_too_deep_exits_2_with_one_line():
+    # main keeps the interpreter's recursion limit; phi on a path with 19
+    # edges, the deepest the default size guard admits, goes 47 frames deep
+    edges = 19
+    doc = ("sigma: (1)" + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, edges))
+           + f"({2 * edges})\nalpha: "
+           + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, edges + 1)) + "\n")
+    script = ("import sys\nfrom hypermaps import cli\nsys.setrecursionlimit(30)\n"
+              "sys.exit(cli.main(['whitney', '--method=phi']))\n")
+    r = subprocess.run([sys.executable, "-c", script], input=doc,
+                       capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_colorings_of_a_long_path_are_not_listed():

@@ -361,15 +361,11 @@ def command_lines(draw):
 
 def _exits_0_or_2_with_one_error_line(argv, document):
     out, err = io.StringIO(), io.StringIO()
-    limit = sys.getrecursionlimit()  # main raises it; hypothesis wants it back
     # --n-max may reach 10; the selftest itself has tests of its own
     with mock.patch("hypermaps.selftest.run_selftest", return_value=[]), \
             mock.patch.object(sys, "stdin", io.StringIO(document)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        finally:
-            sys.setrecursionlimit(limit)
+        rc = main(argv)
     if rc == 0:
         assert err.getvalue() == "", (argv, err.getvalue())
     else:

@@ -54,6 +54,15 @@ def test_parse_rejects_garbage():
             BiPoly.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["2*3*u", "u*2", "", "   "])
+def test_parse_refuses_forms_never_printed(text):
+    # the magnitude comes first in its term, and a polynomial has a term
+    with pytest.raises(ValueError):
+        BiPoly.parse(text)
+    with pytest.raises(ValueError):
+        UniPoly.parse(text, var="u")
+
+
 def test_arithmetic_golden():
     u_plus_1 = BiPoly.parse("u + 1")
     v_plus_1 = BiPoly.parse("v + 1")

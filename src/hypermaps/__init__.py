@@ -10,21 +10,16 @@ coloring counts, plus a randomized identity selftest tying these to
 each other and to classical graph invariants.
 
 The core modules (perm, hypermap, poly, nclattice, whitney) load with the
-package; charflow, checks, medial, oracles, routes (R's check routes) and
-selftest, and their public names, load on first use, so a command never
-pays for one it does not need.
+package; charflow (chi and C), counting (coloring and flow counts), checks,
+medial, oracles, routes (R's check routes) and selftest, and their public
+names, load on first use, so a command never pays for one it does not
+need.  The checks among the public names are the lattice primitives
+is_refinement, interval, mobius and noncrossing_partitions, which live in
+oracles, and compatible_coloring_count and x_interval, in checks.
 """
 
 from .hypermap import Hypermap, dual, merge_components, orbit_count
-from .nclattice import (
-    catalan,
-    interval,
-    is_refinement,
-    mobius,
-    noncrossing_partitions,
-    refinement_count,
-    refinements,
-)
+from .nclattice import catalan, refinement_count, refinements
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 # Eager: importing the submodule later would rebind whitney to the module.
@@ -44,13 +39,14 @@ from .whitney import (
 _LAZY = {
     name: module
     for module, names in (
-        ("charflow", ("characteristic_polynomial", "flow_polynomial",
-                      "nowhere_zero_flow_count", "proper_coloring_count")),
+        ("charflow", ("characteristic_polynomial", "flow_polynomial")),
+        ("counting", ("nowhere_zero_flow_count", "proper_coloring_count")),
         ("medial", ("EulerianDigraph", "EulerianMap", "circuit_partition_polynomial",
                     "eulerian_coloring_sum", "from_eulerian_digraph", "medial_digraph",
                     "medial_map", "source_hypermap")),
         ("checks", ("compatible_coloring_count", "x_interval")),
-        ("oracles", ("coherent_matchings", "flow_space", "unique_nz_refinement")),
+        ("oracles", ("coherent_matchings", "flow_space", "interval", "is_refinement",
+                     "mobius", "noncrossing_partitions", "unique_nz_refinement")),
         ("selftest", ("run_selftest",)),
     )
     for name in names

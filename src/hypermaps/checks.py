@@ -3,7 +3,7 @@ compatible coloring counts.
 
 Only the selftest and the tests call them, so no command compiles this
 module.  Each is one ``refinement_profile`` pass (``x_interval``) or one
-``charflow.distinct_colorings`` count (``compatible_coloring_count``); the
+``counting.distinct_colorings`` count (``compatible_coloring_count``); the
 definitional sums they are checked against are in ``oracles``.
 """
 
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from .charflow import distinct_colorings
+from .counting import distinct_colorings
 from .hypermap import Hypermap
-from .nclattice import is_refinement, mobius_nc, refinement_profile
+from .nclattice import mobius_nc, refinement_profile
+from .oracles import is_refinement
 from .perm import Permutation
 from .poly import UniPoly
 

@@ -38,10 +38,12 @@ the input, calls the compute function, and prints the plain text or the
 JSON payload.
 
 A process runs one subcommand, so each compute function imports the modules
-it runs (charflow, medial, selftest), ``json`` and the writer of ``--json``
-(jsonout) load where JSON is used, and the token walk that names the fault
-of a cycle-text line (diagnose) loads only for a line the one-pass reader
-refuses.
+it runs (charflow for chi and C, counting for the colorings and flows
+counts, medial, selftest); ``json``, the reader of a JSON document (jsonin)
+and the writer of ``--json`` (jsonout) load only where JSON is read or
+written; and the token walk that names the fault of a cycle-text line
+(diagnose) loads only for a line the one-pass reader refuses.  A process
+that runs out of memory exits 2 with one line, as a domain error does.
 """
 
 from __future__ import annotations
@@ -258,68 +260,10 @@ def parse_hypermap_text(text: str, filename: str = "<input>") -> HypermapDocumen
     return _build_document(sigma_cycles, alpha_cycles, n, name, where)
 
 
-def _long_integer_line(text: str) -> int:
-    """Line of the first JSON integer longer than MAX_DIGITS, strings blanked."""
-    bare = re.sub(r'"(?:[^"\\]|\\.)*"', '""', text)
-    long_int = r"(?<![-+.eE0-9])-?[0-9]{%d,}(?![.eE0-9])" % (MAX_DIGITS + 1)
-    found = re.search(long_int, bare)
-    return bare.count("\n", 0, found.start() if found else 0) + 1
-
-
-def _top_level_key_line(text: str, key: str) -> int:
-    """Line of the last top-level ``key`` of a JSON object, the one json keeps."""
-    import json
-    line, depth = 1, 0
-    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[\[{]|[\]}]', text):
-        if m.group(1) is None:
-            depth += 1 if m.group() in "[{" else -1
-        elif depth == 1 and m.group(2) and json.loads(m.group(1)) == key:
-            line = text.count("\n", 0, m.start()) + 1
-    return line
-
-
-def parse_hypermap_json(text: str, filename: str = "<input>") -> HypermapDocument:
-    import json
-
-    parse_int = None  # json's own int(), unless some integer may be too long
-    if _LONG_RUN.search(text):
-        def parse_int(digits: str) -> int:  # looks the line up only if it refuses
-            return _int(digits, filename if len(digits) <= MAX_DIGITS
-                        else f"{filename}:{_long_integer_line(text)}", "integer")
-
-    try:
-        obj = json.loads(text, parse_int=parse_int)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{filename}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise InputError(f"{filename}: JSON nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise InputError(f"{filename}: top level must be an object")
-    unknown = set(obj) - {"n", "sigma", "alpha", "name"}
-    if unknown:
-        raise InputError(f"{filename}: unknown keys {json.dumps(sorted(unknown))}")
-    for key in ("sigma", "alpha"):
-        if key not in obj:
-            raise InputError(f"{filename}: missing key {json.dumps(key)}")
-        val = obj[key]
-        if not isinstance(val, list) or not set(map(type, val)) <= {list}:
-            raise InputError(f"{filename}: {key} must be a list of cycles")
-    n = obj.get("n")
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 0):
-        raise InputError(f"{filename}: n must be a nonnegative integer")
-    if n is not None and n > MAX_POINTS:
-        line = _top_level_key_line(text, "n")
-        raise InputError(f"{filename}:{line}: n must be at most {MAX_POINTS}")
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise InputError(f"{filename}: name must be a string")
-    where = {"sigma": filename, "alpha": filename, "n": filename}
-    return _build_document(obj["sigma"], obj["alpha"], n, name, where)
-
-
 def load_document(text: str, filename: str = "<input>") -> HypermapDocument:
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
+        from .jsonin import parse_hypermap_json
         return parse_hypermap_json(text, filename)
     return parse_hypermap_text(text, filename)
 
@@ -464,7 +408,7 @@ def _flowpoly(args, doc: HypermapDocument):
 
 
 def _flows(args, doc: HypermapDocument):
-    from .charflow import check_prime, nowhere_zero_flow_count
+    from .counting import check_prime, nowhere_zero_flow_count
     h = doc.hypermap
     check_prime(args.q)
     # The cycle-sum matrix is totally unimodular, so its rank holds in every field.
@@ -481,7 +425,7 @@ def _colorings(args, doc: HypermapDocument):
     if args.eulerian:
         from .medial import eulerian_coloring_sum as count_colorings
     else:
-        from .charflow import proper_coloring_count as count_colorings
+        from .counting import proper_coloring_count as count_colorings
     count = count_colorings(doc.hypermap, args.m)
     return {"count": count, "m": args.m}, str(count), "dp", {}
 
@@ -649,12 +593,16 @@ class HelpRequested(Exception):
     """-h, --help or --version; main prints the text and exits with status 0."""
 
 
-# A token that reads as a negative number is a value, not a flag.
-_NEGATIVE = re.compile(r"-[0-9]+|-[0-9]*\.[0-9]+")
+# A token that reads as a negative number is a value, not a flag.  Only a
+# token of "-" and a digit or "." can match, so the pattern compiles (into
+# re's cache) on the first such token, never for a flag.
+_NEGATIVE = r"-[0-9]+|-[0-9]*\.[0-9]+"
 
 
 def _is_flag(token: str) -> bool:
-    return token.startswith("-") and token != "-" and not _NEGATIVE.fullmatch(token)
+    if token[:1] != "-" or token == "-":
+        return False
+    return token[1] not in "0123456789." or not re.fullmatch(_NEGATIVE, token)
 
 
 def _match(name: str, names: Sequence[str]) -> str:
@@ -776,6 +724,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, RecursionError) as exc:
         # ValueError covers InputError and InstanceTooLarge
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an instance past the memory this process may take
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

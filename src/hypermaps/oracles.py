@@ -6,7 +6,27 @@ with the main code paths.  The selftest subcommand and the test suite both
 compare the fast routes against these.  ``flow_space`` is Gaussian
 elimination over GF(q); ``flows`` reads its dimension off a formula.
 ``is_flow`` and ``unique_nz_refinement``, which only the checks call,
-live here too.
+live here too, and so do the primitives of the refinement order that only
+the checks call: ``noncrossing_partitions``, ``is_refinement``,
+``interval``, ``mobius`` and ``mobius_of_cycles``.
+
+``is_refinement`` checks genus zero of the restricted pairs without
+relabeling (``nclattice`` defines the order).  Once
+every beta-cycle lies inside an alpha-cycle, an alpha-cycle of m points
+holds at most m + 1 cycles of beta and of beta^-1 alpha together, with
+equality exactly at genus zero, so beta <= alpha if and only if
+
+    z(beta) + z(beta^-1 alpha) == n + z(alpha).
+
+The Moebius function is the closed form
+
+    mu(beta, gamma) = prod over cycles c of beta^-1 gamma of (-1)^(|c|-1) Cat(|c|-1)
+
+because an interval [beta, gamma] factors into full lattices NC(|c|), one per
+cycle c of beta^-1 gamma (Kreweras 1972; Nica and Speicher, Lectures on the
+Combinatorics of Free Probability, Lectures 9-10), and NC(m) itself has
+mu = (-1)^(m-1) Cat(m-1), Catalan numbers indexed from Cat(0) = 1.  The tests
+and the selftest check it against the defining recursion.
 """
 
 from __future__ import annotations
@@ -16,12 +36,66 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .charflow import check_prime
+from .counting import check_prime
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
-from .nclattice import mobius_of_cycles, refinement_sum
+from .nclattice import mobius_nc, refinement_sum, refinements
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
+
+Partition = Tuple[Tuple[int, ...], ...]
+
+
+def noncrossing_partitions(m: int) -> Tuple[Partition, ...]:
+    """All noncrossing partitions of positions 0..m-1, sorted.
+
+    The position blocks of the refinements of the cycle (1 ... m): a block
+    read along that cycle is increasing, so each canonical cycle of a
+    refinement is one block.  Listed afresh on every call; nothing is cached.
+    """
+    cycle = Permutation._unchecked((0, *range(2, m + 1), 1) if m else (0,))
+    parts = [
+        tuple(tuple(p - 1 for p in c) for c in beta.cycles())
+        for beta in refinements(cycle)
+    ]
+    return tuple(sorted(parts))
+
+
+def is_refinement(beta: Permutation, alpha: Permutation) -> bool:
+    if beta.n != alpha.n:
+        raise ValueError("size mismatch")
+    owner = alpha.cycle_labels()
+    for c in beta.cycles():
+        if any(owner[p] != owner[c[0]] for p in c):
+            return False
+    zc = (beta.inverse() * alpha).cycle_count
+    return beta.cycle_count + zc == alpha.n + alpha.cycle_count
+
+
+def interval(beta: Permutation, alpha: Permutation) -> List[Permutation]:
+    """All gamma with beta <= gamma <= alpha."""
+    if not is_refinement(beta, alpha):
+        raise ValueError("beta does not refine alpha")
+    return [g for g in refinements(alpha) if is_refinement(beta, g)]
+
+
+def mobius_of_cycles(delta: Permutation) -> int:
+    """prod over cycles c of delta of (-1)^(|c|-1) Cat(|c|-1).
+
+    This is mu(beta, gamma) for delta = beta^-1 gamma whenever beta <= gamma;
+    in particular mu(id, beta) comes from beta's own cycles.
+    """
+    value = 1
+    for c in delta.cycles():
+        value *= mobius_nc(len(c))
+    return value
+
+
+def mobius(beta: Permutation, alpha: Permutation) -> int:
+    """Moebius function of the interval [beta, alpha] in refinement order."""
+    if not is_refinement(beta, alpha):
+        raise ValueError("beta does not refine alpha")
+    return mobius_of_cycles(beta.inverse() * alpha)
 
 
 def narayana(n: int, k: int) -> int:

@@ -22,8 +22,9 @@ if TYPE_CHECKING:  # fractions loads decimal, so only evaluation imports it
 
     Scalar = Union[int, Fraction]
 
-# one factor of a term: a magnitude, or a variable with an optional exponent
-_FACTOR = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)(?:\^(-?\d+))?)\s*")
+# One factor of a term: a magnitude, or a variable with an optional exponent.
+# Only parse reads it, so it compiles on the first parse, not at import.
+_FACTOR = r"\s*(?:(\d+)|([A-Za-z_]\w*)(?:\^(-?\d+))?)\s*"
 
 
 def _pow(base: Scalar, exp: int) -> Scalar:
@@ -48,11 +49,12 @@ def _parse_terms(text: str, variables: Tuple[str, ...]) -> Dict[Tuple[int, ...],
         del parts[0]
     else:
         parts.insert(0, "+")
+    factor_match = re.compile(_FACTOR).fullmatch  # re caches the compiled form
     terms: Dict[Tuple[int, ...], int] = {}
     for sign, term in zip(parts[::2], parts[1::2]):
         coeff, expo = 1, [0] * len(variables)
         for i, factor in enumerate(term.split("*")):
-            m = _FACTOR.fullmatch(factor)
+            m = factor_match(factor)
             if not m or (i and m[1]) or m[2] not in (None,) + variables:
                 raise ValueError(f"malformed term {term.strip()!r} in {text!r}")
             if m[1]:

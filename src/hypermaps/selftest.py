@@ -15,17 +15,10 @@ from __future__ import annotations
 import random
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import charflow, checks, medial, oracles
+from . import charflow, checks, counting, medial, oracles
 from .hypermap import Hypermap, dual, merge_components, orbit_count
-from .nclattice import (
-    catalan,
-    is_refinement,
-    mobius,
-    noncrossing_partitions,
-    refinement_count,
-    refinement_sum,
-    refinements,
-)
+from .nclattice import catalan, refinement_count, refinement_sum, refinements
+from .oracles import is_refinement, mobius, noncrossing_partitions
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 from .whitney import (
@@ -339,11 +332,11 @@ def require_small_edge_counts(h: Hypermap, sizes: Sequence[int]) -> None:
     chi = charflow.characteristic_polynomial(h)
     flow = charflow.flow_polynomial(h)
     for q in sizes:
-        colorings = charflow.proper_coloring_count(h, q)
+        colorings = counting.proper_coloring_count(h, q)
         _require(q ** h.kappa * chi.evaluate(q) == colorings
                  == oracles.proper_coloring_enumeration(h, q),
                  f"m^kappa chi(m) counts proper colorings, m = {q}", h)
-        nowhere_zero = charflow.nowhere_zero_flow_count(h, q)
+        nowhere_zero = counting.nowhere_zero_flow_count(h, q)
         _require(flow.evaluate(q) == nowhere_zero
                  == oracles.nowhere_zero_flow_enumeration(h, q),
                  f"C(q) counts nowhere-zero flows, q = {q}", h)

@@ -19,24 +19,21 @@ import pytest
 from acceptance_report import criterion
 from test_whitney import phi_expansion
 from hypermaps import charflow
-from hypermaps.charflow import characteristic_polynomial, proper_coloring_count
+from hypermaps.charflow import characteristic_polynomial
+from hypermaps.counting import proper_coloring_count
 from hypermaps.hypermap import Hypermap, orbit_count
 from hypermaps.medial import medial_map, minus, plus
-from hypermaps.nclattice import (
-    catalan,
-    interval,
-    is_refinement,
-    mobius,
-    refinement_count,
-    refinements,
-)
+from hypermaps.nclattice import catalan, refinement_count, refinements
 from hypermaps.oracles import (
     circuits_of_state,
     eulerian_edge_colorings,
     eulerian_valence_sum,
     flow_space,
+    interval,
     is_flow,
+    is_refinement,
     matching_refinement,
+    mobius,
     proper_coloring_enumeration,
     unique_nz_refinement,
 )

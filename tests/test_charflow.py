@@ -3,21 +3,20 @@ import time
 
 import pytest
 
-from hypermaps.charflow import (
-    characteristic_polynomial,
-    flow_polynomial,
-    nowhere_zero_flow_count,
-    proper_coloring_count,
-)
+from hypermaps.charflow import characteristic_polynomial, flow_polynomial
+from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
 from hypermaps.hypermap import Hypermap
-from hypermaps.nclattice import interval, is_refinement, mobius, refinements
+from hypermaps.nclattice import refinements
 from hypermaps.perm import Permutation
 from hypermaps.poly import UniPoly
 from hypermaps.checks import compatible_coloring_count, x_interval
 from hypermaps.oracles import (
     compatible_coloring_enumeration,
     flow_space,
+    interval,
     is_flow,
+    is_refinement,
+    mobius,
     nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,
     unique_nz_refinement,

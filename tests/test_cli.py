@@ -672,25 +672,33 @@ def imported_modules(args, stdin=""):
 def test_cold_subcommands_import_only_what_they_run():
     # against a bare interpreter: site may load modules of its own; the
     # check routes (routes), the oracles and checks load only where they run,
-    # the --json writer only under --json, the token walk only on bad input
+    # the coloring and flow counts (counting) only in colorings and flows,
+    # the JSON reader (jsonin) only on a JSON document, the --json writer
+    # only under --json, the token walk only on bad input
     bare = imported_modules(["-c", "pass"])
     heavy = {"hypermaps.selftest", "hypermaps.oracles", "hypermaps.checks",
              "hypermaps.medial", "hypermaps.routes", "hypermaps.jsonout",
-             "hypermaps.diagnose", "dataclasses", "json", "fractions", "decimal"}
-    optional = {"hypermaps.charflow", "hypermaps.medial", "hypermaps.oracles",
-                "hypermaps.checks", "hypermaps.selftest", "hypermaps.routes",
-                "hypermaps.jsonout", "hypermaps.diagnose", "fractions", "decimal"}
+             "hypermaps.jsonin", "hypermaps.diagnose", "dataclasses", "json",
+             "fractions", "decimal"}
+    optional = {"hypermaps.charflow", "hypermaps.counting", "hypermaps.medial",
+                "hypermaps.oracles", "hypermaps.checks", "hypermaps.selftest",
+                "hypermaps.routes", "hypermaps.jsonout", "hypermaps.jsonin",
+                "hypermaps.diagnose", "fractions", "decimal"}
     evaluating = heavy - {"fractions", "decimal"}  # UniPoly.evaluate loads fractions
-    for commands, runs, unwanted in (
-        ((["charpoly"], ["flowpoly"], ["flows", "--q=3"]), "charflow", heavy),
-        ((["colorings", "--m=3"], ["flows", "--q=3", "--nowhere-zero"]), "charflow",
-         evaluating),
-        ((["whitney"], ["genus"], ["wet-dry"]), "whitney", optional),
-        ((["whitney", "--method=phi"], ["whitney", "--check"]), "routes",
+    document = json.dumps(RUNNING_ECHO)
+    for commands, stdin, runs, unwanted in (
+        ((["charpoly"], ["flowpoly"]), RUNNING, "charflow",
+         heavy | {"hypermaps.counting"}),
+        ((["flows", "--q=3"],), RUNNING, "counting", heavy | {"hypermaps.charflow"}),
+        ((["colorings", "--m=3"], ["flows", "--q=3", "--nowhere-zero"]), RUNNING,
+         "counting", evaluating | {"hypermaps.charflow"}),
+        ((["whitney"], ["genus"], ["wet-dry"]), RUNNING, "whitney", optional),
+        ((["whitney", "--method=phi"], ["whitney", "--check"]), RUNNING, "routes",
          optional - {"hypermaps.routes"}),
+        ((["genus"],), document, "jsonin", optional - {"hypermaps.jsonin"}),
     ):
         for argv in commands:
-            added = imported_modules(["-m", "hypermaps", *argv], RUNNING) - bare
+            added = imported_modules(["-m", "hypermaps", *argv], stdin) - bare
             assert f"hypermaps.{runs}" in added, argv
             assert not added & unwanted, (argv, sorted(added & unwanted))
 
@@ -844,6 +852,18 @@ def test_a_recursion_too_deep_exits_2_with_one_line():
                        capture_output=True, text=True, timeout=300)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    # a large instance under --no-size-guard may exhaust memory inside a
+    # route; the route is stood in for, so nothing large is allocated
+    def exhausted(h, method="dp", **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "whitney", exhausted)
+    for argv in (["whitney"], ["whitney", "--method=phi", "--no-size-guard", "--json"]):
+        rc, out, err = run_in_process(argv, RUNNING, monkeypatch, capsys)
+        assert (rc, out, err) == (2, "", "error: out of memory\n"), argv
 
 
 def test_colorings_of_a_long_path_are_not_listed():

@@ -21,27 +21,18 @@ import time
 import pytest
 
 from hypermaps import cli, nclattice
-from hypermaps.charflow import (
-    characteristic_polynomial,
-    flow_polynomial,
-    nowhere_zero_flow_count,
-    proper_coloring_count,
-)
+from hypermaps.charflow import characteristic_polynomial, flow_polynomial
+from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
 from hypermaps.hypermap import Hypermap, dual, orbit_count
 from hypermaps.medial import (
     circuit_partition_polynomial,
     eulerian_coloring_sum,
     medial_map,
 )
-from hypermaps.nclattice import (
-    catalan,
-    mobius_nc,
-    mobius_of_cycles,
-    refinement_profile,
-    refinement_sum,
-)
+from hypermaps.nclattice import catalan, mobius_nc, refinement_profile, refinement_sum
 from hypermaps.oracles import (
     circuit_state_sum,
+    mobius_of_cycles,
     narayana,
     nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,

@@ -40,11 +40,11 @@ from hypermaps.cli import (
     load_document,
     main,
     parse_digraph,
-    parse_hypermap_json,
     parse_hypermap_text,
 )
 from hypermaps.diagnose import walk_cycle_text
 from hypermaps.hypermap import Hypermap
+from hypermaps.jsonin import parse_hypermap_json
 from hypermaps.jsonout import dumps
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly

@@ -4,15 +4,8 @@ import tracemalloc
 
 import pytest
 
-from hypermaps.nclattice import (
-    catalan,
-    interval,
-    is_refinement,
-    mobius,
-    noncrossing_partitions,
-    refinement_count,
-    refinements,
-)
+from hypermaps.nclattice import catalan, refinement_count, refinements
+from hypermaps.oracles import interval, is_refinement, mobius, noncrossing_partitions
 from hypermaps.perm import Permutation
 from hypermaps.selftest import noncrossing_partition, random_collection
 

@@ -47,7 +47,9 @@ def test_dir_lists_every_public_name():
     assert set(hypermaps.__all__) <= set(dir(hypermaps))
 
 
-@pytest.mark.parametrize("module", ["charflow", "checks", "medial", "oracles", "selftest"])
+@pytest.mark.parametrize(
+    "module", ["charflow", "checks", "counting", "medial", "oracles", "selftest"]
+)
 def test_lazy_modules_are_package_attributes(module):
     assert getattr(hypermaps, module) is sys.modules[f"hypermaps.{module}"]
     assert module in dir(hypermaps)

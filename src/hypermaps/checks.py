@@ -9,7 +9,7 @@ definitional sums they are checked against are in ``oracles``.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from .counting import distinct_colorings
 from .hypermap import Hypermap
@@ -17,6 +17,16 @@ from .nclattice import mobius_nc, refinement_profile
 from .oracles import is_refinement
 from .perm import Permutation
 from .poly import UniPoly
+
+
+def _orbit_table(h: Hypermap, alpha1: Permutation) -> Tuple[Hypermap, List[int]]:
+    """<sigma, alpha1> and the index of its orbit at each point (0 unused)."""
+    merged = Hypermap(h.sigma, alpha1)
+    orbit = [0] * (h.n + 1)
+    for i, comp in enumerate(merged.components()):
+        for p in comp:
+            orbit[p] = i
+    return merged, orbit
 
 
 def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
@@ -33,10 +43,7 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
         raise ValueError("alpha2 must refine the collection's alpha")
     if not is_refinement(alpha1, alpha2):
         raise ValueError("alpha1 must refine alpha2")
-    orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(Hypermap(h.sigma, alpha1).components()):
-        for p in comp:
-            orbit[p] = i
+    _, orbit = _orbit_table(h, alpha1)
     delta = alpha1.inverse() * alpha2
     counts, _ = refinement_profile(delta, orbit, block_weight=mobius_nc)
     terms: Dict[int, int] = {}
@@ -56,11 +63,7 @@ def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> 
     """
     if not is_refinement(alpha1, h.alpha):
         raise ValueError("alpha1 must refine alpha")
-    merged = Hypermap(h.sigma, alpha1)
-    orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(merged.components()):
-        for p in comp:
-            orbit[p] = i
+    merged, orbit = _orbit_table(h, alpha1)
     cycle1 = alpha1.cycle_labels()
     groups = (list({cycle1[p]: orbit[p] for p in c}.values())
               for c in h.alpha.cycles())

@@ -9,6 +9,9 @@ elimination over GF(q); ``flows`` reads its dimension off a formula.
 live here too, and so do the primitives of the refinement order that only
 the checks call: ``noncrossing_partitions``, ``is_refinement``,
 ``interval``, ``mobius`` and ``mobius_of_cycles``.
+``refinement_profile_sum`` writes the frontier DP's contract once, as the
+sum over the listed refinements; the checks of R, chi and C project its
+(kappa, z(beta)) totals onto their exponents.
 
 ``is_refinement`` checks genus zero of the restricted pairs without
 relabeling (``nclattice`` defines the order).  Once
@@ -34,7 +37,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations, permutations, product
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .counting import check_prime
 from .hypermap import Hypermap, orbit_count
@@ -102,17 +107,38 @@ def narayana(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
 
 
-def whitney_refinement_sum(h: Hypermap) -> BiPoly:
-    """R(u, v) term by term: one ``Permutation`` per refinement beta <= alpha.
+def refinement_profile_sum(
+    h: Hypermap,
+    block_weight: Optional[Callable[[int], int]] = None,
+    complement_weight: Optional[Callable[[int], int]] = None,
+    exponent: Optional[Callable[[int, int], Hashable]] = None,
+) -> Dict[Hashable, int]:
+    """``refinement_profile`` over sigma's cycles, term by term.
 
-    kappa(sigma, beta) comes from a search over the orbits of <sigma, beta>,
-    and z(beta) from beta's cycles.
+    Every beta <= alpha is listed; kappa(sigma, beta) comes from a search
+    over the orbits of <sigma, beta>, and its weight is the product of
+    block_weight(|b|) over the cycles b of beta, or of complement_weight(|c|)
+    over the cycles c of beta^-1 alpha (1 without a weight).  The weights
+    are totalled by (kappa, z(beta)), or by exponent(kappa, z(beta)) when it
+    is given, and zero totals are dropped, as ``refinement_profile`` does.
     """
-    def term(beta: Permutation):
-        kb = orbit_count(h.sigma, beta)
-        return (kb - h.kappa, kb + h.n - beta.cycle_count - h.sigma.cycle_count), 1
+    if block_weight is not None and complement_weight is not None:
+        raise ValueError("give block_weight or complement_weight, not both")
+    weight = block_weight or complement_weight
 
-    return BiPoly(refinement_sum(h.alpha, term))
+    def term(beta: Permutation):
+        blocks = beta if complement_weight is None else beta.inverse() * h.alpha
+        value = math.prod(weight(len(c)) for c in blocks.cycles()) if weight else 1
+        key = (orbit_count(h.sigma, beta), beta.cycle_count)
+        return (exponent(*key) if exponent else key), value
+
+    return {key: c for key, c in refinement_sum(h.alpha, term).items() if c}
+
+
+def whitney_refinement_sum(h: Hypermap) -> BiPoly:
+    """R(u, v) term by term, from ``refinement_profile_sum``."""
+    return BiPoly(refinement_profile_sum(h, exponent=lambda kb, zb: (
+        kb - h.kappa, kb + h.n - zb - h.sigma.cycle_count)))
 
 
 def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:

@@ -6,14 +6,15 @@ round-trips, the four Whitney routes, duality and specializations, medial
 state sums, coloring and flow identities.  All randomness flows through one
 ``random.Random(seed)`` instance, so output is byte for byte reproducible.
 
-Each identity that the acceptance criteria also check is one ``require_*``
-function here, which both call.
+Each identity that the tests also check is one ``require_*`` function
+here, which the selftest's check and the test both call.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import charflow, checks, counting, medial, oracles
 from .hypermap import Hypermap, dual, merge_components, orbit_count
@@ -139,10 +140,74 @@ def random_eulerian_digraph(
     return medial.EulerianDigraph(tuple(edges))
 
 
-# The identities.  Each is written once, as a function of one collection
-# (or digraph) plus the sizes it needs; the checks below run it on seeded
-# random corpora and ``tests/test_acceptance.py`` on its fixed corpus.  Each
-# fails through ``_require`` and draws no randomness.
+# The identities.  Each is written once, as a function of one input (a
+# collection, a permutation, polynomials or a digraph) plus the sizes it
+# needs; the checks below run it on seeded random corpora and the tests on
+# their own corpora.  Each fails through ``_require`` and draws no randomness.
+
+
+def require_catalan_counts(m: int) -> None:
+    """NC(m) and the refinements of an m-cycle number Cat(m)."""
+    alpha = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
+    _require(len(noncrossing_partitions(m)) == catalan(m)
+             == sum(1 for _ in refinements(alpha)), f"Cat({m}) counts NC({m})")
+
+
+def require_refinement_membership(alpha: Permutation) -> int:
+    """refinements(alpha) lists, once each, exactly the beta in S_n with
+    beta <= alpha, refinement_count(alpha) of them; returns n!."""
+    listed = [beta.image for beta in refinements(alpha)]
+    members = set(listed)
+    _require(len(members) == len(listed) == refinement_count(alpha),
+             "refinements are distinct and counted", alpha)
+    checked = 0
+    for images in permutations(range(1, alpha.n + 1)):
+        _require((images in members) == is_refinement(Permutation(images), alpha),
+                 f"{images} is listed iff it refines alpha", alpha)
+        checked += 1
+    return checked
+
+
+def require_mobius_recursion(alpha: Permutation) -> int:
+    """The sum of mu(beta, gamma) over gamma in [beta, delta] is 1 when
+    beta = delta and 0 otherwise, on every interval below alpha.
+
+    mu(beta, beta) = 1 and these zero sums pin mu, so the closed form meets
+    the definition.  Returns the number of intervals checked.
+    """
+    elems = list(refinements(alpha))
+    leq = [[is_refinement(b, d) for d in elems] for b in elems]
+    intervals = 0
+    for i, beta in enumerate(elems):
+        mu = [mobius(beta, g) if leq[i][k] else 0 for k, g in enumerate(elems)]
+        for j in range(len(elems)):
+            if leq[i][j]:
+                total = sum(mu[k] for k in range(len(elems)) if leq[k][j])
+                _require(total == (1 if i == j else 0),
+                         "mu meets its defining recursion", alpha)
+                intervals += 1
+    return intervals
+
+
+def require_ring_axioms(a: BiPoly, b: BiPoly, c: BiPoly) -> None:
+    """BiPoly is a commutative ring and evaluation a ring homomorphism."""
+    zero, one = BiPoly.zero(), BiPoly.const(1)
+    _require(a + b == b + a and (a + b) + c == a + (b + c)
+             and a + zero == a and a - a == zero, "addition axioms", a, b, c)
+    _require(a * b == b * a and (a * b) * c == a * (b * c) and a * one == a,
+             "multiplication axioms", a, b, c)
+    _require(a * (b + c) == a * b + a * c, "distributivity", a, b, c)
+    _require((a * b).evaluate(2, -3) == a.evaluate(2, -3) * b.evaluate(2, -3),
+             "evaluation is multiplicative", a, b)
+
+
+def require_print_parse(p: Union[BiPoly, UniPoly], var: str = "x") -> None:
+    """A polynomial reads back from the text it prints (a UniPoly in var)."""
+    if isinstance(p, BiPoly):
+        back = BiPoly.parse(str(p))
+    else:
+        back = UniPoly.parse(p.to_string(var), var)
+    _require(back == p, "parse(print(p)) == p", p)
 
 
 def require_routes_agree(h: Hypermap, routes: Sequence[Callable]) -> None:
@@ -418,26 +483,16 @@ def _check_relabel_invariance(rng: random.Random, n_max: int) -> str:
 
 def _check_refinement_counts(rng: random.Random, n_max: int) -> str:
     for m in range(1, 9):
-        _require(len(noncrossing_partitions(m)) == catalan(m))
-        alpha = Permutation.from_cycles(m, [tuple(range(1, m + 1))])
-        _require(sum(1 for _ in refinements(alpha)) == catalan(m))
+        require_catalan_counts(m)
     return "cycle lengths 1..8 against Catalan numbers"
 
 
 def _check_refinement_membership(rng: random.Random, n_max: int) -> str:
-    from itertools import permutations as all_perms
-
-    checked = 0
-    for alpha in (
+    checked = sum(map(require_refinement_membership, (
         Permutation.from_cycles(4, [(1, 2, 3, 4)]),
         Permutation.from_cycles(5, [(1, 2, 3, 4, 5)]),
         Permutation.from_cycles(5, [(1, 2, 3), (4, 5)]),
-    ):
-        listed = {p.image for p in refinements(alpha)}
-        for images in all_perms(range(1, alpha.n + 1)):
-            beta = Permutation(images)
-            _require((beta.image in listed) == is_refinement(beta, alpha))
-            checked += 1
+    )))
     return f"{checked} candidate permutations, exhaustive"
 
 
@@ -448,20 +503,10 @@ def _check_mobius(rng: random.Random, n_max: int) -> str:
         value = mobius(ident, alpha)
         sign = 1 if (m - 1) % 2 == 0 else -1
         _require(value == sign * catalan(m - 1))
-    # The defining recursion, which pins mu: sum of mu(beta, gamma) over
-    # gamma in [beta, delta] is 1 when beta = delta and 0 otherwise.
     intervals = 0
     for _ in range(20):
-        h = random_collection(rng, min(n_max, 6), max_cycle=5)
-        elems = list(refinements(h.alpha))
-        leq = [[is_refinement(b, d) for d in elems] for b in elems]
-        for i, beta in enumerate(elems):
-            mu = [mobius(beta, g) if leq[i][k] else 0 for k, g in enumerate(elems)]
-            for j in range(len(elems)):
-                if leq[i][j]:
-                    total = sum(mu[k] for k in range(len(elems)) if leq[k][j])
-                    _require(total == (1 if i == j else 0), "mu breaks its recursion")
-                    intervals += 1
+        intervals += require_mobius_recursion(
+            random_collection(rng, min(n_max, 6), max_cycle=5).alpha)
     trials = 20
     for _ in range(trials):
         h = random_collection(rng, min(n_max, 7), max_cycle=4)
@@ -483,10 +528,9 @@ def _check_poly_roundtrip(rng: random.Random, n_max: int) -> str:
         terms = {}
         for _ in range(rng.randint(0, 6)):
             terms[(rng.randint(0, 4), rng.randint(-2, 4))] = rng.randint(-9, 9)
-        p = BiPoly(terms)
-        _require(BiPoly.parse(str(p)) == p)
-        q = UniPoly({rng.randint(-3, 5): rng.randint(-9, 9) for _ in range(4)})
-        _require(UniPoly.parse(q.to_string("t"), "t") == q)
+        require_print_parse(BiPoly(terms))
+        require_print_parse(
+            UniPoly({rng.randint(-3, 5): rng.randint(-9, 9) for _ in range(4)}), "t")
     return f"{trials} random polynomials, print/parse/print"
 
 
@@ -502,11 +546,7 @@ def _check_poly_ring(rng: random.Random, n_max: int) -> str:
         )
 
     for _ in range(trials):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        _require(a + b == b + a)
-        _require(a * b == b * a)
-        _require(a * (b + c) == a * b + a * c)
-        _require((a * b).evaluate(2, -3) == a.evaluate(2, -3) * b.evaluate(2, -3))
+        require_ring_axioms(rand_poly(), rand_poly(), rand_poly())
     return f"{trials} random triples"
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from acceptance_report import criterion
-from test_whitney import phi_expansion
+from builders import make, phi_expansion, run_cli
 from hypermaps import charflow
 from hypermaps.charflow import characteristic_polynomial
 from hypermaps.counting import proper_coloring_count
@@ -78,13 +78,6 @@ def refinement_terms(h):
         yield beta, kb - h.kappa, kb + h.n - beta.cycle_count - h.sigma.cycle_count
 
 
-def make(n, sigma_cycles, alpha_cycles):
-    return Hypermap(
-        Permutation.from_cycles(n, sigma_cycles),
-        Permutation.from_cycles(n, alpha_cycles),
-    )
-
-
 RUNNING = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
 GOLDEN = BiPoly.parse("u^2 + u*v + 4*u + v + 3")
 LOOKALIKE_SIGMA = [[1, 5], [2, 6]]
@@ -120,16 +113,6 @@ def walk_branches(h, keep_connected):
             child, eu, ev = branch(g, cycle, k, keep_connected)
             yield g, child, eu, ev
             stack.append(child)
-
-
-def run_cli(args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "hypermaps", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
 
 
 @criterion(1, "golden polynomial by all three routes with its branches")

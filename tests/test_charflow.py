@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from builders import make
 from hypermaps.charflow import characteristic_polynomial, flow_polynomial
 from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
 from hypermaps.hypermap import Hypermap
@@ -31,13 +32,6 @@ from hypermaps.selftest import (
     require_interval_sums,
     require_small_edge_counts,
 )
-
-
-def make(n, sigma_cycles, alpha_cycles):
-    return Hypermap(
-        Permutation.from_cycles(n, sigma_cycles),
-        Permutation.from_cycles(n, alpha_cycles),
-    )
 
 
 def test_characteristic_of_single_edge():

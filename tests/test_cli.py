@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import random
@@ -9,6 +8,7 @@ import time
 
 import pytest
 
+from builders import run_cli, run_in_process
 from hypermaps import cli, medial, nclattice
 from hypermaps.poly import BiPoly
 from hypermaps.selftest import random_collection
@@ -18,16 +18,6 @@ RUNNING = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
 RUNNING_ECHO = {"n": 5, "sigma": [[1, 4], [2, 5], [3]], "alpha": [[1, 2, 3], [4, 5]]}
 R_TEXT = "u^2 + u*v + 4*u + v + 3"
 DIGRAPH = "1 2\n2 1\n"
-
-
-def run_cli(args, stdin="", python_flags=(), timeout=300):
-    return subprocess.run(
-        [sys.executable, *python_flags, "-m", "hypermaps", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
 
 
 def test_whitney_default():
@@ -105,20 +95,20 @@ def test_medial_output():
     assert "sigma': (1- 1+ 2- 2+ 3- 3+)(4- 4+ 5- 5+)" in r.stdout
 
 
-def test_medial_names_points_by_the_documents_labels(monkeypatch, capsys):
+def test_medial_names_points_by_the_documents_labels(monkeypatch):
     # point 30 is alpha's fixed point; dual and medial both print labels
     doc = "sigma: (10 20)\nalpha: (20 30)\n"
-    rc, out, err = run_in_process(["medial"], doc, monkeypatch, capsys)
+    rc, out, err = run_in_process(["medial"], doc, monkeypatch)
     assert (rc, err) == (0, "")
     assert out == ("sigma': (10- 10+)(20- 20+ 30- 30+)\n"
                    "alpha': (10- 20+)(10+ 20-)(30- 30+)\n")
-    rc, out, err = run_in_process(["medial", "--json"], doc, monkeypatch, capsys)
+    rc, out, err = run_in_process(["medial", "--json"], doc, monkeypatch)
     assert json.loads(out)["result"] == {
         "sigma_prime": [["10-", "10+"], ["20-", "20+", "30-", "30+"]],
         "alpha_prime": [["10-", "20+"], ["10+", "20-"], ["30-", "30+"]],
         "genus": 0,
     }
-    rc, out, err = run_in_process(["dual"], doc, monkeypatch, capsys)
+    rc, out, err = run_in_process(["dual"], doc, monkeypatch)
     assert out == "sigma: (10 30 20)\nalpha: (10)(20 30)\n"
 
 
@@ -189,17 +179,17 @@ def test_colorings():
         assert "--m" in r.stderr, argv
 
 
-def test_eulerian_coloring_sum_of_a_ten_cycle(monkeypatch, capsys):
+def test_eulerian_coloring_sum_of_a_ten_cycle(monkeypatch):
     # identity sigma on alpha = (1 ... 10): 2^10 colorings, each of which
     # the definitional sum pairs with all 16,796 matchings of one vertex
     doc = "sigma: (1)\nalpha: (" + " ".join(map(str, range(1, 11))) + ")\n"
     h = cli.load_document(doc, "<stdin>").hypermap
     want = 2 ** h.kappa * whitney_phi(h).polynomial.evaluate(2, 2)
     argv = ["colorings", "--eulerian", "--m=2"]
-    assert run_in_process(argv, doc, monkeypatch, capsys) == (0, f"{want}\n", "")
+    assert run_in_process(argv, doc, monkeypatch) == (0, f"{want}\n", "")
 
 
-def refused_without_listing(doc, monkeypatch, capsys):
+def refused_without_listing(doc, monkeypatch):
     # a 14-cycle has Cat(14) = 2,674,440 states; the refusal counts them
     # from Catalan numbers, without listing a refinement or running the DP
     def refuse(*args, **kwargs):
@@ -207,7 +197,7 @@ def refused_without_listing(doc, monkeypatch, capsys):
 
     monkeypatch.setattr(nclattice, "refinements", refuse)
     monkeypatch.setattr(medial, "refinement_profile", refuse)
-    rc, out, err = run_in_process(["circuit-partition"], doc, monkeypatch, capsys)
+    rc, out, err = run_in_process(["circuit-partition"], doc, monkeypatch)
     assert (rc, out) == (2, "")
     assert err == ("error: 2674440 matchings exceed the cap of 1000000"
                    " (raise with --max-refinements or --no-size-guard)\n")
@@ -216,18 +206,18 @@ def refused_without_listing(doc, monkeypatch, capsys):
 FOURTEEN_CYCLE = "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
 
 
-def test_positive_genus_state_cap_lists_no_matching(monkeypatch, capsys):
+def test_positive_genus_state_cap_lists_no_matching(monkeypatch):
     doc = "sigma: (1 3)(2 4)\n" + FOURTEEN_CYCLE
     assert cli.load_document(doc, "<stdin>").hypermap.genus > 0
-    refused_without_listing(doc, monkeypatch, capsys)
+    refused_without_listing(doc, monkeypatch)
 
 
-def test_genus_zero_state_cap_lists_no_refinement(monkeypatch, capsys):
+def test_genus_zero_state_cap_lists_no_refinement(monkeypatch):
     # nested pairs (1 14)(2 13)...(7 8) keep the DP from collapsing states
     doc = "sigma: " + "".join(f"({i} {15 - i})" for i in range(1, 8)) + "\n"
     doc += FOURTEEN_CYCLE
     assert cli.load_document(doc, "<stdin>").hypermap.genus == 0
-    refused_without_listing(doc, monkeypatch, capsys)
+    refused_without_listing(doc, monkeypatch)
 
 
 def test_from_digraph():
@@ -248,7 +238,7 @@ def test_selftest_passes():
     assert "30/30 checks passed" in r.stdout
 
 
-def test_selftest_n_max_bounds(monkeypatch, capsys):
+def test_selftest_n_max_bounds(monkeypatch):
     # refused before any check runs, with one line naming the flag; past
     # 10 the run time about triples per step
     def refuse(*args, **kwargs):
@@ -258,10 +248,10 @@ def test_selftest_n_max_bounds(monkeypatch, capsys):
     for n in (0, -3, 11):
         argv = ["selftest", f"--n-max={n}"]
         err = f"error: --n-max must be between 1 and 10, got {n}\n"
-        assert run_in_process(argv, "", monkeypatch, capsys) == (2, "", err)
+        assert run_in_process(argv, "", monkeypatch) == (2, "", err)
 
 
-def test_negative_caps_are_refused(monkeypatch, capsys):
+def test_negative_caps_are_refused(monkeypatch):
     # refused before any input is read, with one line naming the flag, even
     # when --no-size-guard would ignore the cap
     def refuse(*args, **kwargs):
@@ -275,13 +265,13 @@ def test_negative_caps_are_refused(monkeypatch, capsys):
         (["circuit-partition", "--max-refinements=-5"], "--max-refinements", -5),
     ):
         err = f"error: {flag} must be nonnegative, got {cap}\n"
-        assert run_in_process(argv, "", monkeypatch, capsys) == (2, "", err)
+        assert run_in_process(argv, "", monkeypatch) == (2, "", err)
     monkeypatch.undo()
     # a cap of 0 is a cap
     err = ("error: 10 refinements exceed the cap of 0"
            " (raise with --max-refinements or --no-size-guard)\n")
     argv = ["whitney", "--max-refinements=0"]
-    assert run_in_process(argv, RUNNING, monkeypatch, capsys) == (2, "", err)
+    assert run_in_process(argv, RUNNING, monkeypatch) == (2, "", err)
 
 
 def test_determinism_byte_identical():
@@ -339,7 +329,7 @@ def test_selftest_reports_failures_under_optimize():
     assert r.stdout.strip() == "['whitney-three-routes']"
 
 
-def test_main_in_process_matches_a_fresh_process(monkeypatch, capsys):
+def test_main_in_process_matches_a_fresh_process(monkeypatch):
     doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
     calls = [
         (["whitney", "--json"], RUNNING),
@@ -350,7 +340,7 @@ def test_main_in_process_matches_a_fresh_process(monkeypatch, capsys):
         (["charpoly"], RUNNING),
     ]
     for argv, text in calls:
-        rc, out, err = run_in_process(argv, text, monkeypatch, capsys)
+        rc, out, err = run_in_process(argv, text, monkeypatch)
         fresh = run_cli(argv, text)
         assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
@@ -377,23 +367,23 @@ def test_importing_the_cli_loads_no_argparse():
         ["whitney", "--method=phi", "--json"],
     ],
 )
-def test_flag_forms_read_alike(argv, monkeypatch, capsys):
+def test_flag_forms_read_alike(argv, monkeypatch):
     expected = run_in_process(
-        ["whitney", "--method=phi", "--json"], RUNNING, monkeypatch, capsys
+        ["whitney", "--method=phi", "--json"], RUNNING, monkeypatch
     )
-    assert run_in_process(argv, RUNNING, monkeypatch, capsys) == expected
+    assert run_in_process(argv, RUNNING, monkeypatch) == expected
     assert expected[0] == 0
 
 
-def test_an_exact_flag_wins_over_a_longer_one(monkeypatch, capsys):
+def test_an_exact_flag_wins_over_a_longer_one(monkeypatch):
     assert cli._match("--m", ("--max", "--m", "--method")) == "--m"
     assert cli._match("--ma", ("--max", "--m", "--method")) == "--max"
     with pytest.raises(cli.InputError, match="ambiguous flag '--me'"):
         cli._match("--me", ("--method", "--meta"))
-    two = run_in_process(["colorings", "--m=2"], RUNNING, monkeypatch, capsys)
-    assert run_in_process(["colorings", "--m", "2"], RUNNING, monkeypatch, capsys) == two
+    two = run_in_process(["colorings", "--m=2"], RUNNING, monkeypatch)
+    assert run_in_process(["colorings", "--m", "2"], RUNNING, monkeypatch) == two
     # a negative number is a value, not a flag
-    assert run_in_process(["colorings", "--m", "-1"], RUNNING, monkeypatch, capsys) == (
+    assert run_in_process(["colorings", "--m", "-1"], RUNNING, monkeypatch) == (
         2, "", "error: --m must be nonnegative, got -1\n")
 
 
@@ -419,22 +409,22 @@ def test_an_exact_flag_wins_over_a_longer_one(monkeypatch, capsys):
         (["whitney", "--bad\nflag"], "unknown flag '--bad\\nflag'"),
     ],
 )
-def test_bad_command_lines_exit_2_with_one_line(argv, error, monkeypatch, capsys):
-    rc, out, err = run_in_process(argv, RUNNING, monkeypatch, capsys)
+def test_bad_command_lines_exit_2_with_one_line(argv, error, monkeypatch):
+    rc, out, err = run_in_process(argv, RUNNING, monkeypatch)
     assert (rc, out) == (2, "")
     assert err.startswith("error: " + error) and err.count("\n") == 1, err
 
 
-def test_help_lists_the_table(monkeypatch, capsys):
-    rc, out, err = run_in_process(["--help"], "", monkeypatch, capsys)
+def test_help_lists_the_table(monkeypatch):
+    rc, out, err = run_in_process(["--help"], "", monkeypatch)
     assert (rc, err) == (0, "")
     assert all(f"  {name} " in out for name in cli.COMMANDS)
     for argv in (["whitney", "-h"], ["whitney", "--he"], ["whitney", "--json", "--help"]):
-        rc, out, err = run_in_process(argv, "", monkeypatch, capsys)
+        rc, out, err = run_in_process(argv, "", monkeypatch)
         assert (rc, err) == (0, "")
         assert out.startswith("usage: hypermap whitney [INPUT] [FLAGS]\n")
         assert "--method={brute,phi,psi,dp,all}" in out and "(default dp)" in out
-    rc, out, _ = run_in_process(["flows", "-h"], "", monkeypatch, capsys)
+    rc, out, _ = run_in_process(["flows", "-h"], "", monkeypatch)
     assert "--q=N" in out and "(required)" in out
 
 
@@ -475,8 +465,8 @@ def test_malformed_inputs_diagnose_cleanly():
     ids=["true", "null", "string", "float", "list", "text-zero", "unknown-keys",
          "missing-key"],
 )
-def test_json_input_errors_show_json(stdin, error, monkeypatch, capsys):
-    rc, out, err = run_in_process(["genus"], stdin, monkeypatch, capsys)
+def test_json_input_errors_show_json(stdin, error, monkeypatch):
+    rc, out, err = run_in_process(["genus"], stdin, monkeypatch)
     assert (rc, out, err) == (2, "", f"error: {error}\n")
 
 
@@ -491,9 +481,9 @@ def test_json_input_errors_show_json(stdin, error, monkeypatch, capsys):
     ids=["empty-list", "list-of-documents", "truncated"],
 )
 def test_documents_opening_with_a_bracket_read_as_json(
-    stdin, error, monkeypatch, capsys
+    stdin, error, monkeypatch
 ):
-    rc, out, err = run_in_process(["genus"], stdin, monkeypatch, capsys)
+    rc, out, err = run_in_process(["genus"], stdin, monkeypatch)
     assert (rc, out, err) == (2, "", f"error: {error}\n")
 
 
@@ -503,14 +493,14 @@ def test_documents_opening_with_a_bracket_read_as_json(
 @pytest.mark.parametrize("document", [RUNNING, json.dumps(RUNNING_ECHO)],
                          ids=["text", "json"])
 def test_a_leading_byte_order_mark_is_dropped(
-    document, source, tmp_path, monkeypatch, capsys
+    document, source, tmp_path, monkeypatch
 ):
     text, argv = "\ufeff" + document, ["dual"]
     if source == "file":
         path = tmp_path / "marked.txt"
         path.write_text(text, encoding="utf-8")
         text, argv = "", argv + [str(path)]
-    assert run_in_process(argv, text, monkeypatch, capsys) == (
+    assert run_in_process(argv, text, monkeypatch) == (
         0, "sigma: (1 5)(2 4 3)\nalpha: (1 3 2)(4 5)\n", "")
 
 
@@ -541,20 +531,20 @@ def test_unreadable_inputs_are_named(name, content, error, tmp_path):
         2, b"", f"error: cannot read {shown!r}: {error}\n")
 
 
-def test_empty_collection_reads_back_what_it_prints(monkeypatch, capsys):
+def test_empty_collection_reads_back_what_it_prints(monkeypatch):
     # n = 0 prints each permutation as "()", which reads back as no cycles;
     # an empty cycle next to others, or with a space inside, is still refused
     empty = '{"n": 0, "sigma": [], "alpha": []}'
     printed = "sigma: ()\nalpha: ()\n"
-    assert run_in_process(["dual"], empty, monkeypatch, capsys) == (0, printed, "")
-    assert run_in_process(["genus"], printed, monkeypatch, capsys) == (0, "0\n", "")
+    assert run_in_process(["dual"], empty, monkeypatch) == (0, printed, "")
+    assert run_in_process(["genus"], printed, monkeypatch) == (0, "0\n", "")
     for doc, col in (
         ("sigma: (1 2)()\nalpha: (1 2)\n", 14),
         ("sigma: ()()\nalpha: ()\n", 9),
         ("sigma: ( )\nalpha: ()\n", 10),
     ):
         err = f"error: <stdin>:1:{col}: empty cycle\n"
-        assert run_in_process(["genus"], doc, monkeypatch, capsys) == (2, "", err)
+        assert run_in_process(["genus"], doc, monkeypatch) == (2, "", err)
 
 
 # A number that stands outside the parentheses is refused, also where a
@@ -568,9 +558,9 @@ def test_empty_collection_reads_back_what_it_prints(monkeypatch, capsys):
     ],
     ids=["between-cycles", "before-the-first-cycle", "after-the-last-cycle"],
 )
-def test_points_outside_the_parentheses_are_refused(sigma, error, monkeypatch, capsys):
+def test_points_outside_the_parentheses_are_refused(sigma, error, monkeypatch):
     doc = f"sigma: {sigma}\nalpha: (1 2)\n"
-    assert run_in_process(["genus"], doc, monkeypatch, capsys) == (
+    assert run_in_process(["genus"], doc, monkeypatch) == (
         2, "", f"error: {error}\n")
 
 
@@ -714,9 +704,9 @@ def test_cold_subcommands_import_only_what_they_run():
     ],
     ids=["text", "json"],
 )
-def test_n_above_max_points_refused(stdin, error, monkeypatch, capsys):
+def test_n_above_max_points_refused(stdin, error, monkeypatch):
     assert cli.MAX_POINTS == 10 ** 6
-    rc, out, err = run_in_process(["genus"], stdin, monkeypatch, capsys)
+    rc, out, err = run_in_process(["genus"], stdin, monkeypatch)
     assert (rc, out, err) == (2, "", f"error: {error}\n")
 
 
@@ -728,12 +718,12 @@ def test_n_above_max_points_refused(stdin, error, monkeypatch, capsys):
     ids=["text", "json"],
 )
 def test_distinct_points_above_max_points_refused(
-    document, tmp_path, monkeypatch, capsys
+    document, tmp_path, monkeypatch
 ):
     path = tmp_path / "many.txt"
     path.write_text(document)
     monkeypatch.setattr(cli, "MAX_POINTS", 6)
-    rc, out, err = run_in_process(["genus", str(path)], "", monkeypatch, capsys)
+    rc, out, err = run_in_process(["genus", str(path)], "", monkeypatch)
     assert (rc, out, err) == (0, "0\n", "")
 
     def no_tables(*args):
@@ -741,7 +731,7 @@ def test_distinct_points_above_max_points_refused(
 
     monkeypatch.setattr(cli, "MAX_POINTS", 5)
     monkeypatch.setattr(cli.Permutation, "from_cycles", no_tables)
-    rc, out, err = run_in_process(["genus", str(path)], "", monkeypatch, capsys)
+    rc, out, err = run_in_process(["genus", str(path)], "", monkeypatch)
     assert (rc, out, err) == (2, "", f"error: {path}: 6 distinct points, more than 5\n")
 
 
@@ -803,7 +793,7 @@ def render_document(h, label, as_json):
     )
 
 
-def test_default_whitney_matches_check_routes(monkeypatch, capsys):
+def test_default_whitney_matches_check_routes(monkeypatch):
     rng = random.Random(1313)
     seen = set()
     for i in range(48):
@@ -816,11 +806,11 @@ def test_default_whitney_matches_check_routes(monkeypatch, capsys):
         seen |= {("disconnected", h.kappa > 1), ("positive genus", h.genus > 0),
                  ("json", doc.startswith("{")),
                  ("non-compact", label[h.n] != h.n)}
-        rc, default, err = run_in_process(["whitney"], doc, monkeypatch, capsys)
+        rc, default, err = run_in_process(["whitney"], doc, monkeypatch)
         assert (rc, err) == (0, "")
         for method in ("phi", "psi", "brute"):
             argv = ["whitney", f"--method={method}"]
-            assert run_in_process(argv, doc, monkeypatch, capsys) == (0, default, ""), (
+            assert run_in_process(argv, doc, monkeypatch) == (0, default, ""), (
                 doc, method)
     assert {name for name, hit in seen if hit} == {
         "disconnected", "positive genus", "json", "non-compact"}
@@ -854,7 +844,7 @@ def test_a_recursion_too_deep_exits_2_with_one_line():
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
-def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+def test_running_out_of_memory_exits_2_with_one_line(monkeypatch):
     # a large instance under --no-size-guard may exhaust memory inside a
     # route; the route is stood in for, so nothing large is allocated
     def exhausted(h, method="dp", **kwargs):
@@ -862,7 +852,7 @@ def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "whitney", exhausted)
     for argv in (["whitney"], ["whitney", "--method=phi", "--no-size-guard", "--json"]):
-        rc, out, err = run_in_process(argv, RUNNING, monkeypatch, capsys)
+        rc, out, err = run_in_process(argv, RUNNING, monkeypatch)
         assert (rc, out, err) == (2, "", "error: out of memory\n"), argv
 
 
@@ -937,13 +927,6 @@ def test_version_flag():
     assert r.stdout.strip()
 
 
-def run_in_process(argv, stdin, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    rc = cli.main(argv)
-    out, err = capsys.readouterr()
-    return rc, out, err
-
-
 def json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -997,11 +980,11 @@ PINNED = [
     PINNED,
     ids=[" ".join(case[0]) for case in PINNED],
 )
-def test_pinned_outputs(argv, stdin, plain, result, method, stats, monkeypatch, capsys):
-    assert run_in_process(argv, stdin, monkeypatch, capsys) == (0, plain + "\n", "")
+def test_pinned_outputs(argv, stdin, plain, result, method, stats, monkeypatch):
+    assert run_in_process(argv, stdin, monkeypatch) == (0, plain + "\n", "")
     echo = {"edges": [[1, 2], [2, 1]]} if stdin == DIGRAPH else RUNNING_ECHO
     payload = {"input_echo": echo, "result": result, "method": method, "stats": stats}
-    rc, out, err = run_in_process(argv + ["--json"], stdin, monkeypatch, capsys)
+    rc, out, err = run_in_process(argv + ["--json"], stdin, monkeypatch)
     assert (rc, out, err) == (0, json_text(payload), "")
 
 
@@ -1040,9 +1023,9 @@ selftest: 30/30 checks passed (seed=0, n-max=4)
 """
 
 
-def test_pinned_selftest_outputs(monkeypatch, capsys):
+def test_pinned_selftest_outputs(monkeypatch):
     argv = ["selftest", "--n-max=4", "--seed=0"]
-    assert run_in_process(argv, "", monkeypatch, capsys) == (0, SELFTEST_TEXT, "")
+    assert run_in_process(argv, "", monkeypatch) == (0, SELFTEST_TEXT, "")
     checks = [line[5:-1].split(" (", 1) for line in SELFTEST_TEXT.splitlines()[:-1]]
     payload = {
         "input_echo": {"n_max": 4, "seed": 0},
@@ -1050,11 +1033,11 @@ def test_pinned_selftest_outputs(monkeypatch, capsys):
         "method": "selftest",
         "stats": {"passed": 30, "failed": 0},
     }
-    rc, out, err = run_in_process(argv + ["--json"], "", monkeypatch, capsys)
+    rc, out, err = run_in_process(argv + ["--json"], "", monkeypatch)
     assert (rc, out, err) == (0, json_text(payload), "")
 
 
-def test_whitney_check_reports_disagreement(monkeypatch, capsys):
+def test_whitney_check_reports_disagreement(monkeypatch):
     real = cli.whitney
 
     def skewed(h, method="phi", **kwargs):
@@ -1070,4 +1053,4 @@ def test_whitney_check_reports_disagreement(monkeypatch, capsys):
     )
     for argv in (["whitney", "--check"], ["whitney", "--method=psi", "--check"],
                  ["whitney", "--method=all", "--check", "--json"]):
-        assert run_in_process(argv, RUNNING, monkeypatch, capsys) == (1, "", expected)
+        assert run_in_process(argv, RUNNING, monkeypatch) == (1, "", expected)

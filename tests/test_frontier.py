@@ -3,15 +3,14 @@
 Every invariant it serves is checked against its definition as a sum over
 the refinement stream: R against brute force, chi and the flow polynomial
 C(t) against their Moebius sums, the circuit partition polynomial against
-the listed medial state sum.  At genus zero, C(h) = chi(dual h) checks the
-two weighted forms of the DP against each other.  Each form runs in both
-value kinds, and the evaluated kind must equal the polynomial kind
-evaluated at the same point.
+the listed medial state sum.  R, chi, C and the weighted counts are
+projections of one definitional sum, ``oracles.refinement_profile_sum``.
+At genus zero, C(h) = chi(dual h) checks the two weighted forms of the DP
+against each other.  Each form runs in both value kinds, and the evaluated
+kind must equal the polynomial kind evaluated at the same point.
 """
 
-import contextlib
 import inspect
-import io
 import json
 import random
 import subprocess
@@ -20,22 +19,23 @@ import time
 
 import pytest
 
-from hypermaps import cli, nclattice
+from builders import make, run_cli, run_in_process
+from hypermaps import nclattice
 from hypermaps.charflow import characteristic_polynomial, flow_polynomial
 from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
-from hypermaps.hypermap import Hypermap, dual, orbit_count
+from hypermaps.hypermap import dual
 from hypermaps.medial import (
     circuit_partition_polynomial,
     eulerian_coloring_sum,
     medial_map,
 )
-from hypermaps.nclattice import catalan, mobius_nc, refinement_profile, refinement_sum
+from hypermaps.nclattice import catalan, mobius_nc, refinement_profile
 from hypermaps.oracles import (
     circuit_state_sum,
-    mobius_of_cycles,
     narayana,
     nowhere_zero_flow_enumeration,
     proper_coloring_enumeration,
+    refinement_profile_sum,
     whitney_refinement_sum,
 )
 from hypermaps.routes import refinement_walk
@@ -57,13 +57,6 @@ from hypermaps.whitney import (
 )
 
 
-def make(n, sigma_cycles, alpha_cycles):
-    return Hypermap(
-        Permutation.from_cycles(n, sigma_cycles),
-        Permutation.from_cycles(n, alpha_cycles),
-    )
-
-
 def seeded_collections(seed, count):
     """Random collections with n <= 8, some of them disjoint unions."""
     rng = random.Random(seed)
@@ -79,18 +72,14 @@ def seeded_collections(seed, count):
 
 
 def chi_definition(h):
-    def term(beta):
-        return orbit_count(h.sigma, beta) - h.kappa, mobius_of_cycles(beta)
-
-    return UniPoly(refinement_sum(h.alpha, term))
+    return UniPoly(refinement_profile_sum(
+        h, block_weight=mobius_nc, exponent=lambda kb, zb: kb - h.kappa))
 
 
 def flow_definition(h):
-    def term(beta):
-        e = h.n + orbit_count(h.sigma, beta) - beta.cycle_count - h.sigma.cycle_count
-        return e, mobius_of_cycles(beta.inverse() * h.alpha)
-
-    return UniPoly(refinement_sum(h.alpha, term))
+    return UniPoly(refinement_profile_sum(
+        h, complement_weight=mobius_nc,
+        exponent=lambda kb, zb: h.n + kb - zb - h.sigma.cycle_count))
 
 
 SPECIAL = [
@@ -125,31 +114,20 @@ def test_flow_polynomial_equals_moebius_sum():
 PRIMES = [0, 2, 3, 5, 7, 11, 13, 17, 19]
 
 
-def prime_weighted_sum(h, blocks_of):
-    def term(beta):
-        value = 1
-        for c in blocks_of(beta).cycles():
-            value *= PRIMES[len(c)]
-        return (orbit_count(h.sigma, beta), beta.cycle_count), value
-
-    return refinement_sum(h.alpha, term)
-
-
 def test_block_weight_reaches_every_block():
     for h in seeded_collections(74, 60):
         counts, _ = refinement_profile(
             h.alpha, h.sigma.cycle_labels(), block_weight=PRIMES.__getitem__)
-        assert counts == prime_weighted_sum(h, lambda beta: beta), h
+        assert counts == refinement_profile_sum(h, block_weight=PRIMES.__getitem__), h
 
 
 def test_complement_weight_reaches_every_block():
     # and it visits the states of R: the weight needs no state of its own
     for h in SPECIAL + seeded_collections(81, 60):
         vertex = h.sigma.cycle_labels()
-        counts, states = refinement_profile(
-            h.alpha, vertex, complement_weight=PRIMES.__getitem__)
-        expected = prime_weighted_sum(h, lambda beta: beta.inverse() * h.alpha)
-        assert counts == expected, h
+        kw = {"complement_weight": PRIMES.__getitem__}
+        counts, states = refinement_profile(h.alpha, vertex, **kw)
+        assert counts == refinement_profile_sum(h, **kw), h
         assert states == refinement_profile(h.alpha, vertex)[1], h
 
 
@@ -164,12 +142,10 @@ def test_weights_go_no_further_than_the_longest_cycle():
             asked.add(k)
             return PRIMES[k]
 
-        for form, blocks_of in (("block_weight", lambda beta: beta),
-                                ("complement_weight",
-                                 lambda beta: beta.inverse() * h.alpha)):
+        for form in ("block_weight", "complement_weight"):
             counts, _ = refinement_profile(
                 h.alpha, h.sigma.cycle_labels(), **{form: weight})
-            assert counts == prime_weighted_sum(h, blocks_of), h
+            assert counts == refinement_profile_sum(h, **{form: PRIMES.__getitem__}), h
         assert asked == set(range(1, longest + 1)), h
 
 
@@ -208,21 +184,14 @@ def test_duality_fails_on_the_torus():
     assert characteristic_polynomial(dual(torus)) == UniPoly()
 
 
-def run_hypermap(args, doc):
-    r = subprocess.run(
-        [sys.executable, "-m", "hypermaps", *args],
-        input=doc, capture_output=True, text=True, timeout=60,
-    )
-    assert r.returncode == 0, r.stderr
-    return r.stdout
-
-
 def test_cli_flowpoly_is_dual_charpoly_on_nested_fourteen_cycle():
     # 2,674,440 refinements; the DP visits the states of R instead
     doc = "sigma: " + "".join(f"({i} {15 - i})" for i in range(1, 8)) + "\n"
     doc += "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
-    flow = run_hypermap(["flowpoly"], doc)
-    assert flow == run_hypermap(["charpoly"], run_hypermap(["dual"], doc))
+    flow = run_cli(["flowpoly"], doc)
+    chi = run_cli(["charpoly"], run_cli(["dual"], doc).stdout)
+    assert (flow.returncode, chi.returncode) == (0, 0), flow.stderr + chi.stderr
+    assert flow.stdout == chi.stdout
 
 
 def test_wet_dry_equals_definition():
@@ -311,11 +280,7 @@ def test_cli_answers_twenty_point_cycle():
         "sigma: " + sigma.cycle_string() + "\n"
         "alpha: (" + " ".join(map(str, points)) + ")\n"
     )
-    r = subprocess.run(
-        [sys.executable, "-m", "hypermaps", "whitney", "--method=dp",
-         "--no-size-guard", "--json"],
-        input=doc, capture_output=True, text=True, timeout=60,
-    )
+    r = run_cli(["whitney", "--method=dp", "--no-size-guard", "--json"], doc)
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["method"] == "dp"
@@ -336,27 +301,14 @@ def kernel_collections(seed, count):
 KERNEL = SPECIAL + kernel_collections(85, 160)
 
 # The three forms, each with the weight production gives it and with the
-# primes, which tell block sizes apart; blocks_of(h, beta) lists the
-# weighted blocks.
+# primes, which tell block sizes apart.
 FORMS = [
-    ("block form", {}, None),
-    ("complement weight", {"complement_weight": mobius_nc},
-     lambda h, beta: beta.inverse() * h.alpha),
-    ("complement weight", {"complement_weight": PRIMES.__getitem__},
-     lambda h, beta: beta.inverse() * h.alpha),
-    ("level form", {"block_weight": mobius_nc}, lambda h, beta: beta),
-    ("level form", {"block_weight": PRIMES.__getitem__}, lambda h, beta: beta),
+    ("block form", {}),
+    ("complement weight", {"complement_weight": mobius_nc}),
+    ("complement weight", {"complement_weight": PRIMES.__getitem__}),
+    ("level form", {"block_weight": mobius_nc}),
+    ("level form", {"block_weight": PRIMES.__getitem__}),
 ]
-
-
-def weighted_sum(h, weight, blocks_of):
-    def term(beta):
-        value = 1
-        for c in blocks_of(h, beta).cycles():
-            value *= weight(len(c))
-        return (orbit_count(h.sigma, beta), beta.cycle_count), value
-
-    return {key: c for key, c in refinement_sum(h.alpha, term).items() if c}
 
 
 def evaluated(counts, n, x, y):
@@ -372,10 +324,9 @@ def test_kernel_forms_equal_the_walk_and_the_definitions():
         block, states = refinement_profile(h.alpha, vertex)
         assert block == refinement_walk(h.alpha, vertex), h
         assert whitney_dp(h).polynomial == whitney_refinement_sum(h), h
-        for name, kw, blocks_of in FORMS[1:]:
+        for name, kw in FORMS[1:]:
             counts, visited = refinement_profile(h.alpha, vertex, **kw)
-            weight = next(iter(kw.values()))
-            assert counts == weighted_sum(h, weight, blocks_of), (name, h)
+            assert counts == refinement_profile_sum(h, **kw), (name, h)
             if name == "complement weight":
                 assert visited == states, h
 
@@ -389,7 +340,7 @@ POINTS = sorted({(m, 1) for m in VALUES} | {(q, q) for q in VALUES}
 def test_evaluated_kind_equals_the_polynomial_kind_evaluated():
     for h in KERNEL[::2]:
         vertex = h.sigma.cycle_labels()
-        for name, kw, _ in FORMS:
+        for name, kw in FORMS:
             counts, states = refinement_profile(h.alpha, vertex, **kw)
             for x, y in POINTS:
                 value, visited = refinement_profile(h.alpha, vertex, at=(x, y), **kw)
@@ -445,14 +396,6 @@ def test_a_full_key_memo_starts_over(monkeypatch):
     assert [visited for _, visited in small] == [1745, 1745] * 2 + [2831, 2831]
 
 
-def run_main(monkeypatch, argv, text):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
-    return rc, out.getvalue(), err.getvalue()
-
-
 def test_counts_on_a_thousand_vertex_cycle(monkeypatch):
     # sigma (1 2)(3 4)..., alpha (2 3)(4 5)...(2000 1): a cycle of 1,000
     # vertices, with 2^1000 + 2 proper 3-colorings and 2 nowhere-zero flows
@@ -462,7 +405,7 @@ def test_counts_on_a_thousand_vertex_cycle(monkeypatch):
     for argv, expected in ((["colorings", "--m=3"], 2 ** 1000 + 2),
                            (["flows", "--q=3", "--nowhere-zero"], 2)):
         started = time.perf_counter()
-        assert run_main(monkeypatch, argv, doc) == (0, f"{expected}\n", ""), argv
+        assert run_in_process(argv, doc, monkeypatch) == (0, f"{expected}\n", ""), argv
         assert time.perf_counter() - started < 1.0, argv
 
 
@@ -489,7 +432,7 @@ def test_polynomial_runs_check_their_totals(module, command, total, monkeypatch)
     message = f"error: {total} = {expected + 1}, but it must be {expected}\n"
     mod = sys.modules[f"hypermaps.{module}"]
     monkeypatch.setattr(mod, "refinement_profile", off_by_one(mod.refinement_profile))
-    assert run_main(monkeypatch, [command], doc) == (2, "", message)
+    assert run_in_process([command], doc, monkeypatch) == (2, "", message)
     # and under -O, where an assert would not run
     script = inspect.getsource(off_by_one) + (
         f"import importlib, sys\nfrom hypermaps import cli\n"

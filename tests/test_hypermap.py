@@ -4,16 +4,10 @@ import sys
 
 import pytest
 
+from builders import make
 from hypermaps.hypermap import Hypermap, dual, merge_components, orbit_count
 from hypermaps.perm import Permutation
 from hypermaps.selftest import random_permutation
-
-
-def make(n, sigma_cycles, alpha_cycles):
-    return Hypermap(
-        Permutation.from_cycles(n, sigma_cycles),
-        Permutation.from_cycles(n, alpha_cycles),
-    )
 
 
 def test_running_example_counts():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypermaps.hypermap import Hypermap
+from builders import make
 from hypermaps.medial import (
     EulerianDigraph,
     base,
@@ -35,13 +35,6 @@ from hypermaps.selftest import (
     require_matching_bijection,
     require_medial_shape,
 )
-
-
-def make(n, sigma_cycles, alpha_cycles):
-    return Hypermap(
-        Permutation.from_cycles(n, sigma_cycles),
-        Permutation.from_cycles(n, alpha_cycles),
-    )
 
 
 RUNNING = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])

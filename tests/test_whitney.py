@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from builders import make, phi_expansion
 from hypermaps.hypermap import Hypermap, dual, orbits
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
@@ -30,13 +31,6 @@ from hypermaps.whitney import (
 )
 
 
-def make(n, sigma_cycles, alpha_cycles):
-    return Hypermap(
-        Permutation.from_cycles(n, sigma_cycles),
-        Permutation.from_cycles(n, alpha_cycles),
-    )
-
-
 RUNNING = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
 GOLDEN = BiPoly.parse("u^2 + u*v + 4*u + v + 3")
 
@@ -48,21 +42,6 @@ def test_golden_value_three_routes():
 
 def test_golden_value_frontier_dp():
     assert whitney(RUNNING, "dp").polynomial == GOLDEN
-
-
-def phi_expansion(h):
-    """Top level branches: (child, eu, ev, child polynomial) per k.
-
-    Empty when alpha has no cycle of length >= 2.
-    """
-    pivot = pivot_cycle(h.alpha)
-    if pivot is None:
-        return []
-    out = []
-    for k in range(1, len(pivot) + 1):
-        child, eu, ev = branch(h, pivot, k, keep_connected=False)
-        out.append((child, eu, ev, whitney_phi(child).polynomial))
-    return out
 
 
 def test_golden_branches():

@@ -188,8 +188,9 @@ def test_cli_flowpoly_is_dual_charpoly_on_nested_fourteen_cycle():
     # 2,674,440 refinements; the DP visits the states of R instead
     doc = "sigma: " + "".join(f"({i} {15 - i})" for i in range(1, 8)) + "\n"
     doc += "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
-    flow = run_cli(["flowpoly"], doc)
-    chi = run_cli(["charpoly"], run_cli(["dual"], doc).stdout)
+    flow = run_cli(["flowpoly"], doc, timeout=60)
+    chi = run_cli(["charpoly"], run_cli(["dual"], doc, timeout=60).stdout,
+                  timeout=60)
     assert (flow.returncode, chi.returncode) == (0, 0), flow.stderr + chi.stderr
     assert flow.stdout == chi.stdout
 
@@ -280,7 +281,8 @@ def test_cli_answers_twenty_point_cycle():
         "sigma: " + sigma.cycle_string() + "\n"
         "alpha: (" + " ".join(map(str, points)) + ")\n"
     )
-    r = run_cli(["whitney", "--method=dp", "--no-size-guard", "--json"], doc)
+    r = run_cli(["whitney", "--method=dp", "--no-size-guard", "--json"], doc,
+                timeout=60)
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["method"] == "dp"

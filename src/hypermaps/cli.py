@@ -49,6 +49,7 @@ that runs out of memory exits 2 with one line, as a domain error does.
 from __future__ import annotations
 
 import io
+import math
 import re
 import sys
 from itertools import chain
@@ -61,21 +62,20 @@ from . import __version__
 from .hypermap import Hypermap, dual
 from .nclattice import refinement_count
 from .perm import Permutation, cycle_text
-from .whitney import (
-    METHODS, InstanceTooLarge, over_cap, wet_dry_polynomial, whitney
-)
+from .whitney import METHODS, InstanceTooLarge, wet_dry_polynomial, whitney
 
 if TYPE_CHECKING:
     from .medial import EulerianDigraph
 
-DEFAULT_REFINEMENT_CAP = 10 ** 6
-_RAISE_CAP = "(raise with --max-refinements or --no-size-guard)"
 # Longest integer any input may hold: CPython's default int(str) bound, checked by
 # length so every interpreter answers alike.
 MAX_DIGITS = 4300
 # Largest point count, explicit n or distinct points, refused before any point
 # table is built.
 MAX_POINTS = 10 ** 6
+# Largest count of alpha's refinements that whitney and circuit-partition take
+# without --no-size-guard, read off Catalan numbers before anything runs.
+MAX_REFINEMENTS = 10 ** 6
 # Largest selftest --n-max; its run time about triples with each step.
 MAX_SELFTEST_N = 10
 
@@ -330,13 +330,32 @@ def _pair_output(doc: HypermapDocument, g: Hypermap) -> Tuple[Dict, str]:
     return result, plain
 
 
+def _size_guard(args, h: Hypermap, things: str) -> None:
+    """Refuse h, unless --no-size-guard, past MAX_REFINEMENTS refinements.
+
+    The count is read off Catalan numbers, so nothing is listed and the DP
+    does not run.  A count past 30 digits is named by its length, as in
+    ``a 4,516-digit count of refinements exceeds the cap of 1000000``.
+    """
+    if args.no_size_guard:
+        return
+    count = refinement_count(h.alpha)
+    if count <= MAX_REFINEMENTS:
+        return
+    if count < 10 ** 30:
+        over = f"{count} {things} exceed"
+    else:
+        digits = int(count.bit_length() * math.log10(2))  # exact or one short
+        digits += count >= 10 ** digits
+        over = f"a {digits:,}-digit count of {things} exceeds"
+    raise InstanceTooLarge(
+        f"{over} the cap of {MAX_REFINEMENTS} (override with --no-size-guard)"
+    )
+
+
 def _whitney(args, doc: HypermapDocument):
     h = doc.hypermap
-    count = None if args.no_size_guard else refinement_count(h.alpha)
-    if count is not None and count > args.max_refinements:
-        raise InstanceTooLarge(
-            f"{over_cap(count, 'refinements', args.max_refinements)} {_RAISE_CAP}"
-        )
+    _size_guard(args, h, "refinements")
     methods = METHODS if args.method == "all" else (args.method,)
     runs = {m: whitney(h, m) for m in (METHODS if args.check else methods)}
     polys = {m: str(r.polynomial) for m, r in runs.items()}
@@ -381,11 +400,8 @@ def _medial(args, doc: HypermapDocument):
 def _circuit_partition(args, doc: HypermapDocument):
     from .medial import circuit_partition_polynomial
     h = doc.hypermap
-    cap = None if args.no_size_guard else args.max_refinements
-    try:
-        poly = circuit_partition_polynomial(h, max_states=cap)
-    except InstanceTooLarge as exc:
-        raise InstanceTooLarge(f"{exc} {_RAISE_CAP}") from None
+    _size_guard(args, h, "matchings")
+    poly = circuit_partition_polynomial(h)
     method = "dp" if h.genus == 0 else "states"
     return poly.to_string("x"), poly.to_string("x"), method, {}
 
@@ -452,7 +468,7 @@ def _selftest(args, _):
 
 
 class Flag(NamedTuple):
-    name: str  # "--max-refinements" reads into the attribute max_refinements
+    name: str  # "--no-size-guard" reads into the attribute no_size_guard
     help: str
     kind: str  # "switch", "int" or "choice"
     default: object = None  # an int flag without one is required
@@ -476,11 +492,8 @@ def _integer(flag: str, help: str, default: Optional[int] = None) -> Flag:
 
 
 _JSON = _switch("--json", "structured output")
-_GUARDS = (
-    _integer(
-        "--max-refinements", "refinement stream size guard", DEFAULT_REFINEMENT_CAP
-    ),
-    _switch("--no-size-guard", "disable instance size guards"),
+_NO_SIZE_GUARD = _switch(
+    "--no-size-guard", f"compute past the cap of {MAX_REFINEMENTS} refinements"
 )
 
 COMMANDS: Dict[str, Command] = {
@@ -489,7 +502,7 @@ COMMANDS: Dict[str, Command] = {
         "hypermap",
         (
             _JSON,
-            *_GUARDS,
+            _NO_SIZE_GUARD,
             Flag(
                 "--method",
                 "evaluation route; brute, phi and psi are check routes",
@@ -509,7 +522,7 @@ COMMANDS: Dict[str, Command] = {
     "circuit-partition": Command(
         "circuit partition polynomial of the medial map",
         "hypermap",
-        (_JSON, *_GUARDS),
+        (_JSON, _NO_SIZE_GUARD),
         _circuit_partition,
     ),
     "wet-dry": Command(
@@ -563,10 +576,8 @@ COMMANDS: Dict[str, Command] = {
 
 def _run(args) -> int:
     command = COMMANDS[args.command]
-    for name in ("m", "max_refinements"):  # before any input
-        if getattr(args, name, 0) < 0:
-            flag = "--" + name.replace("_", "-")
-            raise InputError(f"{flag} must be nonnegative, got {getattr(args, name)}")
+    if getattr(args, "m", 0) < 0:  # before any input
+        raise InputError(f"--m must be nonnegative, got {args.m}")
     if not 1 <= getattr(args, "n_max", 1) <= MAX_SELFTEST_N:
         raise InputError(
             f"--n-max must be between 1 and {MAX_SELFTEST_N}, got {args.n_max}"

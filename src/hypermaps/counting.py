@@ -38,10 +38,11 @@ def distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) ->
 
     The groups are the cliques of one simple graph G.  A vertex of degree
     d <= 1 takes colors - d colors whatever the others take, so such
-    vertices are removed one at a time with that factor, which keeps trees
-    and long paths away from the frontier DP.  What is left counts as
-    colors^kappa * chi(colors) of its map, the sum of mu(id, beta) *
-    colors^kappa(sigma, beta): the level form evaluated at (colors, 1).
+    vertices are removed one at a time, counted by d, and their factors
+    taken as two powers; this keeps trees and long paths away from the
+    frontier DP.  What is left counts as colors^kappa * chi(colors) of its
+    map, the sum of mu(id, beta) * colors^kappa(sigma, beta): the level
+    form evaluated at (colors, 1).
     """
     adj: List[Set[int]] = [set() for _ in range(nv)]
     for g in groups:
@@ -50,18 +51,20 @@ def distinct_colorings(nv: int, groups: Iterable[Sequence[int]], colors: int) ->
         for u, v in combinations(g, 2):
             adj[u].add(v)
             adj[v].add(u)
-    total = 1
+    stripped = [0, 0]  # removed vertices of degree 0 and of degree 1
     low = [v for v in range(nv) if len(adj[v]) <= 1]
-    while low and total:
+    while low:
         v = low.pop()
-        total *= colors - len(adj[v])
+        d = len(adj[v])
+        if colors == d:
+            return 0
+        stripped[d] += 1
         for u in adj[v]:
             adj[u].discard(v)
             if len(adj[u]) == 1:
                 low.append(u)
         adj[v] = set()
-    if not total:
-        return 0
+    total = colors ** stripped[0] * (colors - 1) ** stripped[1]
     g = _graph_map([(u, v) for u in range(nv) for v in sorted(adj[u]) if u < v])
     value, _ = refinement_profile(g.alpha, g.sigma.cycle_labels(),
                                   block_weight=mobius_nc, at=(colors, 1))

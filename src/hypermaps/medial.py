@@ -30,13 +30,13 @@ selftest and the tests compare against.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .hypermap import Hypermap, cycle_count
-from .nclattice import refinement_count, refinement_profile, refinement_sum
+from .nclattice import refinement_profile, refinement_sum
 from .perm import Permutation, cycle_text
 from .poly import UniPoly
-from .whitney import InstanceTooLarge, over_cap, whitney_dp
+from .whitney import whitney_dp
 
 
 def minus(i: int) -> int:
@@ -141,9 +141,7 @@ def source_hypermap(m: EulerianMap) -> Hypermap:
     )
 
 
-def circuit_partition_polynomial(
-    h: Hypermap, max_states: Optional[int] = 10 ** 6
-) -> UniPoly:
+def circuit_partition_polynomial(h: Hypermap) -> UniPoly:
     """Sum of x^(number of circuits) over the states of medial_map(h).
 
     States and refinements beta <= alpha correspond one to one, and the
@@ -151,12 +149,7 @@ def circuit_partition_polynomial(
     inverse sigma^-1 beta.  At genus zero that is
     n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so j(x) = x^kappa R(x, x),
     read off ``whitney_dp``; otherwise it is one ``refinement_sum`` pass.
-    The cap counts the states from Catalan numbers before anything runs.
     """
-    if max_states is not None:
-        count = refinement_count(h.alpha)
-        if count > max_states:
-            raise InstanceTooLarge(over_cap(count, "matchings", max_states))
     if h.genus == 0:
         terms: Dict[int, int] = {}
         for (eu, ev), c in whitney_dp(h).polynomial.terms.items():

@@ -144,12 +144,15 @@ def whitney_refinement_sum(h: Hypermap) -> BiPoly:
 def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
     """X([alpha1, alpha2]; t) term by term, for alpha1 <= alpha2 <= alpha.
 
-    Each refinement delta of alpha1^-1 alpha2 gives beta = alpha1 delta in
-    the interval, with mu(alpha1, beta) = mu(id, delta) and the exponent
-    kappa(sigma, beta) from a search over the orbits of <sigma, beta>.
+    The sum over beta in ``interval(alpha1, alpha2)`` of
+    mu(alpha1, beta) t^kappa(sigma, beta), with kappa(sigma, beta) from a
+    search over the orbits of <sigma, beta>.
     """
-    return UniPoly(refinement_sum(alpha1.inverse() * alpha2, lambda delta: (
-        orbit_count(h.sigma, alpha1 * delta), mobius_of_cycles(delta))))
+    terms: Dict[int, int] = {}
+    for beta in interval(alpha1, alpha2):
+        e = orbit_count(h.sigma, beta)
+        terms[e] = terms.get(e, 0) + mobius(alpha1, beta)
+    return UniPoly(terms)
 
 
 def underlying_graph(h: Hypermap) -> Tuple[int, List[Tuple[int, int]]]:

@@ -17,7 +17,6 @@ selftest and the tests, import their code from ``routes`` on first call.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
 
 from .hypermap import Hypermap
@@ -43,19 +42,6 @@ class WhitneyResult:
 
 class InstanceTooLarge(ValueError):
     """Raised when a size guard would be exceeded."""
-
-
-def over_cap(count: int, things: str, cap: int) -> str:
-    """Refusal text such as ``12 refinements exceed the cap of 10``.
-
-    A count past 30 digits is named by its length, as in ``a 4,516-digit
-    count of refinements exceeds the cap of 10``.
-    """
-    if count < 10 ** 30:
-        return f"{count} {things} exceed the cap of {cap}"
-    digits = int(count.bit_length() * math.log10(2))  # exact or one short
-    digits += count >= 10 ** digits
-    return f"a {digits:,}-digit count of {things} exceeds the cap of {cap}"
 
 
 def whitney_phi(h: Hypermap) -> WhitneyResult:

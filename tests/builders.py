@@ -26,7 +26,13 @@ def make(n, sigma_cycles, alpha_cycles):
 
 
 def run_cli(args, stdin="", python_flags=(), timeout=300):
-    """``python [python_flags] -m hypermaps args`` with stdin; the result."""
+    """``python [python_flags] -m hypermaps args`` with stdin; the result.
+
+    Under ``python -O`` the child runs with ``-O`` too, so a suite run
+    without ``assert`` checks the command line without it as well.
+    """
+    if sys.flags.optimize and "-O" not in python_flags:
+        python_flags = ("-O", *python_flags)
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "hypermaps", *args],
         input=stdin,

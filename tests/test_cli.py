@@ -200,7 +200,7 @@ def refused_without_listing(doc, monkeypatch):
     rc, out, err = run_in_process(["circuit-partition"], doc, monkeypatch)
     assert (rc, out) == (2, "")
     assert err == ("error: 2674440 matchings exceed the cap of 1000000"
-                   " (raise with --max-refinements or --no-size-guard)\n")
+                   " (override with --no-size-guard)\n")
 
 
 FOURTEEN_CYCLE = "alpha: (" + " ".join(map(str, range(1, 15))) + ")\n"
@@ -249,29 +249,6 @@ def test_selftest_n_max_bounds(monkeypatch):
         argv = ["selftest", f"--n-max={n}"]
         err = f"error: --n-max must be between 1 and 10, got {n}\n"
         assert run_in_process(argv, "", monkeypatch) == (2, "", err)
-
-
-def test_negative_caps_are_refused(monkeypatch):
-    # refused before any input is read, with one line naming the flag, even
-    # when --no-size-guard would ignore the cap
-    def refuse(*args, **kwargs):
-        raise AssertionError("input read")
-
-    monkeypatch.setattr(cli, "_read_input", refuse)
-    for argv, flag, cap in (
-        (["whitney", "--max-refinements=-1"], "--max-refinements", -1),
-        (["whitney", "--no-size-guard", "--max-refinements=-2"],
-         "--max-refinements", -2),
-        (["circuit-partition", "--max-refinements=-5"], "--max-refinements", -5),
-    ):
-        err = f"error: {flag} must be nonnegative, got {cap}\n"
-        assert run_in_process(argv, "", monkeypatch) == (2, "", err)
-    monkeypatch.undo()
-    # a cap of 0 is a cap
-    err = ("error: 10 refinements exceed the cap of 0"
-           " (raise with --max-refinements or --no-size-guard)\n")
-    argv = ["whitney", "--max-refinements=0"]
-    assert run_in_process(argv, RUNNING, monkeypatch) == (2, "", err)
 
 
 def test_determinism_byte_identical():
@@ -395,12 +372,12 @@ def test_an_exact_flag_wins_over_a_longer_one(monkeypatch):
         (["--bogus"], "unknown flag '--bogus'"),
         (["whitney", "--bogus"], "unknown flag '--bogus'"),
         (["whitney", "-x"], "unknown flag '-x'"),
-        (["whitney", "--m=dp"], "ambiguous flag '--m': --max-refinements, --method"),
+        (["whitney", "--max-refinements=5"], "unknown flag '--max-refinements'"),
         (["whitney", "--method"], "--method needs a value"),
         (["whitney", "--method", "--json"], "--method needs a value"),
         (["whitney", "--method=magic"],
          "--method must be one of brute, phi, psi, dp, all, got 'magic'"),
-        (["whitney", "--max-refinements=ten"], "--max-refinements: value 'ten' is not"),
+        (["colorings", "--m=ten"], "--m: value 'ten' is not"),
         (["colorings", "--m=" + "9" * 4301], "--m: value has more than 4300 digits"),
         (["flows"], "flows needs --q"),
         (["colorings", "--json=yes", "--m=2"], "--json takes no value, got 'yes'"),
@@ -413,6 +390,18 @@ def test_bad_command_lines_exit_2_with_one_line(argv, error, monkeypatch):
     rc, out, err = run_in_process(argv, RUNNING, monkeypatch)
     assert (rc, out) == (2, "")
     assert err.startswith("error: " + error) and err.count("\n") == 1, err
+
+
+def test_ambiguous_flag_prefix_exits_2_with_one_line(monkeypatch):
+    # no command has two flags that one prefix names, so this row is built
+    row = cli.Command("two flags that share a prefix", None,
+                      (cli._integer("--max", "a bound", 1), cli._switch("--method", "")),
+                      lambda args, _: pytest.fail("computed"))
+    monkeypatch.setitem(cli.COMMANDS, "pair", row)
+    assert vars(cli.parse_args(["pair", "--ma=2", "--me"])) == {
+        "command": "pair", "max": 2, "method": True}
+    err = "error: ambiguous flag '--m': --max, --method\n"
+    assert run_in_process(["pair", "--m=2"], "", monkeypatch) == (2, "", err)
 
 
 def test_help_lists_the_table(monkeypatch):
@@ -857,15 +846,15 @@ def test_running_out_of_memory_exits_2_with_one_line(monkeypatch):
 
 
 def test_colorings_of_a_long_path_are_not_listed():
-    # 200 vertices {1}, {2, 3}, ..., {398, 399}, {400}: 3 * 2^199 colorings
-    k = 199
-    path = ("sigma: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, k))
-            + "\nalpha: " + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, k + 1))
-            + "\n")
-    start = time.perf_counter()
-    r = run_cli(["colorings", "--m=3"], path)
-    assert (r.returncode, r.stdout, r.stderr) == (0, f"{3 * 2 ** 199}\n", "")
-    assert time.perf_counter() - start < 1.0
+    # k edges, k + 1 vertices {1}, {2, 3}, ..., {2k}: 3 * 2^k colorings
+    for k in (30, 199):
+        path = ("sigma: " + "".join(f"({2 * i} {2 * i + 1})" for i in range(1, k))
+                + "\nalpha: "
+                + "".join(f"({2 * i - 1} {2 * i})" for i in range(1, k + 1)) + "\n")
+        start = time.perf_counter()
+        r = run_cli(["colorings", "--m=3"], path)
+        assert (r.returncode, r.stdout, r.stderr) == (0, f"{3 * 2 ** k}\n", ""), k
+        assert time.perf_counter() - start < 1.0, k
 
 
 def test_colorings_of_many_buds_factor_by_component():
@@ -913,12 +902,19 @@ def test_unknown_method_is_a_usage_error():
     )
 
 
-def test_size_guard_reports_cleanly():
-    r = run_cli(["whitney", "--max-refinements=2"], RUNNING)
-    assert r.returncode == 2
-    assert r.stderr.startswith("error:")
-    r = run_cli(["whitney", "--max-refinements=2", "--no-size-guard"], RUNNING)
-    assert r.returncode == 0
+def test_size_guard_reports_cleanly(monkeypatch):
+    # the running example has 10 refinements: a cap of 10 answers, and a cap
+    # of 9 refuses unless --no-size-guard is given
+    assert cli.MAX_REFINEMENTS == 10 ** 6
+    for command, things in (("whitney", "refinements"), ("circuit-partition", "matchings")):
+        monkeypatch.setattr(cli, "MAX_REFINEMENTS", 10)
+        rc, answer, err = run_in_process([command], RUNNING, monkeypatch)
+        assert (rc, err) == (0, "") and answer, command
+        monkeypatch.setattr(cli, "MAX_REFINEMENTS", 9)
+        err = f"error: 10 {things} exceed the cap of 9 (override with --no-size-guard)\n"
+        assert run_in_process([command], RUNNING, monkeypatch) == (2, "", err)
+        argv = [command, "--no-size-guard"]
+        assert run_in_process(argv, RUNNING, monkeypatch) == (0, answer, "")
 
 
 def test_version_flag():

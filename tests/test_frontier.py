@@ -20,7 +20,7 @@ import time
 import pytest
 
 from builders import make, run_cli, run_in_process
-from hypermaps import nclattice
+from hypermaps import cli, nclattice
 from hypermaps.charflow import characteristic_polynomial, flow_polynomial
 from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
 from hypermaps.hypermap import dual
@@ -50,11 +50,7 @@ from hypermaps.selftest import (
     require_routes_agree,
     require_wet_dry,
 )
-from hypermaps.whitney import (
-    InstanceTooLarge,
-    wet_dry_polynomial,
-    whitney_dp,
-)
+from hypermaps.whitney import wet_dry_polynomial, whitney_dp
 
 
 def seeded_collections(seed, count):
@@ -222,18 +218,30 @@ def test_positive_genus_circuit_partition_equals_state_sum():
     require_circuit_polynomial(make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]]))
 
 
-def test_genus_zero_circuit_partition_keeps_the_state_cap():
-    # the refinements are counted from Catalan numbers at every genus
+def test_genus_zero_circuit_partition_keeps_the_state_cap(monkeypatch):
+    # the command line counts the refinements from Catalan numbers at every
+    # genus, against cli.MAX_REFINEMENTS; the library call has no cap
     running = make(5, [[1, 4], [2, 5]], [[1, 2, 3], [4, 5]])
     torus = make(4, [[1, 2, 3, 4]], [[1, 3], [2, 4]])
     assert (running.genus, torus.genus) == (0, 1)
     for h, states in ((running, 10), (torus, 4)):
-        message = f"^{states} matchings exceed the cap of {states - 1}$"
-        with pytest.raises(InstanceTooLarge, match=message):
-            circuit_partition_polynomial(h, max_states=states - 1)
+        doc = f"sigma: {h.sigma.cycle_string()}\nalpha: {h.alpha.cycle_string()}\n"
         expected = circuit_state_sum(medial_map(h))
-        assert circuit_partition_polynomial(h, max_states=states) == expected
-        assert circuit_partition_polynomial(h, max_states=None) == expected
+        assert circuit_partition_polynomial(h) == expected
+        monkeypatch.setattr(cli, "MAX_REFINEMENTS", states - 1)
+        err = (f"error: {states} matchings exceed the cap of {states - 1}"
+               " (override with --no-size-guard)\n")
+        assert run_in_process(["circuit-partition"], doc, monkeypatch) == (2, "", err)
+        monkeypatch.setattr(cli, "MAX_REFINEMENTS", states)
+        answer = expected.to_string("x") + "\n"
+        assert run_in_process(["circuit-partition"], doc, monkeypatch) == (0, answer, "")
+    # nested pairs on a 14-cycle: 2,674,440 refinements, past the command
+    # line's cap, and j = x^kappa R(x, x) off the DP's 6,919 states
+    nested = make(14, [[i, 15 - i] for i in range(1, 8)], [list(range(1, 15))])
+    j = circuit_partition_polynomial(nested)
+    r = whitney_dp(nested).polynomial
+    for x in range(1, 40):
+        assert j.evaluate(x) == x ** nested.kappa * r.evaluate(x, x), x
 
 
 def test_answers_do_not_depend_on_labels():

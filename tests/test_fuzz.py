@@ -380,8 +380,8 @@ def test_command_lines_exit_0_or_2_with_one_error_line(case):
     _exits_0_or_2_with_one_error_line(*case)
 
 
-# Values a run reads (small caps refuse most inputs with one line), then
-# values it must refuse; genus-bound commands refuse other genera too.
+# Values a run reads, then values it must refuse; genus-bound commands refuse
+# other genera too, and a small refinement cap refuses most inputs.
 GOOD = {"--q": ("2", "3", "5"), "--method": ("dp", "brute", "phi", "psi", "all")}
 BAD = ("-1", "4", "x", "", "magic")
 
@@ -403,7 +403,8 @@ def labelled_document(draw):
 
 @st.composite
 def subcommand_runs(draw):
-    """A subcommand on a drawn input, each flag left out or given a value."""
+    """A subcommand on a drawn input, each flag left out or given a value,
+    and a refinement cap."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     command = COMMANDS[name]
     argv = [name]
@@ -424,13 +425,15 @@ def subcommand_runs(draw):
         document = "".join(f"{a} {b}\n" for a, b in edges)
     else:
         document = ""
-    return argv, document
+    return argv, document, draw(st.sampled_from((1, 2, 3, 30, cli.MAX_REFINEMENTS)))
 
 
 @settings(FUZZ, max_examples=300)
 @given(subcommand_runs())
 def test_subcommands_on_drawn_collections_exit_0_or_2(case):
-    _exits_0_or_2_with_one_error_line(*case)
+    argv, document, cap = case
+    with mock.patch.object(cli, "MAX_REFINEMENTS", cap):
+        _exits_0_or_2_with_one_error_line(argv, document)
 
 
 exponents = st.integers(min_value=-3, max_value=6)

@@ -27,8 +27,6 @@ subcommands and the checks load.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from .hypermap import Hypermap
 from .nclattice import mobius_nc, refinement_profile, require_total
 from .poly import UniPoly
@@ -38,10 +36,7 @@ def characteristic_polynomial(h: Hypermap) -> UniPoly:
     vertex = h.sigma.cycle_labels()
     counts, _ = refinement_profile(h.alpha, vertex, block_weight=mobius_nc)
     require_total(counts, h.alpha.cycle_count == h.n, "chi(1)")
-    terms: Dict[int, int] = {}
-    for (kb, _), c in counts.items():
-        terms[kb - h.kappa] = terms.get(kb - h.kappa, 0) + c
-    return UniPoly(terms)
+    return UniPoly.collect(counts, lambda kb, zb: kb - h.kappa)
 
 
 def flow_polynomial(h: Hypermap) -> UniPoly:
@@ -49,7 +44,4 @@ def flow_polynomial(h: Hypermap) -> UniPoly:
     counts, _ = refinement_profile(h.alpha, vertex, complement_weight=mobius_nc)
     require_total(counts, h.alpha.cycle_count == h.n, "C(1)")
     base = h.n - h.sigma.cycle_count
-    terms: Dict[int, int] = {}
-    for (kb, zb), c in counts.items():
-        terms[base + kb - zb] = terms.get(base + kb - zb, 0) + c
-    return UniPoly(terms)
+    return UniPoly.collect(counts, lambda kb, zb: base + kb - zb)

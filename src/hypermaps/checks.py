@@ -9,7 +9,7 @@ definitional sums they are checked against are in ``oracles``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .counting import distinct_colorings
 from .hypermap import Hypermap
@@ -46,10 +46,7 @@ def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly
     _, orbit = _orbit_table(h, alpha1)
     delta = alpha1.inverse() * alpha2
     counts, _ = refinement_profile(delta, orbit, block_weight=mobius_nc)
-    terms: Dict[int, int] = {}
-    for (kb, _), c in counts.items():
-        terms[kb] = terms.get(kb, 0) + c
-    return UniPoly(terms)
+    return UniPoly.collect(counts, lambda kb, zb: kb)
 
 
 def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> int:

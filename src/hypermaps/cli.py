@@ -99,8 +99,6 @@ class HypermapDocument(NamedTuple):
     name: Optional[str] = None
 
     def render_perm(self, perm: Permutation) -> str:
-        if perm.n == 0:
-            return "()"
         lab = self.labels
         return cycle_text(perm.cycles(), lambda p: str(lab[p - 1]))
 
@@ -722,7 +720,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> SimpleNamespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    limit = None
     if hasattr(sys, "set_int_max_str_digits"):  # 3.11+; _int bounds every input
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # so a count of any length prints
     try:
         return _run(parse_args(argv))
@@ -741,6 +741,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    finally:  # the caller's limit, as it was
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ traverse i+ to sigma(i)- (an edge) and j- to its matched partner; their
 number is z(beta^-1 sigma).
 
 This module lists no states.  The circuit partition polynomial
-j(x) = sum of x^(circuits) is a sum over refinements: read off the frontier
-DP at genus zero, one refinement sum otherwise.  At genus zero the Eulerian
-edge-coloring sum is j(colors).  The listed state sum
+j(x) = sum of x^(circuits) is a sum over refinements: one frontier DP pass
+at genus zero, a count over the listed refinements otherwise.  At genus
+zero the Eulerian edge-coloring sum is j(colors).  The listed state sum
 ``oracles.circuit_state_sum``, the definitional coloring sum and the
 digraph isomorphism check are references in ``oracles``, which the
 selftest and the tests compare against.
@@ -30,13 +30,13 @@ selftest and the tests compare against.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, NamedTuple, Tuple
 
 from .hypermap import Hypermap, cycle_count
-from .nclattice import refinement_profile, refinement_sum
+from .nclattice import refinement_count, refinement_profile, refinements, require_total
 from .perm import Permutation, cycle_text
 from .poly import UniPoly
-from .whitney import whitney_dp
 
 
 def minus(i: int) -> int:
@@ -147,17 +147,19 @@ def circuit_partition_polynomial(h: Hypermap) -> UniPoly:
     States and refinements beta <= alpha correspond one to one, and the
     state of beta has z(beta^-1 sigma) circuits, the cycle count of its
     inverse sigma^-1 beta.  At genus zero that is
-    n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so j(x) = x^kappa R(x, x),
-    read off ``whitney_dp``; otherwise it is one ``refinement_sum`` pass.
+    n + 2 kappa(sigma, beta) - z(sigma) - z(beta), so j is read off one
+    ``refinement_profile`` pass, whose total j(1) must be the refinement
+    count; the selftest and the tests check j(x) = x^kappa R(x, x).
+    Otherwise the circuits of each listed refinement are counted.
     """
     if h.genus == 0:
-        terms: Dict[int, int] = {}
-        for (eu, ev), c in whitney_dp(h).polynomial.terms.items():
-            terms[h.kappa + eu + ev] = terms.get(h.kappa + eu + ev, 0) + c
-        return UniPoly(terms)
+        counts, _ = refinement_profile(h.alpha, h.sigma.cycle_labels())
+        require_total(counts, refinement_count(h.alpha), "j(1)")
+        zs = h.sigma.cycle_count
+        return UniPoly.collect(counts, lambda kb, zb: h.n + 2 * kb - zs - zb)
     sinv = h.sigma.inverse()._image
-    return UniPoly(refinement_sum(
-        h.alpha, lambda beta: (cycle_count([sinv[b] for b in beta._image]), 1)
+    return UniPoly(Counter(
+        cycle_count([sinv[b] for b in beta._image]) for beta in refinements(h.alpha)
     ))
 
 

@@ -109,24 +109,6 @@ def refinements(alpha: Permutation) -> Iterator[Permutation]:
             stack = ()
 
 
-def refinement_sum(
-    alpha: Permutation, term: Callable[[Permutation], Tuple[Hashable, int]]
-) -> Dict[Hashable, int]:
-    """Sum term(beta) = (exponent key, coefficient) over beta <= alpha, by key.
-
-    This builds every refinement, Catalan-many per cycle.  Use it when the
-    term needs more of beta than ``refinement_profile`` keeps: more than
-    kappa(sigma, beta), z(beta) and a weight per block, for example the
-    whole permutation beta^-1 sigma, as the circuit partition polynomial
-    does at positive genus.
-    """
-    totals: Dict[Hashable, int] = {}
-    for beta in refinements(alpha):
-        key, coeff = term(beta)
-        totals[key] = totals.get(key, 0) + coeff
-    return totals
-
-
 def refinement_profile(
     alpha: Permutation,
     classes: Sequence[Hashable],

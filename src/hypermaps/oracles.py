@@ -8,10 +8,11 @@ elimination over GF(q); ``flows`` reads its dimension off a formula.
 ``is_flow`` and ``unique_nz_refinement``, which only the checks call,
 live here too, and so do the primitives of the refinement order that only
 the checks call: ``noncrossing_partitions``, ``is_refinement``,
-``interval``, ``mobius`` and ``mobius_of_cycles``.
-``refinement_profile_sum`` writes the frontier DP's contract once, as the
-sum over the listed refinements; the checks of R, chi and C project its
-(kappa, z(beta)) totals onto their exponents.
+``interval``, ``mobius`` and ``mobius_of_cycles``.  ``refinement_sum``
+totals a term over the listed refinements ``nclattice.refinements``
+streams.  ``refinement_profile_sum`` writes the frontier DP's contract
+once, as such a sum; the checks of R, chi and C read their exponents off
+its (kappa, z(beta)) totals with ``collect``.
 
 ``is_refinement`` checks genus zero of the restricted pairs without
 relabeling (``nclattice`` defines the order).  Once
@@ -44,7 +45,7 @@ from typing import (
 from .counting import check_prime
 from .hypermap import Hypermap, orbit_count
 from .medial import EulerianDigraph, EulerianMap, base, is_plus, medial_map
-from .nclattice import mobius_nc, refinement_sum, refinements
+from .nclattice import mobius_nc, refinements
 from .perm import Permutation
 from .poly import BiPoly, UniPoly
 
@@ -107,20 +108,34 @@ def narayana(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
 
 
+def refinement_sum(
+    alpha: Permutation, term: Callable[[Permutation], Tuple[Hashable, int]]
+) -> Dict[Hashable, int]:
+    """Sum term(beta) = (exponent key, coefficient) over beta <= alpha, by key.
+
+    Every refinement is built, so a term may use all of beta, such as
+    beta^-1 sigma, not only what ``refinement_profile`` keeps.
+    """
+    totals: Dict[Hashable, int] = {}
+    for beta in refinements(alpha):
+        key, coeff = term(beta)
+        totals[key] = totals.get(key, 0) + coeff
+    return totals
+
+
 def refinement_profile_sum(
     h: Hypermap,
     block_weight: Optional[Callable[[int], int]] = None,
     complement_weight: Optional[Callable[[int], int]] = None,
-    exponent: Optional[Callable[[int, int], Hashable]] = None,
-) -> Dict[Hashable, int]:
+) -> Dict[Tuple[int, int], int]:
     """``refinement_profile`` over sigma's cycles, term by term.
 
     Every beta <= alpha is listed; kappa(sigma, beta) comes from a search
     over the orbits of <sigma, beta>, and its weight is the product of
     block_weight(|b|) over the cycles b of beta, or of complement_weight(|c|)
     over the cycles c of beta^-1 alpha (1 without a weight).  The weights
-    are totalled by (kappa, z(beta)), or by exponent(kappa, z(beta)) when it
-    is given, and zero totals are dropped, as ``refinement_profile`` does.
+    are totalled by (kappa, z(beta)), and zero totals are dropped, as
+    ``refinement_profile`` does.
     """
     if block_weight is not None and complement_weight is not None:
         raise ValueError("give block_weight or complement_weight, not both")
@@ -129,16 +144,16 @@ def refinement_profile_sum(
     def term(beta: Permutation):
         blocks = beta if complement_weight is None else beta.inverse() * h.alpha
         value = math.prod(weight(len(c)) for c in blocks.cycles()) if weight else 1
-        key = (orbit_count(h.sigma, beta), beta.cycle_count)
-        return (exponent(*key) if exponent else key), value
+        return (orbit_count(h.sigma, beta), beta.cycle_count), value
 
     return {key: c for key, c in refinement_sum(h.alpha, term).items() if c}
 
 
 def whitney_refinement_sum(h: Hypermap) -> BiPoly:
     """R(u, v) term by term, from ``refinement_profile_sum``."""
-    return BiPoly(refinement_profile_sum(h, exponent=lambda kb, zb: (
-        kb - h.kappa, kb + h.n - zb - h.sigma.cycle_count)))
+    zs = h.sigma.cycle_count
+    return BiPoly.collect(refinement_profile_sum(h), lambda kb, zb: (
+        kb - h.kappa, kb + h.n - zb - zs))
 
 
 def x_interval_sum(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
@@ -321,11 +336,8 @@ def circuits_of_state(
 
 def circuit_state_sum(m: EulerianMap) -> UniPoly:
     """Sum of x^(number of circuits) over every coherent matching, listed."""
-    terms: Dict[int, int] = {}
-    for matching in coherent_matchings(m):
-        k = len(circuits_of_state(m, matching))
-        terms[k] = terms.get(k, 0) + 1
-    return UniPoly(terms)
+    return UniPoly(Counter(
+        len(circuits_of_state(m, mu)) for mu in coherent_matchings(m)))
 
 
 def proper_coloring_enumeration(h: Hypermap, colors: int) -> int:

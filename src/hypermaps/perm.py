@@ -141,8 +141,6 @@ class Permutation:
         return Permutation._unchecked(swap_values(self._image, i, j))
 
     def cycle_string(self) -> str:
-        if self.n == 0:
-            return "()"
         return cycle_text(self.cycles())
 
     def __eq__(self, other: object) -> bool:
@@ -156,8 +154,8 @@ class Permutation:
 
 
 def cycle_text(cycles: Iterable[Sequence], name: Callable = str) -> str:
-    """Cycles written as ``(1 2)(3)``, each point as name(point)."""
-    return "".join("(" + " ".join(map(name, c)) + ")" for c in cycles)
+    """Cycles written as ``(1 2)(3)``, each point as name(point); none as ``()``."""
+    return "".join("(" + " ".join(map(name, c)) + ")" for c in cycles) or "()"
 
 
 def swap_values(img: Tuple[int, ...], i: int, j: int) -> Tuple[int, ...]:

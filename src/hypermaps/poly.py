@@ -15,7 +15,7 @@ raises ``ValueError`` on any other text, such as ``u*2`` or an empty one.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Tuple, Union
 
 if TYPE_CHECKING:  # fractions loads decimal, so only evaluation imports it
     from fractions import Fraction
@@ -108,6 +108,16 @@ class _SparsePoly:
     def zero(cls):
         return cls()
 
+    @classmethod
+    def collect(cls, counts: Mapping[Tuple, int], exponent: Callable):
+        """The polynomial whose term at exponent(*key) sums counts[key]: R,
+        chi, C and j are each one call on ``refinement_profile``'s totals."""
+        terms: Dict = {}
+        for key, c in counts.items():
+            e = exponent(*key)
+            terms[e] = terms.get(e, 0) + c
+        return cls(terms)
+
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -185,11 +195,7 @@ class BiPoly(_SparsePoly):
 
     def hyperbola_section(self) -> "UniPoly":
         """The Laurent polynomial obtained by setting u = v^-1."""
-        out: Dict[int, int] = {}
-        for (eu, ev), c in self.terms.items():
-            k = ev - eu
-            out[k] = out.get(k, 0) + c
-        return UniPoly(out)
+        return UniPoly.collect(self.terms, lambda eu, ev: ev - eu)
 
     def swap_variables(self) -> "BiPoly":
         return BiPoly({(ev, eu): c for (eu, ev), c in self.terms.items()})

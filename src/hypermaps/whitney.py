@@ -59,9 +59,7 @@ def whitney_psi(h: Hypermap) -> WhitneyResult:
 def _poly_of_counts(h: Hypermap, counts) -> BiPoly:
     """R from refinement counts by (kappa(sigma, beta), z(beta))."""
     zs = h.sigma.cycle_count
-    return BiPoly(
-        {(kb - h.kappa, kb + h.n - zb - zs): c for (kb, zb), c in counts.items()}
-    )
+    return BiPoly.collect(counts, lambda kb, zb: (kb - h.kappa, kb + h.n - zb - zs))
 
 
 def whitney_bruteforce(h: Hypermap) -> WhitneyResult:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from builders import make
+from builders import make, run_in_process
 from hypermaps.charflow import characteristic_polynomial, flow_polynomial
 from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
 from hypermaps.hypermap import Hypermap
@@ -213,6 +213,14 @@ def test_flow_sum_collapses():
 def test_flow_polynomial_evaluates_to_nz_count():
     # all hyperedges of length <= 3
     require_small_edge_counts(make(4, [[1, 3], [2, 4]], [[1, 2], [3, 4]]), (2, 3, 5))
+
+
+def test_nowhere_zero_flows_of_k4_over_gf5(monkeypatch):
+    # C(K4; t) = (t - 1)(t - 2)(t - 3), so 4 * 3 * 2 flows at q = 5
+    doc = ("sigma: (1 3 5)(2 7 9)(4 8 11)(6 10 12)\n"
+           "alpha: (1 2)(3 4)(5 6)(7 8)(9 10)(11 12)\n")
+    argv = ["flows", "--q=5", "--nowhere-zero"]
+    assert run_in_process(argv, doc, monkeypatch) == (0, "24\n", "")
 
 
 def test_flow_space_dimension_and_membership():

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from builders import run_cli, run_in_process
-from hypermaps import cli, medial, nclattice
+from hypermaps import cli, medial, nclattice, selftest
 from hypermaps.poly import BiPoly
 from hypermaps.selftest import random_collection
 from hypermaps.whitney import whitney_phi
@@ -306,6 +306,24 @@ def test_selftest_reports_failures_under_optimize():
     assert r.stdout.strip() == "['whitney-three-routes']"
 
 
+def test_selftest_reports_a_raising_route_as_failed(monkeypatch):
+    # a route's own checks (require_total, the recursion's parity and weight
+    # checks) raise ValueError: each check that calls the route FAILs with
+    # the message, the others still run, and the command exits 1
+    def boom(h):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(selftest, "whitney_dp", boom)
+    results = selftest.run_selftest(n_max=3)
+    assert [r.name for r in results] == [name for name, _ in selftest.CHECKS]
+    failed = {r.name: r.detail for r in results if not r.ok}
+    assert failed == {"relabel-invariance": "boom", "whitney-frontier-dp": "boom"}
+    rc, out, err = run_in_process(["selftest", "--n-max=3"], "", monkeypatch)
+    assert (rc, err) == (1, "")
+    assert "\nFAIL whitney-frontier-dp (boom)\n" in out
+    assert out.endswith("selftest: 28/30 checks passed (seed=0, n-max=3)\n")
+
+
 def test_main_in_process_matches_a_fresh_process(monkeypatch):
     doc = "sigma: (1 5)(2 6)(3 7)(4 8)\nalpha: (1 2 3 4)(5 6)(7 8)\n"
     calls = [
@@ -527,6 +545,12 @@ def test_empty_collection_reads_back_what_it_prints(monkeypatch):
     printed = "sigma: ()\nalpha: ()\n"
     assert run_in_process(["dual"], empty, monkeypatch) == (0, printed, "")
     assert run_in_process(["genus"], printed, monkeypatch) == (0, "0\n", "")
+    signed = "sigma': ()\nalpha': ()\n"
+    assert run_in_process(["medial"], printed, monkeypatch) == (0, signed, "")
+    rc, out, err = run_in_process(["medial", "--json"], printed, monkeypatch)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["result"] == {
+        "alpha_prime": [], "genus": 0, "sigma_prime": []}
     for doc, col in (
         ("sigma: (1 2)()\nalpha: (1 2)\n", 14),
         ("sigma: ()()\nalpha: ()\n", 9),
@@ -871,6 +895,25 @@ def test_counts_past_4300_digits_print():
     digits = r.stdout.strip()
     assert len(digits) == 4772
     assert int(digits[-30:]) == 3 ** 10000 % 10 ** 30
+
+
+def test_main_gives_back_the_int_to_str_limit(monkeypatch):
+    # main lifts the limit of Python 3.11+ so that 3^10000 prints, and puts
+    # the caller's limit back before it returns
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4321)  # a limit that main must give back
+    try:
+        doc = "n: 10000\nsigma: (1)\nalpha: (1)\n"
+        rc, out, err = run_in_process(["colorings", "--m=3"], doc, monkeypatch)
+        assert (rc, err) == (0, "")
+        assert len(out.strip()) == 4772
+        assert int(out[-31:]) == 3 ** 10000 % 10 ** 30
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == 4321
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_huge_counts_are_named_by_length_in_refusals():

@@ -68,14 +68,13 @@ def seeded_collections(seed, count):
 
 
 def chi_definition(h):
-    return UniPoly(refinement_profile_sum(
-        h, block_weight=mobius_nc, exponent=lambda kb, zb: kb - h.kappa))
+    return UniPoly.collect(refinement_profile_sum(h, block_weight=mobius_nc),
+                           lambda kb, zb: kb - h.kappa)
 
 
 def flow_definition(h):
-    return UniPoly(refinement_profile_sum(
-        h, complement_weight=mobius_nc,
-        exponent=lambda kb, zb: h.n + kb - zb - h.sigma.cycle_count))
+    return UniPoly.collect(refinement_profile_sum(h, complement_weight=mobius_nc),
+                           lambda kb, zb: h.n + kb - zb - h.sigma.cycle_count)
 
 
 SPECIAL = [
@@ -431,14 +430,14 @@ def off_by_one(profile):
 @pytest.mark.parametrize("module, command, total", [
     ("whitney", "whitney", "R(1,1)"),
     ("whitney", "wet-dry", "R(1,1)"),
-    ("whitney", "circuit-partition", "R(1,1)"),
+    ("medial", "circuit-partition", "j(1)"),
     ("charflow", "charpoly", "chi(1)"),
     ("charflow", "flowpoly", "C(1)"),
 ])
 def test_polynomial_runs_check_their_totals(module, command, total, monkeypatch):
     # the running example: 10 refinements, and alpha is not the identity
     doc = "sigma: (1 4)(2 5)\nalpha: (1 2 3)(4 5)\n"
-    expected = {"R(1,1)": 10}.get(total, 0)
+    expected = {"R(1,1)": 10, "j(1)": 10}.get(total, 0)
     message = f"error: {total} = {expected + 1}, but it must be {expected}\n"
     mod = sys.modules[f"hypermaps.{module}"]
     monkeypatch.setattr(mod, "refinement_profile", off_by_one(mod.refinement_profile))

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from builders import make, phi_expansion
+from builders import make, phi_expansion, run_in_process
+from hypermaps import cli
 from hypermaps.hypermap import Hypermap, dual, orbits
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly
@@ -578,6 +579,27 @@ def test_wet_dry_rejects_positive_genus():
     assert torus.genus == 1
     with pytest.raises(ValueError):
         wet_dry_polynomial(torus)
+
+
+# 11 points; a relabelled 6 + 5 disjoint union; alpha fixing points 13 and
+# 14; a genus-2 pair with a three-cycle alpha; a 12-cycle whose recursion
+# repeats branches; a 4+4+3 hyperedge collection
+@pytest.mark.parametrize("sigma, alpha", [
+    ("(1 5 9)(2 7)(3 11 6 10)", "(1 2 3 4 5 6 7 8 9 10 11)"),
+    ("(1 4)(3 9 10)(2 6 11)(5 8)", "(1 3 4 7 9 10)(2 5 6 8 11)"),
+    ("(1 13)(5 14 9)", "(1 2 3 4 5 6 7 8 9 10 11 12)"),
+    ("(1 6 11)(2 9)(3 13 7)(4 10 12 5)", "(1 2 3 4 5)(6 7 8 9)(10 11 12 13)"),
+    ("(1 3 7 2 4 10 8 11 5 9 12 6)", "(1 2 3 4 5 6 7 8 9 10 11 12)"),
+    ("(1 8 9)(2 6 7)(3 10 11)(4)(5)(12)", "(5 4 11 9)(10 12 6 3)(7 2 8)(1)"),
+], ids=["eleven-points", "relabelled-union", "fixed-13-14", "genus-two",
+        "twelve-cycle", "hyperedges-4-4-3"])
+def test_whitney_check_agrees_with_brute_force(sigma, alpha, monkeypatch):
+    # --check runs all four routes and exits 1 if they differ; the suite's
+    # run under python -O checks them without assert
+    doc = f"sigma: {sigma}\nalpha: {alpha}\n"
+    h = cli.load_document(doc, "<stdin>").hypermap
+    expected = f"{whitney_bruteforce(h).polynomial}\n"
+    assert run_in_process(["whitney", "--check"], doc, monkeypatch) == (0, expected, "")
 
 
 def test_unknown_method_rejected():

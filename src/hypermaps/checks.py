@@ -12,21 +12,21 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .counting import distinct_colorings
-from .hypermap import Hypermap
+from .hypermap import Hypermap, orbits
 from .nclattice import mobius_nc, refinement_profile
 from .oracles import is_refinement
 from .perm import Permutation
 from .poly import UniPoly
 
 
-def _orbit_table(h: Hypermap, alpha1: Permutation) -> Tuple[Hypermap, List[int]]:
-    """<sigma, alpha1> and the index of its orbit at each point (0 unused)."""
-    merged = Hypermap(h.sigma, alpha1)
+def _orbit_table(h: Hypermap, alpha1: Permutation) -> Tuple[int, List[int]]:
+    """The orbit count of <sigma, alpha1> and each point's orbit (0 unused)."""
+    comps = orbits(h.sigma._image, alpha1._image)
     orbit = [0] * (h.n + 1)
-    for i, comp in enumerate(merged.components()):
+    for i, comp in enumerate(comps):
         for p in comp:
             orbit[p] = i
-    return merged, orbit
+    return len(comps), orbit
 
 
 def x_interval(h: Hypermap, alpha1: Permutation, alpha2: Permutation) -> UniPoly:
@@ -60,8 +60,8 @@ def compatible_coloring_count(h: Hypermap, alpha1: Permutation, colors: int) -> 
     """
     if not is_refinement(alpha1, h.alpha):
         raise ValueError("alpha1 must refine alpha")
-    merged, orbit = _orbit_table(h, alpha1)
+    kappa1, orbit = _orbit_table(h, alpha1)
     cycle1 = alpha1.cycle_labels()
     groups = (list({cycle1[p]: orbit[p] for p in c}.values())
               for c in h.alpha.cycles())
-    return distinct_colorings(merged.kappa, groups, colors)
+    return distinct_colorings(kappa1, groups, colors)

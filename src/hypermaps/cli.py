@@ -26,13 +26,15 @@ canonical text, and with ``--json`` emits an object with the keys
 input_echo, result, method, stats, printed exactly as
 ``json.dumps(payload, indent=2, sort_keys=True)`` prints it.  Domain errors
 and command lines that cannot be read exit with status 2 and a one line
-message; ``--check`` mismatches and selftest failures exit with status 1.
+message; routes that differ under ``whitney --method=all`` and selftest
+failures exit with status 1.
 Results print at any length; only inputs are bounded, by ``MAX_DIGITS``.
 
 The subcommands are the rows of one table, ``COMMANDS``.  A row holds the
 help text, the input kind (a hypermap document, a digraph edge list, or
 none), the flags beyond the input argument, and a compute function that
-returns (result, plain text, method, stats).  ``parse_args`` reads a
+returns (result, plain text, method, stats); a count's plain text is the int
+itself, which ``print`` writes as its digits.  ``parse_args`` reads a
 command line off its row, help text included, and ``_run`` reads and loads
 the input, calls the compute function, and prints the plain text or the
 JSON payload.
@@ -309,7 +311,7 @@ def _read_input(path: Optional[str]) -> Tuple[str, str]:
     return text.removeprefix("\ufeff"), name
 
 
-def _emit(args, plain: str, payload: Callable[[], Dict]) -> None:
+def _emit(args, plain: object, payload: Callable[[], Dict]) -> None:
     """Print the plain text, or under --json the payload, built only then."""
     if args.json:
         from .jsonout import dumps
@@ -319,7 +321,7 @@ def _emit(args, plain: str, payload: Callable[[], Dict]) -> None:
 
 
 class CheckFailed(Exception):
-    """The routes of ``whitney --check`` disagree; main exits with status 1."""
+    """The routes of ``whitney --method=all`` disagree; main exits with status 1."""
 
 
 def _pair_output(doc: HypermapDocument, g: Hypermap) -> Tuple[Dict, str]:
@@ -355,27 +357,21 @@ def _whitney(args, doc: HypermapDocument):
     h = doc.hypermap
     _size_guard(args, h, "refinements")
     methods = METHODS if args.method == "all" else (args.method,)
-    runs = {m: whitney(h, m) for m in (METHODS if args.check else methods)}
+    runs = {m: whitney(h, m) for m in methods}
     polys = {m: str(r.polynomial) for m, r in runs.items()}
-    if args.check and len(set(polys.values())) != 1:
+    if len(set(polys.values())) != 1:
         for m in sorted(polys):
             print(f"{m}: {polys[m]}", file=sys.stderr)
         raise CheckFailed("whitney methods disagree")
-    if args.method != "all":
-        s = runs[args.method].stats
-        stats = {"nodes": s.nodes, "memo_hits": s.memo_hits, "terms": s.terms}
-        return polys[args.method], polys[args.method], args.method, stats
-    stats = {
-        m: {"nodes": runs[m].stats.nodes, "memo_hits": runs[m].stats.memo_hits}
-        for m in methods
-    }
-    result = {m: polys[m] for m in methods}
-    return result, "\n".join(result.values()), "all", stats
+    stats = {m: {"nodes": r.stats.nodes, "memo_hits": r.stats.memo_hits,
+                 "terms": r.stats.terms} for m, r in runs.items()}
+    poly = polys[methods[0]]  # one route reports its own stats, all every route's
+    return poly, poly, args.method, stats.get(args.method, stats)
 
 
 def _genus(args, doc: HypermapDocument):
     h = doc.hypermap
-    return {"genus": h.genus, "kappa": h.kappa}, str(h.genus), "euler", {}
+    return {"genus": h.genus, "kappa": h.kappa}, h.genus, "euler", {}
 
 
 def _dual(args, doc: HypermapDocument):
@@ -432,7 +428,7 @@ def _flows(args, doc: HypermapDocument):
     else:
         count, method = args.q ** dimension, "euler"
     result = {"count": count, "dimension": dimension, "q": args.q}
-    return result, str(count), method, {}
+    return result, count, method, {}
 
 
 def _colorings(args, doc: HypermapDocument):
@@ -441,7 +437,7 @@ def _colorings(args, doc: HypermapDocument):
     else:
         from .counting import proper_coloring_count as count_colorings
     count = count_colorings(doc.hypermap, args.m)
-    return {"count": count, "m": args.m}, str(count), "dp", {}
+    return {"count": count, "m": args.m}, count, "dp", {}
 
 
 def _from_digraph(args, d: EulerianDigraph):
@@ -503,12 +499,12 @@ COMMANDS: Dict[str, Command] = {
             _NO_SIZE_GUARD,
             Flag(
                 "--method",
-                "evaluation route; brute, phi and psi are check routes",
+                "evaluation route; brute, phi and psi are check routes;"
+                " all runs every route and fails when they differ",
                 "choice",
                 "dp",
                 (*METHODS, "all"),
             ),
-            _switch("--check", "run every route and fail on any mismatch"),
         ),
         _whitney,
     ),

@@ -142,7 +142,7 @@ def refinement_profile(
     over once it holds KEY_MEMO_SIZE tuples; ``whitney``'s ``memo_hits``
     counts only phi and psi.  Weights follow the height rule of the module
     docstring, so no block sizes are kept.  One loop carries either value
-    kind: a polynomial {kappa * (n + 1) + z: coefficient}, which a move
+    kind: a polynomial {kappa * (n + 1) + n - z: coefficient}, which a move
     shifts (a state's first move of weight 1 copies it), or, given at, one
     int, which a move multiplies by x per finished class and by y per unit
     of n - z.
@@ -198,18 +198,18 @@ def refinement_profile(
             in_use = fresh + (prev < 0)
             for depth in range(-1, height):
                 # raw is the state before relabeling, merged the labels mapped
-                # onto others, z the step of z(beta) and r that of n - z.
+                # onto others, r the step of n - z(beta).
                 if levels:
                     # Levels depth..top, and at the end all levels, join the
                     # class of one of them, j: the other labels, group, map to
                     # j wherever raw holds one.  r sums to n - z per cycle, not
                     # per move: L points, J joins, so L - J opens, J + 1 closes.
                     if depth < 0:
-                        raw, factor, merged, z = base + stack + (lv,), 1, 0, 0
+                        raw, factor, merged = base + stack + (lv,), 1, 0
                         r = height > 0
                     else:
                         raw, factor = base + stack[:depth] + (lv,), w[height - depth]
-                        j, z, r = stack[depth], 1, 0
+                        j, r = stack[depth], 0
                         group = set(stack[depth + 1 :])
                         group.discard(j)
                         merged = len(group)
@@ -218,21 +218,21 @@ def refinement_profile(
                     if ends:
                         top_levels, raw = raw[len(base) :], raw[: len(base)]
                         factor *= w[len(top_levels)]
-                        j, z = top_levels[-1], z + 1
+                        j = top_levels[-1]
                         group = set(top_levels)
                         group.discard(j)
                         merged += len(group)
                         if group and not group.isdisjoint(raw):
                             raw = tuple([j if e in group else e for e in raw])
                 elif depth < 0:
-                    merged, z, r, raw, factor = 0, 1, 0, base, w[height + 1]
+                    merged, r, raw, factor = 0, 0, base, w[height + 1]
                     if not ends:
                         raw, factor = base + stack + (lv,), 1
                 else:
                     # v joins the block of class old: a new v takes the label
                     # old, else every old becomes v's label lv.
                     old, factor = stack[depth], w[height - depth]
-                    merged, z, r, j = old != lv, 0, 1, old if prev < 0 else lv
+                    merged, r, j = old != lv, 1, old if prev < 0 else lv
                     raw = labels[:nact] + (old,) * keep if prev < 0 else base
                     if ends:
                         factor *= w[depth + 1]
@@ -255,7 +255,7 @@ def refinement_profile(
                     gain = value * factor * xs[finished] * ys[r]
                     new_states[key] = gain if target is None else target + gain
                     continue
-                shift = finished * radix + z
+                shift = finished * radix + r
                 if target is None and factor == 1:
                     new_states[key] = {e + shift: c for e, c in value.items()}
                 elif target is None:
@@ -268,7 +268,7 @@ def refinement_profile(
         active[pos : pos + 1] = [v] * keep
     if at is not None:
         return states[()], visited
-    counts = {divmod(e, radix): c for e, c in states[()].items() if c}
+    counts = {(e // radix, alpha.n - e % radix): c for e, c in states[()].items() if c}
     return counts, visited
 
 

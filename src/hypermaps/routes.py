@@ -1,7 +1,8 @@
 """The check routes of the Whitney polynomial: brute force, phi and psi.
 
 Their entry points in ``whitney`` import this module on first call, so
-only ``--method``, ``--check``, the selftest and the tests load it.
+only ``--method`` (a check route or ``all``), the selftest and the tests
+load it.
 
 * brute force counts the refinements one by one with ``refinement_walk``,
   which merges no states and so checks the DP's merging; the definitional

@@ -11,8 +11,8 @@ routes compute it and must agree.  ``whitney_dp``, the production route and
 the default, reads it off ``nclattice.refinement_profile``, a frontier
 dynamic program that needs only kappa(sigma, beta) and z(beta) of each
 refinement and never lists them.  The check routes ``whitney_bruteforce``,
-``whitney_phi`` and ``whitney_psi``, run by ``--method``, ``--check``, the
-selftest and the tests, import their code from ``routes`` on first call.
+``whitney_phi`` and ``whitney_psi``, run by ``--method``, the selftest and
+the tests, import their code from ``routes`` on first call.
 """
 
 from __future__ import annotations

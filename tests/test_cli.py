@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import random
@@ -28,17 +29,9 @@ def test_whitney_default():
 
 
 def test_whitney_all_methods_agree():
+    # the four routes agree, so their R prints once
     r = run_cli(["whitney", "--method=all"], RUNNING)
-    assert r.returncode == 0
-    lines = r.stdout.strip().splitlines()
-    assert len(lines) == 4
-    assert len(set(lines)) == 1
-
-
-def test_whitney_check_flag():
-    r = run_cli(["whitney", "--check"], RUNNING)
-    assert r.returncode == 0
-    assert r.stdout.strip() == "u^2 + u*v + 4*u + v + 3"
+    assert (r.returncode, r.stdout, r.stderr) == (0, R_TEXT + "\n", "")
 
 
 def test_whitney_json_payload():
@@ -391,6 +384,7 @@ def test_an_exact_flag_wins_over_a_longer_one(monkeypatch):
         (["whitney", "--bogus"], "unknown flag '--bogus'"),
         (["whitney", "-x"], "unknown flag '-x'"),
         (["whitney", "--max-refinements=5"], "unknown flag '--max-refinements'"),
+        (["whitney", "--check"], "unknown flag '--check'"),
         (["whitney", "--method"], "--method needs a value"),
         (["whitney", "--method", "--json"], "--method needs a value"),
         (["whitney", "--method=magic"],
@@ -431,6 +425,7 @@ def test_help_lists_the_table(monkeypatch):
         assert (rc, err) == (0, "")
         assert out.startswith("usage: hypermap whitney [INPUT] [FLAGS]\n")
         assert "--method={brute,phi,psi,dp,all}" in out and "(default dp)" in out
+        assert "--check" not in out
     rc, out, _ = run_in_process(["flows", "-h"], "", monkeypatch)
     assert "--q=N" in out and "(required)" in out
 
@@ -696,7 +691,7 @@ def test_cold_subcommands_import_only_what_they_run():
         ((["colorings", "--m=3"], ["flows", "--q=3", "--nowhere-zero"]), RUNNING,
          "counting", evaluating | {"hypermaps.charflow"}),
         ((["whitney"], ["genus"], ["wet-dry"]), RUNNING, "whitney", optional),
-        ((["whitney", "--method=phi"], ["whitney", "--check"]), RUNNING, "routes",
+        ((["whitney", "--method=phi"], ["whitney", "--method=all"]), RUNNING, "routes",
          optional - {"hypermaps.routes"}),
         ((["genus"],), document, "jsonin", optional - {"hypermaps.jsonin"}),
     ):
@@ -916,6 +911,33 @@ def test_main_gives_back_the_int_to_str_limit(monkeypatch):
             sys.set_int_max_str_digits(limit)
 
 
+def test_counts_turn_into_text_once(monkeypatch):
+    # the plain text of a count is the int itself, so under --json only
+    # jsonout writes its digits and cli's str never sees it
+    count, seen = 3 ** 10000, []
+
+    def spy(*args, **kwargs):
+        seen.extend(args)
+        return builtins.str(*args, **kwargs)
+
+    points = [[p] for p in range(1, 10001)]
+    payload = {"input_echo": {"n": 10000, "sigma": points, "alpha": points},
+               "result": {"count": count, "m": 3}, "method": "dp", "stats": {}}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # so that json.dumps writes 3^10000
+    try:
+        expected = json_text(payload)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    monkeypatch.setattr(cli, "str", spy, raising=False)
+    doc = "n: 10000\nsigma: (1)\nalpha: (1)\n"
+    argv = ["colorings", "--m=3", "--json"]
+    assert run_in_process(argv, doc, monkeypatch) == (0, expected, "")
+    assert count not in seen
+
+
 def test_huge_counts_are_named_by_length_in_refusals():
     # a path of 15,000 edges has 2^15000 refinements, a 4,516-digit count
     edges = 15000
@@ -980,12 +1002,11 @@ PINNED = [
      {"memo_hits": 3, "nodes": 7, "terms": 5}),
     (["whitney", "--method=dp"], RUNNING, R_TEXT, R_TEXT, "dp",
      {"memo_hits": 0, "nodes": 9, "terms": 5}),
-    (["whitney", "--method=all"], RUNNING, "\n".join([R_TEXT] * 4),
-     {"brute": R_TEXT, "phi": R_TEXT, "psi": R_TEXT, "dp": R_TEXT}, "all",
-     {"brute": {"memo_hits": 0, "nodes": 10}, "phi": {"memo_hits": 3, "nodes": 7},
-      "psi": {"memo_hits": 3, "nodes": 7}, "dp": {"memo_hits": 0, "nodes": 9}}),
-    (["whitney", "--check"], RUNNING, R_TEXT, R_TEXT, "dp",
-     {"memo_hits": 0, "nodes": 9, "terms": 5}),
+    (["whitney", "--method=all"], RUNNING, R_TEXT, R_TEXT, "all",
+     {"brute": {"memo_hits": 0, "nodes": 10, "terms": 5},
+      "phi": {"memo_hits": 3, "nodes": 7, "terms": 5},
+      "psi": {"memo_hits": 3, "nodes": 7, "terms": 5},
+      "dp": {"memo_hits": 0, "nodes": 9, "terms": 5}}),
     (["genus"], RUNNING, "0", {"genus": 0, "kappa": 1}, "euler", {}),
     (["dual"], RUNNING, "sigma: (1 5)(2 4 3)\nalpha: (1 3 2)(4 5)",
      {"sigma": [[1, 5], [2, 4, 3]], "alpha": [[1, 3, 2], [4, 5]]}, "dual", {}),
@@ -1090,6 +1111,5 @@ def test_whitney_check_reports_disagreement(monkeypatch):
         f"brute: {R_TEXT}\ndp: {R_TEXT}\nphi: {R_TEXT}\n"
         "psi: u^2 + u*v + 4*u + v + 4\nerror: whitney methods disagree\n"
     )
-    for argv in (["whitney", "--check"], ["whitney", "--method=psi", "--check"],
-                 ["whitney", "--method=all", "--check", "--json"]):
+    for argv in (["whitney", "--method=all"], ["whitney", "--method=all", "--json"]):
         assert run_in_process(argv, RUNNING, monkeypatch) == (1, "", expected)

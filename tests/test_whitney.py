@@ -594,12 +594,13 @@ def test_wet_dry_rejects_positive_genus():
 ], ids=["eleven-points", "relabelled-union", "fixed-13-14", "genus-two",
         "twelve-cycle", "hyperedges-4-4-3"])
 def test_whitney_check_agrees_with_brute_force(sigma, alpha, monkeypatch):
-    # --check runs all four routes and exits 1 if they differ; the suite's
-    # run under python -O checks them without assert
+    # --method=all runs all four routes and exits 1 if they differ; the
+    # suite's run under python -O checks them without assert
     doc = f"sigma: {sigma}\nalpha: {alpha}\n"
     h = cli.load_document(doc, "<stdin>").hypermap
     expected = f"{whitney_bruteforce(h).polynomial}\n"
-    assert run_in_process(["whitney", "--check"], doc, monkeypatch) == (0, expected, "")
+    argv = ["whitney", "--method=all"]
+    assert run_in_process(argv, doc, monkeypatch) == (0, expected, "")
 
 
 def test_unknown_method_rejected():

@@ -384,7 +384,6 @@ def test_an_exact_flag_wins_over_a_longer_one(monkeypatch):
         (["whitney", "--bogus"], "unknown flag '--bogus'"),
         (["whitney", "-x"], "unknown flag '-x'"),
         (["whitney", "--max-refinements=5"], "unknown flag '--max-refinements'"),
-        (["whitney", "--check"], "unknown flag '--check'"),
         (["whitney", "--method"], "--method needs a value"),
         (["whitney", "--method", "--json"], "--method needs a value"),
         (["whitney", "--method=magic"],
@@ -396,6 +395,7 @@ def test_an_exact_flag_wins_over_a_longer_one(monkeypatch):
         (["genus", "a", "b"], "unexpected argument 'b'"),
         (["selftest", "x"], "unexpected argument 'x'"),
         (["whitney", "--bad\nflag"], "unknown flag '--bad\\nflag'"),
+        (["whitney", "--check"], "unknown flag '--check'"),
     ],
 )
 def test_bad_command_lines_exit_2_with_one_line(argv, error, monkeypatch):

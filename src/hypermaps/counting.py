@@ -138,7 +138,10 @@ def nowhere_zero_flow_count(h: Hypermap, q: int) -> int:
         return 0
     vertex, edge = h.sigma.cycle_labels(), h.alpha.cycle_labels()
     z = h.sigma.cycle_count
-    incidence = [(vertex[p], z + edge[p]) for p in range(1, h.n + 1) if h.alpha(p) != p]
+    # Hyperedge by hyperedge, so each alpha-side vertex finishes before the
+    # next one opens and the DP's frontier keeps little beyond the sigma side.
+    incidence = [(vertex[p], z + edge[p])
+                 for c in h.alpha.cycles() if len(c) > 1 for p in c]
     g = _graph_map(incidence)
     value, _ = refinement_profile(g.alpha, g.sigma.cycle_labels(),
                                   complement_weight=mobius_nc, at=(q, q))

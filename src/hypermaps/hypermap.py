@@ -94,18 +94,9 @@ class Hypermap:
         self.kappa = orbit_count(sigma, alpha)
         self.genus = euler_number(sigma._image, alpha._image, self.kappa) // 2
 
-    @property
-    def is_connected(self) -> bool:
-        return self.kappa <= 1
-
     def faces(self) -> Permutation:
         """alpha^-1 * sigma, whose cycles are the faces."""
         return self.alpha.inverse() * self.sigma
-
-    @property
-    def is_map(self) -> bool:
-        """True when every alpha-cycle has length at most 2."""
-        return all(len(c) <= 2 for c in self.alpha.cycles())
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Orbits of the generated group, each sorted, ordered by minimum."""
@@ -114,13 +105,6 @@ class Hypermap:
 
     def relabel(self, r: Permutation) -> "Hypermap":
         return Hypermap(self.sigma.relabel(r), self.alpha.relabel(r))
-
-    def disjoint_union(self, other: "Hypermap") -> "Hypermap":
-        """Place other's points after self's (shifted by self.n)."""
-        shift = self.n
-        sig = list(self.sigma.image) + [x + shift for x in other.sigma.image]
-        alf = list(self.alpha.image) + [x + shift for x in other.alpha.image]
-        return Hypermap(Permutation(sig), Permutation(alf))
 
     def __eq__(self, other: object) -> bool:
         return (

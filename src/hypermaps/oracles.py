@@ -224,10 +224,11 @@ def graph_whitney_rank(nv: int, edges: Sequence[Tuple[int, int]]) -> BiPoly:
 
 def graph_characteristic(nv: int, edges: Sequence[Tuple[int, int]]) -> UniPoly:
     """Chromatic subset expansion sum_A (-1)^|A| t^c(A), shifted down by c(E)."""
+    c_full = _component_count(nv, edges)
     terms: Counter = Counter()
     for r, c in _edge_subsets(nv, edges):
-        terms[c] += -1 if r % 2 else 1
-    poly = UniPoly(terms).shift_exponents(-_component_count(nv, edges))
+        terms[c - c_full] += -1 if r % 2 else 1
+    poly = UniPoly(terms)
     if any(e < 0 for e in poly.terms):
         raise ValueError("characteristic shift went negative")
     return poly
@@ -480,7 +481,7 @@ def unique_nz_refinement(h: Hypermap, f: Tuple[int, ...], q: int) -> Permutation
         if beta(i) == i:
             continue
         pre = beta.inverse()(i)
-        beta = beta * Permutation.transposition(h.n, pre, i)
+        beta = beta * Permutation.from_cycles(h.n, [(pre, i)])
     return beta
 
 

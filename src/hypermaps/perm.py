@@ -60,12 +60,6 @@ class Permutation:
                 img[a] = b
         return cls._unchecked(tuple(img))
 
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        if i == j:
-            return cls.identity(n)
-        return cls.from_cycles(n, [(i, j)])
-
     @property
     def n(self) -> int:
         return len(self._image) - 1

@@ -105,10 +105,6 @@ class _SparsePoly:
         self.terms: Dict = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def collect(cls, counts: Mapping[Tuple, int], exponent: Callable):
         """The polynomial whose term at exponent(*key) sums counts[key]: R,
         chi, C and j are each one call on ``refinement_profile``'s totals."""
@@ -183,25 +179,9 @@ class BiPoly(_SparsePoly):
             total += c * Fraction(_pow(u, eu)) * Fraction(_pow(v, ev))
         return _normalize(total)
 
-    def substitute_v(self, value: int) -> "UniPoly":
-        """Plug a constant into v, leaving a polynomial in u."""
-        out: Dict[int, int] = {}
-        for (eu, ev), c in self.terms.items():
-            if ev < 0:
-                raise ValueError("negative v-exponent in substitution")
-            t = c * value ** ev
-            out[eu] = out.get(eu, 0) + t
-        return UniPoly(out)
-
     def hyperbola_section(self) -> "UniPoly":
         """The Laurent polynomial obtained by setting u = v^-1."""
         return UniPoly.collect(self.terms, lambda eu, ev: ev - eu)
-
-    def swap_variables(self) -> "BiPoly":
-        return BiPoly({(ev, eu): c for (eu, ev), c in self.terms.items()})
-
-    def coefficient(self, eu: int, ev: int) -> int:
-        return self.terms.get((eu, ev), 0)
 
     def sorted_terms(self):
         return sorted(
@@ -246,16 +226,6 @@ class UniPoly(_SparsePoly):
         for e, c in self.terms.items():
             total += c * Fraction(_pow(x, e))
         return _normalize(total)
-
-    def flip_variable(self) -> "UniPoly":
-        """Substitute -x for x."""
-        return UniPoly({e: c if e % 2 == 0 else -c for e, c in self.terms.items()})
-
-    def shift_exponents(self, d: int) -> "UniPoly":
-        return UniPoly({e + d: c for e, c in self.terms.items()})
-
-    def coefficient(self, e: int) -> int:
-        return self.terms.get(e, 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: -kv[0])

@@ -1,12 +1,18 @@
-"""Shared registry for the acceptance criterion pass/fail lines.
+"""Shared registry for the lines a plain ``pytest`` run should show.
 
-test_acceptance.py records one line per criterion here; conftest.py prints
-them in pytest's terminal summary so a plain ``pytest`` run shows them.
+test_acceptance.py records one line per criterion here, and test_fuzz.py
+the most frontier DP states one pass of each metamorphic test visited;
+conftest.py prints both in pytest's terminal summary.
 """
 
 import functools
 
 LINES = []
+DP_STATES = {}
+
+
+def dp_states(test: str, states: int) -> None:
+    DP_STATES[test] = max(states, DP_STATES.get(test, 0))
 
 
 def record(number: int, status: str, description: str) -> None:

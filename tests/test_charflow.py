@@ -22,6 +22,8 @@ from hypermaps.oracles import (
     x_interval_sum,
 )
 from hypermaps.selftest import (
+    disjoint_union,
+    is_map,
     random_bounded_cycles,
     random_collection,
     random_map,
@@ -58,7 +60,7 @@ def test_four_cycle_coloring_discrepancy():
 def test_proper_colorings_of_triangle():
     # triangle map: three vertices pairwise joined
     h = make(6, [[1, 6], [2, 3], [4, 5]], [[1, 2], [3, 4], [5, 6]])
-    assert h.is_map
+    assert is_map(h)
     assert proper_coloring_count(h, 3) == 6
     assert proper_coloring_count(h, 2) == 0
     chi = characteristic_polynomial(h)
@@ -88,8 +90,8 @@ def coloring_corpus():
         cases.append(Hypermap(random_permutation(rng, n),
                               random_bounded_cycles(rng, n, 4)))
     for _ in range(150):  # the hyperedge graph falls apart
-        cases.append(random_collection(rng, n_max=4).disjoint_union(
-            random_collection(rng, n_max=4)))
+        cases.append(disjoint_union(
+            random_collection(rng, n_max=4), random_collection(rng, n_max=4)))
     for _ in range(150):  # many vertices, alpha mostly buds
         n = rng.randint(1, 8)
         edge = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
@@ -177,7 +179,7 @@ def test_isolated_vertices_multiply_the_count():
     # two disjoint triangles and a bud: 6 * 6 * 3 colorings with 3 colors
     triangles = make(12, [[1, 6], [2, 3], [4, 5], [7, 12], [8, 9], [10, 11]],
                      [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]])
-    h = triangles.disjoint_union(make(1, [], []))
+    h = disjoint_union(triangles, make(1, [], []))
     assert proper_coloring_count(h, 3) == 6 * 6 * 3
     assert proper_coloring_count(h, 2) == 0
 

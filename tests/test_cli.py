@@ -12,7 +12,7 @@ import pytest
 from builders import run_cli, run_in_process
 from hypermaps import cli, medial, nclattice, selftest
 from hypermaps.poly import BiPoly
-from hypermaps.selftest import random_collection
+from hypermaps.selftest import disjoint_union, random_collection
 from hypermaps.whitney import whitney_phi
 
 RUNNING = "sigma: (1 4)(2 5)(3)\nalpha: (1 2 3)(4 5)\n"
@@ -807,7 +807,7 @@ def test_default_whitney_matches_check_routes(monkeypatch):
     for i in range(48):
         h = random_collection(rng, n_max=7, max_cycle=4)
         if i % 3 == 0:  # disjoint union with a second collection
-            h = h.disjoint_union(random_collection(rng, n_max=4, max_cycle=3))
+            h = disjoint_union(h, random_collection(rng, n_max=4, max_cycle=3))
         gaps = [rng.randint(1, 3) if i % 2 else 1 for _ in range(h.n)]
         label = {p: sum(gaps[:p]) for p in range(1, h.n + 1)}
         doc = render_document(h, label, as_json=i % 4 < 2)

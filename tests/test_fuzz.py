@@ -19,11 +19,20 @@ Drawn values of ``n`` are either small (at most ``SMALL_N``) or above
 ``ValueError`` before any point table is built.  Examples that set ``n``
 in between are skipped: they parse, but build tables of up to a million
 entries, which is slow rather than wrong.
+
+The frontier DP is checked at production sizes, 20-60 points with
+hyperedges of 1-4 points, by identities that list no refinements: R, chi,
+C and the counts do not depend on the labels, R is multiplicative over
+disjoint unions and kept by ``merge_components``, each DP form evaluated
+at (x, y) is its counts at (x, y), and at genus zero R is the product of
+its pieces' brute force R, C(h) = chi(dual h) and j = x^kappa R(x, x).
+The terminal summary gives the most DP states one pass of each visited.
 """
 
 import contextlib
 import io
 import json
+import math
 import operator
 import sys
 from unittest import mock
@@ -32,7 +41,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import acceptance_report
 from hypermaps import cli
+from hypermaps.charflow import characteristic_polynomial, flow_polynomial
 from hypermaps.cli import (
     COMMANDS,
     MAX_DIGITS,
@@ -42,13 +53,26 @@ from hypermaps.cli import (
     parse_digraph,
     parse_hypermap_text,
 )
+from hypermaps.counting import nowhere_zero_flow_count, proper_coloring_count
 from hypermaps.diagnose import walk_cycle_text
-from hypermaps.hypermap import Hypermap
+from hypermaps.hypermap import Hypermap, merge_components
 from hypermaps.jsonin import parse_hypermap_json
 from hypermaps.jsonout import dumps
+from hypermaps.medial import circuit_partition_polynomial
+from hypermaps.nclattice import mobius_nc, refinement_profile
 from hypermaps.perm import Permutation
 from hypermaps.poly import BiPoly, UniPoly
-from hypermaps.selftest import random_collection, random_eulerian_digraph, random_map
+from hypermaps.selftest import (
+    disjoint_union,
+    random_bounded_cycles,
+    random_collection,
+    random_eulerian_digraph,
+    random_map,
+    random_permutation,
+    random_planar_connected,
+    require_flow_chi_duality,
+)
+from hypermaps.whitney import whitney_bruteforce, whitney_dp
 
 FUZZ = settings(
     max_examples=150,
@@ -452,3 +476,89 @@ def test_bipoly_text_round_trip(terms):
 def test_unipoly_text_round_trip(terms):
     p = UniPoly(terms)
     assert UniPoly.parse(str(p)) == p
+
+
+# The frontier DP at production sizes.  Every listing check stops near 12
+# points; these draws have 20-60, so each identity below runs the DP where
+# commands run it.  Genus zero draws glue small planar pieces, because a
+# planar draw with one long hyperedge is the DP's hard family.
+
+DP_FUZZ = settings(FUZZ, max_examples=40, deadline=None)
+DP_FORMS = ({}, {"block_weight": mobius_nc}, {"complement_weight": mobius_nc})
+seeded = st.randoms(use_true_random=False)
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def many_hyperedge_collections(draw):
+    """A random sigma on 20-60 points and hyperedges of at most 2, 3 or 4
+    points, each bound in about a third of the draws."""
+    rng = draw(seeded)
+    n, longest = rng.randint(20, 60), rng.randint(2, 4)
+    return Hypermap(random_permutation(rng, n), random_bounded_cycles(rng, n, longest))
+
+
+@st.composite
+def glued_planar_collections(draw):
+    """A genus zero collection of 20-60 points, with its pieces: connected
+    planar pieces of at most 4 points side by side, some of them glued by
+    ``merge_components``, which keeps genus zero and R."""
+    rng = draw(seeded)
+    n, h, pieces = rng.randint(20, 60), Hypermap(Permutation(()), Permutation(())), []
+    while h.n < n:
+        pieces.append(random_planar_connected(rng, n_max=4))
+        h = disjoint_union(h, pieces[-1])
+    for _ in range(rng.randint(0, h.kappa - 1)):
+        a, b = rng.sample(h.components(), 2)
+        h = merge_components(h, rng.choice(a), rng.choice(b))
+    return h, pieces
+
+
+def _evaluated_kind_matches(h, x, y, test):
+    """Each DP form at (x, y) is the sum of count * x^kappa * y^(n - z) over
+    its counts, visiting the same states; the largest pass is noted."""
+    for form in DP_FORMS:
+        counts, states = refinement_profile(h.alpha, h.sigma.cycle_labels(), **form)
+        value = sum(c * x ** k * y ** (h.n - z) for (k, z), c in counts.items())
+        at = refinement_profile(h.alpha, h.sigma.cycle_labels(), at=(x, y), **form)
+        assert at == (value, states), (form, x, y, h)
+        acceptance_report.dp_states(test, states)
+
+
+@settings(DP_FUZZ)
+@given(many_hyperedge_collections(), many_hyperedge_collections(), seeded, small_ints,
+       small_ints)
+def test_dp_identities_on_many_hyperedge_collections(h, other, rng, x, y):
+    _evaluated_kind_matches(h, x, y, "many-hyperedge collections")
+    r, chi, flow = (whitney_dp(h).polynomial, characteristic_polynomial(h),
+                    flow_polynomial(h))
+    g = h.relabel(random_permutation(rng, h.n))
+    assert whitney_dp(g).polynomial == r
+    assert (characteristic_polynomial(g), flow_polynomial(g)) == (chi, flow)
+    m, q = rng.randint(1, 5), rng.choice((2, 3, 5, 7))
+    colorings, nowhere_zero = proper_coloring_count(h, m), nowhere_zero_flow_count(h, q)
+    assert proper_coloring_count(g, m) == colorings
+    assert nowhere_zero_flow_count(g, q) == nowhere_zero
+    if all(len(c) <= 3 for c in h.alpha.cycles()):
+        assert colorings == m ** h.kappa * chi.evaluate(m)
+        assert nowhere_zero == flow.evaluate(q)
+    union = disjoint_union(h, other)
+    product = r * whitney_dp(other).polynomial
+    assert whitney_dp(union).polynomial == product
+    assert whitney_dp(merge_components(union, 1, h.n + 1)).polynomial == product
+
+
+@settings(DP_FUZZ)
+@given(glued_planar_collections(), seeded, small_ints, small_ints)
+def test_dp_identities_on_glued_genus_zero_collections(case, rng, x, y):
+    h, pieces = case
+    assert h.genus == 0
+    _evaluated_kind_matches(h, x, y, "glued genus zero collections")
+    r = whitney_dp(h).polynomial
+    brute = (whitney_bruteforce(p).polynomial for p in pieces)
+    assert r == math.prod(brute, start=BiPoly.const(1))
+    require_flow_chi_duality(h)
+    j = circuit_partition_polynomial(h)
+    assert j == UniPoly.collect(r.terms, lambda eu, ev: h.kappa + eu + ev)
+    g = h.relabel(random_permutation(rng, h.n))
+    assert (whitney_dp(g).polynomial, circuit_partition_polynomial(g)) == (r, j)

@@ -1,8 +1,12 @@
-"""The package's public names: where they live and when their modules load."""
+"""The package's public names: where they live and when their modules load,
+and the production modules' rule that each function they define is used."""
 
+import ast
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +100,57 @@ def test_fresh_import_keeps_whitney_the_function():
         "charflow": "hypermaps.charflow",
     }
 
+
+# Modules that hold the checks: the oracles, the selftest, the DP-based check
+# helpers and R's check routes.  Every other module is production code.
+CHECK_MODULES = ("checks", "oracles", "routes", "selftest")
+
+# Defined in a production module and used by none, each for its reason.
+UNUSED_ON_PURPOSE = {
+    "hypermap.Hypermap.faces": "alpha^-1 sigma, whose cycles are the faces",
+    "perm.Permutation.identity": "the identity, the least refinement of any alpha",
+    "perm.Permutation.image": "the images of 1..n, as a user writes a permutation",
+    "poly.BiPoly.parse": "reads a printed R back, as the goldens do",
+    "poly.UniPoly.parse": "reads a printed chi, C or j back, as the goldens do",
+}
+
+
+def _production_trees():
+    src = Path(hypermaps.__file__).parent
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(src.glob("*.py")) if path.stem not in CHECK_MODULES}
+
+
+def _names(node):
+    """How often each name is read in node, as a variable or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unused_definitions(trees):
+    """module.function and module.Class.method for each top-level function and
+    method that no module of trees names outside its own body; dunders, which
+    Python calls, and the names of ``hypermaps.__all__`` are used."""
+    names = sum(map(_names, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{module}.{node.name}." if isinstance(node, ast.ClassDef) else f"{module}."
+            for f in members:
+                if (not isinstance(f, ast.FunctionDef) or f.name in hypermaps.__all__
+                        or f.name.startswith("__") and f.name.endswith("__")):
+                    continue
+                if names[f.name] == _names(f)[f.name]:
+                    unused.append(prefix + f.name)
+    return sorted(unused)
+
+
+def test_production_modules_define_only_what_they_use():
+    assert unused_definitions(_production_trees()) == sorted(UNUSED_ON_PURPOSE)
+
+
+def test_an_unused_method_is_found():
+    helper = ast.parse("class BiPoly:\n    def helper(self):\n        return self.helper\n")
+    trees = {**_production_trees(), "toy": helper}
+    assert "toy.BiPoly.helper" in unused_definitions(trees)
